@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -81,7 +82,7 @@ def cmd_edit(args: argparse.Namespace) -> int:
     emit_svg(edited, out=args.output)
     report_path = args.report
     if report_path is None:
-        report_path = args.output.rsplit(".", 1)[0] + ".json"
+        report_path = str(Path(args.output).with_suffix(".json"))
     with open(report_path, "w", encoding="utf-8") as fh:
         fh.write(report.to_json())
     print(f"edited {len(report.selected)} of {report.n_candidates} candidate "

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import LayeredDocument, RasterizerConfig, VectorPath, project_color
-from .raster import composite_forward, composite_backward, path_coverage
+from .model import WHITE, LayeredDocument, RasterizerConfig, VectorPath
+from .raster import composite_backward, composite_forward, path_coverage, source_over
 from .refine import circle_control_points
 
 logger = logging.getLogger(__name__)
@@ -100,12 +100,6 @@ def _random_scene(rng: np.random.Generator
     return doc, target, config
 
 
-def _loss(doc: LayeredDocument, target: np.ndarray,
-          config: RasterizerConfig) -> float:
-    image = composite_forward(doc, "two_layer", config).image
-    return float(np.mean((image - target) ** 2))
-
-
 def _coverage_cache(doc: LayeredDocument,
                     config: RasterizerConfig) -> dict[str, list[np.ndarray]]:
     return {tag: [path_coverage(p, doc.width, doc.height, config).coverage
@@ -113,22 +107,11 @@ def _coverage_cache(doc: LayeredDocument,
             for tag in ("albedo", "illumination")}
 
 
-def _layer_from_cache(paths: list[VectorPath],
-                      covs: list[np.ndarray], width: int,
-                      height: int) -> np.ndarray:
-    # same arithmetic and order as the production layer composite
-    under = np.broadcast_to(np.ones(3), (height, width, 3)).copy()
-    for p, cov in zip(paths, covs):
-        alpha = (cov * p.opacity)[:, :, None]
-        under = alpha * project_color(p.fill_color, p.layer_tag) + (1.0 - alpha) * under
-    return under
-
-
 def _cached_loss(doc: LayeredDocument, target: np.ndarray,
                  covs: dict[str, list[np.ndarray]]) -> float:
-    a = _layer_from_cache(doc.albedo, covs["albedo"], doc.width, doc.height)
-    i = _layer_from_cache(doc.illumination, covs["illumination"],
-                          doc.width, doc.height)
+    w, h = doc.width, doc.height
+    a = source_over(doc.albedo, covs["albedo"], WHITE, w, h).image
+    i = source_over(doc.illumination, covs["illumination"], WHITE, w, h).image
     return float(np.mean((a * i - target) ** 2))
 
 

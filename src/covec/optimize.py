@@ -18,8 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit, logit
 
-from .model import WHITE, GradientBuffer, VectorPath, project_color
-from .raster import RasterizerConfig, coverage_backward, layer_backward, layer_forward
+from .model import WHITE, GradientBuffer, LayeredDocument, VectorPath, project_color
+from .raster import (RasterizerConfig, composite_backward, composite_forward,
+                     coverage_backward, layer_backward, layer_forward)
 
 logger = logging.getLogger(__name__)
 
@@ -144,17 +145,20 @@ class LayerOptimizer:
             path.opacity = float(expit(new_logit))
 
 
-def gray_alpha_field(coverages: list[np.ndarray], gray_alpha: float) -> np.ndarray:
+def gray_alpha_field(coverages: list[np.ndarray],
+                     gray_alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Source-over alpha of every path re-filled at a common opacity.
 
     alpha(p) = 1 - prod_i (1 - gray_alpha * coverage_i(p)); with
     gray_alpha 0.5 a singly covered pixel sits at 0.5 and any overlap
     pushes it higher, which is what the overlap penalty thresholds.
+    Returns (alpha, prod): the product is the transmittance the penalty's
+    gradient divides by each path's own factor.
     """
     prod = np.ones_like(coverages[0])
     for cov in coverages:
         prod *= 1.0 - gray_alpha * cov
-    return 1.0 - prod
+    return 1.0 - prod, prod
 
 
 def loss_struct(groups: list[list[VectorPath]], mask_renders: list[np.ndarray],
@@ -180,13 +184,8 @@ def loss_struct(groups: list[list[VectorPath]], mask_renders: list[np.ndarray],
         d_img = 2.0 * diff / denom
         grads = layer_backward(group, render, d_img, rcfg)
         if cfg.lambda_overlap > 0.0 and group:
-            covs = [pc.coverage for pc in render.coverages]
             ga = cfg.gray_alpha
-            one_minus = [1.0 - ga * c for c in covs]
-            prod = np.ones((height, width))
-            for om in one_minus:
-                prod *= om
-            alpha = 1.0 - prod
+            alpha, prod = gray_alpha_field([pc.coverage for pc in render.coverages], ga)
             if cfg.penalty_sign == "overlap":
                 excess = alpha - cfg.delta_overlap
                 d_alpha = cfg.lambda_overlap * (excess > 0.0)
@@ -195,7 +194,7 @@ def loss_struct(groups: list[list[VectorPath]], mask_renders: list[np.ndarray],
                 d_alpha = -cfg.lambda_overlap * (excess > 0.0)
             total += cfg.lambda_overlap * float(np.maximum(excess, 0.0).sum())
             for i, pc in enumerate(render.coverages):
-                d_cov = d_alpha * ga * prod / one_minus[i]
+                d_cov = d_alpha * ga * prod / (1.0 - ga * pc.coverage)
                 grads[i].d_control_points += coverage_backward(pc, d_cov, rcfg)
         all_grads.extend(grads)
     return total, all_grads
@@ -207,28 +206,23 @@ def loss_recon(albedo: list[VectorPath], illumination: list[VectorPath] | None,
                ) -> tuple[float, list[GradientBuffer], list[GradientBuffer] | None]:
     """Mean squared error of the composite against the target image.
 
-    With an illumination layer the composite is the product of both layer
-    renders (each over white); without one (single-layer mode) the albedo
-    render is compared directly.  Gradients flow to both layers through
-    the multiply blend.
+    The composite is the two-layer product of the albedo and illumination
+    renders (each over white), run through composite_forward/backward.
+    Without an illumination layer (single-layer mode) an empty one stands
+    in: its white render is the identity of multiply, so the albedo render
+    is compared directly, and the illumination gradients come back None.
     """
     if target.shape != (height, width, 3):
         raise ValueError("target dims do not match the canvas")
-    a_render = layer_forward(albedo, WHITE, width, height, rcfg, with_grad=True)
-    denom = float(width * height * 3)
-    if illumination is None:
-        diff = a_render.image - target
-        loss = float(np.mean(diff * diff))
-        up = 2.0 * diff / denom
-        return loss, layer_backward(albedo, a_render, up, rcfg), None
-    i_render = layer_forward(illumination, WHITE, width, height, rcfg, with_grad=True)
-    composite = a_render.image * i_render.image
-    diff = composite - target
+    doc = LayeredDocument(width=width, height=height, albedo=albedo,
+                          illumination=illumination or [])
+    result = composite_forward(doc, "two_layer", rcfg, with_grad=True)
+    diff = result.image - target
     loss = float(np.mean(diff * diff))
-    up = 2.0 * diff / denom
-    grads_a = layer_backward(albedo, a_render, up * i_render.image, rcfg)
-    grads_i = layer_backward(illumination, i_render, up * a_render.image, rcfg)
-    return loss, grads_a, grads_i
+    up = 2.0 * diff / float(width * height * 3)
+    grads = composite_backward(doc, result, up, rcfg)
+    grads_i = None if illumination is None else grads["illumination"]
+    return loss, grads["albedo"], grads_i
 
 
 @dataclass

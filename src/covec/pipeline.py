@@ -1,16 +1,17 @@
 """End-to-end vectorization runs: load, initialize, optimize, refine, emit.
 
-Two modes.  Full mode reconstructs the image as albedo times shade plus
-light: initialization from a segmentation and an albedo estimate,
-structural warm-up, joint reconstruction, error-driven refinement of the
-illumination layer over the frozen albedo, then separation into shade
-and light.  Albedo-only mode folds the region shadow masks into a single
-albedo layer and refines that layer directly; its output document has
-empty shade and light groups.
+One flow serves both modes and branches only where they differ.  Full
+mode reconstructs the image as albedo times shade plus light: it
+initializes both layers from a segmentation and an albedo estimate,
+refines the illumination layer over the frozen albedo render, then
+separates illumination into shade and light.  Albedo-only mode folds the
+region shadow masks into a single albedo layer, refines that layer with
+no frozen factor, and emits empty shade and light groups.  Structural
+warm-up and joint reconstruction are shared.
 
 File inputs are always preferred when named: an albedo estimate image
-and a label-map segmentation replace the internal fallbacks (smoothness
-ratio and seeded k-means).
+(full mode only) and a label-map segmentation replace the internal
+fallbacks (smoothness ratio and seeded k-means).
 """
 
 from __future__ import annotations
@@ -26,11 +27,10 @@ from .image_io import read_image, read_label_map
 from .init_layers import (InitConfig, fallback_albedo, fallback_segment,
                           init_layers, masks_from_labels, organize_masks,
                           paths_for_groups, region_binarize)
-from .model import LayeredDocument, RasterizerConfig
+from .model import WHITE, LayeredDocument, RasterizerConfig
 from .optimize import Schedule, StructLossConfig, TraceRow, run_structural
-from .raster import render_composite
-from .refine import (RefineConfig, assign_light_colors, refine_illumination,
-                     refine_layer, separate_layers)
+from .raster import layer_forward, render_composite
+from .refine import RefineConfig, assign_light_colors, refine_layer, separate_layers
 from .svg_io import emit_svg
 
 MODES = ("full", "albedo_only")
@@ -64,6 +64,8 @@ class RunConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.path_budget is not None and self.path_budget < 1:
             raise ValueError("path budget must be >= 1")
+        if self.mode == "albedo_only" and self.albedo_path is not None:
+            raise ValueError("an albedo estimate is only used in full mode")
 
     @property
     def effective_budget(self) -> int:
@@ -104,10 +106,6 @@ class VectorizeResult:
     final_mse: float = 0.0
 
 
-def _load_image(cfg: RunConfig) -> np.ndarray:
-    return read_image(cfg.input_path)
-
-
 def _load_albedo(cfg: RunConfig, image: np.ndarray,
                  icfg: InitConfig) -> np.ndarray:
     if cfg.albedo_path is None:
@@ -129,63 +127,47 @@ def _load_masks(cfg: RunConfig, image: np.ndarray, icfg: InitConfig):
     return masks_from_labels(labels, image)
 
 
-def _vectorize_full(cfg: RunConfig, image: np.ndarray) -> VectorizeResult:
-    icfg = cfg.init_config()
+def vectorize(cfg: RunConfig) -> VectorizeResult:
+    """Run the configured pipeline; no files are written."""
+    image = read_image(cfg.input_path)
     rcfg = cfg.raster_config()
     h, w = image.shape[:2]
-    albedo_map = _load_albedo(cfg, image, icfg)
-    seg_masks = _load_masks(cfg, image, icfg)
-    init = init_layers(image, albedo_map, seg_masks, icfg)
-    trace = run_structural(init.albedo_groups, init.illum_groups, image,
-                           init.albedo_renders, init.illum_renders,
+    icfg = cfg.init_config()
+    full = cfg.mode == "full"
+    if full:
+        albedo_map = _load_albedo(cfg, image, icfg)
+        init = init_layers(image, albedo_map, _load_masks(cfg, image, icfg), icfg)
+        a_groups, i_groups = init.albedo_groups, init.illum_groups
+        a_renders, i_renders = init.albedo_renders, init.illum_renders
+    else:
+        seg_masks = _load_masks(cfg, image, icfg)
+        groups_m = organize_masks(seg_masks + region_binarize(image, seg_masks))
+        a_groups, a_renders = paths_for_groups(groups_m, image, "albedo", icfg, w, h)
+        i_groups = i_renders = None
+    trace = run_structural(a_groups, i_groups, image, a_renders, i_renders,
                            cfg.schedule(), cfg.struct_config(), rcfg)
-    albedo = [p for g in init.albedo_groups for p in g]
-    illum = [p for g in init.illum_groups for p in g]
+    albedo = [p for g in a_groups for p in g]
+    illum = [p for g in i_groups or [] for p in g]
     budget_left = max(0, cfg.effective_budget - len(albedo) - len(illum))
-    illum, refine_trace = refine_illumination(albedo, illum, image,
-                                              cfg.refine_config(),
-                                              cfg.schedule(), rcfg,
-                                              budget_left)
+    if full:
+        layer, tag = illum, "illumination"
+        factor = layer_forward(albedo, WHITE, w, h, rcfg).image
+    else:
+        layer, tag, factor = albedo, "albedo", None
+    layer, refine_trace = refine_layer(layer, factor, image, cfg.refine_config(),
+                                       cfg.schedule(), rcfg, budget_left,
+                                       layer_tag=tag)
     trace.extend(refine_trace)
-    shade, light = separate_layers(illum)
-    light = assign_light_colors(light, image, albedo, shade, w, h, rcfg)
+    if full:
+        shade, light = separate_layers(layer)
+        light = assign_light_colors(light, image, albedo, shade, w, h, rcfg)
+    else:
+        albedo, shade, light = layer, [], []
     doc = LayeredDocument(width=w, height=h, albedo=albedo, illumination=[],
                           shade=shade, light=light)
     rendered = np.clip(render_composite(doc, "three_layer", rcfg), 0.0, 1.0)
     mse = float(np.mean((rendered - image) ** 2))
     return VectorizeResult(document=doc, trace=trace, final_mse=mse)
-
-
-def _vectorize_albedo_only(cfg: RunConfig, image: np.ndarray) -> VectorizeResult:
-    icfg = cfg.init_config()
-    rcfg = cfg.raster_config()
-    h, w = image.shape[:2]
-    seg_masks = _load_masks(cfg, image, icfg)
-    shadow_masks = region_binarize(image, seg_masks)
-    groups_m = organize_masks(seg_masks + shadow_masks)
-    a_groups, a_renders = paths_for_groups(groups_m, image, "albedo",
-                                           icfg, w, h)
-    trace = run_structural(a_groups, None, image, a_renders, None,
-                           cfg.schedule(), cfg.struct_config(), rcfg)
-    albedo = [p for g in a_groups for p in g]
-    budget_left = max(0, cfg.effective_budget - len(albedo))
-    albedo, refine_trace = refine_layer(albedo, None, image,
-                                        cfg.refine_config(), cfg.schedule(),
-                                        rcfg, budget_left, layer_tag="albedo")
-    trace.extend(refine_trace)
-    doc = LayeredDocument(width=w, height=h, albedo=albedo, illumination=[],
-                          shade=[], light=[])
-    rendered = np.clip(render_composite(doc, "three_layer", rcfg), 0.0, 1.0)
-    mse = float(np.mean((rendered - image) ** 2))
-    return VectorizeResult(document=doc, trace=trace, final_mse=mse)
-
-
-def vectorize(cfg: RunConfig) -> VectorizeResult:
-    """Run the configured pipeline; no files are written."""
-    image = _load_image(cfg)
-    if cfg.mode == "full":
-        return _vectorize_full(cfg, image)
-    return _vectorize_albedo_only(cfg, image)
 
 
 def trace_csv_bytes(trace: list[TraceRow]) -> bytes:

@@ -7,6 +7,13 @@ layer background; layers combine with multiply (shade) and plus-lighter
 (light).  Nothing is clamped between operations, so composites can carry
 values above 1 until quantization.
 
+All source-over compositing runs through ``source_over``, which works on
+precomputed coverage maps: ``layer_forward`` rasterizes a layer and calls
+it, and callers that cache coverage maps (refinement cleanup, gradcheck)
+call it directly.  ``composite_forward``/``composite_backward`` are the
+one render entry point and its matching backward pass; the optimizer's
+reconstruction loss runs through them.
+
 Every forward quantity needed by the analytic backward pass is cached per
 path: sample-level sigmoid values, nearest-edge foot points, and the
 under-composite / transmittance stacks of the source-over sweep.  Caches
@@ -15,7 +22,7 @@ are full canvas, sized for research-scale images rather than huge ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import expit
@@ -144,7 +151,7 @@ class LayerRender:
     """Result of compositing one layer's paths over its background."""
 
     image: np.ndarray  # (H, W, 3)
-    coverages: list[PathCoverage]
+    coverages: list[PathCoverage] = field(default_factory=list)
     alphas: np.ndarray | None = None  # (n, H, W)
     unders: np.ndarray | None = None  # (n, H, W, 3) composite below path j
     trans_above: np.ndarray | None = None  # (n, H, W) transmittance above j
@@ -167,42 +174,52 @@ def _check_single_tag(paths: list[VectorPath]) -> None:
         raise ValueError(f"layer mixes paths tagged {a!r} and {b!r}")
 
 
-def layer_forward(paths: list[VectorPath], background, width: int, height: int,
-                  config: RasterizerConfig, with_grad: bool = False) -> LayerRender:
-    """Source-over composite of a layer, back to front over its background."""
-    _check_single_tag(paths)
+def source_over(paths: list[VectorPath], coverages: list[np.ndarray], background,
+                width: int, height: int, record: bool = False) -> LayerRender:
+    """Source-over composite, back to front, from per-path coverage maps.
+
+    Path j has alpha coverage_j * opacity_j and its fill color clamped to
+    its layer's range.  With ``record`` the result also keeps what
+    layer_backward needs: the under-composite below each path and the
+    transmittance of the paths above it.  The returned render carries no
+    PathCoverage objects; layer_forward attaches its own.
+    """
     under = _tile_background(background, width, height)
     n = len(paths)
-    coverages: list[PathCoverage] = []
-    alphas = np.zeros((n, height, width)) if n else None
-    unders = np.zeros((n, height, width, 3)) if (with_grad and n) else None
-    eff = np.zeros((n, 3)) if n else None
-    for j, path in enumerate(paths):
-        pc = path_coverage(path, width, height, config, with_grad=with_grad)
-        coverages.append(pc)
-        alpha = pc.coverage * path.opacity
+    if n == 0:
+        return LayerRender(image=under)
+    alphas = np.zeros((n, height, width))
+    unders = np.zeros((n, height, width, 3)) if record else None
+    eff = np.zeros((n, 3))
+    for j, (path, cov) in enumerate(zip(paths, coverages)):
+        alpha = cov * path.opacity
         alphas[j] = alpha
         color = project_color(path.fill_color, path.layer_tag)
         eff[j] = color
-        if with_grad:
+        if record:
             unders[j] = under
         under = alpha[:, :, None] * color + (1.0 - alpha[:, :, None]) * under
     trans = None
-    if with_grad and n:
+    if record:
         trans = np.zeros((n, height, width))
         running = np.ones((height, width))
         for j in range(n - 1, -1, -1):
             trans[j] = running
             running = running * (1.0 - alphas[j])
-    return LayerRender(image=under, coverages=coverages, alphas=alphas,
-                       unders=unders, trans_above=trans, effective_colors=eff)
+    return LayerRender(image=under, alphas=alphas, unders=unders,
+                       trans_above=trans, effective_colors=eff)
 
 
-def rasterize_layer(paths: list[VectorPath], background, width: int, height: int,
-                    config: RasterizerConfig) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Render one layer; returns the image and per-path coverage maps."""
-    render = layer_forward(paths, background, width, height, config)
-    return render.image, [pc.coverage for pc in render.coverages]
+def layer_forward(paths: list[VectorPath], background, width: int, height: int,
+                  config: RasterizerConfig, with_grad: bool = False) -> LayerRender:
+    """Rasterize a layer's paths and composite them over its background."""
+    _check_single_tag(paths)
+    coverages = [path_coverage(p, width, height, config, with_grad=with_grad)
+                 for p in paths]
+    render = source_over(paths, [pc.coverage for pc in coverages], background,
+                         width, height, record=with_grad)
+    render.coverages = coverages
+    return render
 
 
 def layer_backward(paths: list[VectorPath], render: LayerRender,
@@ -263,11 +280,9 @@ class CompositeResult:
     renders: dict[str, LayerRender]
 
 
-def _require_layer(doc: LayeredDocument, tag: str) -> list[VectorPath]:
-    layer = doc.layer(tag)
-    if layer is None:
-        raise ValueError(f"missing required layer: {tag}")
-    return layer
+def _factor_tag(mode: str) -> str:
+    """Tag of the layer that multiplies the albedo render in ``mode``."""
+    return "illumination" if mode == "two_layer" else "shade"
 
 
 def composite_forward(doc: LayeredDocument, mode: str, config: RasterizerConfig,
@@ -280,24 +295,17 @@ def composite_forward(doc: LayeredDocument, mode: str, config: RasterizerConfig,
     """
     if mode not in COMPOSITE_MODES:
         raise ValueError(f"unknown composite mode {mode!r}")
-    w, h = doc.width, doc.height
-    renders: dict[str, LayerRender] = {}
-    if mode == "two_layer":
-        a_paths = _require_layer(doc, "albedo")
-        i_paths = _require_layer(doc, "illumination")
-        renders["albedo"] = layer_forward(a_paths, WHITE, w, h, config, with_grad)
-        renders["illumination"] = layer_forward(i_paths, WHITE, w, h, config, with_grad)
-        image = blend("multiply", renders["albedo"].image, renders["illumination"].image)
-    else:
-        a_paths = _require_layer(doc, "albedo")
-        s_paths = _require_layer(doc, "shade")
-        l_paths = _require_layer(doc, "light")
-        renders["albedo"] = layer_forward(a_paths, WHITE, w, h, config, with_grad)
-        renders["shade"] = layer_forward(s_paths, WHITE, w, h, config, with_grad)
-        renders["light"] = layer_forward(l_paths, BLACK, w, h, config, with_grad)
-        image = blend("plus_lighter",
-                      blend("multiply", renders["albedo"].image, renders["shade"].image),
-                      renders["light"].image)
+    factor = _factor_tag(mode)
+    tags = ["albedo", factor] + (["light"] if mode == "three_layer" else [])
+    for tag in tags:
+        if doc.layer(tag) is None:
+            raise ValueError(f"missing required layer: {tag}")
+    renders = {tag: layer_forward(doc.layer(tag), BLACK if tag == "light" else WHITE,
+                                  doc.width, doc.height, config, with_grad)
+               for tag in tags}
+    image = blend("multiply", renders["albedo"].image, renders[factor].image)
+    if "light" in renders:
+        image = blend("plus_lighter", image, renders["light"].image)
     return CompositeResult(image=image, mode=mode, renders=renders)
 
 
@@ -314,29 +322,14 @@ def composite_backward(doc: LayeredDocument, result: CompositeResult,
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != result.image.shape:
         raise ValueError("upstream gradient must match the composite shape")
-    grads: dict[str, list[GradientBuffer]] = {}
-    if result.mode == "two_layer":
-        a_img = result.renders["albedo"].image
-        i_img = result.renders["illumination"].image
-        grads["albedo"] = layer_backward(doc.albedo, result.renders["albedo"],
-                                         upstream * i_img, config)
-        grads["illumination"] = layer_backward(doc.illumination,
-                                               result.renders["illumination"],
-                                               upstream * a_img, config)
-    else:
-        a_img = result.renders["albedo"].image
-        s_img = result.renders["shade"].image
-        grads["albedo"] = layer_backward(doc.albedo, result.renders["albedo"],
-                                         upstream * s_img, config)
-        grads["shade"] = layer_backward(doc.shade, result.renders["shade"],
-                                        upstream * a_img, config)
-        grads["light"] = layer_backward(doc.light, result.renders["light"],
-                                        upstream, config)
+    renders = result.renders
+    factor = _factor_tag(result.mode)
+    grads = {
+        "albedo": layer_backward(doc.albedo, renders["albedo"],
+                                 upstream * renders[factor].image, config),
+        factor: layer_backward(doc.layer(factor), renders[factor],
+                               upstream * renders["albedo"].image, config),
+    }
+    if "light" in renders:
+        grads["light"] = layer_backward(doc.light, renders["light"], upstream, config)
     return grads
-
-
-def backward(doc: LayeredDocument, upstream: np.ndarray, mode: str,
-             config: RasterizerConfig) -> dict[str, list[GradientBuffer]]:
-    """Full forward + backward pass through the composite."""
-    result = composite_forward(doc, mode, config, with_grad=True)
-    return composite_backward(doc, result, upstream, config)

@@ -18,7 +18,8 @@ from scipy import ndimage
 
 from .model import WHITE, VectorPath, project_color
 from .optimize import LayerOptimizer, Schedule, TraceRow
-from .raster import RasterizerConfig, layer_backward, layer_forward, path_coverage
+from .raster import (RasterizerConfig, layer_backward, layer_forward, path_coverage,
+                     source_over)
 
 _CROSS = ndimage.generate_binary_structure(2, 1)
 
@@ -63,16 +64,6 @@ class RefineConfig:
             raise ValueError("rounds_max must be nonnegative")
         if self.iters_per_round < 1:
             raise ValueError("iters_per_round must be >= 1")
-
-
-def error_map(target: np.ndarray, albedo: list[VectorPath],
-              illumination: list[VectorPath], width: int, height: int,
-              rcfg: RasterizerConfig) -> np.ndarray:
-    """Per-pixel channel-mean squared error of the two-layer composite."""
-    a_img = layer_forward(albedo, WHITE, width, height, rcfg).image
-    i_img = layer_forward(illumination, WHITE, width, height, rcfg).image
-    diff = target - a_img * i_img
-    return np.mean(diff * diff, axis=2)
 
 
 def propose_paths(err: np.ndarray, n: int, target: np.ndarray,
@@ -128,16 +119,6 @@ def _composite(layer_img: np.ndarray, frozen_factor: np.ndarray | None) -> np.nd
     return layer_img if frozen_factor is None else layer_img * frozen_factor
 
 
-def _layer_over(paths: list[VectorPath], coverages: list[np.ndarray],
-                width: int, height: int) -> np.ndarray:
-    """Source-over composite over white from cached per-path coverage maps."""
-    img = np.ones((height, width, 3))
-    for p, cov in zip(paths, coverages):
-        alpha = (cov * p.opacity)[:, :, None]
-        img = alpha * project_color(p.fill_color, p.layer_tag) + (1.0 - alpha) * img
-    return img
-
-
 def _recon_loss(layer_img: np.ndarray, frozen_factor: np.ndarray | None,
                 target: np.ndarray) -> float:
     diff = _composite(layer_img, frozen_factor) - target
@@ -165,14 +146,17 @@ def cleanup_layer(paths: list[VectorPath], frozen_factor: np.ndarray | None,
     def can_touch(p: VectorPath) -> bool:
         return mutable is None or id(p) in mutable
 
+    def loss_of(stack: list[VectorPath], covs: list[np.ndarray]) -> float:
+        image = source_over(stack, covs, WHITE, width, height).image
+        return _recon_loss(image, frozen_factor, target)
+
     for _pass in range(3):
         changed = False
         coverages = [path_coverage(p, width, height, rcfg).coverage for p in paths]
 
         # removal scan: tiny soft area first, then negligible loss impact;
         # the current loss is refreshed only when the stack actually changes
-        current = _recon_loss(_layer_over(paths, coverages, width, height),
-                              frozen_factor, target)
+        current = loss_of(paths, coverages)
         i = 0
         while i < len(paths):
             p = paths[i]
@@ -182,15 +166,12 @@ def cleanup_layer(paths: list[VectorPath], frozen_factor: np.ndarray | None,
             soft_area = float(coverages[i].sum())
             if soft_area < cfg.cleanup_area_min:
                 del paths[i], coverages[i]
-                current = _recon_loss(_layer_over(paths, coverages, width, height),
-                                      frozen_factor, target)
+                current = loss_of(paths, coverages)
                 removed += 1
                 changed = True
                 continue
-            keep_paths = paths[:i] + paths[i + 1:]
-            keep_covs = coverages[:i] + coverages[i + 1:]
-            without = _recon_loss(_layer_over(keep_paths, keep_covs, width, height),
-                                  frozen_factor, target)
+            without = loss_of(paths[:i] + paths[i + 1:],
+                              coverages[:i] + coverages[i + 1:])
             if abs(without - current) < cfg.cleanup_loss_eps:
                 del paths[i], coverages[i]
                 current = without
@@ -235,18 +216,6 @@ def cleanup_layer(paths: list[VectorPath], frozen_factor: np.ndarray | None,
         if not changed:
             break
     return paths, removed, merged
-
-
-def cleanup_paths(illumination: list[VectorPath], albedo: list[VectorPath] | None,
-                  target: np.ndarray, cfg: RefineConfig, rcfg: RasterizerConfig
-                  ) -> list[VectorPath]:
-    """Public cleanup over a whole illumination layer (everything mutable)."""
-    height, width = target.shape[:2]
-    factor = None
-    if albedo is not None:
-        factor = layer_forward(albedo, WHITE, width, height, rcfg).image
-    cleaned, _r, _m = cleanup_layer(illumination, factor, target, cfg, rcfg)
-    return cleaned
 
 
 def refine_layer(layer: list[VectorPath], frozen_factor: np.ndarray | None,
@@ -302,17 +271,6 @@ def refine_layer(layer: list[VectorPath], frozen_factor: np.ndarray | None,
                               paths_added=len(new_paths),
                               paths_removed=n_removed + n_merged))
     return layer, trace
-
-
-def refine_illumination(albedo: list[VectorPath], illumination: list[VectorPath],
-                        target: np.ndarray, cfg: RefineConfig, schedule: Schedule,
-                        rcfg: RasterizerConfig, budget_remaining: int
-                        ) -> tuple[list[VectorPath], list[TraceRow]]:
-    """Refine the illumination layer against the frozen albedo render."""
-    height, width = target.shape[:2]
-    factor = layer_forward(albedo, WHITE, width, height, rcfg).image
-    return refine_layer(illumination, factor, target, cfg, schedule, rcfg,
-                        budget_remaining, layer_tag="illumination")
 
 
 def separate_layers(illumination: list[VectorPath]

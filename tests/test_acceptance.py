@@ -26,9 +26,8 @@ from covec.image_io import read_image, write_png, write_label_png
 from covec.init_layers import SemanticMask, region_binarize, trace_boundary
 from covec.model import BLACK, WHITE, LayeredDocument, RasterizerConfig
 from covec.optimize import Schedule
-from covec.raster import (blend, layer_forward, rasterize_layer,
-                          render_composite)
-from covec.refine import RefineConfig, refine_illumination, separate_layers
+from covec.raster import blend, layer_forward, path_coverage, render_composite
+from covec.refine import RefineConfig, refine_layer, separate_layers
 from covec.svg_io import emit_svg, parse_svg, reference_composite
 from covec.synthetic import (make_acceptance_scene, make_disk_grid_document,
                              make_icon_scene, make_recolor_reference)
@@ -292,8 +291,7 @@ def synthetic_run(tmp_path_factory):
 
 
 def _support(path, width, height, rcfg) -> np.ndarray:
-    _, covs = rasterize_layer([path], WHITE, width, height, rcfg)
-    return covs[0] > 0.5
+    return path_coverage(path, width, height, rcfg).coverage > 0.5
 
 
 def test_06_synthetic_convergence(synthetic_run):
@@ -387,8 +385,8 @@ def test_08_refinement_freeze():
     for _round in range(5):
         d_albedo = _params_digest(albedo)
         d_existing = _params_digest(illum)
-        out, _ = refine_illumination(albedo, illum, target, cfg, sched, rcfg,
-                                     budget)
+        factor = layer_forward(albedo, WHITE, 32, 32, rcfg).image
+        out, _ = refine_layer(illum, factor, target, cfg, sched, rcfg, budget)
         frozen_ok = frozen_ok and _params_digest(albedo) == d_albedo
         frozen_ok = frozen_ok and _params_digest(out[:len(illum)]) == d_existing
         added_total += len(out) - len(illum)

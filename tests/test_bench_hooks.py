@@ -1,0 +1,61 @@
+"""The benchmark's tracer still finds, wraps and restores its covec functions.
+
+perfbench/tracer.py patches every covec module binding of the public
+functions it lists in WRAPPED.  A rename or a dropped import in the
+package would only break the traced benchmark run; these checks catch it
+in the fast suite.
+"""
+
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+import covec.cli  # noqa: F401  (imports every module the tracer patches)
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture
+def perfbench(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return importlib.import_module("tracer"), importlib.import_module("selftest")
+
+
+def _covec_modules():
+    return {name: mod for name, mod in sys.modules.items()
+            if mod is not None and (name == "covec" or name.startswith("covec."))}
+
+
+def test_every_wrapped_name_resolves(perfbench):
+    tracer, _ = perfbench
+    missing = [f"covec.{short}.{name}"
+               for short, names in tracer.WRAPPED.items()
+               for name in names
+               if not callable(getattr(importlib.import_module("covec." + short),
+                                       name, None))]
+    assert missing == []
+
+
+def test_tracer_install_patches_and_uninstall_restores(perfbench):
+    tracer, selftest = perfbench
+    before = {name: dict(vars(mod)) for name, mod in _covec_modules().items()}
+    tr = tracer.Tracer()
+    tr.install()
+    try:
+        patched = set(tr.patched_bindings)
+        for short, names in tracer.WRAPPED.items():
+            home = "covec." + short
+            for name in names:
+                assert f"{home}.{name}" in patched
+                assert getattr(sys.modules[home], name) is not before[home][name]
+    finally:
+        tr.uninstall()
+    for name, mod in _covec_modules().items():
+        now = vars(mod)
+        changed = [attr for attr, value in before.get(name, {}).items()
+                   if now.get(attr) is not value]
+        assert changed == [], f"{name}: bindings not restored: {changed}"
+    # the benchmark's own check of the cross-module bindings it relies on
+    selftest.check_patching()

@@ -182,6 +182,18 @@ def test_vectorize_deterministic_outputs(tmp_path, capsys):
     assert blobs[0][1] == blobs[1][1]
 
 
+def test_vectorize_albedo_only_rejects_albedo_file(tmp_path, capsys):
+    img_path = tmp_path / "icon.png"
+    write_image(img_path, make_icon_scene(8))
+    svg = tmp_path / "doc.svg"
+    code, _, err = _run(["vectorize", str(img_path), "-o", str(svg),
+                         "--mode", "albedo-only", "--albedo", str(img_path)],
+                        capsys)
+    assert code == 2
+    assert "error:" in err and "full mode" in err
+    assert not svg.exists()
+
+
 def test_vectorize_trace_schema(tmp_path, capsys):
     img_path = tmp_path / "icon.png"
     write_image(img_path, make_icon_scene(16))
@@ -227,6 +239,24 @@ def test_edit_noop_reemits_identical_svg(tmp_path, capsys):
     assert report["selected"] == []
     assert report["shortfall"] == 1
     assert "edited 0 of 0" in out
+
+
+def test_edit_default_report_in_dotted_directory(tmp_path, capsys):
+    doc = LayeredDocument(width=8, height=8,
+                          albedo=[square_path(2, 2, 6, 6, color=(0.2, 0.4, 0.8))],
+                          illumination=[], shade=[], light=[])
+    svg_in = tmp_path / "in.svg"
+    emit_svg(doc, svg_in)
+    orig = tmp_path / "orig.png"
+    write_image(orig, np.ones((8, 8, 3)))
+    out_dir = tmp_path / "out.d"
+    out_dir.mkdir()
+    code, out, _ = _run(["edit", str(svg_in), str(orig), str(orig),
+                         "-o", str(out_dir / "edited")], capsys)
+    assert code == 0
+    assert (out_dir / "edited.json").is_file()
+    assert not (tmp_path / "out.json").exists()
+    assert str(out_dir / "edited.json") in out
 
 
 def test_edit_custom_report_path(tmp_path, capsys):

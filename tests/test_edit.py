@@ -225,9 +225,9 @@ def test_edit_preserves_shade_and_light_renders(rcfg):
     before_s = _render_layer(doc.shade, 16, 16, rcfg)
     after_s = _render_layer(edited.shade, 16, 16, rcfg)
     assert np.array_equal(before_s, after_s)
-    from covec.raster import rasterize_layer
-    before_l, _ = rasterize_layer(doc.light, np.zeros(3), 16, 16, rcfg)
-    after_l, _ = rasterize_layer(edited.light, np.zeros(3), 16, 16, rcfg)
+    from covec.raster import layer_forward
+    before_l = layer_forward(doc.light, np.zeros(3), 16, 16, rcfg).image
+    after_l = layer_forward(edited.light, np.zeros(3), 16, 16, rcfg).image
     assert np.array_equal(before_l, after_l)
     # geometry and opacity of albedo untouched too
     for p_old, p_new in zip(doc.albedo, edited.albedo):

@@ -10,7 +10,7 @@ from covec.model import GradientBuffer, RasterizerConfig, VectorPath
 from covec.optimize import (AdamState, LayerOptimizer, Schedule,
                             StructLossConfig, adam_step, gray_alpha_field,
                             loss_recon, loss_struct, run_structural)
-from covec.raster import WHITE, layer_forward, rasterize_layer
+from covec.raster import WHITE, layer_forward
 
 from conftest import disk_path, square_control_points, square_path
 
@@ -79,8 +79,8 @@ def test_struct_loss_coincident_paths_penalized():
     lam = 1e-3
     loss, _ = loss_struct([group], [reference], StructLossConfig(lambda_overlap=lam),
                           16, 16, rcfg)
-    _, covs = rasterize_layer(group, WHITE, 16, 16, rcfg)
-    alpha = gray_alpha_field(covs, 0.5)
+    covs = [pc.coverage for pc in layer_forward(group, WHITE, 16, 16, rcfg).coverages]
+    alpha, _ = gray_alpha_field(covs, 0.5)
     assert alpha.max() > 0.6
     expect = lam * float(np.maximum(alpha - 0.6, 0.0).sum())
     assert loss == pytest.approx(expect, rel=1e-12)
@@ -337,5 +337,6 @@ def test_schedule_validation():
 
 def test_gray_alpha_field_values():
     cov = [np.full((2, 2), 1.0), np.full((2, 2), 1.0)]
-    assert np.allclose(gray_alpha_field(cov, 0.5), 0.75)
-    assert np.allclose(gray_alpha_field(cov[:1], 0.5), 0.5)
+    alpha, prod = gray_alpha_field(cov, 0.5)
+    assert np.allclose(alpha, 0.75) and np.allclose(prod, 0.25)
+    assert np.allclose(gray_alpha_field(cov[:1], 0.5)[0], 0.5)

@@ -11,7 +11,7 @@ from covec.model import (GradientBuffer, LayeredDocument, RasterizerConfig,
                          VectorPath, WHITE)
 from covec.raster import (blend, composite_backward, composite_forward,
                           layer_backward, layer_forward, path_coverage,
-                          rasterize_layer, render_composite)
+                          render_composite, source_over)
 
 from conftest import disk_path, random_path, square_path
 
@@ -229,11 +229,18 @@ def test_coverage_bounded_and_finite(seed):
     assert cov.min() >= 0.0 and cov.max() <= 1.0
 
 
-def test_rasterize_layer_returns_coverages(rcfg):
-    img, covs = rasterize_layer([disk_path(6, 6, 3), disk_path(10, 10, 3)],
-                                WHITE, 16, 16, rcfg)
-    assert img.shape == (16, 16, 3)
-    assert len(covs) == 2 and covs[0].shape == (16, 16)
+def test_layer_forward_returns_coverages(rcfg):
+    paths = [disk_path(6, 6, 3), disk_path(10, 10, 3, opacity=0.7)]
+    render = layer_forward(paths, WHITE, 16, 16, rcfg, with_grad=True)
+    assert render.image.shape == (16, 16, 3)
+    assert len(render.coverages) == 2
+    assert render.coverages[0].coverage.shape == (16, 16)
+    # compositing the cached coverage maps reproduces the layer bit for bit
+    covs = [pc.coverage for pc in render.coverages]
+    again = source_over(paths, covs, WHITE, 16, 16, record=True)
+    assert np.array_equal(again.image, render.image)
+    assert np.array_equal(again.unders, render.unders)
+    assert np.array_equal(again.trans_above, render.trans_above)
 
 
 def test_gradient_buffer_arithmetic():

@@ -12,9 +12,8 @@ from covec.model import RasterizerConfig, VectorPath
 from covec.optimize import Schedule
 from covec.raster import WHITE, layer_forward, render_composite
 from covec.refine import (KAPPA, RefineConfig, assign_light_colors,
-                          circle_control_points, cleanup_paths, error_map,
-                          propose_paths, refine_illumination, refine_layer,
-                          separate_layers)
+                          circle_control_points, cleanup_layer, propose_paths,
+                          refine_layer, separate_layers)
 from covec.model import LayeredDocument
 
 from conftest import disk_path, random_path, square_path
@@ -40,36 +39,6 @@ def test_circle_control_points_on_circle():
         for t in np.linspace(0.0, 1.0, 33):
             p = eval_cubic(quad, t)
             assert abs(np.linalg.norm(p - center) - 3.0) <= 3.0 * 3e-4
-
-
-def test_error_map_perfect_composite_zero():
-    rcfg = RasterizerConfig()
-    albedo = [square_path(2, 2, 12, 12, color=(0.6, 0.4, 0.2))]
-    illum = [square_path(0, 8, 16, 16, color=(0.5, 0.5, 0.5),
-                         tag="illumination")]
-    target = _render(albedo, 16, 16, rcfg) * _render(illum, 16, 16, rcfg)
-    err = error_map(target, albedo, illum, 16, 16, rcfg)
-    assert np.array_equal(err, np.zeros((16, 16)))
-
-
-def test_error_map_single_black_pixel():
-    rcfg = RasterizerConfig()
-    target = np.ones((8, 8, 3))
-    target[2, 3] = 0.0
-    err = error_map(target, [], [], 8, 8, rcfg)
-    assert err[2, 3] == 1.0
-    err[2, 3] = 0.0
-    assert np.array_equal(err, np.zeros((8, 8)))
-
-
-def test_error_map_matches_unnormalized_loss(rng):
-    rcfg = RasterizerConfig()
-    albedo = [random_path(rng, 16, 16) for _ in range(3)]
-    target = rng.uniform(0, 1, (16, 16, 3))
-    err = error_map(target, albedo, [], 16, 16, rcfg)
-    composite = _render(albedo, 16, 16, rcfg)
-    total = float(((target - composite) ** 2).sum())
-    assert float(err.sum()) * 3.0 == pytest.approx(total, rel=1e-12)
 
 
 def _blob_err(h, w, y0, x0, side, value=1.0):
@@ -165,17 +134,17 @@ def test_refine_rounds_zero_noop():
     albedo, target = _highlight_scene(rcfg)
     illum = [square_path(0, 0, 32, 32, color=(0.9, 0.9, 0.9),
                          tag="illumination")]
-    out, trace = refine_illumination(albedo, illum, target,
-                                     RefineConfig(rounds_max=0), Schedule(),
-                                     rcfg, budget_remaining=8)
+    out, trace = refine_layer(illum, _render(albedo, 32, 32, rcfg), target,
+                              RefineConfig(rounds_max=0), Schedule(), rcfg,
+                              budget_remaining=8)
     assert out == illum and trace == []
 
 
 def test_refine_zero_budget_noop():
     rcfg = RasterizerConfig()
     albedo, target = _highlight_scene(rcfg)
-    out, trace = refine_illumination(albedo, [], target, RefineConfig(),
-                                     Schedule(), rcfg, budget_remaining=0)
+    out, trace = refine_layer([], _render(albedo, 32, 32, rcfg), target,
+                              RefineConfig(), Schedule(), rcfg, budget_remaining=0)
     assert out == [] and trace == []
 
 
@@ -183,8 +152,8 @@ def test_refine_stops_when_error_negligible():
     rcfg = RasterizerConfig()
     albedo = [square_path(0, 0, 16, 16, color=(0.5, 0.5, 0.5))]
     target = _render(albedo, 16, 16, rcfg)
-    out, trace = refine_illumination(albedo, [], target, RefineConfig(),
-                                     Schedule(), rcfg, budget_remaining=8)
+    out, trace = refine_layer([], _render(albedo, 16, 16, rcfg), target,
+                              RefineConfig(), Schedule(), rcfg, budget_remaining=8)
     assert out == [] and trace == []
 
 
@@ -199,8 +168,8 @@ def test_refine_freeze_contract():
     albedo_snap = [(p.control_points.copy(), p.fill_color.copy(), p.opacity)
                    for p in albedo]
     cfg = RefineConfig(rounds_max=2, iters_per_round=10)
-    out, _ = refine_illumination(albedo, existing, target, cfg,
-                                 Schedule(), rcfg, budget_remaining=4)
+    out, _ = refine_layer(existing, _render(albedo, 32, 32, rcfg), target, cfg,
+                          Schedule(), rcfg, budget_remaining=4)
     assert out[0] is existing[0]
     assert np.array_equal(existing[0].control_points, snap_pts)
     assert np.array_equal(existing[0].fill_color, snap_col)
@@ -217,8 +186,8 @@ def test_refine_strict_decrease_on_highlight():
     a_img = _render(albedo, 32, 32, rcfg)
     before = float(np.mean((a_img - target) ** 2))
     cfg = RefineConfig(rounds_max=1, iters_per_round=40)
-    out, trace = refine_illumination(albedo, [], target, cfg, Schedule(),
-                                     rcfg, budget_remaining=4)
+    out, trace = refine_layer([], a_img, target, cfg, Schedule(), rcfg,
+                              budget_remaining=4)
     assert len(trace) == 1
     assert trace[0].loss < before
     assert trace[0].paths_added >= 1
@@ -231,7 +200,7 @@ def test_cleanup_merges_coincident_duplicates():
     dup = [disk_path(10, 10, 5, color=(0.4, 0.4, 0.4), tag="illumination"),
            disk_path(10, 10, 5, color=(0.4, 0.4, 0.4), tag="illumination")]
     target = _render(dup, 20, 20, rcfg)
-    out = cleanup_paths(dup, None, target, RefineConfig(), rcfg)
+    out, _, _ = cleanup_layer(dup, None, target, RefineConfig(), rcfg)
     assert len(out) == 1
     assert np.allclose(out[0].fill_color, 0.4)
 
@@ -244,7 +213,7 @@ def test_cleanup_removes_hidden_path():
     cover = disk_path(12, 12, 10, color=(0.3, 0.3, 0.3), tag="illumination")
     paths = [hidden, cover]     # later entries render on top
     target = _render(paths, 24, 24, rcfg)
-    out = cleanup_paths(paths, None, target, RefineConfig(), rcfg)
+    out, _, _ = cleanup_layer(paths, None, target, RefineConfig(), rcfg)
     assert all(p is not hidden for p in out)
     assert any(p is cover for p in out)
 
@@ -257,7 +226,7 @@ def test_cleanup_loss_budget(rng):
     before_img = _render(paths, 24, 24, rcfg)
     before = float(np.mean((before_img - target) ** 2))
     cfg = RefineConfig()
-    out = cleanup_paths(list(paths), None, target, cfg, rcfg)
+    out, _, _ = cleanup_layer(list(paths), None, target, cfg, rcfg)
     after_img = _render(out, 24, 24, rcfg)
     after = float(np.mean((after_img - target) ** 2))
     n_changed = len(paths) - len(out)
@@ -354,8 +323,8 @@ def test_refine_budget_limits_additions():
     target = target.copy()
     target[second] = np.minimum(target[second] + 0.25, 1.0)
     cfg = RefineConfig(rounds_max=3, iters_per_round=5)
-    out, trace = refine_illumination(albedo, [], target, cfg, Schedule(),
-                                     rcfg, budget_remaining=1)
+    out, trace = refine_layer([], _render(albedo, 32, 32, rcfg), target, cfg,
+                              Schedule(), rcfg, budget_remaining=1)
     assert len(out) <= 1
     assert sum(r.paths_added for r in trace) <= 1
 
