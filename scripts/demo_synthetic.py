@@ -39,21 +39,18 @@ def main(argv=None) -> int:
     write_png(albedo, scene.albedo, bit_depth=16)
     write_label_png(labels, scene.labels)
 
+    quick = dict(warmup_epochs=10, joint_epochs=10, refine_rounds=2,
+                 refine_iters=25) if args.quick else {}
     cfg = pipeline.RunConfig(
         input_path=str(target), output_path=str(outdir / "scene.svg"),
         mode="full", path_budget=args.budget,
-        albedo_path=str(albedo), masks_path=str(labels))
-    if args.quick:
-        cfg.warmup_epochs = 10
-        cfg.joint_epochs = 10
-        cfg.refine_rounds = 2
-        cfg.refine_iters = 25
+        albedo_path=str(albedo), masks_path=str(labels), **quick)
 
     t0 = time.perf_counter()
     result = pipeline.run(cfg)
     elapsed = time.perf_counter() - t0
     doc = result.document
-    recon = np.clip(render_composite(doc, "three_layer", cfg.raster_config()),
+    recon = np.clip(render_composite(doc, "three_layer", cfg.raster_config),
                     0.0, 1.0)
     write_png(outdir / "reconstruction.png", recon)
 

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .edit import EditConfig, run_edit
+from .edit import EditConfig, mse, run_edit
 from .image_io import ImageFormatError, read_image, write_image
 from .init_layers import InitError
 from .model import RasterizerConfig
@@ -105,11 +105,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
-    a = read_image(args.image_a)
-    b = read_image(args.image_b)
-    if a.shape != b.shape:
-        raise CliUsageError(f"image shapes differ: {a.shape} vs {b.shape}")
-    err = float(np.mean((a - b) ** 2))
+    err = mse(read_image(args.image_a), read_image(args.image_b))
     psnr = float("inf") if err == 0 else -10.0 * np.log10(err)
     print(f"mse {err:.8f}")
     print(f"psnr {psnr:.4f}")

@@ -19,6 +19,9 @@ import numpy as np
 from .model import LayeredDocument, RasterizerConfig, VectorPath, WHITE
 from .raster import layer_forward, render_composite
 
+# Stabilizer added to the mean shade before dividing it out of a color.
+EPSILON_SHADE = 1e-4
+
 
 @dataclass(frozen=True)
 class EditConfig:
@@ -30,18 +33,16 @@ class EditConfig:
     delta_color: maximum L2 distance between a path's mean color in the
         two images for it to stay a candidate.  Keeping SMALL shifts is
         deliberate; see candidate_paths.
-    epsilon_shade: stabilizer added to mean shade before dividing.
     top_k: number of paths to recolor; sweeps usually use 1/2/4/8/16.
     """
 
     tau_diff: float = 0.1
     gamma_iou: float = 0.02
     delta_color: float = 0.25
-    epsilon_shade: float = 1e-4
     top_k: int = 1
 
     def __post_init__(self):
-        for name in ("tau_diff", "gamma_iou", "delta_color", "epsilon_shade"):
+        for name in ("tau_diff", "gamma_iou", "delta_color"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.top_k < 1:
@@ -180,7 +181,7 @@ def apply_color_edit(doc: LayeredDocument, candidates: list[EditCandidate],
         c_ref = reference[cand.mask].mean(axis=0)
         if shade_img is not None:
             s_bar = shade_img[cand.mask].mean(axis=0)
-            new_color = np.clip(c_ref / (s_bar + cfg.epsilon_shade), 0.0, 1.0)
+            new_color = np.clip(c_ref / (s_bar + EPSILON_SHADE), 0.0, 1.0)
         else:
             new_color = np.clip(c_ref, 0.0, 1.0)
         path.fill_color = new_color.astype(np.float64)

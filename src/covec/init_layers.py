@@ -20,6 +20,10 @@ from .geometry import simplify_closed
 from .model import VectorPath
 
 
+# The fallback albedo divides by luma blurred with sigma max(W, H) / this.
+ALBEDO_BLUR_DIVISOR = 16.0
+
+
 class InitError(ValueError):
     """Raised when no usable initialization can be built for an input."""
 
@@ -31,7 +35,6 @@ class InitConfig:
     kmeans_clusters: int = 8
     min_region_frac: float = 0.001
     shade_floor: float = 0.05
-    blur_radius: float | None = None
 
     def __post_init__(self):
         if self.dp_epsilon < 0:
@@ -90,7 +93,7 @@ def fallback_albedo(image: np.ndarray, config: InitConfig) -> np.ndarray:
     color survives.  Result is clamped to [0, 1].
     """
     h, w = image.shape[:2]
-    radius = config.blur_radius if config.blur_radius is not None else max(w, h) / 16.0
+    radius = max(w, h) / ALBEDO_BLUR_DIVISOR
     field = ndimage.gaussian_filter(luma(image), sigma=radius, mode="nearest")
     denom = np.maximum(field, config.shade_floor)
     return np.clip(image / denom[:, :, None], 0.0, 1.0)

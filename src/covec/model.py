@@ -137,17 +137,10 @@ class GradientBuffer:
             d_opacity=0.0,
         )
 
-    def scaled(self, factor: float) -> "GradientBuffer":
-        return GradientBuffer(
-            d_control_points=self.d_control_points * factor,
-            d_fill_color=self.d_fill_color * factor,
-            d_opacity=self.d_opacity * factor,
-        )
 
-    def add(self, other: "GradientBuffer") -> None:
-        self.d_control_points += other.d_control_points
-        self.d_fill_color += other.d_fill_color
-        self.d_opacity += other.d_opacity
+# The only fill rule the rasterizer implements; the SVG emitter writes it
+# on every path and the parser rejects any other.
+FILL_RULE = "nonzero"
 
 
 @dataclass(frozen=True)
@@ -164,7 +157,6 @@ class RasterizerConfig:
     flatten_tolerance: float = 0.1
     aa_sigma: float = 1.0
     supersample: int = 2
-    fill_rule: str = "nonzero"
     flatten_mode: str = "adaptive"
     flatten_fixed_count: int = 16
     cutoff_sigmas: float = 30.0
@@ -176,8 +168,6 @@ class RasterizerConfig:
             raise ValueError("aa_sigma must be positive")
         if self.supersample < 1:
             raise ValueError("supersample must be >= 1")
-        if self.fill_rule != "nonzero":
-            raise ValueError("only the nonzero fill rule is supported")
         if self.flatten_mode not in ("adaptive", "fixed"):
             raise ValueError("flatten_mode must be 'adaptive' or 'fixed'")
         if self.flatten_fixed_count < 1:

@@ -4,10 +4,11 @@ One flow serves both modes and branches only where they differ.  Full
 mode reconstructs the image as albedo times shade plus light: it
 initializes both layers from a segmentation and an albedo estimate,
 refines the illumination layer over the frozen albedo render, then
-separates illumination into shade and light.  Albedo-only mode folds the
-region shadow masks into a single albedo layer, refines that layer with
-no frozen factor, and emits empty shade and light groups.  Structural
-warm-up and joint reconstruction are shared.
+separates illumination into shade and light, coloring light from the same
+albedo render.  Albedo-only mode folds the region shadow masks into a
+single albedo layer, refines that layer over a white (identity) factor,
+and emits empty shade and light groups.  Structural warm-up and joint
+reconstruction are shared.
 
 File inputs are always preferred when named: an albedo estimate image
 (full mode only) and a label-map segmentation replace the internal
@@ -37,9 +38,14 @@ MODES = ("full", "albedo_only")
 DEFAULT_BUDGET = {"full": 64, "albedo_only": 16}
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """Everything one vectorization run needs, mirroring the CLI flags."""
+    """Everything one vectorization run needs, mirroring the CLI flags.
+
+    The per-stage configs (``raster_config``, ``init_config``,
+    ``schedule``, ``struct_config``, ``refine_config``) are built once at
+    construction, so an invalid value raises ValueError before any work.
+    """
 
     input_path: str
     output_path: str
@@ -66,6 +72,19 @@ class RunConfig:
             raise ValueError("path budget must be >= 1")
         if self.mode == "albedo_only" and self.albedo_path is not None:
             raise ValueError("an albedo estimate is only used in full mode")
+        stages = {
+            "raster_config": RasterizerConfig(aa_sigma=self.aa_sigma),
+            "init_config": InitConfig(dp_epsilon=self.dp_epsilon),
+            "schedule": Schedule(warmup_epochs=self.warmup_epochs,
+                                 joint_epochs=self.joint_epochs),
+            "struct_config": StructLossConfig(lambda_overlap=self.lambda_overlap,
+                                              delta_overlap=self.delta_overlap,
+                                              penalty_sign=self.penalty_sign),
+            "refine_config": RefineConfig(rounds_max=self.refine_rounds,
+                                          iters_per_round=self.refine_iters),
+        }
+        for name, value in stages.items():
+            object.__setattr__(self, name, value)  # frozen: derived, not fields
 
     @property
     def effective_budget(self) -> int:
@@ -78,25 +97,6 @@ class RunConfig:
         if self.trace_path is not None:
             return self.trace_path
         return str(Path(self.output_path).with_suffix(".csv"))
-
-    def raster_config(self) -> RasterizerConfig:
-        return RasterizerConfig(aa_sigma=self.aa_sigma)
-
-    def init_config(self) -> InitConfig:
-        return InitConfig(dp_epsilon=self.dp_epsilon)
-
-    def schedule(self) -> Schedule:
-        return Schedule(warmup_epochs=self.warmup_epochs,
-                        joint_epochs=self.joint_epochs)
-
-    def struct_config(self) -> StructLossConfig:
-        return StructLossConfig(lambda_overlap=self.lambda_overlap,
-                                delta_overlap=self.delta_overlap,
-                                penalty_sign=self.penalty_sign)
-
-    def refine_config(self) -> RefineConfig:
-        return RefineConfig(rounds_max=self.refine_rounds,
-                            iters_per_round=self.refine_iters)
 
 
 @dataclass
@@ -130,9 +130,9 @@ def _load_masks(cfg: RunConfig, image: np.ndarray, icfg: InitConfig):
 def vectorize(cfg: RunConfig) -> VectorizeResult:
     """Run the configured pipeline; no files are written."""
     image = read_image(cfg.input_path)
-    rcfg = cfg.raster_config()
+    rcfg = cfg.raster_config
     h, w = image.shape[:2]
-    icfg = cfg.init_config()
+    icfg = cfg.init_config
     full = cfg.mode == "full"
     if full:
         albedo_map = _load_albedo(cfg, image, icfg)
@@ -145,7 +145,7 @@ def vectorize(cfg: RunConfig) -> VectorizeResult:
         a_groups, a_renders = paths_for_groups(groups_m, image, "albedo", icfg, w, h)
         i_groups = i_renders = None
     trace = run_structural(a_groups, i_groups, image, a_renders, i_renders,
-                           cfg.schedule(), cfg.struct_config(), rcfg)
+                           cfg.schedule, cfg.struct_config, rcfg)
     albedo = [p for g in a_groups for p in g]
     illum = [p for g in i_groups or [] for p in g]
     budget_left = max(0, cfg.effective_budget - len(albedo) - len(illum))
@@ -153,14 +153,14 @@ def vectorize(cfg: RunConfig) -> VectorizeResult:
         layer, tag = illum, "illumination"
         factor = layer_forward(albedo, WHITE, w, h, rcfg).image
     else:
-        layer, tag, factor = albedo, "albedo", None
-    layer, refine_trace = refine_layer(layer, factor, image, cfg.refine_config(),
-                                       cfg.schedule(), rcfg, budget_left,
+        layer, tag, factor = albedo, "albedo", WHITE
+    layer, refine_trace = refine_layer(layer, factor, image, cfg.refine_config,
+                                       cfg.schedule, rcfg, budget_left,
                                        layer_tag=tag)
     trace.extend(refine_trace)
     if full:
         shade, light = separate_layers(layer)
-        light = assign_light_colors(light, image, albedo, shade, w, h, rcfg)
+        light = assign_light_colors(light, image, factor, shade, rcfg)
     else:
         albedo, shade, light = layer, [], []
     doc = LayeredDocument(width=w, height=h, albedo=albedo, illumination=[],

@@ -1,12 +1,15 @@
 """Error-driven path addition, cleanup, and shade/light separation.
 
 After structural optimization the albedo layer freezes.  Refinement
-rounds look at the reconstruction error map, drop small circular paths
-onto the worst 4-connected error blobs, optimize only those new paths for
-a fixed number of iterations, and clean up redundant geometry.  The
-finished illumination layer then splits by color range: paths whose fill
-stays within [0, 1] become multiplicative shade, the rest become additive
-light whose colors are re-derived from the residual image.
+renders the frozen stack once, then runs rounds that look at the
+reconstruction error map, drop small circular paths onto the worst
+4-connected error blobs, optimize only those new paths for a fixed number
+of iterations, and clean them up.  Cleanup only ever sees the round's new
+paths, composited over the frozen render, so the freeze holds by
+construction; the cleaned composite becomes the next round's frozen
+render.  The finished illumination layer then splits by color range:
+paths whose fill stays within [0, 1] become multiplicative shade, the rest
+become additive light whose colors are re-derived from the residual image.
 """
 
 from __future__ import annotations
@@ -115,54 +118,45 @@ def propose_paths(err: np.ndarray, n: int, target: np.ndarray,
     return paths
 
 
-def _composite(layer_img: np.ndarray, frozen_factor: np.ndarray | None) -> np.ndarray:
-    return layer_img if frozen_factor is None else layer_img * frozen_factor
-
-
-def _recon_loss(layer_img: np.ndarray, frozen_factor: np.ndarray | None,
+def _recon_loss(layer_img: np.ndarray, frozen_factor: np.ndarray,
                 target: np.ndarray) -> float:
-    diff = _composite(layer_img, frozen_factor) - target
+    diff = layer_img * frozen_factor - target
     return float(np.mean(diff * diff))
 
 
-def cleanup_layer(paths: list[VectorPath], frozen_factor: np.ndarray | None,
-                  target: np.ndarray, cfg: RefineConfig, rcfg: RasterizerConfig,
-                  mutable: set[int] | None = None
+def cleanup_layer(paths: list[VectorPath], coverages: list[np.ndarray],
+                  background: np.ndarray, frozen_factor: np.ndarray,
+                  target: np.ndarray, cfg: RefineConfig
                   ) -> tuple[list[VectorPath], int, int]:
     """Prune tiny/ineffective paths and merge near-duplicates, <= 3 passes.
 
-    ``mutable`` restricts removal and merging to the identified path
-    objects (by id), which refinement uses to honor the freeze contract;
-    None means every path may change.  Removal decisions re-evaluate the
-    composite after each change, so each loss-rule removal perturbs the
-    reconstruction loss by less than cleanup_loss_eps at the moment it
-    is applied.  Returns (paths, removed_count, merged_count).
+    ``paths`` composite source-over onto ``background`` (the render of the
+    frozen stack below them) from their cached ``coverages``; the result
+    times ``frozen_factor`` (WHITE when there is none) is compared with the
+    target.  Only ``paths`` can change and nothing is rasterized, so
+    whatever ``background`` holds stays frozen by construction.  Both lists
+    are edited in place and in step, and merged colors are written into
+    the surviving path.  Removal decisions re-evaluate the composite after
+    each change, so each loss-rule removal perturbs the reconstruction loss
+    by less than cleanup_loss_eps at the moment it is applied.  Returns
+    (paths, removed_count, merged_count).
     """
     height, width = target.shape[:2]
-    paths = list(paths)
     removed = 0
     merged = 0
 
-    def can_touch(p: VectorPath) -> bool:
-        return mutable is None or id(p) in mutable
-
     def loss_of(stack: list[VectorPath], covs: list[np.ndarray]) -> float:
-        image = source_over(stack, covs, WHITE, width, height).image
+        image = source_over(stack, covs, background, width, height).image
         return _recon_loss(image, frozen_factor, target)
 
     for _pass in range(3):
         changed = False
-        coverages = [path_coverage(p, width, height, rcfg).coverage for p in paths]
 
         # removal scan: tiny soft area first, then negligible loss impact;
         # the current loss is refreshed only when the stack actually changes
         current = loss_of(paths, coverages)
         i = 0
         while i < len(paths):
-            p = paths[i]
-            if not can_touch(p):
-                i += 1
-                continue
             soft_area = float(coverages[i].sum())
             if soft_area < cfg.cleanup_area_min:
                 del paths[i], coverages[i]
@@ -187,8 +181,6 @@ def cleanup_layer(paths: list[VectorPath], frozen_factor: np.ndarray | None,
             for i in range(len(paths)):
                 for j in range(i + 1, len(paths)):
                     a, b = paths[i], paths[j]
-                    if not (can_touch(a) and can_touch(b)):
-                        continue
                     if np.max(np.abs(a.fill_color - b.fill_color)) >= cfg.merge_color_eps:
                         continue
                     sup_a = coverages[i] > 0.5
@@ -218,26 +210,32 @@ def cleanup_layer(paths: list[VectorPath], frozen_factor: np.ndarray | None,
     return paths, removed, merged
 
 
-def refine_layer(layer: list[VectorPath], frozen_factor: np.ndarray | None,
+def refine_layer(layer: list[VectorPath], frozen_factor: np.ndarray,
                  target: np.ndarray, cfg: RefineConfig, schedule: Schedule,
                  rcfg: RasterizerConfig, budget_remaining: int,
                  layer_tag: str = "illumination"
                  ) -> tuple[list[VectorPath], list[TraceRow]]:
     """Grow one layer with freshly optimized paths over frozen content.
 
-    Existing paths in ``layer`` and the frozen factor image never change;
-    new paths render above the existing stack (their background is the
-    cached render of the old paths), are optimized alone, then cleaned up
-    within the round.  Stops early when the error map's maximum drops
-    below stop_error_max, the budget runs out, or nothing is proposed.
+    The reconstruction is ``layer render * frozen_factor``; pass WHITE for
+    a layer that stands alone.  Unless there is no round or no budget, the
+    existing paths are rendered once into a base image and never touched
+    again.  Each round proposes new paths over the base, optimizes them
+    alone, rasterizes them once and hands only them to cleanup_layer; the
+    cleaned composite over the base becomes the next round's base and the
+    round's trace loss, and its paths join the frozen stack.  Stops early
+    when the error map's maximum drops below stop_error_max, the budget
+    runs out, or nothing is proposed.
     """
     height, width = target.shape[:2]
     layer = list(layer)
-    albedo_like = frozen_factor if frozen_factor is not None else np.ones_like(target)
+    if cfg.rounds_max == 0 or budget_remaining <= 0:
+        return layer, []
+    base = layer_forward(layer, WHITE, width, height, rcfg).image
+    denom = float(width * height * 3)
     trace: list[TraceRow] = []
     for rnd in range(1, cfg.rounds_max + 1):
-        base_img = layer_forward(layer, WHITE, width, height, rcfg).image
-        diff = target - _composite(base_img, frozen_factor)
+        diff = target - base * frozen_factor
         err = np.mean(diff * diff, axis=2)
         if float(err.max()) < cfg.stop_error_max or budget_remaining <= 0:
             break
@@ -246,29 +244,27 @@ def refine_layer(layer: list[VectorPath], frozen_factor: np.ndarray | None,
         else:
             rounds_left = cfg.rounds_max - rnd + 1
             want = max(1, int(np.ceil(budget_remaining / rounds_left)))
-        new_paths = propose_paths(err, want, target, albedo_like, cfg,
+        new_paths = propose_paths(err, want, target, frozen_factor, cfg,
                                   layer_tag=layer_tag)
         if not new_paths:
             break
         opt = LayerOptimizer(new_paths, schedule)
-        denom = float(width * height * 3)
         for _it in range(cfg.iters_per_round):
-            render = layer_forward(new_paths, base_img, width, height, rcfg,
+            render = layer_forward(new_paths, base, width, height, rcfg,
                                    with_grad=True)
-            resid = _composite(render.image, frozen_factor) - target
-            up = 2.0 * resid / denom
-            if frozen_factor is not None:
-                up = up * frozen_factor
+            resid = render.image * frozen_factor - target
+            up = 2.0 * resid / denom * frozen_factor
             opt.step(layer_backward(new_paths, render, up, rcfg))
-        layer = layer + new_paths
-        mutable = {id(p) for p in new_paths}
-        layer, n_removed, n_merged = cleanup_layer(layer, frozen_factor, target,
-                                                   cfg, rcfg, mutable=mutable)
-        budget_remaining -= sum(1 for p in layer if id(p) in mutable)
-        final_img = layer_forward(layer, WHITE, width, height, rcfg).image
-        final_loss = _recon_loss(final_img, frozen_factor, target)
-        trace.append(TraceRow(epoch=rnd, stage="refine", loss=final_loss,
-                              paths_added=len(new_paths),
+        n_new = len(new_paths)  # cleanup trims new_paths in place
+        maps = [path_coverage(p, width, height, rcfg).coverage for p in new_paths]
+        kept, n_removed, n_merged = cleanup_layer(new_paths, maps, base,
+                                                  frozen_factor, target, cfg)
+        budget_remaining -= len(kept)
+        base = source_over(kept, maps, base, width, height).image
+        layer += kept
+        trace.append(TraceRow(epoch=rnd, stage="refine",
+                              loss=_recon_loss(base, frozen_factor, target),
+                              paths_added=n_new,
                               paths_removed=n_removed + n_merged))
     return layer, trace
 
@@ -297,18 +293,17 @@ def separate_layers(illumination: list[VectorPath]
 
 
 def assign_light_colors(light: list[VectorPath], target: np.ndarray,
-                        albedo: list[VectorPath], shade: list[VectorPath],
-                        width: int, height: int,
+                        albedo_render: np.ndarray, shade: list[VectorPath],
                         rcfg: RasterizerConfig) -> list[VectorPath]:
     """Color light paths from the additive residual under their support.
 
-    The residual is target minus the albedo*shade product.  Each light
-    path takes the mean residual over its coverage > 0.5 support, clamped
-    at 0; paths with empty support are dropped.
+    The residual is target minus the albedo render times the shade layer's
+    render.  Each light path takes the mean residual over its coverage >
+    0.5 support, clamped at 0; paths with empty support are dropped.
     """
-    a_img = layer_forward(albedo, WHITE, width, height, rcfg).image
+    height, width = target.shape[:2]
     s_img = layer_forward(shade, WHITE, width, height, rcfg).image
-    residual = target - a_img * s_img
+    residual = target - albedo_render * s_img
     out = []
     for p in light:
         cov = path_coverage(p, width, height, rcfg).coverage

@@ -23,7 +23,7 @@ import numpy as np
 
 from .geometry import flatten_bezier
 from .image_io import quantize
-from .model import LayeredDocument, RasterizerConfig, VectorPath, project_color
+from .model import FILL_RULE, LayeredDocument, RasterizerConfig, VectorPath, project_color
 
 SVG_NS = "http://www.w3.org/2000/svg"
 
@@ -89,7 +89,7 @@ def emit_svg(doc: LayeredDocument, out=None) -> bytes:
         for path in doc.layer(tag):
             lines.append(
                 f'      <path d="{_path_d(path)}" fill="{_color_attr(path.fill_color)}"'
-                f' fill-opacity="{path.opacity:.4f}" fill-rule="nonzero"/>'
+                f' fill-opacity="{path.opacity:.4f}" fill-rule="{FILL_RULE}"/>'
             )
         lines.append("    </g>")
     lines.append("  </g>")
@@ -183,7 +183,7 @@ def _parse_path_elem(elem, index: int, layer_tag: str) -> VectorPath:
     for attr in ("d", "fill", "fill-opacity", "fill-rule"):
         if attr not in elem.attrib:
             raise SvgParseError(f"path {index}: missing attribute {attr!r}")
-    if elem.attrib["fill-rule"] != "nonzero":
+    if elem.attrib["fill-rule"] != FILL_RULE:
         raise SvgParseError(f"path {index}: unsupported fill-rule "
                             f"{elem.attrib['fill-rule']!r}")
     ctrl = _parse_d(elem.attrib["d"], index)

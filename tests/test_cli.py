@@ -11,6 +11,7 @@ from covec.cli import build_parser, main
 from covec.image_io import read_image, write_image
 from covec.init_layers import InitError
 from covec.model import LayeredDocument
+from covec.pipeline import RunConfig
 from covec.svg_io import emit_svg
 from covec.synthetic import make_icon_scene
 
@@ -191,6 +192,37 @@ def test_vectorize_albedo_only_rejects_albedo_file(tmp_path, capsys):
                         capsys)
     assert code == 2
     assert "error:" in err and "full mode" in err
+    assert not svg.exists()
+
+
+@pytest.mark.parametrize("field,value", [
+    ("refine_rounds", -1), ("refine_iters", 0), ("warmup_epochs", -1),
+    ("joint_epochs", -1), ("lambda_overlap", -1.0), ("delta_overlap", 1.5),
+    ("penalty_sign", "bogus"), ("dp_epsilon", -1.0), ("aa_sigma", 0.0),
+])
+def test_run_config_rejects_invalid_values(field, value):
+    with pytest.raises(ValueError):
+        RunConfig(input_path="in.png", output_path="out.svg", **{field: value})
+
+
+@pytest.mark.parametrize("flag", [
+    ["--rounds", "-1"], ["--iters", "0"], ["--warmup", "-1"],
+    ["--lambda", "-1"], ["--dp-eps", "-1"], ["--aa-sigma", "0"],
+])
+def test_vectorize_invalid_value_exits_2_before_any_work(flag, tmp_path, capsys,
+                                                         monkeypatch):
+    img_path = tmp_path / "icon.png"
+    write_image(img_path, make_icon_scene(8))
+
+    def never(cfg):
+        raise AssertionError("the pipeline started")
+
+    import covec.cli as cli
+    monkeypatch.setattr(cli, "run", never)
+    svg = tmp_path / "doc.svg"
+    code, _, err = _run(["vectorize", str(img_path), "-o", str(svg), *flag], capsys)
+    assert code == 2
+    assert "error:" in err
     assert not svg.exists()
 
 

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 from covec.geometry import batch_signed_distance, flatten_bezier
-from covec.model import (GradientBuffer, LayeredDocument, RasterizerConfig,
-                         VectorPath, WHITE)
+from covec.model import LayeredDocument, RasterizerConfig, VectorPath, WHITE
 from covec.raster import (blend, composite_backward, composite_forward,
                           layer_backward, layer_forward, path_coverage,
                           render_composite, source_over)
@@ -241,13 +240,3 @@ def test_layer_forward_returns_coverages(rcfg):
     assert np.array_equal(again.image, render.image)
     assert np.array_equal(again.unders, render.unders)
     assert np.array_equal(again.trans_above, render.trans_above)
-
-
-def test_gradient_buffer_arithmetic():
-    g = GradientBuffer(d_control_points=np.ones((6, 2)),
-                       d_fill_color=np.ones(3), d_opacity=2.0)
-    h = g.scaled(0.5)
-    assert h.d_opacity == 1.0
-    g.add(h)
-    assert g.d_opacity == 3.0
-    assert np.all(g.d_control_points == 1.5)

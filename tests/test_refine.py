@@ -1,6 +1,6 @@
 """Error-driven path growth, cleanup, and shade/light separation."""
 
-import copy
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from covec.geometry import eval_cubic
 from covec.model import RasterizerConfig, VectorPath
 from covec.optimize import Schedule
-from covec.raster import WHITE, layer_forward, render_composite
+import covec.raster
+import covec.refine
+from covec.raster import WHITE, layer_forward, path_coverage, render_composite
 from covec.refine import (KAPPA, RefineConfig, assign_light_colors,
                           circle_control_points, cleanup_layer, propose_paths,
                           refine_layer, separate_layers)
@@ -21,6 +23,10 @@ from conftest import disk_path, random_path, square_path
 
 def _render(paths, w, h, rcfg):
     return layer_forward(paths, WHITE, w, h, rcfg).image
+
+
+def _maps(paths, w, h, rcfg):
+    return [path_coverage(p, w, h, rcfg).coverage for p in paths]
 
 
 def test_circle_control_points_on_circle():
@@ -195,14 +201,76 @@ def test_refine_strict_decrease_on_highlight():
     assert all(p.layer_tag == "illumination" for p in out)
 
 
+def _frozen_illumination():
+    return [disk_path(8, 24, 5, color=(0.7, 0.7, 0.7), opacity=0.8,
+                      tag="illumination"),
+            square_path(2, 2, 10, 10, color=(0.9, 0.8, 0.9), tag="illumination")]
+
+
+def test_refine_rasterizes_frozen_stack_once(monkeypatch):
+    rcfg = RasterizerConfig()
+    albedo, target = _highlight_scene(rcfg)
+    factor = _render(albedo, 32, 32, rcfg)
+    frozen = _frozen_illumination()
+    calls = {False: Counter(), True: Counter()}
+    proposed = []
+    real_coverage = covec.raster.path_coverage
+    real_propose = covec.refine.propose_paths
+
+    def counting(path, width, height, config, with_grad=False):
+        calls[with_grad][id(path)] += 1
+        return real_coverage(path, width, height, config, with_grad=with_grad)
+
+    def recording(*args, **kwargs):
+        paths = real_propose(*args, **kwargs)
+        proposed.extend(paths)
+        return paths
+
+    monkeypatch.setattr(covec.raster, "path_coverage", counting)
+    monkeypatch.setattr(covec.refine, "path_coverage", counting)
+    monkeypatch.setattr(covec.refine, "propose_paths", recording)
+    cfg = RefineConfig(rounds_max=3, iters_per_round=4, paths_per_round=1)
+    _, trace = refine_layer(frozen, factor, target, cfg, Schedule(), rcfg,
+                            budget_remaining=4)
+    assert len(trace) >= 2 and len(proposed) >= 2
+    # each frozen path once for the base render; each new path once after
+    # its Adam iterations, whether cleanup keeps it or not
+    assert calls[False] == Counter({id(p): 1 for p in frozen + proposed})
+    assert calls[True] == Counter({id(p): cfg.iters_per_round for p in proposed})
+
+
+@pytest.mark.parametrize("mode", ["factor", "white"])
+def test_refine_trace_loss_is_fresh_render_mse(mode):
+    rcfg = RasterizerConfig()
+    albedo, target = _highlight_scene(rcfg)
+    if mode == "factor":
+        frozen, factor, tag = _frozen_illumination(), _render(albedo, 32, 32, rcfg), \
+            "illumination"
+    else:   # a standalone layer, as in albedo-only mode
+        frozen, factor, tag = albedo, WHITE, "albedo"
+    cfg = RefineConfig(rounds_max=3, iters_per_round=4, paths_per_round=1)
+    out, trace = refine_layer(frozen, factor, target, cfg, Schedule(), rcfg,
+                              budget_remaining=4, layer_tag=tag)
+    assert len(trace) >= 2
+    n = len(frozen)
+    for row in trace:
+        n += row.paths_added - row.paths_removed
+        diff = _render(out[:n], 32, 32, rcfg) * factor - target
+        assert row.loss == float(np.mean(diff * diff))
+    assert n == len(out)
+
+
 def test_cleanup_merges_coincident_duplicates():
     rcfg = RasterizerConfig()
     dup = [disk_path(10, 10, 5, color=(0.4, 0.4, 0.4), tag="illumination"),
            disk_path(10, 10, 5, color=(0.4, 0.4, 0.4), tag="illumination")]
     target = _render(dup, 20, 20, rcfg)
-    out, _, _ = cleanup_layer(dup, None, target, RefineConfig(), rcfg)
-    assert len(out) == 1
+    maps = _maps(dup, 20, 20, rcfg)
+    out, removed, merged = cleanup_layer(dup, maps, WHITE, WHITE, target,
+                                         RefineConfig())
+    assert len(out) == 1 and (removed, merged) == (0, 1)
     assert np.allclose(out[0].fill_color, 0.4)
+    assert len(maps) == 1   # trimmed in step with the paths
 
 
 def test_cleanup_removes_hidden_path():
@@ -213,7 +281,8 @@ def test_cleanup_removes_hidden_path():
     cover = disk_path(12, 12, 10, color=(0.3, 0.3, 0.3), tag="illumination")
     paths = [hidden, cover]     # later entries render on top
     target = _render(paths, 24, 24, rcfg)
-    out, _, _ = cleanup_layer(paths, None, target, RefineConfig(), rcfg)
+    out, _, _ = cleanup_layer(paths, _maps(paths, 24, 24, rcfg), WHITE, WHITE,
+                              target, RefineConfig())
     assert all(p is not hidden for p in out)
     assert any(p is cover for p in out)
 
@@ -226,7 +295,8 @@ def test_cleanup_loss_budget(rng):
     before_img = _render(paths, 24, 24, rcfg)
     before = float(np.mean((before_img - target) ** 2))
     cfg = RefineConfig()
-    out, _, _ = cleanup_layer(list(paths), None, target, cfg, rcfg)
+    out, _, _ = cleanup_layer(list(paths), _maps(paths, 24, 24, rcfg), WHITE,
+                              WHITE, target, cfg)
     after_img = _render(out, 24, 24, rcfg)
     after = float(np.mean((after_img - target) ** 2))
     n_changed = len(paths) - len(out)
@@ -275,7 +345,7 @@ def test_assign_light_colors_zero_residual():
     albedo = [square_path(0, 0, 16, 16, color=(0.5, 0.5, 0.5))]
     target = _render(albedo, 16, 16, rcfg)
     light = [disk_path(8, 8, 4, color=(0.0, 0.0, 0.0), tag="light")]
-    out = assign_light_colors(light, target, albedo, [], 16, 16, rcfg)
+    out = assign_light_colors(light, target, target, [], rcfg)  # target = albedo
     assert len(out) == 1
     assert np.allclose(out[0].fill_color, 0.0, atol=1e-12)
     assert np.all(out[0].fill_color >= 0.0)
@@ -285,7 +355,8 @@ def test_assign_light_colors_uniform_boost():
     rcfg = RasterizerConfig()
     albedo, target = _highlight_scene(rcfg)
     light = [disk_path(20, 12, 6, color=(0.0, 0.0, 0.0), tag="light")]
-    out = assign_light_colors(light, target, albedo, [], 32, 32, rcfg)
+    out = assign_light_colors(light, target, _render(albedo, 32, 32, rcfg), [],
+                              rcfg)
     assert len(out) == 1
     assert np.all(np.abs(out[0].fill_color - 0.3) <= 0.02)
 
@@ -294,7 +365,7 @@ def test_assign_light_colors_drops_empty_support():
     rcfg = RasterizerConfig()
     target = np.full((16, 16, 3), 0.5)
     outside = disk_path(100, 100, 3, color=(0.0, 0.0, 0.0), tag="light")
-    out = assign_light_colors([outside], target, [], [], 16, 16, rcfg)
+    out = assign_light_colors([outside], target, WHITE, [], rcfg)
     assert out == []
 
 
@@ -302,7 +373,8 @@ def test_three_layer_beats_two_layer():
     rcfg = RasterizerConfig()
     albedo, target = _highlight_scene(rcfg)
     light = [disk_path(20, 12, 6, color=(0.0, 0.0, 0.0), tag="light")]
-    light = assign_light_colors(light, target, albedo, [], 32, 32, rcfg)
+    light = assign_light_colors(light, target, _render(albedo, 32, 32, rcfg), [],
+                                rcfg)
     doc3 = LayeredDocument(width=32, height=32, albedo=albedo,
                            illumination=[], shade=[], light=light)
     doc2 = LayeredDocument(width=32, height=32, albedo=albedo,
