@@ -9,7 +9,6 @@ polyline vertices to control points through fixed Bernstein weights.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -39,11 +38,6 @@ class Polyline:
     @property
     def n_vertices(self) -> int:
         return self.vertices.shape[0]
-
-
-def eval_cubic(quad: np.ndarray, t) -> np.ndarray:
-    """Evaluate a cubic Bezier given its (4, 2) control quad at t."""
-    return bernstein3(t) @ quad
 
 
 def bernstein3(t) -> np.ndarray:
@@ -81,6 +75,9 @@ def _split_cubic(quad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 _MAX_SPLIT_DEPTH = 24
 
+# Uniform parameter values per segment in the "fixed" flatten mode.
+FLATTEN_FIXED_COUNT = 16
+
 
 def _flatten_segment_adaptive(quad: np.ndarray, t0: float, t1: float,
                               tolerance: float, out_t: list[float],
@@ -101,7 +98,7 @@ def flatten_bezier(path: VectorPath, config: RasterizerConfig) -> Polyline:
     Every emitted vertex lies exactly on the curve.  In adaptive mode each
     segment is subdivided until the convex-hull flatness test passes, so
     chords deviate from the true curve by at most ``flatten_tolerance``.
-    Fixed mode emits ``flatten_fixed_count`` uniformly spaced parameters
+    Fixed mode emits ``FLATTEN_FIXED_COUNT`` uniformly spaced parameters
     per segment regardless of shape.  Loops that would flatten to fewer
     than 3 vertices are resampled at 3 per segment; a path whose control
     points all coincide is rejected (it collapses to a single vertex).
@@ -114,8 +111,7 @@ def flatten_bezier(path: VectorPath, config: RasterizerConfig) -> Polyline:
     for i in range(path.n_segments):
         quad = path.segment(i)
         if config.flatten_mode == "fixed":
-            local = [j / config.flatten_fixed_count
-                     for j in range(config.flatten_fixed_count)]
+            local = [j / FLATTEN_FIXED_COUNT for j in range(FLATTEN_FIXED_COUNT)]
         else:
             local = []
             _flatten_segment_adaptive(quad, 0.0, 1.0, config.flatten_tolerance, local)
@@ -147,68 +143,6 @@ def vertex_control_scatter(path: VectorPath, polyline: Polyline) -> tuple[np.nda
     idx = (3 * polyline.seg_index[:, None] + np.arange(4)[None, :]) % n_ctrl
     w = bernstein3(polyline.t)
     return idx, w
-
-
-def polyline_lengths(vertices: np.ndarray) -> np.ndarray:
-    """Edge lengths of a closed polyline, edge i = v[i] -> v[(i+1) % n]."""
-    diff = np.roll(vertices, -1, axis=0) - vertices
-    return np.hypot(diff[:, 0], diff[:, 1])
-
-
-def point_segment_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
-    """Distance from point p to segment ab and the foot parameter s in [0, 1]."""
-    ab = b - a
-    denom = float(ab @ ab)
-    if denom < 1e-24:
-        s = 0.0
-    else:
-        s = float(np.clip((p - a) @ ab / denom, 0.0, 1.0))
-    q = a + s * ab
-    return float(np.hypot(*(p - q))), s
-
-
-def winding_number(polyline: Polyline, point: np.ndarray) -> int:
-    """Crossing-count winding number of a closed polyline around a point."""
-    v = polyline.vertices
-    a = v
-    b = np.roll(v, -1, axis=0)
-    px, py = float(point[0]), float(point[1])
-    up = (a[:, 1] <= py) & (b[:, 1] > py)
-    down = (b[:, 1] <= py) & (a[:, 1] > py)
-    cross = (b[:, 0] - a[:, 0]) * (py - a[:, 1]) - (b[:, 1] - a[:, 1]) * (px - a[:, 0])
-    return int(np.sum(up & (cross > 0)) - np.sum(down & (cross < 0)))
-
-
-class NearestEdge(NamedTuple):
-    """Closest boundary edge to a query point."""
-
-    edge_index: int
-    foot: np.ndarray  # closest point on the edge
-    s: float  # foot parameter along the edge, 0 at its first vertex
-
-
-def signed_distance(polyline: Polyline, point: np.ndarray) -> tuple[float, NearestEdge]:
-    """Signed distance from a point to a closed polyline.
-
-    Negative inside (nonzero winding), positive outside.  The nearest
-    edge, its foot point, and the foot parameter come along; distance
-    ties resolve to the lowest edge index.
-    """
-    p = np.asarray(point, dtype=np.float64)
-    v = polyline.vertices
-    n = v.shape[0]
-    best_d = np.inf
-    best_edge = 0
-    best_s = 0.0
-    for e in range(n):
-        d, s = point_segment_distance(p, v[e], v[(e + 1) % n])
-        if d < best_d - 1e-15:
-            best_d, best_edge, best_s = d, e, s
-    sign = -1.0 if winding_number(polyline, p) != 0 else 1.0
-    a = v[best_edge]
-    b = v[(best_edge + 1) % n]
-    foot = a + best_s * (b - a)
-    return sign * best_d, NearestEdge(edge_index=best_edge, foot=foot, s=best_s)
 
 
 def batch_signed_distance(polyline: Polyline, points: np.ndarray,

@@ -6,7 +6,7 @@ side), takes the mean squared error of the two-layer composite against a
 random target, and compares analytic gradients against central
 differences for a sample of control-point coordinates plus one color
 channel and the opacity of every path.  Differences must satisfy
-rel < 1e-2 or abs < 1e-4.
+rel < REL_TOL or abs < ABS_TOL.
 
 Flattening runs in the fixed-count mode here: the adaptive subdivision
 depth can flip under a half-epsilon perturbation, which puts a genuine
@@ -33,16 +33,26 @@ logger = logging.getLogger(__name__)
 # in normal operation.
 _CORRUPT: str | None = None
 
+# Central-difference steps for control-point coordinates and for colors and
+# opacities, the agreement tolerances, and the control-point coordinates
+# sampled per path.
+EPS_POINTS = 1e-3
+EPS_SCALARS = 1e-4
+REL_TOL = 1e-2
+ABS_TOL = 1e-4
+COORDS_PER_PATH = 2
+
 
 @dataclass(frozen=True)
 class GradCheckConfig:
+    """Probe count and seed, mirroring ``covec gradcheck --probes --seed``."""
+
     n_probes: int = 100
     seed: int = 0
-    eps_points: float = 1e-3
-    eps_scalars: float = 1e-4
-    rel_tol: float = 1e-2
-    abs_tol: float = 1e-4
-    coords_per_path: int = 2
+
+    def __post_init__(self):
+        if self.n_probes < 0:
+            raise ValueError("n_probes must be nonnegative")
 
 
 @dataclass
@@ -127,10 +137,10 @@ def _analytic_grads(doc: LayeredDocument, target: np.ndarray,
     return grads
 
 
-def _agree(analytic: float, numeric: float, cfg: GradCheckConfig) -> bool:
+def _agree(analytic: float, numeric: float) -> bool:
     diff = abs(analytic - numeric)
     scale = max(abs(analytic), abs(numeric))
-    return diff < cfg.abs_tol or diff < cfg.rel_tol * scale
+    return diff < ABS_TOL or diff < REL_TOL * scale
 
 
 def run_gradcheck(cfg: GradCheckConfig | None = None) -> GradCheckReport:
@@ -166,8 +176,7 @@ def run_gradcheck(cfg: GradCheckConfig | None = None) -> GradCheckReport:
             for pi, path in enumerate(doc.layer(tag)):
                 g = grads[tag][pi]
                 n_ctrl = path.control_points.shape[0]
-                picks = rng.choice(n_ctrl * 2, size=min(cfg.coords_per_path,
-                                                        n_ctrl * 2),
+                picks = rng.choice(n_ctrl * 2, size=min(COORDS_PER_PATH, n_ctrl * 2),
                                    replace=False)
                 for flat in picks:
                     r, c = divmod(int(flat), 2)
@@ -177,10 +186,10 @@ def run_gradcheck(cfg: GradCheckConfig | None = None) -> GradCheckReport:
 
                     numeric = fd(tag, pi, set_ctrl,
                                  float(path.control_points[r, c]),
-                                 cfg.eps_points, reraster=True)
+                                 EPS_POINTS, reraster=True)
                     analytic = float(g.d_control_points[r, c])
                     report.n_comparisons += 1
-                    if not _agree(analytic, numeric, cfg):
+                    if not _agree(analytic, numeric):
                         report.failures.append(ProbeFailure(
                             probe, "control_point", tag, pi, (r, c),
                             analytic, numeric))
@@ -190,10 +199,10 @@ def run_gradcheck(cfg: GradCheckConfig | None = None) -> GradCheckReport:
                     p.fill_color[ch] = v
 
                 numeric = fd(tag, pi, set_color, float(path.fill_color[ch]),
-                             cfg.eps_scalars, reraster=False)
+                             EPS_SCALARS, reraster=False)
                 analytic = float(g.d_fill_color[ch])
                 report.n_comparisons += 1
-                if not _agree(analytic, numeric, cfg):
+                if not _agree(analytic, numeric):
                     report.failures.append(ProbeFailure(
                         probe, "color", tag, pi, (ch,), analytic, numeric))
 
@@ -201,10 +210,10 @@ def run_gradcheck(cfg: GradCheckConfig | None = None) -> GradCheckReport:
                     p.opacity = v
 
                 numeric = fd(tag, pi, set_opacity, path.opacity,
-                             cfg.eps_scalars, reraster=False)
+                             EPS_SCALARS, reraster=False)
                 analytic = float(g.d_opacity)
                 report.n_comparisons += 1
-                if not _agree(analytic, numeric, cfg):
+                if not _agree(analytic, numeric):
                     report.failures.append(ProbeFailure(
                         probe, "opacity", tag, pi, (), analytic, numeric))
     report.elapsed = time.perf_counter() - t0

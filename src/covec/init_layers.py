@@ -17,34 +17,23 @@ import numpy as np
 from scipy import ndimage
 
 from .geometry import simplify_closed
-from .model import VectorPath
+from .model import SHADE_FLOOR, VectorPath
 
 
 # The fallback albedo divides by luma blurred with sigma max(W, H) / this.
 ALBEDO_BLUR_DIVISOR = 16.0
 
+# The fallback segmentation clusters colors into KMEANS_CLUSTERS groups and
+# merges connected components below MIN_REGION_FRAC of the canvas.
+KMEANS_CLUSTERS = 8
+MIN_REGION_FRAC = 0.001
+
+# Most cubic segments a traced mask outline is fitted with.
+MAX_SEGMENTS = 8
+
 
 class InitError(ValueError):
     """Raised when no usable initialization can be built for an input."""
-
-
-@dataclass(frozen=True)
-class InitConfig:
-    dp_epsilon: float = 2.0
-    max_segments: int = 8
-    kmeans_clusters: int = 8
-    min_region_frac: float = 0.001
-    shade_floor: float = 0.05
-
-    def __post_init__(self):
-        if self.dp_epsilon < 0:
-            raise ValueError("dp_epsilon must be nonnegative")
-        if self.max_segments < 2:
-            raise ValueError("max_segments must be >= 2")
-        if self.kmeans_clusters < 1:
-            raise ValueError("kmeans_clusters must be >= 1")
-        if not 0.0 < self.shade_floor < 1.0:
-            raise ValueError("shade_floor must lie in (0, 1)")
 
 
 @dataclass
@@ -71,13 +60,6 @@ class MaskGroupSet:
 
     groups: list[list[SemanticMask]]
 
-    @property
-    def n_masks(self) -> int:
-        return sum(len(g) for g in self.groups)
-
-    def flat(self) -> list[SemanticMask]:
-        return [m for g in self.groups for m in g]
-
 
 def luma(image: np.ndarray) -> np.ndarray:
     """Rec. 601 luma of an (H, W, 3) image."""
@@ -85,7 +67,7 @@ def luma(image: np.ndarray) -> np.ndarray:
             + 0.114 * image[:, :, 2])
 
 
-def fallback_albedo(image: np.ndarray, config: InitConfig) -> np.ndarray:
+def fallback_albedo(image: np.ndarray) -> np.ndarray:
     """Shading-normalized albedo estimate when none is supplied.
 
     Divides the image by a heavily blurred luma field (floored to avoid
@@ -95,7 +77,7 @@ def fallback_albedo(image: np.ndarray, config: InitConfig) -> np.ndarray:
     h, w = image.shape[:2]
     radius = max(w, h) / ALBEDO_BLUR_DIVISOR
     field = ndimage.gaussian_filter(luma(image), sigma=radius, mode="nearest")
-    denom = np.maximum(field, config.shade_floor)
+    denom = np.maximum(field, SHADE_FLOOR)
     return np.clip(image / denom[:, :, None], 0.0, 1.0)
 
 
@@ -180,17 +162,18 @@ def _merge_small_components(comp: np.ndarray, min_area: int) -> np.ndarray:
             return comp
 
 
-def fallback_segment(image: np.ndarray, config: InitConfig, seed: int) -> list[SemanticMask]:
+def fallback_segment(image: np.ndarray, seed: int) -> list[SemanticMask]:
     """Color-cluster segmentation used when no label map is supplied.
 
-    k-means in RGB, split clusters into 4-connected components, then merge
-    components below min_region_frac of the canvas into their largest
-    neighbor.  One mask per surviving component, in component-id order.
+    k-means (KMEANS_CLUSTERS clusters) in RGB, split clusters into
+    4-connected components, then merge components below MIN_REGION_FRAC
+    of the canvas into their largest neighbor.  One mask per surviving
+    component, in component-id order.
     """
     h, w = image.shape[:2]
-    labels = kmeans_labels(image.reshape(-1, 3), config.kmeans_clusters, seed)
+    labels = kmeans_labels(image.reshape(-1, 3), KMEANS_CLUSTERS, seed)
     comp = _connected_components(labels.reshape(h, w))
-    min_area = max(1, int(np.ceil(config.min_region_frac * h * w)))
+    min_area = max(1, int(np.ceil(MIN_REGION_FRAC * h * w)))
     comp = _merge_small_components(comp, min_area)
     masks = []
     for cid in np.unique(comp):
@@ -212,24 +195,15 @@ def masks_from_labels(label_map: np.ndarray, image: np.ndarray) -> list[Semantic
 # region thresholding
 
 
-@dataclass
-class RegionThreshold:
-    """Luma split of one region: pixels at or below the region mean."""
-
-    threshold: float
-    bitmap: np.ndarray
-
-
-def region_threshold(image: np.ndarray, mask: SemanticMask) -> RegionThreshold:
-    """Split one region at its mean luma; keeps the dark side (luma <= mean)."""
+def region_threshold(image: np.ndarray, mask: SemanticMask) -> np.ndarray:
+    """Split one region at its mean luma; returns the dark side (luma <= mean)."""
     lum = luma(image)
     vals = lum[mask.bitmap]
     # shift by the min before averaging so a constant region thresholds at
     # exactly its own value instead of one rounding step below it
     base = float(vals.min())
     threshold = base + float((vals - base).mean())
-    return RegionThreshold(threshold=threshold,
-                           bitmap=mask.bitmap & (lum <= threshold))
+    return mask.bitmap & (lum <= threshold)
 
 
 def region_binarize(image: np.ndarray, masks: list[SemanticMask]) -> list[SemanticMask]:
@@ -241,9 +215,9 @@ def region_binarize(image: np.ndarray, masks: list[SemanticMask]) -> list[Semant
     """
     out = []
     for m in masks:
-        split = region_threshold(image, m)
-        if np.any(split.bitmap):
-            out.append(SemanticMask.from_bitmap(split.bitmap, image))
+        dark = region_threshold(image, m)
+        if np.any(dark):
+            out.append(SemanticMask.from_bitmap(dark, image))
     return out
 
 
@@ -404,19 +378,19 @@ def fit_bezier_contour(points: np.ndarray, max_segments: int) -> np.ndarray:
 # layer assembly
 
 
-def attenuation_ratio(image: np.ndarray, albedo_map: np.ndarray,
-                      config: InitConfig) -> np.ndarray:
+def attenuation_ratio(image: np.ndarray, albedo_map: np.ndarray) -> np.ndarray:
     """Per-pixel multiplicative shading estimate image / albedo, in [0, 1]."""
-    denom = np.maximum(albedo_map, config.shade_floor)
+    denom = np.maximum(albedo_map, SHADE_FLOOR)
     return np.clip(image / denom, 0.0, 1.0)
 
 
 def paths_for_groups(group_set: MaskGroupSet, color_image: np.ndarray,
-                     layer_tag: str, config: InitConfig,
+                     layer_tag: str, dp_epsilon: float,
                      width: int, height: int) -> tuple[list[list[VectorPath]], list[np.ndarray]]:
     """Build one VectorPath per mask plus a flat-color reference render per group.
 
-    Each path traces its mask outline; its fill is the mean of
+    Each path traces its mask outline, simplified within ``dp_epsilon``
+    and fitted with at most MAX_SEGMENTS cubics; its fill is the mean of
     ``color_image`` under the mask.  The reference render paints each
     group's masks (non-overlapping by construction) onto white.
     """
@@ -427,8 +401,8 @@ def paths_for_groups(group_set: MaskGroupSet, color_image: np.ndarray,
         render = np.ones((height, width, 3))
         for mask in group:
             color = np.clip(color_image[mask.bitmap].mean(axis=0), 0.0, 1.0)
-            loop = trace_and_simplify(mask.bitmap, config.dp_epsilon)
-            ctrl = fit_bezier_contour(loop, config.max_segments)
+            loop = trace_and_simplify(mask.bitmap, dp_epsilon)
+            ctrl = fit_bezier_contour(loop, MAX_SEGMENTS)
             paths.append(VectorPath(control_points=ctrl, fill_color=color,
                                     opacity=1.0, layer_tag=layer_tag))
             render[mask.bitmap] = color
@@ -448,7 +422,7 @@ class InitResult:
 
 
 def init_layers(image: np.ndarray, albedo_map: np.ndarray,
-                seg_masks: list[SemanticMask], config: InitConfig) -> InitResult:
+                seg_masks: list[SemanticMask], dp_epsilon: float) -> InitResult:
     """Grouped albedo and illumination paths plus per-group reference renders.
 
     Albedo groups come from the segmentation masks colored by the albedo
@@ -460,12 +434,12 @@ def init_layers(image: np.ndarray, albedo_map: np.ndarray,
     h, w = image.shape[:2]
     albedo_groups_m = organize_masks(seg_masks)
     a_groups, a_renders = paths_for_groups(albedo_groups_m, albedo_map,
-                                           "albedo", config, w, h)
+                                           "albedo", dp_epsilon, w, h)
     shadow_masks = region_binarize(image, seg_masks)
     illum_groups_m = organize_masks(shadow_masks)
-    ratio = attenuation_ratio(image, albedo_map, config)
+    ratio = attenuation_ratio(image, albedo_map)
     i_groups, i_renders = paths_for_groups(illum_groups_m, ratio,
-                                           "illumination", config, w, h)
+                                           "illumination", dp_epsilon, w, h)
     return InitResult(albedo_groups=a_groups, illum_groups=i_groups,
                       albedo_renders=a_renders, illum_renders=i_renders,
                       albedo_mask_groups=albedo_groups_m,

@@ -129,18 +129,14 @@ class GradientBuffer:
     d_fill_color: np.ndarray
     d_opacity: float = 0.0
 
-    @classmethod
-    def zeros_for(cls, path: VectorPath) -> "GradientBuffer":
-        return cls(
-            d_control_points=np.zeros_like(path.control_points),
-            d_fill_color=np.zeros(3),
-            d_opacity=0.0,
-        )
-
 
 # The only fill rule the rasterizer implements; the SVG emitter writes it
 # on every path and the parser rejects any other.
 FILL_RULE = "nonzero"
+
+# Floor on the albedo or luma that every shading ratio divides by, so dark
+# pixels cannot blow the ratio up.
+SHADE_FLOOR = 0.05
 
 
 @dataclass(frozen=True)
@@ -148,8 +144,8 @@ class RasterizerConfig:
     """Knobs for the differentiable soft rasterizer.
 
     flatten_mode "adaptive" subdivides curves until flat within
-    ``flatten_tolerance``; "fixed" samples ``flatten_fixed_count`` uniform
-    parameter values per segment, which keeps the vertex schedule
+    ``flatten_tolerance``; "fixed" samples ``geometry.FLATTEN_FIXED_COUNT``
+    uniform parameter values per segment, which keeps the vertex schedule
     independent of the control points (useful for finite-difference
     checks, where adaptive splits would introduce tiny discontinuities).
     """
@@ -158,7 +154,6 @@ class RasterizerConfig:
     aa_sigma: float = 1.0
     supersample: int = 2
     flatten_mode: str = "adaptive"
-    flatten_fixed_count: int = 16
     cutoff_sigmas: float = 30.0
 
     def __post_init__(self):
@@ -170,7 +165,5 @@ class RasterizerConfig:
             raise ValueError("supersample must be >= 1")
         if self.flatten_mode not in ("adaptive", "fixed"):
             raise ValueError("flatten_mode must be 'adaptive' or 'fixed'")
-        if self.flatten_fixed_count < 1:
-            raise ValueError("flatten_fixed_count must be >= 1")
         if self.cutoff_sigmas <= 0:
             raise ValueError("cutoff_sigmas must be positive")

@@ -26,20 +26,30 @@ logger = logging.getLogger(__name__)
 
 PENALTY_MODES = ("paper_literal", "overlap")
 
+# Opacity every path is re-filled at in the overlap penalty's alpha field.
+GRAY_ALPHA = 0.5
+
+# Learning rate of fill colors and opacity logits.
+LR_COLORS = 0.01
+
+# Adam moment decay rates and denominator stabilizer.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class StructLossConfig:
-    """Structure-loss knobs.
+    """Structure-loss knobs, one per ``covec vectorize`` flag.
 
-    ``penalty_sign`` picks the direction of the hinge on the
-    semi-transparent gray alpha field: ``overlap`` penalizes alpha above
-    delta_overlap (alpha rises where paths stack, so this discourages
-    self-overlap); ``paper_literal`` penalizes alpha below it.
+    ``penalty_sign`` picks the direction of the hinge on the gray alpha
+    field (every path at opacity GRAY_ALPHA): ``overlap`` penalizes alpha
+    above delta_overlap (alpha rises where paths stack, so this
+    discourages self-overlap); ``paper_literal`` penalizes alpha below it.
     """
 
     lambda_overlap: float = 1e-8
     delta_overlap: float = 0.6
-    gray_alpha: float = 0.5
     penalty_sign: str = "overlap"
 
     def __post_init__(self):
@@ -47,27 +57,24 @@ class StructLossConfig:
             raise ValueError("lambda_overlap must be nonnegative")
         if not 0.0 < self.delta_overlap < 1.0:
             raise ValueError("delta_overlap must lie in (0, 1)")
-        if not 0.0 < self.gray_alpha < 1.0:
-            raise ValueError("gray_alpha must lie in (0, 1)")
         if self.penalty_sign not in PENALTY_MODES:
             raise ValueError(f"penalty_sign must be one of {PENALTY_MODES}")
 
 
 @dataclass(frozen=True)
 class Schedule:
+    """Epoch counts of the two stages and the control-point learning rate
+    (colors and opacity logits step at LR_COLORS)."""
+
     warmup_epochs: int = 50
     joint_epochs: int = 50
     lr_points: float = 1.0
-    lr_colors: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
         if self.warmup_epochs < 0 or self.joint_epochs < 0:
             raise ValueError("epoch counts must be nonnegative")
-        if self.lr_points <= 0 or self.lr_colors <= 0:
-            raise ValueError("learning rates must be positive")
+        if self.lr_points <= 0:
+            raise ValueError("lr_points must be positive")
 
 
 @dataclass
@@ -84,7 +91,7 @@ class AdamState:
 
 
 def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState,
-              lr: float, schedule: Schedule) -> np.ndarray:
+              lr: float) -> np.ndarray:
     """One bias-corrected Adam update; returns the new parameter value.
 
     The step counter advances even when a non-finite gradient forces a
@@ -95,12 +102,12 @@ def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState,
     if not np.all(np.isfinite(grad)):
         logger.warning("skipping Adam step %d: non-finite gradient", state.step)
         return np.asarray(param, dtype=np.float64)
-    b1, b2 = schedule.beta1, schedule.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     state.m = b1 * state.m + (1.0 - b1) * grad
     state.v = b2 * state.v + (1.0 - b2) * grad * grad
     m_hat = state.m / (1.0 - b1 ** state.step)
     v_hat = state.v / (1.0 - b2 ** state.step)
-    return param - lr * m_hat / (np.sqrt(v_hat) + schedule.adam_eps)
+    return param - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 _OPACITY_CLIP = 1e-3  # keeps the logit finite for opacities at 0 or 1
@@ -109,10 +116,10 @@ _OPACITY_CLIP = 1e-3  # keeps the logit finite for opacities at 0 or 1
 class LayerOptimizer:
     """Independent Adam states for every path in one layer.
 
-    Control points update at lr_points; colors and the opacity logit at
-    lr_colors.  After each step colors are projected into the layer's
-    valid range and opacity is recovered from its logit, so every path
-    invariant survives unconstrained gradient steps.
+    Control points update at the schedule's lr_points; colors and the
+    opacity logit at LR_COLORS.  After each step colors are projected into
+    the layer's valid range and opacity is recovered from its logit, so
+    every path invariant survives unconstrained gradient steps.
     """
 
     def __init__(self, paths: list[VectorPath], schedule: Schedule):
@@ -129,35 +136,33 @@ class LayerOptimizer:
     def step(self, grads: list[GradientBuffer]) -> None:
         if len(grads) != len(self.paths):
             raise ValueError("gradient count does not match path count")
-        sched = self.schedule
         for i, (path, g) in enumerate(zip(self.paths, grads)):
             path.control_points = adam_step(path.control_points, g.d_control_points,
-                                            self.point_states[i], sched.lr_points,
-                                            sched)
+                                            self.point_states[i],
+                                            self.schedule.lr_points)
             color = adam_step(path.fill_color, g.d_fill_color,
-                              self.color_states[i], sched.lr_colors, sched)
+                              self.color_states[i], LR_COLORS)
             path.fill_color = project_color(color, path.layer_tag)
             s = expit(self.opacity_logits[i])
             d_logit = g.d_opacity * s * (1.0 - s)
             new_logit = adam_step(np.float64(self.opacity_logits[i]), d_logit,
-                                  self.opacity_states[i], sched.lr_colors, sched)
+                                  self.opacity_states[i], LR_COLORS)
             self.opacity_logits[i] = float(new_logit)
             path.opacity = float(expit(new_logit))
 
 
-def gray_alpha_field(coverages: list[np.ndarray],
-                     gray_alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Source-over alpha of every path re-filled at a common opacity.
+def gray_alpha_field(coverages: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Source-over alpha of every path re-filled at opacity GRAY_ALPHA.
 
-    alpha(p) = 1 - prod_i (1 - gray_alpha * coverage_i(p)); with
-    gray_alpha 0.5 a singly covered pixel sits at 0.5 and any overlap
-    pushes it higher, which is what the overlap penalty thresholds.
+    alpha(p) = 1 - prod_i (1 - GRAY_ALPHA * coverage_i(p)); a singly
+    covered pixel sits at 0.5 and any overlap pushes it higher, which is
+    what the overlap penalty thresholds.
     Returns (alpha, prod): the product is the transmittance the penalty's
     gradient divides by each path's own factor.
     """
     prod = np.ones_like(coverages[0])
     for cov in coverages:
-        prod *= 1.0 - gray_alpha * cov
+        prod *= 1.0 - GRAY_ALPHA * cov
     return 1.0 - prod, prod
 
 
@@ -184,8 +189,7 @@ def loss_struct(groups: list[list[VectorPath]], mask_renders: list[np.ndarray],
         d_img = 2.0 * diff / denom
         grads = layer_backward(group, render, d_img, rcfg)
         if cfg.lambda_overlap > 0.0 and group:
-            ga = cfg.gray_alpha
-            alpha, prod = gray_alpha_field([pc.coverage for pc in render.coverages], ga)
+            alpha, prod = gray_alpha_field([pc.coverage for pc in render.coverages])
             if cfg.penalty_sign == "overlap":
                 excess = alpha - cfg.delta_overlap
                 d_alpha = cfg.lambda_overlap * (excess > 0.0)
@@ -194,7 +198,7 @@ def loss_struct(groups: list[list[VectorPath]], mask_renders: list[np.ndarray],
                 d_alpha = -cfg.lambda_overlap * (excess > 0.0)
             total += cfg.lambda_overlap * float(np.maximum(excess, 0.0).sum())
             for i, pc in enumerate(render.coverages):
-                d_cov = d_alpha * ga * prod / (1.0 - ga * pc.coverage)
+                d_cov = d_alpha * GRAY_ALPHA * prod / (1.0 - GRAY_ALPHA * pc.coverage)
                 grads[i].d_control_points += coverage_backward(pc, d_cov, rcfg)
         all_grads.extend(grads)
     return total, all_grads

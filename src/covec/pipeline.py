@@ -13,6 +13,11 @@ reconstruction are shared.
 File inputs are always preferred when named: an albedo estimate image
 (full mode only) and a label-map segmentation replace the internal
 fallbacks (smoothness ratio and seeded k-means).
+
+``RunConfig`` holds every setting a run takes, one per ``covec
+vectorize`` flag.  Every other threshold is fixed, as a module constant
+next to the code that reads it (``init_layers``, ``optimize``,
+``refine``, ``model.SHADE_FLOOR``).
 """
 
 from __future__ import annotations
@@ -25,9 +30,9 @@ from pathlib import Path
 import numpy as np
 
 from .image_io import read_image, read_label_map
-from .init_layers import (InitConfig, fallback_albedo, fallback_segment,
-                          init_layers, masks_from_labels, organize_masks,
-                          paths_for_groups, region_binarize)
+from .init_layers import (fallback_albedo, fallback_segment, init_layers,
+                          masks_from_labels, organize_masks, paths_for_groups,
+                          region_binarize)
 from .model import WHITE, LayeredDocument, RasterizerConfig
 from .optimize import Schedule, StructLossConfig, TraceRow, run_structural
 from .raster import layer_forward, render_composite
@@ -42,9 +47,9 @@ DEFAULT_BUDGET = {"full": 64, "albedo_only": 16}
 class RunConfig:
     """Everything one vectorization run needs, mirroring the CLI flags.
 
-    The per-stage configs (``raster_config``, ``init_config``,
-    ``schedule``, ``struct_config``, ``refine_config``) are built once at
-    construction, so an invalid value raises ValueError before any work.
+    The per-stage configs (``raster_config``, ``schedule``,
+    ``struct_config``, ``refine_config``) are built once at construction,
+    so an invalid value raises ValueError before any work.
     """
 
     input_path: str
@@ -72,9 +77,10 @@ class RunConfig:
             raise ValueError("path budget must be >= 1")
         if self.mode == "albedo_only" and self.albedo_path is not None:
             raise ValueError("an albedo estimate is only used in full mode")
+        if self.dp_epsilon < 0:
+            raise ValueError("dp_epsilon must be nonnegative")
         stages = {
             "raster_config": RasterizerConfig(aa_sigma=self.aa_sigma),
-            "init_config": InitConfig(dp_epsilon=self.dp_epsilon),
             "schedule": Schedule(warmup_epochs=self.warmup_epochs,
                                  joint_epochs=self.joint_epochs),
             "struct_config": StructLossConfig(lambda_overlap=self.lambda_overlap,
@@ -106,10 +112,9 @@ class VectorizeResult:
     final_mse: float = 0.0
 
 
-def _load_albedo(cfg: RunConfig, image: np.ndarray,
-                 icfg: InitConfig) -> np.ndarray:
+def _load_albedo(cfg: RunConfig, image: np.ndarray) -> np.ndarray:
     if cfg.albedo_path is None:
-        return fallback_albedo(image, icfg)
+        return fallback_albedo(image)
     albedo = read_image(cfg.albedo_path)
     if albedo.shape != image.shape:
         raise ValueError(f"albedo map shape {albedo.shape} does not match "
@@ -117,9 +122,9 @@ def _load_albedo(cfg: RunConfig, image: np.ndarray,
     return albedo
 
 
-def _load_masks(cfg: RunConfig, image: np.ndarray, icfg: InitConfig):
+def _load_masks(cfg: RunConfig, image: np.ndarray):
     if cfg.masks_path is None:
-        return fallback_segment(image, icfg, cfg.seed)
+        return fallback_segment(image, cfg.seed)
     labels = read_label_map(cfg.masks_path)
     if labels.shape != image.shape[:2]:
         raise ValueError(f"label map shape {labels.shape} does not match "
@@ -132,17 +137,17 @@ def vectorize(cfg: RunConfig) -> VectorizeResult:
     image = read_image(cfg.input_path)
     rcfg = cfg.raster_config
     h, w = image.shape[:2]
-    icfg = cfg.init_config
     full = cfg.mode == "full"
     if full:
-        albedo_map = _load_albedo(cfg, image, icfg)
-        init = init_layers(image, albedo_map, _load_masks(cfg, image, icfg), icfg)
+        albedo_map = _load_albedo(cfg, image)
+        init = init_layers(image, albedo_map, _load_masks(cfg, image), cfg.dp_epsilon)
         a_groups, i_groups = init.albedo_groups, init.illum_groups
         a_renders, i_renders = init.albedo_renders, init.illum_renders
     else:
-        seg_masks = _load_masks(cfg, image, icfg)
+        seg_masks = _load_masks(cfg, image)
         groups_m = organize_masks(seg_masks + region_binarize(image, seg_masks))
-        a_groups, a_renders = paths_for_groups(groups_m, image, "albedo", icfg, w, h)
+        a_groups, a_renders = paths_for_groups(groups_m, image, "albedo",
+                                               cfg.dp_epsilon, w, h)
         i_groups = i_renders = None
     trace = run_structural(a_groups, i_groups, image, a_renders, i_renders,
                            cfg.schedule, cfg.struct_config, rcfg)

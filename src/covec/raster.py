@@ -55,10 +55,6 @@ class PathCoverage:
     scatter_idx: np.ndarray | None = None  # (V, 4) control indices per vertex
     scatter_w: np.ndarray | None = None  # (V, 4) Bernstein weights
 
-    @property
-    def soft_area(self) -> float:
-        return float(self.coverage.sum())
-
 
 def path_coverage(path: VectorPath, width: int, height: int,
                   config: RasterizerConfig, with_grad: bool = False) -> PathCoverage:

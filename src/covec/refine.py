@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .model import WHITE, VectorPath, project_color
+from .model import SHADE_FLOOR, WHITE, VectorPath, project_color
 from .optimize import LayerOptimizer, Schedule, TraceRow
 from .raster import (RasterizerConfig, layer_backward, layer_forward, path_coverage,
                      source_over)
@@ -45,22 +45,13 @@ def circle_control_points(center, radius: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RefineConfig:
-    """Refinement knobs; paths_per_round None spreads the remaining path
-    budget evenly over the remaining rounds."""
+    """Rounds (``--rounds``), Adam iterations per round (``--iters``) and
+    paths per round, where None spreads the remaining path budget evenly
+    over the remaining rounds; every threshold is a module constant."""
 
     rounds_max: int = 5
     iters_per_round: int = 100
     paths_per_round: int | None = None
-    new_path_segments: int = 4
-    min_component_pixels: int = 16
-    cleanup_area_min: float = 8.0
-    cleanup_loss_eps: float = 1e-5
-    merge_color_eps: float = 0.02
-    merge_iou_min: float = 0.8
-    error_percentile: float = 90.0
-    radius_min: float = 2.0
-    stop_error_max: float = 1e-4
-    shade_floor: float = 0.05
 
     def __post_init__(self):
         if self.rounds_max < 0:
@@ -69,23 +60,30 @@ class RefineConfig:
             raise ValueError("iters_per_round must be >= 1")
 
 
+# Proposal thresholds; propose_paths says how each applies.
+ERROR_PERCENTILE = 90.0
+MIN_COMPONENT_PIXELS = 16
+RADIUS_MIN = 2.0
+
+
 def propose_paths(err: np.ndarray, n: int, target: np.ndarray,
-                  albedo_render: np.ndarray, cfg: RefineConfig,
+                  albedo_render: np.ndarray,
                   layer_tag: str = "illumination") -> list[VectorPath]:
     """Circular seed paths over the worst error blobs.
 
-    Blobs are 4-connected components of pixels above the error map's 90th
-    percentile, ranked by summed error (ties broken by bounding-box
-    origin).  Each selected blob yields a 4-segment circle at its
-    error-weighted centroid with radius sqrt(area/pi) clamped to
-    [radius_min, min(W, H)/4], colored by the mean attenuation ratio
-    target/albedo over the blob.  Undersized blobs are skipped; fewer
-    than n usable blobs is not an error.
+    Blobs are 4-connected components of pixels above the error map's
+    ERROR_PERCENTILE-th percentile, ranked by summed error (ties broken by
+    bounding-box origin).  Each selected blob yields a 4-segment circle at
+    its error-weighted centroid with radius sqrt(area/pi) clamped to
+    [RADIUS_MIN, min(W, H)/4], colored by the mean attenuation ratio
+    target/max(albedo, SHADE_FLOOR) over the blob.  Blobs below
+    MIN_COMPONENT_PIXELS are skipped; fewer than n usable blobs is not an
+    error.
     """
     if n < 1:
         raise ValueError("must request at least one path")
     height, width = err.shape
-    threshold = np.percentile(err, cfg.error_percentile)
+    threshold = np.percentile(err, ERROR_PERCENTILE)
     mask = err > threshold
     if not np.any(mask):
         return []
@@ -94,14 +92,14 @@ def propose_paths(err: np.ndarray, n: int, target: np.ndarray,
     for cid in range(1, count + 1):
         sel = lab == cid
         area = int(sel.sum())
-        if area < cfg.min_component_pixels:
+        if area < MIN_COMPONENT_PIXELS:
             continue
         ys, xs = np.nonzero(sel)
         summed = float(err[sel].sum())
         candidates.append((-summed, int(ys.min()), int(xs.min()), cid, area))
     candidates.sort()
     # ratio may exceed 1 for highlights; only the layer's own range applies
-    ratio = target / np.maximum(albedo_render, cfg.shade_floor)
+    ratio = target / np.maximum(albedo_render, SHADE_FLOOR)
     r_max = min(width, height) / 4.0
     paths = []
     for neg_sum, _y0, _x0, cid, area in candidates[:n]:
@@ -111,7 +109,7 @@ def propose_paths(err: np.ndarray, n: int, target: np.ndarray,
         wsum = float(weights.sum())
         cx = float((xs + 0.5) @ weights / wsum)
         cy = float((ys + 0.5) @ weights / wsum)
-        radius = float(np.clip(np.sqrt(area / np.pi), cfg.radius_min, r_max))
+        radius = float(np.clip(np.sqrt(area / np.pi), RADIUS_MIN, r_max))
         color = project_color(ratio[sel].mean(axis=0), layer_tag)
         paths.append(VectorPath(control_points=circle_control_points((cx, cy), radius),
                                 fill_color=color, opacity=1.0, layer_tag=layer_tag))
@@ -124,10 +122,19 @@ def _recon_loss(layer_img: np.ndarray, frozen_factor: np.ndarray,
     return float(np.mean(diff * diff))
 
 
+# Cleanup: paths whose soft area is below CLEANUP_AREA_MIN pixels, or whose
+# removal moves the loss by less than CLEANUP_LOSS_EPS, are dropped; two
+# paths whose colors differ by less than MERGE_COLOR_EPS per channel and
+# whose coverage > 0.5 supports overlap with IoU above MERGE_IOU_MIN merge.
+CLEANUP_AREA_MIN = 8.0
+CLEANUP_LOSS_EPS = 1e-5
+MERGE_COLOR_EPS = 0.02
+MERGE_IOU_MIN = 0.8
+
+
 def cleanup_layer(paths: list[VectorPath], coverages: list[np.ndarray],
                   background: np.ndarray, frozen_factor: np.ndarray,
-                  target: np.ndarray, cfg: RefineConfig
-                  ) -> tuple[list[VectorPath], int, int]:
+                  target: np.ndarray) -> tuple[list[VectorPath], int, int]:
     """Prune tiny/ineffective paths and merge near-duplicates, <= 3 passes.
 
     ``paths`` composite source-over onto ``background`` (the render of the
@@ -138,7 +145,7 @@ def cleanup_layer(paths: list[VectorPath], coverages: list[np.ndarray],
     are edited in place and in step, and merged colors are written into
     the surviving path.  Removal decisions re-evaluate the composite after
     each change, so each loss-rule removal perturbs the reconstruction loss
-    by less than cleanup_loss_eps at the moment it is applied.  Returns
+    by less than CLEANUP_LOSS_EPS at the moment it is applied.  Returns
     (paths, removed_count, merged_count).
     """
     height, width = target.shape[:2]
@@ -158,7 +165,7 @@ def cleanup_layer(paths: list[VectorPath], coverages: list[np.ndarray],
         i = 0
         while i < len(paths):
             soft_area = float(coverages[i].sum())
-            if soft_area < cfg.cleanup_area_min:
+            if soft_area < CLEANUP_AREA_MIN:
                 del paths[i], coverages[i]
                 current = loss_of(paths, coverages)
                 removed += 1
@@ -166,7 +173,7 @@ def cleanup_layer(paths: list[VectorPath], coverages: list[np.ndarray],
                 continue
             without = loss_of(paths[:i] + paths[i + 1:],
                               coverages[:i] + coverages[i + 1:])
-            if abs(without - current) < cfg.cleanup_loss_eps:
+            if abs(without - current) < CLEANUP_LOSS_EPS:
                 del paths[i], coverages[i]
                 current = without
                 removed += 1
@@ -181,7 +188,7 @@ def cleanup_layer(paths: list[VectorPath], coverages: list[np.ndarray],
             for i in range(len(paths)):
                 for j in range(i + 1, len(paths)):
                     a, b = paths[i], paths[j]
-                    if np.max(np.abs(a.fill_color - b.fill_color)) >= cfg.merge_color_eps:
+                    if np.max(np.abs(a.fill_color - b.fill_color)) >= MERGE_COLOR_EPS:
                         continue
                     sup_a = coverages[i] > 0.5
                     sup_b = coverages[j] > 0.5
@@ -189,7 +196,7 @@ def cleanup_layer(paths: list[VectorPath], coverages: list[np.ndarray],
                     if union == 0:
                         continue
                     iou = np.sum(sup_a & sup_b) / union
-                    if iou <= cfg.merge_iou_min:
+                    if iou <= MERGE_IOU_MIN:
                         continue
                     area_a = float(coverages[i].sum())
                     area_b = float(coverages[j].sum())
@@ -210,6 +217,10 @@ def cleanup_layer(paths: list[VectorPath], coverages: list[np.ndarray],
     return paths, removed, merged
 
 
+# Refinement stops once no pixel's mean squared error exceeds this.
+STOP_ERROR_MAX = 1e-4
+
+
 def refine_layer(layer: list[VectorPath], frozen_factor: np.ndarray,
                  target: np.ndarray, cfg: RefineConfig, schedule: Schedule,
                  rcfg: RasterizerConfig, budget_remaining: int,
@@ -224,7 +235,7 @@ def refine_layer(layer: list[VectorPath], frozen_factor: np.ndarray,
     alone, rasterizes them once and hands only them to cleanup_layer; the
     cleaned composite over the base becomes the next round's base and the
     round's trace loss, and its paths join the frozen stack.  Stops early
-    when the error map's maximum drops below stop_error_max, the budget
+    when the error map's maximum drops below STOP_ERROR_MAX, the budget
     runs out, or nothing is proposed.
     """
     height, width = target.shape[:2]
@@ -237,14 +248,14 @@ def refine_layer(layer: list[VectorPath], frozen_factor: np.ndarray,
     for rnd in range(1, cfg.rounds_max + 1):
         diff = target - base * frozen_factor
         err = np.mean(diff * diff, axis=2)
-        if float(err.max()) < cfg.stop_error_max or budget_remaining <= 0:
+        if float(err.max()) < STOP_ERROR_MAX or budget_remaining <= 0:
             break
         if cfg.paths_per_round is not None:
             want = min(cfg.paths_per_round, budget_remaining)
         else:
             rounds_left = cfg.rounds_max - rnd + 1
             want = max(1, int(np.ceil(budget_remaining / rounds_left)))
-        new_paths = propose_paths(err, want, target, frozen_factor, cfg,
+        new_paths = propose_paths(err, want, target, frozen_factor,
                                   layer_tag=layer_tag)
         if not new_paths:
             break
@@ -258,7 +269,7 @@ def refine_layer(layer: list[VectorPath], frozen_factor: np.ndarray,
         n_new = len(new_paths)  # cleanup trims new_paths in place
         maps = [path_coverage(p, width, height, rcfg).coverage for p in new_paths]
         kept, n_removed, n_merged = cleanup_layer(new_paths, maps, base,
-                                                  frozen_factor, target, cfg)
+                                                  frozen_factor, target)
         budget_remaining -= len(kept)
         base = source_over(kept, maps, base, width, height).image
         layer += kept

@@ -3,8 +3,20 @@
 import numpy as np
 import pytest
 
-from covec.model import RasterizerConfig, VectorPath
+from covec.geometry import bernstein3
+from covec.model import GradientBuffer, RasterizerConfig, VectorPath
 from covec.refine import circle_control_points
+
+
+def eval_cubic(quad, t):
+    """Evaluate a cubic Bezier given its (4, 2) control quad at t."""
+    return bernstein3(t) @ quad
+
+
+def zero_gradient(path):
+    """All-zero gradient buffer shaped for one path."""
+    return GradientBuffer(d_control_points=np.zeros_like(path.control_points),
+                          d_fill_color=np.zeros(3), d_opacity=0.0)
 
 
 def square_control_points(x0, y0, x1, y1):

@@ -323,6 +323,12 @@ def test_gradcheck_zero_probes_vacuous(capsys):
     assert "0 probes" in out
 
 
+def test_gradcheck_negative_probes_exits_2(capsys):
+    code, out, err = _run(["gradcheck", "--probes", "-3"], capsys)
+    assert code == 2
+    assert "n_probes" in err and "PASS" not in out
+
+
 def test_gradcheck_small_run_passes(capsys):
     code, out, _ = _run(["gradcheck", "--probes", "2", "--seed", "5"], capsys)
     assert code == 0

@@ -1,18 +1,84 @@
 """Bezier flattening, signed distance and closed-curve simplification."""
 
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covec.geometry import (Polyline, batch_signed_distance, bernstein3,
-                            eval_cubic, flatten_bezier, point_segment_distance,
-                            polygon_area, polyline_lengths, signed_distance,
-                            simplify_closed, vertex_control_scatter,
-                            winding_number, _farthest_pair)
+                            flatten_bezier, polygon_area, simplify_closed,
+                            vertex_control_scatter, _farthest_pair)
 from covec.model import RasterizerConfig, VectorPath
 
-from conftest import disk_path, square_control_points, square_path
+from conftest import disk_path, eval_cubic, square_control_points, square_path
+
+
+# Scalar reference implementations that batch_signed_distance is checked
+# against, one query point and one edge at a time.
+
+
+def polyline_lengths(vertices: np.ndarray) -> np.ndarray:
+    """Edge lengths of a closed polyline, edge i = v[i] -> v[(i+1) % n]."""
+    diff = np.roll(vertices, -1, axis=0) - vertices
+    return np.hypot(diff[:, 0], diff[:, 1])
+
+
+def point_segment_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
+    """Distance from point p to segment ab and the foot parameter s in [0, 1]."""
+    ab = b - a
+    denom = float(ab @ ab)
+    if denom < 1e-24:
+        s = 0.0
+    else:
+        s = float(np.clip((p - a) @ ab / denom, 0.0, 1.0))
+    q = a + s * ab
+    return float(np.hypot(*(p - q))), s
+
+
+def winding_number(polyline: Polyline, point: np.ndarray) -> int:
+    """Crossing-count winding number of a closed polyline around a point."""
+    v = polyline.vertices
+    a = v
+    b = np.roll(v, -1, axis=0)
+    px, py = float(point[0]), float(point[1])
+    up = (a[:, 1] <= py) & (b[:, 1] > py)
+    down = (b[:, 1] <= py) & (a[:, 1] > py)
+    cross = (b[:, 0] - a[:, 0]) * (py - a[:, 1]) - (b[:, 1] - a[:, 1]) * (px - a[:, 0])
+    return int(np.sum(up & (cross > 0)) - np.sum(down & (cross < 0)))
+
+
+class NearestEdge(NamedTuple):
+    """Closest boundary edge to a query point."""
+
+    edge_index: int
+    foot: np.ndarray  # closest point on the edge
+    s: float  # foot parameter along the edge, 0 at its first vertex
+
+
+def signed_distance(polyline: Polyline, point: np.ndarray) -> tuple[float, NearestEdge]:
+    """Signed distance from a point to a closed polyline.
+
+    Negative inside (nonzero winding), positive outside.  The nearest
+    edge, its foot point, and the foot parameter come along; distance
+    ties resolve to the lowest edge index.
+    """
+    p = np.asarray(point, dtype=np.float64)
+    v = polyline.vertices
+    n = v.shape[0]
+    best_d = np.inf
+    best_edge = 0
+    best_s = 0.0
+    for e in range(n):
+        d, s = point_segment_distance(p, v[e], v[(e + 1) % n])
+        if d < best_d - 1e-15:
+            best_d, best_edge, best_s = d, e, s
+    sign = -1.0 if winding_number(polyline, p) != 0 else 1.0
+    a = v[best_edge]
+    b = v[(best_edge + 1) % n]
+    foot = a + best_s * (b - a)
+    return sign * best_d, NearestEdge(edge_index=best_edge, foot=foot, s=best_s)
 
 
 @given(st.floats(0.0, 1.0))
@@ -45,7 +111,7 @@ def test_adaptive_flatten_stays_near_curve():
 
 def test_flatten_fixed_count_vertices():
     path = disk_path(8, 8, 4)
-    config = RasterizerConfig(flatten_mode="fixed", flatten_fixed_count=16)
+    config = RasterizerConfig(flatten_mode="fixed")
     poly = flatten_bezier(path, config)
     assert poly.vertices.shape == (4 * 16, 2)
 

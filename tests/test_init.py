@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covec.geometry import Polyline, batch_signed_distance, flatten_bezier
-from covec.init_layers import (InitConfig, InitError, SemanticMask,
+from covec.init_layers import (InitError, SemanticMask,
                                attenuation_ratio, fallback_albedo,
                                fallback_segment, fit_bezier_contour,
                                init_layers, kmeans_labels, luma,
@@ -56,7 +56,7 @@ def test_kmeans_uniform_data_single_cluster():
 
 def test_fallback_albedo_uniform_gray():
     img = np.full((16, 16, 3), 0.5)
-    assert np.allclose(fallback_albedo(img, InitConfig()), 1.0)
+    assert np.allclose(fallback_albedo(img), 1.0)
 
 
 def test_fallback_albedo_flattens_vignette():
@@ -66,7 +66,7 @@ def test_fallback_albedo_flattens_vignette():
     yn = (ys + 0.5) / h - 0.5
     vignette = 0.75 + 0.2 * np.exp(-(xn ** 2 + yn ** 2) / (2 * 0.5 ** 2))
     img = np.array([0.6, 0.5, 0.4])[None, None, :] * vignette[:, :, None]
-    out = fallback_albedo(img, InitConfig())
+    out = fallback_albedo(img)
     for c in range(3):
         assert img[:, :, c].std() >= 4.0 * out[:, :, c].std()
 
@@ -76,7 +76,7 @@ def test_fallback_segment_circle_on_field():
     ys, xs = np.mgrid[0:h, 0:w]
     inside = (xs - 24) ** 2 + (ys - 24) ** 2 <= 12 ** 2
     img = np.where(inside[:, :, None], [0.8, 0.1, 0.1], [0.1, 0.1, 0.8])
-    masks = fallback_segment(img, InitConfig(), seed=0)
+    masks = fallback_segment(img, seed=0)
     assert len(masks) == 2
     best = max(masks, key=lambda m: np.sum(m.bitmap & inside))
     agreement = np.sum(best.bitmap == inside) / inside.size
@@ -85,7 +85,7 @@ def test_fallback_segment_circle_on_field():
 
 def test_fallback_segment_uniform_single_mask():
     img = np.full((20, 20, 3), 0.4)
-    masks = fallback_segment(img, InitConfig(), seed=0)
+    masks = fallback_segment(img, seed=0)
     assert len(masks) == 1
     assert masks[0].area == 400
 
@@ -336,9 +336,9 @@ def test_fit_bezier_too_few_vertices():
 def test_attenuation_ratio_formula():
     img = np.full((2, 2, 3), 0.3)
     alb = np.full((2, 2, 3), 0.6)
-    assert np.allclose(attenuation_ratio(img, alb, InitConfig()), 0.5)
+    assert np.allclose(attenuation_ratio(img, alb), 0.5)
     dark = np.full((2, 2, 3), 0.01)
-    assert np.allclose(attenuation_ratio(img, dark, InitConfig()), 1.0)
+    assert np.allclose(attenuation_ratio(img, dark), 1.0)
 
 
 def test_init_layers_shading_free_image():
@@ -348,7 +348,7 @@ def test_init_layers_shading_free_image():
     labels = np.zeros((24, 24), dtype=int)
     labels[:, 12:] = 1
     masks = masks_from_labels(labels, img)
-    result = init_layers(img, img.copy(), masks, InitConfig())
+    result = init_layers(img, img.copy(), masks, dp_epsilon=2.0)
     n_albedo = sum(len(g) for g in result.albedo_groups)
     assert n_albedo == 2
     for group in result.illum_groups:
@@ -365,7 +365,7 @@ def test_init_layers_shadowed_disk_color():
     img = albedo * shading
     labels = inside.astype(int) + 1
     masks = masks_from_labels(labels, img)
-    result = init_layers(img, albedo, masks, InitConfig())
+    result = init_layers(img, albedo, masks, dp_epsilon=2.0)
     colors = [p.fill_color for g in result.illum_groups for p in g]
     assert any(np.all(np.abs(c - 0.5) <= 0.05) for c in colors)
 
@@ -377,7 +377,7 @@ def test_init_layers_counts_and_ranges():
     labels = np.zeros((16, 16), dtype=int)
     labels[8:] = 1
     masks = masks_from_labels(labels, img)
-    result = init_layers(img, img.copy(), masks, InitConfig())
+    result = init_layers(img, img.copy(), masks, dp_epsilon=2.0)
     assert sum(len(g) for g in result.albedo_groups) == len(masks)
     for g in result.albedo_groups:
         for p in g:
@@ -389,4 +389,4 @@ def test_init_layers_counts_and_ranges():
 
 def test_init_layers_requires_masks():
     with pytest.raises(InitError, match="no albedo masks"):
-        init_layers(np.zeros((4, 4, 3)), np.zeros((4, 4, 3)), [], InitConfig())
+        init_layers(np.zeros((4, 4, 3)), np.zeros((4, 4, 3)), [], dp_epsilon=2.0)

@@ -6,13 +6,14 @@ import logging
 import numpy as np
 import pytest
 
-from covec.model import GradientBuffer, RasterizerConfig, VectorPath
-from covec.optimize import (AdamState, LayerOptimizer, Schedule,
+from covec.model import RasterizerConfig, VectorPath
+from covec.optimize import (ADAM_EPS, AdamState, LayerOptimizer, Schedule,
                             StructLossConfig, adam_step, gray_alpha_field,
                             loss_recon, loss_struct, run_structural)
 from covec.raster import WHITE, layer_forward
 
-from conftest import disk_path, square_control_points, square_path
+from conftest import (disk_path, square_control_points, square_path,
+                      zero_gradient)
 
 
 def _render(paths, w, h, rcfg):
@@ -20,11 +21,10 @@ def _render(paths, w, h, rcfg):
 
 
 def test_adam_first_step_closed_form():
-    sched = Schedule()
     g = np.array([1.0, -2.0, 0.5])
     state = AdamState.zeros(3)
-    new = adam_step(np.zeros(3), g, state, 1.0, sched)
-    want = -g / (np.abs(g) + sched.adam_eps)
+    new = adam_step(np.zeros(3), g, state, 1.0)
+    want = -g / (np.abs(g) + ADAM_EPS)
     assert np.allclose(new, want, rtol=1e-12)
     assert np.allclose(new, -np.sign(g), atol=1e-6)
     assert state.step == 1
@@ -32,16 +32,15 @@ def test_adam_first_step_closed_form():
 
 def test_adam_zero_gradient_fixed_point():
     param = np.array([0.3, -0.7])
-    out = adam_step(param, np.zeros(2), AdamState.zeros(2), 1.0, Schedule())
+    out = adam_step(param, np.zeros(2), AdamState.zeros(2), 1.0)
     assert np.array_equal(out, param)
 
 
 def test_adam_converges_on_parabola():
-    sched = Schedule()
     x = np.float64(0.0)
     state = AdamState.zeros(())
     for _ in range(100):
-        x = adam_step(x, 2.0 * (x - 3.0), state, 0.1, sched)
+        x = adam_step(x, 2.0 * (x - 3.0), state, 0.1)
     assert abs(float(x) - 3.0) < 0.1
 
 
@@ -49,13 +48,13 @@ def test_adam_nonfinite_gradient_skips(caplog):
     param = np.array([1.0, 2.0])
     state = AdamState.zeros(2)
     with caplog.at_level(logging.WARNING, logger="covec.optimize"):
-        out = adam_step(param, np.array([np.nan, 1.0]), state, 1.0, Schedule())
+        out = adam_step(param, np.array([np.nan, 1.0]), state, 1.0)
     assert np.array_equal(out, param)
     assert state.step == 1
     assert np.array_equal(state.m, np.zeros(2))
     assert any("non-finite" in r.message for r in caplog.records)
     # a following clean step uses the advanced counter
-    out2 = adam_step(out, np.array([1.0, 1.0]), state, 1.0, Schedule())
+    out2 = adam_step(out, np.array([1.0, 1.0]), state, 1.0)
     assert state.step == 2
     assert np.all(np.isfinite(out2))
 
@@ -80,7 +79,7 @@ def test_struct_loss_coincident_paths_penalized():
     loss, _ = loss_struct([group], [reference], StructLossConfig(lambda_overlap=lam),
                           16, 16, rcfg)
     covs = [pc.coverage for pc in layer_forward(group, WHITE, 16, 16, rcfg).coverages]
-    alpha, _ = gray_alpha_field(covs, 0.5)
+    alpha, _ = gray_alpha_field(covs)
     assert alpha.max() > 0.6
     expect = lam * float(np.maximum(alpha - 0.6, 0.0).sum())
     assert loss == pytest.approx(expect, rel=1e-12)
@@ -305,8 +304,7 @@ def test_layer_optimizer_states_independent():
     paths = [square_path(1, 1, 6, 6), square_path(8, 8, 14, 14)]
     opt = LayerOptimizer(paths, Schedule())
     before_pts = paths[1].control_points.copy()
-    grads = [GradientBuffer.zeros_for(paths[0]),
-             GradientBuffer.zeros_for(paths[1])]
+    grads = [zero_gradient(paths[0]), zero_gradient(paths[1])]
     grads[0].d_control_points += 1.0
     grads[0].d_fill_color += 0.5
     opt.step(grads)
@@ -337,6 +335,6 @@ def test_schedule_validation():
 
 def test_gray_alpha_field_values():
     cov = [np.full((2, 2), 1.0), np.full((2, 2), 1.0)]
-    alpha, prod = gray_alpha_field(cov, 0.5)
+    alpha, prod = gray_alpha_field(cov)
     assert np.allclose(alpha, 0.75) and np.allclose(prod, 0.25)
-    assert np.allclose(gray_alpha_field(cov[:1], 0.5)[0], 0.5)
+    assert np.allclose(gray_alpha_field(cov[:1])[0], 0.5)

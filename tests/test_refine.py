@@ -7,18 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covec.geometry import eval_cubic
 from covec.model import RasterizerConfig, VectorPath
 from covec.optimize import Schedule
 import covec.raster
 import covec.refine
 from covec.raster import WHITE, layer_forward, path_coverage, render_composite
-from covec.refine import (KAPPA, RefineConfig, assign_light_colors,
-                          circle_control_points, cleanup_layer, propose_paths,
-                          refine_layer, separate_layers)
+from covec.refine import (CLEANUP_LOSS_EPS, KAPPA, RefineConfig,
+                          assign_light_colors, circle_control_points,
+                          cleanup_layer, propose_paths, refine_layer,
+                          separate_layers)
 from covec.model import LayeredDocument
 
-from conftest import disk_path, random_path, square_path
+from conftest import disk_path, eval_cubic, random_path, square_path
 
 
 def _render(paths, w, h, rcfg):
@@ -57,7 +57,7 @@ def test_propose_square_blob_centroid_and_radius():
     err = _blob_err(64, 64, 20, 12, 20)
     target = np.full((64, 64, 3), 0.3)
     albedo = np.full((64, 64, 3), 0.5)
-    paths = propose_paths(err, 1, target, albedo, RefineConfig())
+    paths = propose_paths(err, 1, target, albedo)
     assert len(paths) == 1
     ctrl = paths[0].control_points
     center = ctrl[::3].mean(axis=0)
@@ -74,7 +74,7 @@ def test_propose_two_blobs_picks_larger_error():
     err = _blob_err(64, 64, 4, 4, 10, value=0.2)
     err[40:50, 40:50] = 0.9
     target = np.full((64, 64, 3), 0.5)
-    paths = propose_paths(err, 1, target, target, RefineConfig())
+    paths = propose_paths(err, 1, target, target)
     assert len(paths) == 1
     center = paths[0].control_points[::3].mean(axis=0)
     assert abs(center[0] - 45.0) <= 1.0 and abs(center[1] - 45.0) <= 1.0
@@ -82,15 +82,14 @@ def test_propose_two_blobs_picks_larger_error():
 
 def test_propose_zero_error_empty():
     target = np.full((32, 32, 3), 0.5)
-    assert propose_paths(np.zeros((32, 32)), 3, target, target,
-                         RefineConfig()) == []
+    assert propose_paths(np.zeros((32, 32)), 3, target, target) == []
 
 
 def test_propose_skips_undersized_components():
     err = _blob_err(64, 64, 4, 4, 3)        # 9 px, below the 16 px floor
     err[30:35, 30:35] = 1.0                 # 25 px, usable
     target = np.full((64, 64, 3), 0.5)
-    paths = propose_paths(err, 5, target, target, RefineConfig())
+    paths = propose_paths(err, 5, target, target)
     assert len(paths) == 1
     center = paths[0].control_points[::3].mean(axis=0)
     assert abs(center[0] - 32.5) <= 1.0
@@ -99,7 +98,7 @@ def test_propose_skips_undersized_components():
 def test_propose_radius_clamped_to_quarter_canvas():
     err = _blob_err(40, 200, 10, 20, 20)
     target = np.full((40, 200, 3), 0.5)
-    paths = propose_paths(err, 1, target, target, RefineConfig())
+    paths = propose_paths(err, 1, target, target)
     radius = (paths[0].control_points[:, 0].max()
               - paths[0].control_points[:, 0].min()) / 2.0
     assert radius == pytest.approx(10.0)    # min(40, 200)/4, below sqrt(400/pi)
@@ -109,17 +108,16 @@ def test_propose_illumination_color_can_exceed_one():
     err = _blob_err(64, 64, 20, 20, 20)
     albedo = np.full((64, 64, 3), 0.5)
     target = np.full((64, 64, 3), 0.75)     # ratio 1.5 in the blob
-    paths = propose_paths(err, 1, target, albedo, RefineConfig())
+    paths = propose_paths(err, 1, target, albedo)
     assert np.allclose(paths[0].fill_color, 1.5)
-    albedo_tagged = propose_paths(err, 1, target, albedo, RefineConfig(),
-                                  layer_tag="albedo")
+    albedo_tagged = propose_paths(err, 1, target, albedo, layer_tag="albedo")
     assert np.allclose(albedo_tagged[0].fill_color, 1.0)  # albedo range caps
 
 
 def test_propose_requires_positive_n():
     with pytest.raises(ValueError):
         propose_paths(np.zeros((8, 8)), 0, np.zeros((8, 8, 3)),
-                      np.zeros((8, 8, 3)), RefineConfig())
+                      np.zeros((8, 8, 3)))
 
 
 def _highlight_scene(rcfg):
@@ -266,8 +264,7 @@ def test_cleanup_merges_coincident_duplicates():
            disk_path(10, 10, 5, color=(0.4, 0.4, 0.4), tag="illumination")]
     target = _render(dup, 20, 20, rcfg)
     maps = _maps(dup, 20, 20, rcfg)
-    out, removed, merged = cleanup_layer(dup, maps, WHITE, WHITE, target,
-                                         RefineConfig())
+    out, removed, merged = cleanup_layer(dup, maps, WHITE, WHITE, target)
     assert len(out) == 1 and (removed, merged) == (0, 1)
     assert np.allclose(out[0].fill_color, 0.4)
     assert len(maps) == 1   # trimmed in step with the paths
@@ -282,7 +279,7 @@ def test_cleanup_removes_hidden_path():
     paths = [hidden, cover]     # later entries render on top
     target = _render(paths, 24, 24, rcfg)
     out, _, _ = cleanup_layer(paths, _maps(paths, 24, 24, rcfg), WHITE, WHITE,
-                              target, RefineConfig())
+                              target)
     assert all(p is not hidden for p in out)
     assert any(p is cover for p in out)
 
@@ -294,13 +291,12 @@ def test_cleanup_loss_budget(rng):
     target = rng.uniform(0, 1, (24, 24, 3))
     before_img = _render(paths, 24, 24, rcfg)
     before = float(np.mean((before_img - target) ** 2))
-    cfg = RefineConfig()
     out, _, _ = cleanup_layer(list(paths), _maps(paths, 24, 24, rcfg), WHITE,
-                              WHITE, target, cfg)
+                              WHITE, target)
     after_img = _render(out, 24, 24, rcfg)
     after = float(np.mean((after_img - target) ** 2))
     n_changed = len(paths) - len(out)
-    assert after <= before + max(1, n_changed) * cfg.cleanup_loss_eps
+    assert after <= before + max(1, n_changed) * CLEANUP_LOSS_EPS
 
 
 def test_separate_in_range_goes_to_shade():
