@@ -47,29 +47,32 @@ def bernstein3(t) -> np.ndarray:
     return np.stack([u * u * u, 3.0 * u * u * t, 3.0 * u * t * t, t * t * t], axis=-1)
 
 
-def _flatness(quad: np.ndarray) -> float:
-    """Max distance from interior control points to the endpoint chord."""
-    a, b = quad[0], quad[3]
-    chord = b - a
-    norm = np.hypot(chord[0], chord[1])
-    if norm < 1e-12:
-        # Degenerate chord: fall back to distance from the endpoint itself.
-        d = quad[1:3] - a
-        return float(np.max(np.hypot(d[:, 0], d[:, 1])))
-    cross = np.abs(chord[0] * (quad[1:3, 1] - a[1]) - chord[1] * (quad[1:3, 0] - a[0]))
-    return float(np.max(cross / norm))
+def _flatness(quads: np.ndarray) -> np.ndarray:
+    """Per (4, 2) quad: max distance from the two interior control points
+    to the endpoint chord, or to the first endpoint if the chord is
+    degenerate."""
+    a = quads[:, 0]
+    chord = quads[:, 3] - a
+    norm = np.hypot(chord[:, 0], chord[:, 1])
+    rel = quads[:, 1:3] - a[:, None]
+    degenerate = norm < 1e-12
+    cross = np.abs(chord[:, None, 0] * rel[..., 1] - chord[:, None, 1] * rel[..., 0])
+    dist = np.where(degenerate[:, None], np.hypot(rel[..., 0], rel[..., 1]),
+                    cross / np.where(degenerate, 1.0, norm)[:, None])
+    return dist.max(axis=1)
 
 
-def _split_cubic(quad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """de Casteljau split at t = 0.5."""
-    p01 = 0.5 * (quad[0] + quad[1])
-    p12 = 0.5 * (quad[1] + quad[2])
-    p23 = 0.5 * (quad[2] + quad[3])
+def _split_cubic(quads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """de Casteljau split of every (4, 2) quad at t = 0.5."""
+    q0, q1, q2, q3 = quads[:, 0], quads[:, 1], quads[:, 2], quads[:, 3]
+    p01 = 0.5 * (q0 + q1)
+    p12 = 0.5 * (q1 + q2)
+    p23 = 0.5 * (q2 + q3)
     p012 = 0.5 * (p01 + p12)
     p123 = 0.5 * (p12 + p23)
     mid = 0.5 * (p012 + p123)
-    left = np.stack([quad[0], p01, p012, mid])
-    right = np.stack([mid, p123, p23, quad[3]])
+    left = np.stack([q0, p01, p012, mid], axis=1)
+    right = np.stack([mid, p123, p23, q3], axis=1)
     return left, right
 
 
@@ -79,17 +82,37 @@ _MAX_SPLIT_DEPTH = 24
 FLATTEN_FIXED_COUNT = 16
 
 
-def _flatten_segment_adaptive(quad: np.ndarray, t0: float, t1: float,
-                              tolerance: float, out_t: list[float],
-                              depth: int = 0) -> None:
-    """Append interior parameter values (excluding t1) of a flat-enough split."""
-    if depth >= _MAX_SPLIT_DEPTH or _flatness(quad) <= tolerance:
-        out_t.append(t0)
-        return
-    left, right = _split_cubic(quad)
-    tm = 0.5 * (t0 + t1)
-    _flatten_segment_adaptive(left, t0, tm, tolerance, out_t, depth + 1)
-    _flatten_segment_adaptive(right, tm, t1, tolerance, out_t, depth + 1)
+def _adaptive_params(quads: np.ndarray, tolerance: float) -> tuple[np.ndarray, np.ndarray]:
+    """Adaptive subdivision of every segment, one depth level at a time.
+
+    A piece is kept once it passes the flatness test or reaches
+    _MAX_SPLIT_DEPTH; otherwise it splits at its parameter midpoint.
+    Returns (segment, t0) of the kept pieces, ordered by segment and then
+    by t0, i.e. the start parameter of every chord in order along the loop.
+    """
+    seg = np.arange(quads.shape[0])
+    t0 = np.zeros(seg.size)
+    t1 = np.ones(seg.size)
+    kept_seg, kept_t = [], []
+    for depth in range(_MAX_SPLIT_DEPTH + 1):
+        if depth == _MAX_SPLIT_DEPTH:
+            done = np.ones(seg.size, dtype=bool)
+        else:
+            done = _flatness(quads) <= tolerance
+        kept_seg.append(seg[done])
+        kept_t.append(t0[done])
+        split = ~done
+        if not split.any():
+            break
+        quads, seg, t0, t1 = quads[split], seg[split], t0[split], t1[split]
+        tm = 0.5 * (t0 + t1)
+        quads = np.concatenate(_split_cubic(quads))
+        seg = np.concatenate([seg, seg])
+        t0, t1 = np.concatenate([t0, tm]), np.concatenate([tm, t1])
+    seg = np.concatenate(kept_seg)
+    t = np.concatenate(kept_t)
+    order = np.lexsort((t, seg))
+    return seg[order], t[order]
 
 
 def flatten_bezier(path: VectorPath, config: RasterizerConfig) -> Polyline:
@@ -106,28 +129,22 @@ def flatten_bezier(path: VectorPath, config: RasterizerConfig) -> Polyline:
     if np.ptp(path.control_points, axis=0).max() == 0.0:
         raise ValueError("degenerate path: all control points coincide "
                          "(flattens to a single vertex)")
-    seg_idx: list[int] = []
-    ts: list[float] = []
-    for i in range(path.n_segments):
-        quad = path.segment(i)
-        if config.flatten_mode == "fixed":
-            local = [j / FLATTEN_FIXED_COUNT for j in range(FLATTEN_FIXED_COUNT)]
-        else:
-            local = []
-            _flatten_segment_adaptive(quad, 0.0, 1.0, config.flatten_tolerance, local)
-        seg_idx.extend([i] * len(local))
-        ts.extend(local)
-    if len(ts) < 3:
-        seg_idx = [i for i in range(path.n_segments) for _ in range(3)]
-        ts = [j / 3.0 for _ in range(path.n_segments) for j in range(3)]
-    seg_idx_arr = np.asarray(seg_idx, dtype=np.int64)
-    t_arr = np.asarray(ts, dtype=np.float64)
-    verts = np.empty((len(ts), 2))
-    for i in range(path.n_segments):
-        sel = seg_idx_arr == i
+    n_seg = path.n_segments
+    quads = np.stack([path.segment(i) for i in range(n_seg)])
+    if config.flatten_mode == "fixed":
+        seg_idx = np.repeat(np.arange(n_seg), FLATTEN_FIXED_COUNT)
+        t = np.tile(np.arange(FLATTEN_FIXED_COUNT) / FLATTEN_FIXED_COUNT, n_seg)
+    else:
+        seg_idx, t = _adaptive_params(quads, config.flatten_tolerance)
+    if t.size < 3:
+        seg_idx = np.repeat(np.arange(n_seg), 3)
+        t = np.tile(np.arange(3) / 3.0, n_seg)
+    verts = np.empty((t.size, 2))
+    for i in range(n_seg):
+        sel = seg_idx == i
         if np.any(sel):
-            verts[sel] = bernstein3(t_arr[sel]) @ path.segment(i)
-    return Polyline(vertices=verts, seg_index=seg_idx_arr, t=t_arr)
+            verts[sel] = bernstein3(t[sel]) @ quads[i]
+    return Polyline(vertices=verts, seg_index=seg_idx, t=t)
 
 
 def vertex_control_scatter(path: VectorPath, polyline: Polyline) -> tuple[np.ndarray, np.ndarray]:
@@ -145,13 +162,77 @@ def vertex_control_scatter(path: VectorPath, polyline: Polyline) -> tuple[np.nda
     return idx, w
 
 
+# Side of the square tiles that batch_signed_distance groups query points
+# into, in the points' units (pixels for the rasterizer's supersamples).
+SD_TILE = 2.0
+
+# Most points one tile holds; the points of a denser cell fill several tiles.
+_TILE_POINTS_MAX = 64
+
+# Slack on the edge-culling test, relative to the bound plus the squared
+# coordinate scale: rounding moves a computed squared distance by about
+# 1e-16 of that scale, so no edge that can win the argmin is dropped.
+_CULL_SLACK = 1e-9
+
+
+def _foot_offsets(px, py, ax, ay, abx, aby, ab_sq):
+    """Foot parameter on edge a->a+ab, clamped to [0, 1], and p - foot.
+
+    Computes s = ((p - a) . ab) / ab_sq and p - (a + s * ab) in three
+    buffers; each rounding step is that of the plain expression.
+    """
+    dx = px - ax
+    dy = py - ay
+    s = dx * abx
+    dy *= aby
+    s += dy
+    s /= ab_sq
+    np.clip(s, 0.0, 1.0, out=s)
+    np.multiply(s, abx, out=dx)
+    dx += ax
+    np.subtract(px, dx, out=dx)
+    np.multiply(s, aby, out=dy)
+    dy += ay
+    np.subtract(py, dy, out=dy)
+    return s, dx, dy
+
+
+def _kept_edges(keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Edge table of an (edges, tiles) mask: column t lists the edges kept
+    for tile t in ascending order, padded.  Returns the (K, tiles) table
+    and its padding mask."""
+    n_keep = np.count_nonzero(keep, axis=0)
+    table = np.argsort(~keep, axis=0, kind="stable")[:n_keep.max(initial=0)]
+    return table, np.arange(table.shape[0])[:, None] >= n_keep
+
+
 def batch_signed_distance(polyline: Polyline, points: np.ndarray,
-                          chunk: int = 8192) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+                          chunk: int = 2048) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized signed distance for many query points.
 
     Returns (sd, edge_index, foot_s, unit) where ``unit`` is the outward
     derivative d(sd)/d(point), i.e. sign * (p - foot) / |p - foot|, or zero
-    when the query point sits exactly on the boundary.
+    when the query point sits exactly on the boundary.  The nearest edge
+    is the lowest-indexed edge at the minimum squared distance, and the
+    sign comes from the nonzero-winding crossing count.
+
+    Points are grouped into tiles (square cells of side SD_TILE, holding
+    at most _TILE_POINTS_MAX points), and each tile is tested only against
+    the edges that can be nearest to one of its points.  With B the
+    bounding box of the tile's points, edge e's lower bound is the squared
+    gap between B and e's bounding box; the tile's upper bound is the
+    minimum over edges of the squared distance from B's farthest corner to
+    the edge's first vertex.  Every point of B is within the upper bound of
+    some edge, so an edge whose lower bound exceeds it (by more than
+    _CULL_SLACK, which absorbs rounding) is never nearest nor tied for
+    nearest.  Kept edges stay in ascending order and every pair goes
+    through the same foot, distance and argmin arithmetic as a test
+    against every edge, so all four outputs are bit for bit those of the
+    all-pairs computation.  The crossing count likewise takes only the
+    edges whose y-range meets B's, the only ones a horizontal ray from a
+    point of B can cross.  Tiles are processed in groups of at most
+    ``chunk`` points (or one tile, if a tile holds more), which bounds the
+    temporaries.
     """
     pts = np.asarray(points, dtype=np.float64)
     v = polyline.vertices
@@ -160,45 +241,97 @@ def batch_signed_distance(polyline: Polyline, points: np.ndarray,
     ab = b - a
     ab_sq = np.einsum("ij,ij->i", ab, ab)
     ab_sq_safe = np.where(ab_sq < 1e-24, 1.0, ab_sq)
+    ax, ay = np.ascontiguousarray(a.T)
+    abx, aby = np.ascontiguousarray(ab.T)
+    by = b[:, 1].copy()
+    x_lo = np.minimum(ax, b[:, 0])[:, None]
+    x_hi = np.maximum(ax, b[:, 0])[:, None]
+    y_lo = np.minimum(ay, by)[:, None]
+    y_hi = np.maximum(ay, by)[:, None]
 
     n_pts = pts.shape[0]
     sd = np.empty(n_pts)
     edge_idx = np.empty(n_pts, dtype=np.int64)
     foot_s = np.empty(n_pts)
     unit = np.zeros((n_pts, 2))
+    if n_pts == 0:
+        return sd, edge_idx, foot_s, unit
 
-    for lo in range(0, n_pts, chunk):
-        hi = min(lo + chunk, n_pts)
-        p = pts[lo:hi]
-        # (m, e) foot parameters clamped to the segment
-        rel = p[:, None, :] - a[None, :, :]
-        s = np.einsum("mej,ej->me", rel, ab) / ab_sq_safe[None, :]
-        np.clip(s, 0.0, 1.0, out=s)
-        foot = a[None, :, :] + s[..., None] * ab[None, :, :]
-        diff = p[:, None, :] - foot
-        dist_sq = np.einsum("mej,mej->me", diff, diff)
-        e_best = np.argmin(dist_sq, axis=1)
-        m_idx = np.arange(hi - lo)
-        d_best = np.sqrt(dist_sq[m_idx, e_best])
-        s_best = s[m_idx, e_best]
-        diff_best = diff[m_idx, e_best]
+    # sort the points by cell, then cut each cell into tiles
+    x, y = pts[:, 0], pts[:, 1]
+    cx = np.floor((x - x.min()) / SD_TILE).astype(np.int64)
+    cy = np.floor((y - y.min()) / SD_TILE).astype(np.int64)
+    cell = cy * (cx.max() + 1) + cx
+    order = np.argsort(cell, kind="stable")
+    cell = cell[order]
+    xs, ys = x[order], y[order]
+    new_cell = np.r_[True, cell[1:] != cell[:-1]]
+    rank = np.arange(n_pts) - np.flatnonzero(new_cell)[np.cumsum(new_cell) - 1]
+    slot = rank % _TILE_POINTS_MAX
+    tile = np.cumsum(slot == 0) - 1
+    starts = np.flatnonzero(slot == 0)
+    n_tiles = starts.size
+    box_x0 = np.minimum.reduceat(xs, starts)
+    box_x1 = np.maximum.reduceat(xs, starts)
+    box_y0 = np.minimum.reduceat(ys, starts)
+    box_y1 = np.maximum.reduceat(ys, starts)
+    scale_sq = max(np.abs(pts).max(), np.abs(v).max()) ** 2
 
-        # winding via crossing counts, vectorized over the chunk
-        py = p[:, 1][:, None]
-        px = p[:, 0][:, None]
-        up = (a[None, :, 1] <= py) & (b[None, :, 1] > py)
-        down = (b[None, :, 1] <= py) & (a[None, :, 1] > py)
-        cross = ((b[None, :, 0] - a[None, :, 0]) * (py - a[None, :, 1])
-                 - (b[None, :, 1] - a[None, :, 1]) * (px - a[None, :, 0]))
-        wind = np.sum(up & (cross > 0), axis=1) - np.sum(down & (cross < 0), axis=1)
-        sign = np.where(wind != 0, -1.0, 1.0)
+    nearest = np.empty(n_pts, dtype=np.int64)
+    wind = np.empty(n_pts, dtype=np.int64)
+    cuts = np.r_[starts, n_pts]  # tile t is sorted points cuts[t]:cuts[t + 1]
+    step = max(1, chunk // int(np.diff(cuts).max()))
+    for t0 in range(0, n_tiles, step):
+        t1 = min(t0 + step, n_tiles)
+        lo, hi = cuts[t0], cuts[t1]
+        rows, cols = slot[lo:hi], tile[lo:hi] - t0
+        x0, x1 = box_x0[t0:t1], box_x1[t0:t1]
+        y0, y1 = box_y0[t0:t1], box_y1[t0:t1]
+        # (slot, 1, tile) grid of the group's points; empty slots stay 0
+        px = np.zeros((rows.max() + 1, 1, t1 - t0))
+        py = np.zeros_like(px)
+        px[rows, 0, cols] = xs[lo:hi]
+        py[rows, 0, cols] = ys[lo:hi]
 
-        sd[lo:hi] = sign * d_best
-        edge_idx[lo:hi] = e_best
-        foot_s[lo:hi] = s_best
-        nonzero = d_best > 1e-12
-        unit[lo:hi][nonzero] = (sign[nonzero, None] * diff_best[nonzero]
-                                / d_best[nonzero, None])
+        # (edge, tile) bounds on the squared point-edge distance
+        gx = np.maximum(np.maximum(x_lo - x1, x0 - x_hi), 0.0)
+        gy = np.maximum(np.maximum(y_lo - y1, y0 - y_hi), 0.0)
+        fx = np.maximum(np.abs(ax[:, None] - x0), np.abs(ax[:, None] - x1))
+        fy = np.maximum(np.abs(ay[:, None] - y0), np.abs(ay[:, None] - y1))
+        upper = (fx * fx + fy * fy).min(axis=0)
+        keep = gx * gx + gy * gy <= upper + _CULL_SLACK * (upper + scale_sq)
+
+        # (slot, K, tile) squared distances to the kept edges
+        table, pad = _kept_edges(keep)
+        _, dx, dy = _foot_offsets(px, py, ax[table], ay[table], abx[table],
+                                  aby[table], ab_sq_safe[table])
+        dist_sq = dx * dx + dy * dy
+        dist_sq[:, pad] = np.inf
+        k = np.argmin(dist_sq, axis=1)
+        nearest[lo:hi] = table[k[rows, cols], cols]
+
+        # winding via crossing counts over the edges spanning the tile's rows
+        table, pad = _kept_edges((y_lo <= y1) & (y_hi > y0))
+        ey_a, ey_b = ay[table], by[table]
+        up = (ey_a <= py) & (ey_b > py)
+        down = (ey_b <= py) & (ey_a > py)
+        cross = abx[table] * (py - ey_a) - aby[table] * (px - ax[table])
+        live = ~pad
+        counts = (np.count_nonzero(up & (cross > 0) & live, axis=1)
+                  - np.count_nonzero(down & (cross < 0) & live, axis=1))
+        wind[lo:hi] = counts[rows, cols]
+
+    # the nearest pair's foot and offset again, by the same arithmetic
+    e = nearest
+    s, dx, dy = _foot_offsets(xs, ys, ax[e], ay[e], abx[e], aby[e], ab_sq_safe[e])
+    d_best = np.sqrt(dx * dx + dy * dy)
+    sign = np.where(wind != 0, -1.0, 1.0)
+    sd[order] = sign * d_best
+    edge_idx[order] = e
+    foot_s[order] = s
+    signed = sign[:, None] * np.stack([dx, dy], axis=1)
+    unit[order] = np.divide(signed, d_best[:, None], out=np.zeros_like(signed),
+                            where=d_best[:, None] > 1e-12)
     return sd, edge_idx, foot_s, unit
 
 

@@ -29,7 +29,8 @@ PENALTY_MODES = ("paper_literal", "overlap")
 # Opacity every path is re-filled at in the overlap penalty's alpha field.
 GRAY_ALPHA = 0.5
 
-# Learning rate of fill colors and opacity logits.
+# Learning rates of control points, and of fill colors and opacity logits.
+LR_POINTS = 1.0
 LR_COLORS = 0.01
 
 # Adam moment decay rates and denominator stabilizer.
@@ -63,18 +64,15 @@ class StructLossConfig:
 
 @dataclass(frozen=True)
 class Schedule:
-    """Epoch counts of the two stages and the control-point learning rate
-    (colors and opacity logits step at LR_COLORS)."""
+    """Epoch counts of the two stages (``--warmup``, ``--joint``); every
+    Adam step uses the learning rates LR_POINTS and LR_COLORS."""
 
     warmup_epochs: int = 50
     joint_epochs: int = 50
-    lr_points: float = 1.0
 
     def __post_init__(self):
         if self.warmup_epochs < 0 or self.joint_epochs < 0:
             raise ValueError("epoch counts must be nonnegative")
-        if self.lr_points <= 0:
-            raise ValueError("lr_points must be positive")
 
 
 @dataclass
@@ -116,15 +114,14 @@ _OPACITY_CLIP = 1e-3  # keeps the logit finite for opacities at 0 or 1
 class LayerOptimizer:
     """Independent Adam states for every path in one layer.
 
-    Control points update at the schedule's lr_points; colors and the
+    Control points update at learning rate LR_POINTS; colors and the
     opacity logit at LR_COLORS.  After each step colors are projected into
     the layer's valid range and opacity is recovered from its logit, so
     every path invariant survives unconstrained gradient steps.
     """
 
-    def __init__(self, paths: list[VectorPath], schedule: Schedule):
+    def __init__(self, paths: list[VectorPath]):
         self.paths = paths
-        self.schedule = schedule
         self.point_states = [AdamState.zeros(p.control_points.shape) for p in paths]
         self.color_states = [AdamState.zeros(3) for p in paths]
         self.opacity_states = [AdamState.zeros(()) for p in paths]
@@ -138,8 +135,7 @@ class LayerOptimizer:
             raise ValueError("gradient count does not match path count")
         for i, (path, g) in enumerate(zip(self.paths, grads)):
             path.control_points = adam_step(path.control_points, g.d_control_points,
-                                            self.point_states[i],
-                                            self.schedule.lr_points)
+                                            self.point_states[i], LR_POINTS)
             color = adam_step(path.fill_color, g.d_fill_color,
                               self.color_states[i], LR_COLORS)
             path.fill_color = project_color(color, path.layer_tag)
@@ -259,8 +255,8 @@ def run_structural(albedo_groups: list[list[VectorPath]],
     height, width = target.shape[:2]
     albedo_flat = [p for g in albedo_groups for p in g]
     illum_flat = None if illum_groups is None else [p for g in illum_groups for p in g]
-    opt_a = LayerOptimizer(albedo_flat, schedule)
-    opt_i = None if illum_flat is None else LayerOptimizer(illum_flat, schedule)
+    opt_a = LayerOptimizer(albedo_flat)
+    opt_i = None if illum_flat is None else LayerOptimizer(illum_flat)
     trace: list[TraceRow] = []
     for epoch in range(1, schedule.warmup_epochs + 1):
         loss_a, grads_a = loss_struct(albedo_groups, mask_renders_a, struct_cfg,

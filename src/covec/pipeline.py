@@ -33,9 +33,9 @@ from .image_io import read_image, read_label_map
 from .init_layers import (fallback_albedo, fallback_segment, init_layers,
                           masks_from_labels, organize_masks, paths_for_groups,
                           region_binarize)
-from .model import WHITE, LayeredDocument, RasterizerConfig
+from .model import BLACK, WHITE, LayeredDocument, RasterizerConfig
 from .optimize import Schedule, StructLossConfig, TraceRow, run_structural
-from .raster import layer_forward, render_composite
+from .raster import blend, layer_forward, source_over
 from .refine import RefineConfig, assign_light_colors, refine_layer, separate_layers
 from .svg_io import emit_svg
 
@@ -159,18 +159,23 @@ def vectorize(cfg: RunConfig) -> VectorizeResult:
         factor = layer_forward(albedo, WHITE, w, h, rcfg).image
     else:
         layer, tag, factor = albedo, "albedo", WHITE
-    layer, refine_trace = refine_layer(layer, factor, image, cfg.refine_config,
-                                       cfg.schedule, rcfg, budget_left,
-                                       layer_tag=tag)
-    trace.extend(refine_trace)
+    refined = refine_layer(layer, factor, image, cfg.refine_config, cfg.schedule,
+                           rcfg, budget_left, layer_tag=tag)
+    trace.extend(refined.trace)
+    # the three-layer composite (A * S) + L, from renders already held
     if full:
-        shade, light = separate_layers(layer)
-        light = assign_light_colors(light, image, factor, shade, rcfg)
-    else:
-        albedo, shade, light = layer, [], []
+        shade, light = separate_layers(refined.layer)
+        light, shade_img, light_maps = assign_light_colors(light, image, factor,
+                                                           shade, rcfg)
+        light_img = source_over(light, light_maps, BLACK, w, h).image
+        composite = blend("plus_lighter", blend("multiply", factor, shade_img),
+                          light_img)
+    else:  # empty shade and light: (A * 1) + 0 is A
+        albedo, shade, light = refined.layer, [], []
+        composite = refined.image
     doc = LayeredDocument(width=w, height=h, albedo=albedo, illumination=[],
                           shade=shade, light=light)
-    rendered = np.clip(render_composite(doc, "three_layer", rcfg), 0.0, 1.0)
+    rendered = np.clip(composite, 0.0, 1.0)
     mse = float(np.mean((rendered - image) ** 2))
     return VectorizeResult(document=doc, trace=trace, final_mse=mse)
 

@@ -2,17 +2,21 @@
 
 Coverage of a path at a pixel is the mean, over a supersample grid, of a
 logistic smoothstep applied to the signed distance from each sample to the
-flattened outline.  Paths within a layer composite source-over onto the
-layer background; layers combine with multiply (shade) and plus-lighter
-(light).  Nothing is clamped between operations, so composites can carry
-values above 1 until quantization.
+flattened outline.  The distance search (geometry.batch_signed_distance)
+tests each tile of samples only against the outline edges that can be
+nearest to it, and returns bit for bit what testing every edge would.
+Paths within a layer composite source-over onto the layer background;
+layers combine with multiply (shade) and plus-lighter (light).  Nothing is
+clamped between operations, so composites can carry values above 1 until
+quantization.
 
 All source-over compositing runs through ``source_over``, which works on
 precomputed coverage maps: ``layer_forward`` rasterizes a layer and calls
 it, and callers that cache coverage maps (refinement cleanup, gradcheck)
-call it directly.  ``composite_forward``/``composite_backward`` are the
-one render entry point and its matching backward pass; the optimizer's
-reconstruction loss runs through them.
+call it directly.  ``composite_forward``/``composite_backward`` render a
+whole document and run its backward pass; the optimizer's reconstruction
+loss runs through them.  The pipeline's final composite reuses renders it
+already holds, combined with ``source_over`` and ``blend``.
 
 Every forward quantity needed by the analytic backward pass is cached per
 path: sample-level sigmoid values, nearest-edge foot points, and the
@@ -62,7 +66,13 @@ def path_coverage(path: VectorPath, width: int, height: int,
 
     Work is restricted to the path's bounding box padded by
     cutoff_sigmas * aa_sigma; outside that window the logistic tail is
-    below ~1e-13 and coverage is set to exactly zero.
+    below ~1e-13 and coverage is set to exactly zero.  Inside it, every
+    supersample gets its signed distance to the flattened outline from
+    batch_signed_distance, which culls edges per tile of samples without
+    changing a bit of the result, and coverage is the pixel mean of
+    expit(-sd / aa_sigma).  With ``with_grad`` the per-sample sigmoid,
+    nearest edge, foot parameter and unit gradient are kept for
+    coverage_backward.
     """
     poly = flatten_bezier(path, config)
     pad = config.cutoff_sigmas * config.aa_sigma

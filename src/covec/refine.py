@@ -221,27 +221,42 @@ def cleanup_layer(paths: list[VectorPath], coverages: list[np.ndarray],
 STOP_ERROR_MAX = 1e-4
 
 
+@dataclass
+class RefineResult:
+    """A refined layer, its trace rows and its render over white.
+
+    Unpacks as ``(layer, trace)``.
+    """
+
+    layer: list[VectorPath]
+    trace: list[TraceRow]
+    image: np.ndarray
+
+    def __iter__(self):
+        return iter((self.layer, self.trace))
+
+
 def refine_layer(layer: list[VectorPath], frozen_factor: np.ndarray,
                  target: np.ndarray, cfg: RefineConfig, schedule: Schedule,
                  rcfg: RasterizerConfig, budget_remaining: int,
-                 layer_tag: str = "illumination"
-                 ) -> tuple[list[VectorPath], list[TraceRow]]:
+                 layer_tag: str = "illumination") -> RefineResult:
     """Grow one layer with freshly optimized paths over frozen content.
 
     The reconstruction is ``layer render * frozen_factor``; pass WHITE for
-    a layer that stands alone.  Unless there is no round or no budget, the
-    existing paths are rendered once into a base image and never touched
-    again.  Each round proposes new paths over the base, optimizes them
-    alone, rasterizes them once and hands only them to cleanup_layer; the
-    cleaned composite over the base becomes the next round's base and the
-    round's trace loss, and its paths join the frozen stack.  Stops early
-    when the error map's maximum drops below STOP_ERROR_MAX, the budget
-    runs out, or nothing is proposed.
+    a layer that stands alone.  The existing paths are rendered once into a
+    base image and never touched again.  Each round proposes new paths over
+    the base, optimizes them alone, rasterizes them once and hands only
+    them to cleanup_layer; the cleaned composite over the base becomes the
+    next round's base and the round's trace loss, and its paths join the
+    frozen stack.  Stops early when the error map's maximum drops below
+    STOP_ERROR_MAX, the budget runs out, or nothing is proposed.  The last
+    base is the returned layer's render over white, bit for bit what
+    layer_forward would give.  ``schedule`` is not read (Adam steps at the
+    fixed optimize.LR_POINTS/LR_COLORS); the parameter stays so existing
+    positional calls keep binding.
     """
     height, width = target.shape[:2]
     layer = list(layer)
-    if cfg.rounds_max == 0 or budget_remaining <= 0:
-        return layer, []
     base = layer_forward(layer, WHITE, width, height, rcfg).image
     denom = float(width * height * 3)
     trace: list[TraceRow] = []
@@ -259,7 +274,7 @@ def refine_layer(layer: list[VectorPath], frozen_factor: np.ndarray,
                                   layer_tag=layer_tag)
         if not new_paths:
             break
-        opt = LayerOptimizer(new_paths, schedule)
+        opt = LayerOptimizer(new_paths)
         for _it in range(cfg.iters_per_round):
             render = layer_forward(new_paths, base, width, height, rcfg,
                                    with_grad=True)
@@ -277,7 +292,7 @@ def refine_layer(layer: list[VectorPath], frozen_factor: np.ndarray,
                               loss=_recon_loss(base, frozen_factor, target),
                               paths_added=n_new,
                               paths_removed=n_removed + n_merged))
-    return layer, trace
+    return RefineResult(layer, trace, base)
 
 
 def separate_layers(illumination: list[VectorPath]
@@ -305,17 +320,21 @@ def separate_layers(illumination: list[VectorPath]
 
 def assign_light_colors(light: list[VectorPath], target: np.ndarray,
                         albedo_render: np.ndarray, shade: list[VectorPath],
-                        rcfg: RasterizerConfig) -> list[VectorPath]:
+                        rcfg: RasterizerConfig
+                        ) -> tuple[list[VectorPath], np.ndarray, list[np.ndarray]]:
     """Color light paths from the additive residual under their support.
 
     The residual is target minus the albedo render times the shade layer's
     render.  Each light path takes the mean residual over its coverage >
     0.5 support, clamped at 0; paths with empty support are dropped.
+    Returns the kept light paths, the shade layer's render over white and
+    the kept paths' coverage maps, from which the three-layer composite
+    follows without rasterizing again.
     """
     height, width = target.shape[:2]
     s_img = layer_forward(shade, WHITE, width, height, rcfg).image
     residual = target - albedo_render * s_img
-    out = []
+    out, maps = [], []
     for p in light:
         cov = path_coverage(p, width, height, rcfg).coverage
         support = cov > 0.5
@@ -323,4 +342,5 @@ def assign_light_colors(light: list[VectorPath], target: np.ndarray,
             continue
         p.fill_color = np.maximum(residual[support].mean(axis=0), 0.0)
         out.append(p)
-    return out
+        maps.append(cov)
+    return out, s_img, maps

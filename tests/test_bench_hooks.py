@@ -59,3 +59,28 @@ def test_tracer_install_patches_and_uninstall_restores(perfbench):
         assert changed == [], f"{name}: bindings not restored: {changed}"
     # the benchmark's own check of the cross-module bindings it relies on
     selftest.check_patching()
+
+
+def test_tracer_counts_nominal_point_edge_pairs(perfbench):
+    # the counter binds batch_signed_distance's ``polyline`` and ``points``
+    # by name; it counts every supersample of the window against every
+    # polyline vertex, however many pairs the function actually tests
+    tracer, _ = perfbench
+    import covec.raster as raster
+    from covec.model import RasterizerConfig
+
+    from conftest import disk_path
+
+    rcfg = RasterizerConfig()
+    tr = tracer.Tracer()
+    tr.install()
+    try:
+        pc = raster.path_coverage(disk_path(20, 14, 5), 40, 32, rcfg)
+    finally:
+        tr.uninstall()
+    x0, y0, x1, y1 = pc.window
+    samples = (x1 - x0) * (y1 - y0) * rcfg.supersample ** 2
+    assert samples > 0
+    assert (tr.counts["geometry.batch_signed_distance.point_edge_pairs"]
+            == samples * pc.polyline.n_vertices)
+    assert tr.counts["raster.path_coverage.calls_nograd"] == 1

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covec.geometry import (Polyline, batch_signed_distance, bernstein3,
-                            flatten_bezier, polygon_area, simplify_closed,
-                            vertex_control_scatter, _farthest_pair)
+from covec.geometry import (_MAX_SPLIT_DEPTH, Polyline, batch_signed_distance,
+                            bernstein3, flatten_bezier, polygon_area,
+                            simplify_closed, vertex_control_scatter, _farthest_pair)
 from covec.model import RasterizerConfig, VectorPath
 
 from conftest import disk_path, eval_cubic, square_control_points, square_path
@@ -81,6 +81,96 @@ def signed_distance(polyline: Polyline, point: np.ndarray) -> tuple[float, Neare
     return sign * best_d, NearestEdge(edge_index=best_edge, foot=foot, s=best_s)
 
 
+def _all_pairs_signed_distance(polyline: Polyline, points: np.ndarray,
+                               chunk: int = 8192
+                               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """batch_signed_distance by testing every point against every edge.
+
+    The edge-culled production version must return these four arrays bit
+    for bit.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    v = polyline.vertices
+    a = v
+    b = np.roll(v, -1, axis=0)
+    ab = b - a
+    ab_sq = np.einsum("ij,ij->i", ab, ab)
+    ab_sq_safe = np.where(ab_sq < 1e-24, 1.0, ab_sq)
+
+    n_pts = pts.shape[0]
+    sd = np.empty(n_pts)
+    edge_idx = np.empty(n_pts, dtype=np.int64)
+    foot_s = np.empty(n_pts)
+    unit = np.zeros((n_pts, 2))
+
+    for lo in range(0, n_pts, chunk):
+        hi = min(lo + chunk, n_pts)
+        p = pts[lo:hi]
+        # (m, e) foot parameters clamped to the segment
+        rel = p[:, None, :] - a[None, :, :]
+        s = np.einsum("mej,ej->me", rel, ab) / ab_sq_safe[None, :]
+        np.clip(s, 0.0, 1.0, out=s)
+        foot = a[None, :, :] + s[..., None] * ab[None, :, :]
+        diff = p[:, None, :] - foot
+        dist_sq = np.einsum("mej,mej->me", diff, diff)
+        e_best = np.argmin(dist_sq, axis=1)
+        m_idx = np.arange(hi - lo)
+        d_best = np.sqrt(dist_sq[m_idx, e_best])
+        s_best = s[m_idx, e_best]
+        diff_best = diff[m_idx, e_best]
+
+        # winding via crossing counts, vectorized over the chunk
+        py = p[:, 1][:, None]
+        px = p[:, 0][:, None]
+        up = (a[None, :, 1] <= py) & (b[None, :, 1] > py)
+        down = (b[None, :, 1] <= py) & (a[None, :, 1] > py)
+        cross = ((b[None, :, 0] - a[None, :, 0]) * (py - a[None, :, 1])
+                 - (b[None, :, 1] - a[None, :, 1]) * (px - a[None, :, 0]))
+        wind = np.sum(up & (cross > 0), axis=1) - np.sum(down & (cross < 0), axis=1)
+        sign = np.where(wind != 0, -1.0, 1.0)
+
+        sd[lo:hi] = sign * d_best
+        edge_idx[lo:hi] = e_best
+        foot_s[lo:hi] = s_best
+        nonzero = d_best > 1e-12
+        unit[lo:hi][nonzero] = (sign[nonzero, None] * diff_best[nonzero]
+                                / d_best[nonzero, None])
+    return sd, edge_idx, foot_s, unit
+
+
+def _flatness_one(quad: np.ndarray) -> float:
+    a, b = quad[0], quad[3]
+    chord = b - a
+    norm = np.hypot(chord[0], chord[1])
+    if norm < 1e-12:
+        d = quad[1:3] - a
+        return float(np.max(np.hypot(d[:, 0], d[:, 1])))
+    cross = np.abs(chord[0] * (quad[1:3, 1] - a[1]) - chord[1] * (quad[1:3, 0] - a[0]))
+    return float(np.max(cross / norm))
+
+
+def _split_one(quad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    p01 = 0.5 * (quad[0] + quad[1])
+    p12 = 0.5 * (quad[1] + quad[2])
+    p23 = 0.5 * (quad[2] + quad[3])
+    p012 = 0.5 * (p01 + p12)
+    p123 = 0.5 * (p12 + p23)
+    mid = 0.5 * (p012 + p123)
+    return np.stack([quad[0], p01, p012, mid]), np.stack([mid, p123, p23, quad[3]])
+
+
+def _recursive_params(quad, t0, t1, tolerance, out_t, depth=0):
+    """Depth-first subdivision of one segment, one call per piece: the
+    reference the level-by-level flattening must match bit for bit."""
+    if depth >= _MAX_SPLIT_DEPTH or _flatness_one(quad) <= tolerance:
+        out_t.append(t0)
+        return
+    left, right = _split_one(quad)
+    tm = 0.5 * (t0 + t1)
+    _recursive_params(left, t0, tm, tolerance, out_t, depth + 1)
+    _recursive_params(right, tm, t1, tolerance, out_t, depth + 1)
+
+
 @given(st.floats(0.0, 1.0))
 def test_bernstein_partition_of_unity(t):
     w = bernstein3(np.asarray(t))
@@ -107,6 +197,35 @@ def test_adaptive_flatten_stays_near_curve():
             pts = eval_cubic(quad, np.linspace(0, 1, 50))
             sd = np.abs(batch_signed_distance(poly, pts)[0])
             assert sd.max() <= config.flatten_tolerance + 1e-6
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([0.001, 0.1, 1.0, 5.0]))
+def test_adaptive_flatten_matches_recursive_subdivision(seed, tolerance):
+    rng = np.random.default_rng(seed)
+    n_seg = int(rng.integers(1, 8))
+    ctrl = (rng.normal(0.0, float(rng.choice([0.01, 1.0, 30.0])), (3 * n_seg, 2))
+            + rng.uniform(0, 64, 2))
+    if rng.random() < 0.3:  # degenerate chords and collapsed handles
+        ctrl[rng.integers(0, 3 * n_seg, 2)] = ctrl[0]
+        if np.ptp(ctrl, axis=0).max() == 0.0:  # not all of them
+            ctrl[-1] += 1.0
+    path = VectorPath(control_points=ctrl, fill_color=np.zeros(3), opacity=1.0,
+                      layer_tag="albedo")
+    poly = flatten_bezier(path, RasterizerConfig(flatten_tolerance=tolerance))
+    seg_idx, ts = [], []
+    for i in range(n_seg):
+        local = []
+        _recursive_params(path.segment(i), 0.0, 1.0, tolerance, local)
+        seg_idx += [i] * len(local)
+        ts += local
+    if len(ts) >= 3:
+        assert poly.seg_index.tolist() == seg_idx
+        assert poly.t.tobytes() == np.asarray(ts).tobytes()
+    for i in range(n_seg):
+        sel = poly.seg_index == i
+        assert np.array_equal(poly.vertices[sel],
+                              bernstein3(poly.t[sel]) @ path.segment(i))
 
 
 def test_flatten_fixed_count_vertices():
@@ -167,6 +286,72 @@ def test_batch_signed_distance_matches_scalar(rng):
         d_ref, near = signed_distance(poly, p)
         assert sd[i] == pytest.approx(d_ref, abs=1e-12)
         assert edge[i] == near.edge_index
+
+
+def _assert_matches_all_pairs(poly: Polyline, pts: np.ndarray, chunk: int = 2048):
+    got = batch_signed_distance(poly, pts, chunk)
+    want = _all_pairs_signed_distance(poly, pts)
+    for name, g, w in zip(("sd", "edge_index", "foot_s", "unit"), got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape, name
+        assert np.array_equal(g, w), name
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.sampled_from([1, 300, 2048]))
+def test_batch_signed_distance_matches_all_pairs_on_bezier_loops(seed, ss, chunk):
+    # random (often self-intersecting) closed Bezier loops, flattened as the
+    # rasterizer does, against a supersample grid spanning the whole canvas
+    rng = np.random.default_rng(seed)
+    size = int(rng.integers(4, 40))
+    n_seg = int(rng.integers(2, 7))
+    ctrl = rng.uniform(-0.2 * size, 1.2 * size, (3 * n_seg, 2))
+    path = VectorPath(control_points=ctrl, fill_color=np.zeros(3), opacity=1.0,
+                      layer_tag="albedo")
+    poly = flatten_bezier(path, RasterizerConfig(flatten_tolerance=float(rng.choice([0.02, 0.1, 1.0]))))
+    coords = (np.arange(size * ss) + 0.5) / ss
+    gy, gx = np.meshgrid(coords, coords, indexing="ij")
+    _assert_matches_all_pairs(poly, np.stack([gx.ravel(), gy.ravel()], axis=1), chunk)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 64, 2048]))
+def test_batch_signed_distance_matches_all_pairs_on_lattice_polygons(seed, chunk):
+    # integer vertices, some repeated (zero-length edges); queries on the
+    # vertices, on edge midpoints, on a half-integer lattice (many points
+    # equidistant from two or more edges, so argmin ties), in dense clusters
+    # and scattered far away
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 16))
+    verts = rng.integers(0, 12, (n, 2)).astype(np.float64)
+    repeat = rng.random(n) < 0.2
+    verts = np.repeat(verts, np.where(repeat, 2, 1), axis=0)
+    if np.ptp(verts, axis=0).max() == 0.0:
+        verts[0] += 1.0
+    poly = Polyline(vertices=verts)
+    mids = 0.5 * (verts + np.roll(verts, -1, axis=0))
+    half = np.arange(-2.0, 14.5, 0.5)
+    gy, gx = np.meshgrid(half, half, indexing="ij")
+    cluster = rng.uniform(0, 12, 2) + rng.uniform(0, 0.5, (int(rng.integers(0, 200)), 2))
+    far = rng.uniform(-200, 200, (int(rng.integers(0, 20)), 2))
+    pts = np.concatenate([verts, mids, np.stack([gx.ravel(), gy.ravel()], axis=1),
+                          cluster, far])
+    _assert_matches_all_pairs(poly, rng.permutation(pts), chunk)
+
+
+def test_batch_signed_distance_ties_and_empty():
+    square = Polyline(vertices=np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 0.0],
+                                         [4.0, 4.0], [0.0, 4.0]]))
+    pts = np.array([[2.0, 2.0], [1.0, 1.0], [3.0, 3.0], [4.0, 0.0], [2.0, 0.0]])
+    _assert_matches_all_pairs(square, pts)
+    sd, edge, s, unit = batch_signed_distance(square, pts)
+    # edge 1 has zero length; the centre ties all four sides, (1, 1) the
+    # bottom (0) and the left (4), (3, 3) the right (2) and the top (3):
+    # the lowest edge index wins
+    assert edge.tolist()[:3] == [0, 0, 2]
+    assert sd[0] == -2.0 and sd[3] == 0.0 and np.array_equal(unit[3], [0.0, 0.0])
+    out = batch_signed_distance(square, np.zeros((0, 2)))
+    assert [o.shape for o in out] == [(0,), (0,), (0,), (0, 2)]
+    _assert_matches_all_pairs(square, np.zeros((0, 2)))
 
 
 def test_signed_distance_gradient_is_unit_vector(rng):

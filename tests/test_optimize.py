@@ -302,7 +302,7 @@ def test_run_structural_preserves_invariants():
 
 def test_layer_optimizer_states_independent():
     paths = [square_path(1, 1, 6, 6), square_path(8, 8, 14, 14)]
-    opt = LayerOptimizer(paths, Schedule())
+    opt = LayerOptimizer(paths)
     before_pts = paths[1].control_points.copy()
     grads = [zero_gradient(paths[0]), zero_gradient(paths[1])]
     grads[0].d_control_points += 1.0
@@ -317,7 +317,7 @@ def test_layer_optimizer_states_independent():
 
 
 def test_layer_optimizer_grad_count_mismatch():
-    opt = LayerOptimizer([square_path(0, 0, 4, 4)], Schedule())
+    opt = LayerOptimizer([square_path(0, 0, 4, 4)])
     with pytest.raises(ValueError, match="gradient count"):
         opt.step([])
 
@@ -325,8 +325,6 @@ def test_layer_optimizer_grad_count_mismatch():
 def test_schedule_validation():
     with pytest.raises(ValueError):
         Schedule(warmup_epochs=-1)
-    with pytest.raises(ValueError):
-        Schedule(lr_points=0.0)
     with pytest.raises(ValueError):
         StructLossConfig(penalty_sign="bogus")
     with pytest.raises(ValueError):

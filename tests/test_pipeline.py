@@ -1,0 +1,38 @@
+"""pipeline.vectorize end to end on small scenes."""
+
+import numpy as np
+import pytest
+
+from covec.image_io import read_image, write_label_png, write_png
+from covec.model import RasterizerConfig
+from covec.pipeline import RunConfig, vectorize
+from covec.raster import render_composite
+from covec.synthetic import make_acceptance_scene, make_icon_scene
+
+
+@pytest.mark.parametrize("mode", ["full", "albedo_only"])
+def test_final_mse_is_that_of_a_fresh_three_layer_render(mode, tmp_path):
+    # final_mse is composed from renders the run already holds; it must be
+    # bit for bit the MSE of rasterizing the finished document again
+    target = tmp_path / "target.png"
+    files = {}
+    if mode == "full":
+        scene = make_acceptance_scene()
+        write_png(target, scene.target, bit_depth=16)
+        files = {"albedo_path": str(tmp_path / "albedo.png"),
+                 "masks_path": str(tmp_path / "labels.png")}
+        write_png(files["albedo_path"], scene.albedo, bit_depth=16)
+        write_label_png(files["masks_path"], scene.labels)
+    else:
+        write_png(target, make_icon_scene(24), bit_depth=16)
+    cfg = RunConfig(input_path=str(target), output_path=str(tmp_path / "out.svg"),
+                    mode=mode, path_budget=24 if mode == "full" else 8,
+                    warmup_epochs=2, joint_epochs=2, refine_rounds=1,
+                    refine_iters=5, **files)
+    result = vectorize(cfg)
+    doc = result.document
+    if mode == "full":
+        assert doc.shade and doc.light
+    rendered = np.clip(render_composite(doc, "three_layer", RasterizerConfig()),
+                       0.0, 1.0)
+    assert result.final_mse == float(np.mean((rendered - read_image(target)) ** 2))

@@ -138,10 +138,12 @@ def test_refine_rounds_zero_noop():
     albedo, target = _highlight_scene(rcfg)
     illum = [square_path(0, 0, 32, 32, color=(0.9, 0.9, 0.9),
                          tag="illumination")]
-    out, trace = refine_layer(illum, _render(albedo, 32, 32, rcfg), target,
-                              RefineConfig(rounds_max=0), Schedule(), rcfg,
-                              budget_remaining=8)
+    refined = refine_layer(illum, _render(albedo, 32, 32, rcfg), target,
+                           RefineConfig(rounds_max=0), Schedule(), rcfg,
+                           budget_remaining=8)
+    out, trace = refined
     assert out == illum and trace == []
+    assert np.array_equal(refined.image, _render(illum, 32, 32, rcfg))
 
 
 def test_refine_zero_budget_noop():
@@ -247,8 +249,9 @@ def test_refine_trace_loss_is_fresh_render_mse(mode):
     else:   # a standalone layer, as in albedo-only mode
         frozen, factor, tag = albedo, WHITE, "albedo"
     cfg = RefineConfig(rounds_max=3, iters_per_round=4, paths_per_round=1)
-    out, trace = refine_layer(frozen, factor, target, cfg, Schedule(), rcfg,
-                              budget_remaining=4, layer_tag=tag)
+    refined = refine_layer(frozen, factor, target, cfg, Schedule(), rcfg,
+                           budget_remaining=4, layer_tag=tag)
+    out, trace = refined
     assert len(trace) >= 2
     n = len(frozen)
     for row in trace:
@@ -256,6 +259,8 @@ def test_refine_trace_loss_is_fresh_render_mse(mode):
         diff = _render(out[:n], 32, 32, rcfg) * factor - target
         assert row.loss == float(np.mean(diff * diff))
     assert n == len(out)
+    # the returned image is the final layer's render, bit for bit
+    assert np.array_equal(refined.image, _render(out, 32, 32, rcfg))
 
 
 def test_cleanup_merges_coincident_duplicates():
@@ -341,7 +346,7 @@ def test_assign_light_colors_zero_residual():
     albedo = [square_path(0, 0, 16, 16, color=(0.5, 0.5, 0.5))]
     target = _render(albedo, 16, 16, rcfg)
     light = [disk_path(8, 8, 4, color=(0.0, 0.0, 0.0), tag="light")]
-    out = assign_light_colors(light, target, target, [], rcfg)  # target = albedo
+    out, _, _ = assign_light_colors(light, target, target, [], rcfg)  # target = albedo
     assert len(out) == 1
     assert np.allclose(out[0].fill_color, 0.0, atol=1e-12)
     assert np.all(out[0].fill_color >= 0.0)
@@ -351,8 +356,8 @@ def test_assign_light_colors_uniform_boost():
     rcfg = RasterizerConfig()
     albedo, target = _highlight_scene(rcfg)
     light = [disk_path(20, 12, 6, color=(0.0, 0.0, 0.0), tag="light")]
-    out = assign_light_colors(light, target, _render(albedo, 32, 32, rcfg), [],
-                              rcfg)
+    out, _, _ = assign_light_colors(light, target, _render(albedo, 32, 32, rcfg),
+                                    [], rcfg)
     assert len(out) == 1
     assert np.all(np.abs(out[0].fill_color - 0.3) <= 0.02)
 
@@ -361,16 +366,16 @@ def test_assign_light_colors_drops_empty_support():
     rcfg = RasterizerConfig()
     target = np.full((16, 16, 3), 0.5)
     outside = disk_path(100, 100, 3, color=(0.0, 0.0, 0.0), tag="light")
-    out = assign_light_colors([outside], target, WHITE, [], rcfg)
-    assert out == []
+    out, _, maps = assign_light_colors([outside], target, WHITE, [], rcfg)
+    assert out == [] and maps == []
 
 
 def test_three_layer_beats_two_layer():
     rcfg = RasterizerConfig()
     albedo, target = _highlight_scene(rcfg)
     light = [disk_path(20, 12, 6, color=(0.0, 0.0, 0.0), tag="light")]
-    light = assign_light_colors(light, target, _render(albedo, 32, 32, rcfg), [],
-                                rcfg)
+    light, _, _ = assign_light_colors(light, target, _render(albedo, 32, 32, rcfg),
+                                      [], rcfg)
     doc3 = LayeredDocument(width=32, height=32, albedo=albedo,
                            illumination=[], shade=[], light=light)
     doc2 = LayeredDocument(width=32, height=32, albedo=albedo,
