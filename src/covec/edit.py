@@ -119,7 +119,7 @@ def _path_mask(path: VectorPath, width: int, height: int,
 def candidate_paths(doc: LayeredDocument, original: np.ndarray,
                     reference: np.ndarray, edit_mask: np.ndarray,
                     cfg: EditConfig,
-                    rcfg: RasterizerConfig | None = None
+                    rcfg: RasterizerConfig = RasterizerConfig()
                     ) -> list[EditCandidate]:
     """Albedo paths overlapping the edit mask, largest support first.
 
@@ -129,11 +129,9 @@ def candidate_paths(doc: LayeredDocument, original: np.ndarray,
     keeps small shifts by construction; scenes with drastic recolors
     should raise delta_color accordingly.
     """
-    rcfg = rcfg or RasterizerConfig()
-    albedo = doc.albedo or []
     edit_area = int(edit_mask.sum())
     out: list[EditCandidate] = []
-    for idx, path in enumerate(albedo):
+    for idx, path in enumerate(doc.albedo):
         support = _path_mask(path, doc.width, doc.height, rcfg)
         n_support = int(support.sum())
         if n_support == 0:
@@ -156,7 +154,7 @@ def candidate_paths(doc: LayeredDocument, original: np.ndarray,
 
 def apply_color_edit(doc: LayeredDocument, candidates: list[EditCandidate],
                      reference: np.ndarray, cfg: EditConfig,
-                     rcfg: RasterizerConfig | None = None
+                     rcfg: RasterizerConfig = RasterizerConfig()
                      ) -> tuple[LayeredDocument, EditReport]:
     """Recolor the top-K candidate paths toward the reference.
 
@@ -167,7 +165,6 @@ def apply_color_edit(doc: LayeredDocument, candidates: list[EditCandidate],
     Asking for more paths than exist edits them all and records the
     shortfall in the report.
     """
-    rcfg = rcfg or RasterizerConfig()
     edited = doc.copy()
     report = EditReport(requested_k=cfg.top_k, n_candidates=len(candidates))
     chosen = candidates[:cfg.top_k]
@@ -199,10 +196,9 @@ def apply_color_edit(doc: LayeredDocument, candidates: list[EditCandidate],
 
 def run_edit(doc: LayeredDocument, original: np.ndarray,
              reference: np.ndarray, cfg: EditConfig,
-             rcfg: RasterizerConfig | None = None
+             rcfg: RasterizerConfig = RasterizerConfig()
              ) -> tuple[LayeredDocument, EditReport]:
     """Full edit pass: mask, candidates, recolor, before/after MSE."""
-    rcfg = rcfg or RasterizerConfig()
     if (original.shape[0] != doc.height or original.shape[1] != doc.width):
         raise ValueError("original image does not match document dimensions")
     edit_mask = compute_edit_mask(original, reference, cfg.tau_diff)

@@ -28,11 +28,6 @@ from .refine import circle_control_points
 
 logger = logging.getLogger(__name__)
 
-# Fault-injection hook for the self-tests: set to "flip_color" to negate
-# color gradients and confirm the checker reports failures.  Always None
-# in normal operation.
-_CORRUPT: str | None = None
-
 # Central-difference steps for control-point coordinates and for colors and
 # opacities, the agreement tolerances, and the control-point coordinates
 # sampled per path.
@@ -53,6 +48,8 @@ class GradCheckConfig:
     def __post_init__(self):
         if self.n_probes < 0:
             raise ValueError("n_probes must be nonnegative")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
 
 @dataclass
@@ -129,12 +126,7 @@ def _analytic_grads(doc: LayeredDocument, target: np.ndarray,
                     config: RasterizerConfig):
     result = composite_forward(doc, "two_layer", config, with_grad=True)
     upstream = 2.0 * (result.image - target) / result.image.size
-    grads = composite_backward(doc, result, upstream, config)
-    if _CORRUPT == "flip_color":
-        for buffers in grads.values():
-            for g in buffers:
-                g.d_fill_color = -g.d_fill_color
-    return grads
+    return composite_backward(doc, result, upstream, config)
 
 
 def _agree(analytic: float, numeric: float) -> bool:
@@ -143,9 +135,8 @@ def _agree(analytic: float, numeric: float) -> bool:
     return diff < ABS_TOL or diff < REL_TOL * scale
 
 
-def run_gradcheck(cfg: GradCheckConfig | None = None) -> GradCheckReport:
+def run_gradcheck(cfg: GradCheckConfig = GradCheckConfig()) -> GradCheckReport:
     """Run all probes and collect every disagreement."""
-    cfg = cfg or GradCheckConfig()
     report = GradCheckReport(n_probes=cfg.n_probes)
     if cfg.n_probes == 0:
         logger.warning("gradcheck ran zero probes; result is vacuous")

@@ -35,6 +35,7 @@ def quantize(img: np.ndarray, maxval: int) -> np.ndarray:
 
 
 def dequantize(q: np.ndarray, maxval: int) -> np.ndarray:
+    """Map integers in [0, maxval] back to floats in [0, 1]."""
     return q.astype(np.float64) / maxval
 
 
@@ -45,6 +46,16 @@ def dequantize(q: np.ndarray, maxval: int) -> np.ndarray:
 def _chunk(tag: bytes, payload: bytes) -> bytes:
     crc = zlib.crc32(tag + payload) & 0xFFFFFFFF
     return struct.pack(">I", len(payload)) + tag + payload + struct.pack(">I", crc)
+
+
+def _png_bytes(scan: np.ndarray, w: int, h: int, bit_depth: int,
+               color_type: int) -> bytes:
+    """A complete PNG file from (h, row bytes) scanlines, all filter type 0."""
+    filtered = np.concatenate([np.zeros((h, 1), np.uint8), scan], axis=1)
+    ihdr = struct.pack(">IIBBBBB", w, h, bit_depth, color_type, 0, 0, 0)
+    return (_PNG_MAGIC + _chunk(b"IHDR", ihdr)
+            + _chunk(b"IDAT", zlib.compress(filtered.tobytes(), 6))
+            + _chunk(b"IEND", b""))
 
 
 def write_png(path, img: np.ndarray, bit_depth: int = 8) -> None:
@@ -63,12 +74,7 @@ def write_png(path, img: np.ndarray, bit_depth: int = 8) -> None:
     else:
         raw = q.astype(">u2")
         scan = raw.view(np.uint8).reshape(h, w * 6)
-    filtered = np.concatenate([np.zeros((h, 1), np.uint8), scan], axis=1)
-    ihdr = struct.pack(">IIBBBBB", w, h, bit_depth, 2, 0, 0, 0)
-    data = (_PNG_MAGIC + _chunk(b"IHDR", ihdr)
-            + _chunk(b"IDAT", zlib.compress(filtered.tobytes(), 6))
-            + _chunk(b"IEND", b""))
-    Path(path).write_bytes(data)
+    Path(path).write_bytes(_png_bytes(scan, w, h, bit_depth, 2))
 
 
 def write_label_png(path, labels: np.ndarray) -> None:
@@ -86,12 +92,7 @@ def write_label_png(path, labels: np.ndarray) -> None:
         if labels.max() > 65535:
             raise ValueError("labels above 65535 are unsupported")
         scan = labels.astype(">u2").view(np.uint8).reshape(h, w * 2)
-    filtered = np.concatenate([np.zeros((h, 1), np.uint8), scan], axis=1)
-    ihdr = struct.pack(">IIBBBBB", w, h, bit_depth, 0, 0, 0, 0)
-    data = (_PNG_MAGIC + _chunk(b"IHDR", ihdr)
-            + _chunk(b"IDAT", zlib.compress(filtered.tobytes(), 6))
-            + _chunk(b"IEND", b""))
-    Path(path).write_bytes(data)
+    Path(path).write_bytes(_png_bytes(scan, w, h, bit_depth, 0))
 
 
 def _paeth(a: int, b: int, c: int) -> int:
@@ -191,8 +192,7 @@ def read_png(path) -> np.ndarray:
     straight alpha.
     """
     planes, depth, ctype = _read_png_planes(path)
-    maxval = (1 << depth) - 1
-    x = planes.astype(np.float64) / maxval
+    x = dequantize(planes, (1 << depth) - 1)
     if ctype == 0:
         return np.repeat(x, 3, axis=2)
     if ctype == 2:
@@ -269,7 +269,7 @@ def read_ppm(path) -> np.ndarray:
     else:
         raw = np.frombuffer(data, np.uint8, need, pos)
         raw = (raw[0::2].astype(np.uint32) << 8) | raw[1::2]
-    return raw.reshape(h, w, 3).astype(np.float64) / maxval
+    return dequantize(raw.reshape(h, w, 3), maxval)
 
 
 # ---------------------------------------------------------------------------

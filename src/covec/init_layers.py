@@ -38,27 +38,18 @@ class InitError(ValueError):
 
 @dataclass
 class SemanticMask:
-    """Binary region with its pixel count and mean reference color."""
+    """Binary region with its pixel count."""
 
     bitmap: np.ndarray  # (H, W) bool
     area: int
-    mean_color: np.ndarray  # (3,)
 
     @classmethod
-    def from_bitmap(cls, bitmap: np.ndarray, reference: np.ndarray) -> "SemanticMask":
+    def from_bitmap(cls, bitmap: np.ndarray) -> "SemanticMask":
         bitmap = np.asarray(bitmap, dtype=bool)
         area = int(bitmap.sum())
         if area == 0:
             raise ValueError("mask bitmap is empty")
-        mean_color = reference[bitmap].mean(axis=0)
-        return cls(bitmap=bitmap, area=area, mean_color=mean_color)
-
-
-@dataclass
-class MaskGroupSet:
-    """Masks partitioned into groups with no overlap inside any group."""
-
-    groups: list[list[SemanticMask]]
+        return cls(bitmap=bitmap, area=area)
 
 
 def luma(image: np.ndarray) -> np.ndarray:
@@ -177,15 +168,15 @@ def fallback_segment(image: np.ndarray, seed: int) -> list[SemanticMask]:
     comp = _merge_small_components(comp, min_area)
     masks = []
     for cid in np.unique(comp):
-        masks.append(SemanticMask.from_bitmap(comp == cid, image))
+        masks.append(SemanticMask.from_bitmap(comp == cid))
     return masks
 
 
-def masks_from_labels(label_map: np.ndarray, image: np.ndarray) -> list[SemanticMask]:
+def masks_from_labels(label_map: np.ndarray) -> list[SemanticMask]:
     """One mask per distinct label value, in ascending label order."""
     masks = []
     for value in np.unique(label_map):
-        masks.append(SemanticMask.from_bitmap(label_map == value, image))
+        masks.append(SemanticMask.from_bitmap(label_map == value))
     if not masks:
         raise InitError("label map contains no labels")
     return masks
@@ -217,7 +208,7 @@ def region_binarize(image: np.ndarray, masks: list[SemanticMask]) -> list[Semant
     for m in masks:
         dark = region_threshold(image, m)
         if np.any(dark):
-            out.append(SemanticMask.from_bitmap(dark, image))
+            out.append(SemanticMask.from_bitmap(dark))
     return out
 
 
@@ -229,7 +220,7 @@ def _overlaps(a: SemanticMask, b: SemanticMask) -> bool:
     return bool(np.any(a.bitmap & b.bitmap))
 
 
-def organize_masks(masks: list[SemanticMask]) -> MaskGroupSet:
+def organize_masks(masks: list[SemanticMask]) -> list[list[SemanticMask]]:
     """Partition masks into non-overlapping groups ordered back to front.
 
     Greedy first-fit packing: masks are taken largest-first (ties by
@@ -250,7 +241,7 @@ def organize_masks(masks: list[SemanticMask]) -> MaskGroupSet:
                 break
         else:
             groups.append([m])
-    return MaskGroupSet(groups=groups)
+    return groups
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +375,7 @@ def attenuation_ratio(image: np.ndarray, albedo_map: np.ndarray) -> np.ndarray:
     return np.clip(image / denom, 0.0, 1.0)
 
 
-def paths_for_groups(group_set: MaskGroupSet, color_image: np.ndarray,
+def paths_for_groups(mask_groups: list[list[SemanticMask]], color_image: np.ndarray,
                      layer_tag: str, dp_epsilon: float,
                      width: int, height: int) -> tuple[list[list[VectorPath]], list[np.ndarray]]:
     """Build one VectorPath per mask plus a flat-color reference render per group.
@@ -396,7 +387,7 @@ def paths_for_groups(group_set: MaskGroupSet, color_image: np.ndarray,
     """
     groups: list[list[VectorPath]] = []
     renders: list[np.ndarray] = []
-    for group in group_set.groups:
+    for group in mask_groups:
         paths = []
         render = np.ones((height, width, 3))
         for mask in group:
@@ -417,8 +408,6 @@ class InitResult:
     illum_groups: list[list[VectorPath]]
     albedo_renders: list[np.ndarray]
     illum_renders: list[np.ndarray]
-    albedo_mask_groups: MaskGroupSet
-    illum_mask_groups: MaskGroupSet
 
 
 def init_layers(image: np.ndarray, albedo_map: np.ndarray,
@@ -432,15 +421,11 @@ def init_layers(image: np.ndarray, albedo_map: np.ndarray,
     if not seg_masks:
         raise InitError("no albedo masks found")
     h, w = image.shape[:2]
-    albedo_groups_m = organize_masks(seg_masks)
-    a_groups, a_renders = paths_for_groups(albedo_groups_m, albedo_map,
+    a_groups, a_renders = paths_for_groups(organize_masks(seg_masks), albedo_map,
                                            "albedo", dp_epsilon, w, h)
     shadow_masks = region_binarize(image, seg_masks)
-    illum_groups_m = organize_masks(shadow_masks)
     ratio = attenuation_ratio(image, albedo_map)
-    i_groups, i_renders = paths_for_groups(illum_groups_m, ratio,
+    i_groups, i_renders = paths_for_groups(organize_masks(shadow_masks), ratio,
                                            "illumination", dp_epsilon, w, h)
     return InitResult(albedo_groups=a_groups, illum_groups=i_groups,
-                      albedo_renders=a_renders, illum_renders=i_renders,
-                      albedo_mask_groups=albedo_groups_m,
-                      illum_mask_groups=illum_groups_m)
+                      albedo_renders=a_renders, illum_renders=i_renders)

@@ -83,42 +83,28 @@ class LayeredDocument:
     """Ordered vector layers over a fixed canvas.
 
     Within each list, paths render back to front (index 0 is deepest).
-    A layer set to None is absent, which is distinct from an empty list
-    (present but contributing nothing).
+    Every layer is a list; an empty one contributes nothing.
     """
 
     width: int
     height: int
     albedo: list[VectorPath] = field(default_factory=list)
-    illumination: list[VectorPath] | None = None
-    shade: list[VectorPath] | None = None
-    light: list[VectorPath] | None = None
+    illumination: list[VectorPath] = field(default_factory=list)
+    shade: list[VectorPath] = field(default_factory=list)
+    light: list[VectorPath] = field(default_factory=list)
 
-    def layer(self, tag: str) -> list[VectorPath] | None:
+    def layer(self, tag: str) -> list[VectorPath]:
         if tag not in LAYER_TAGS:
             raise ValueError(f"unknown layer_tag {tag!r}")
         return getattr(self, tag)
 
     def all_paths(self) -> list[VectorPath]:
-        out: list[VectorPath] = []
-        for tag in LAYER_TAGS:
-            layer = getattr(self, tag)
-            if layer is not None:
-                out.extend(layer)
-        return out
+        return [p for tag in LAYER_TAGS for p in getattr(self, tag)]
 
     def copy(self) -> "LayeredDocument":
-        def cp(layer):
-            return None if layer is None else [p.copy() for p in layer]
-
-        return LayeredDocument(
-            width=self.width,
-            height=self.height,
-            albedo=cp(self.albedo),
-            illumination=cp(self.illumination),
-            shade=cp(self.shade),
-            light=cp(self.light),
-        )
+        return LayeredDocument(self.width, self.height,
+                               **{tag: [p.copy() for p in getattr(self, tag)]
+                                  for tag in LAYER_TAGS})
 
 
 @dataclass

@@ -200,29 +200,27 @@ def loss_struct(groups: list[list[VectorPath]], mask_renders: list[np.ndarray],
     return total, all_grads
 
 
-def loss_recon(albedo: list[VectorPath], illumination: list[VectorPath] | None,
+def loss_recon(albedo: list[VectorPath], illumination: list[VectorPath],
                target: np.ndarray, width: int, height: int,
                rcfg: RasterizerConfig
-               ) -> tuple[float, list[GradientBuffer], list[GradientBuffer] | None]:
+               ) -> tuple[float, list[GradientBuffer], list[GradientBuffer]]:
     """Mean squared error of the composite against the target image.
 
     The composite is the two-layer product of the albedo and illumination
     renders (each over white), run through composite_forward/backward.
-    Without an illumination layer (single-layer mode) an empty one stands
-    in: its white render is the identity of multiply, so the albedo render
-    is compared directly, and the illumination gradients come back None.
+    An empty illumination layer renders white, the identity of multiply,
+    so the albedo render is compared directly and its gradients are [].
     """
     if target.shape != (height, width, 3):
         raise ValueError("target dims do not match the canvas")
     doc = LayeredDocument(width=width, height=height, albedo=albedo,
-                          illumination=illumination or [])
+                          illumination=illumination)
     result = composite_forward(doc, "two_layer", rcfg, with_grad=True)
     diff = result.image - target
     loss = float(np.mean(diff * diff))
     up = 2.0 * diff / float(width * height * 3)
     grads = composite_backward(doc, result, up, rcfg)
-    grads_i = None if illumination is None else grads["illumination"]
-    return loss, grads["albedo"], grads_i
+    return loss, grads["albedo"], grads["illumination"]
 
 
 @dataclass
@@ -237,10 +235,10 @@ class TraceRow:
 
 
 def run_structural(albedo_groups: list[list[VectorPath]],
-                   illum_groups: list[list[VectorPath]] | None,
+                   illum_groups: list[list[VectorPath]],
                    target: np.ndarray,
                    mask_renders_a: list[np.ndarray],
-                   mask_renders_i: list[np.ndarray] | None,
+                   mask_renders_i: list[np.ndarray],
                    schedule: Schedule,
                    struct_cfg: StructLossConfig,
                    rcfg: RasterizerConfig) -> list[TraceRow]:
@@ -249,32 +247,29 @@ def run_structural(albedo_groups: list[list[VectorPath]],
     Paths are updated in place.  Each layer keeps its own optimizer from
     start to finish; warm-up steps them on their own structure losses
     (the trace row holds the summed loss), joint epochs step both on the
-    shared reconstruction loss.  With illum_groups None only the albedo
-    layer trains and reconstruction compares its render directly.
+    shared reconstruction loss.  With no illumination groups (albedo-only
+    mode) that layer adds 0.0 to every warm-up loss and takes no steps,
+    and reconstruction compares the albedo render directly.
     """
     height, width = target.shape[:2]
     albedo_flat = [p for g in albedo_groups for p in g]
-    illum_flat = None if illum_groups is None else [p for g in illum_groups for p in g]
+    illum_flat = [p for g in illum_groups for p in g]
     opt_a = LayerOptimizer(albedo_flat)
-    opt_i = None if illum_flat is None else LayerOptimizer(illum_flat)
+    opt_i = LayerOptimizer(illum_flat)
     trace: list[TraceRow] = []
     for epoch in range(1, schedule.warmup_epochs + 1):
         loss_a, grads_a = loss_struct(albedo_groups, mask_renders_a, struct_cfg,
                                       width, height, rcfg)
         opt_a.step(grads_a)
-        loss_total = loss_a
-        if opt_i is not None:
-            loss_i, grads_i = loss_struct(illum_groups, mask_renders_i, struct_cfg,
-                                          width, height, rcfg)
-            opt_i.step(grads_i)
-            loss_total += loss_i
-        trace.append(TraceRow(epoch=epoch, stage="warmup", loss=loss_total))
+        loss_i, grads_i = loss_struct(illum_groups, mask_renders_i, struct_cfg,
+                                      width, height, rcfg)
+        opt_i.step(grads_i)
+        trace.append(TraceRow(epoch=epoch, stage="warmup", loss=loss_a + loss_i))
     for epoch in range(1, schedule.joint_epochs + 1):
         loss, grads_a, grads_i = loss_recon(albedo_flat, illum_flat, target,
                                             width, height, rcfg)
         opt_a.step(grads_a)
-        if opt_i is not None:
-            opt_i.step(grads_i)
+        opt_i.step(grads_i)
         trace.append(TraceRow(epoch=schedule.warmup_epochs + epoch,
                               stage="joint", loss=loss))
     return trace

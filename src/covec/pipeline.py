@@ -75,6 +75,8 @@ class RunConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.path_budget is not None and self.path_budget < 1:
             raise ValueError("path budget must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.mode == "albedo_only" and self.albedo_path is not None:
             raise ValueError("an albedo estimate is only used in full mode")
         if self.dp_epsilon < 0:
@@ -129,7 +131,7 @@ def _load_masks(cfg: RunConfig, image: np.ndarray):
     if labels.shape != image.shape[:2]:
         raise ValueError(f"label map shape {labels.shape} does not match "
                          f"input image {image.shape[:2]}")
-    return masks_from_labels(labels, image)
+    return masks_from_labels(labels)
 
 
 def vectorize(cfg: RunConfig) -> VectorizeResult:
@@ -148,19 +150,19 @@ def vectorize(cfg: RunConfig) -> VectorizeResult:
         groups_m = organize_masks(seg_masks + region_binarize(image, seg_masks))
         a_groups, a_renders = paths_for_groups(groups_m, image, "albedo",
                                                cfg.dp_epsilon, w, h)
-        i_groups = i_renders = None
+        i_groups, i_renders = [], []
     trace = run_structural(a_groups, i_groups, image, a_renders, i_renders,
                            cfg.schedule, cfg.struct_config, rcfg)
     albedo = [p for g in a_groups for p in g]
-    illum = [p for g in i_groups or [] for p in g]
+    illum = [p for g in i_groups for p in g]
     budget_left = max(0, cfg.effective_budget - len(albedo) - len(illum))
     if full:
         layer, tag = illum, "illumination"
         factor = layer_forward(albedo, WHITE, w, h, rcfg).image
     else:
         layer, tag, factor = albedo, "albedo", WHITE
-    refined = refine_layer(layer, factor, image, cfg.refine_config, cfg.schedule,
-                           rcfg, budget_left, layer_tag=tag)
+    refined = refine_layer(layer, factor, image, cfg.refine_config, rcfg,
+                           budget_left, layer_tag=tag)
     trace.extend(refined.trace)
     # the three-layer composite (A * S) + L, from renders already held
     if full:

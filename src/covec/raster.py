@@ -303,9 +303,6 @@ def composite_forward(doc: LayeredDocument, mode: str, config: RasterizerConfig,
         raise ValueError(f"unknown composite mode {mode!r}")
     factor = _factor_tag(mode)
     tags = ["albedo", factor] + (["light"] if mode == "three_layer" else [])
-    for tag in tags:
-        if doc.layer(tag) is None:
-            raise ValueError(f"missing required layer: {tag}")
     renders = {tag: layer_forward(doc.layer(tag), BLACK if tag == "light" else WHITE,
                                   doc.width, doc.height, config, with_grad)
                for tag in tags}

@@ -20,7 +20,7 @@ import numpy as np
 from scipy import ndimage
 
 from .model import SHADE_FLOOR, WHITE, VectorPath, project_color
-from .optimize import LayerOptimizer, Schedule, TraceRow
+from .optimize import LayerOptimizer, TraceRow
 from .raster import (RasterizerConfig, layer_backward, layer_forward, path_coverage,
                      source_over)
 
@@ -223,23 +223,16 @@ STOP_ERROR_MAX = 1e-4
 
 @dataclass
 class RefineResult:
-    """A refined layer, its trace rows and its render over white.
-
-    Unpacks as ``(layer, trace)``.
-    """
+    """A refined layer, its trace rows and its render over white."""
 
     layer: list[VectorPath]
     trace: list[TraceRow]
     image: np.ndarray
 
-    def __iter__(self):
-        return iter((self.layer, self.trace))
-
 
 def refine_layer(layer: list[VectorPath], frozen_factor: np.ndarray,
-                 target: np.ndarray, cfg: RefineConfig, schedule: Schedule,
-                 rcfg: RasterizerConfig, budget_remaining: int,
-                 layer_tag: str = "illumination") -> RefineResult:
+                 target: np.ndarray, cfg: RefineConfig, rcfg: RasterizerConfig,
+                 budget_remaining: int, layer_tag: str = "illumination") -> RefineResult:
     """Grow one layer with freshly optimized paths over frozen content.
 
     The reconstruction is ``layer render * frozen_factor``; pass WHITE for
@@ -251,9 +244,8 @@ def refine_layer(layer: list[VectorPath], frozen_factor: np.ndarray,
     frozen stack.  Stops early when the error map's maximum drops below
     STOP_ERROR_MAX, the budget runs out, or nothing is proposed.  The last
     base is the returned layer's render over white, bit for bit what
-    layer_forward would give.  ``schedule`` is not read (Adam steps at the
-    fixed optimize.LR_POINTS/LR_COLORS); the parameter stays so existing
-    positional calls keep binding.
+    layer_forward would give.  Adam steps at the fixed
+    optimize.LR_POINTS/LR_COLORS.
     """
     height, width = target.shape[:2]
     layer = list(layer)

@@ -64,14 +64,12 @@ def _path_d(path: VectorPath) -> str:
 def emit_svg(doc: LayeredDocument, out=None) -> bytes:
     """Serialize a three-layer document to canonical SVG bytes.
 
-    Requires albedo, shade, and light layers (possibly empty lists); a
-    document still carrying unseparated illumination paths is rejected.
+    Writes the albedo, shade and light layers, empty ones as empty
+    groups; a document still carrying unseparated illumination paths is
+    rejected.
     When ``out`` is given (path or binary file object), bytes are also
     written there.
     """
-    for tag in _LAYER_ORDER:
-        if doc.layer(tag) is None:
-            raise ValueError(f"missing required layer: {tag}")
     if doc.illumination:
         raise ValueError("document still has unseparated illumination paths")
     w, h = int(doc.width), int(doc.height)
@@ -336,17 +334,16 @@ def _ref_layer(paths: list[VectorPath], background: np.ndarray, width: int,
 
 
 def reference_composite(doc: LayeredDocument,
-                        config: RasterizerConfig | None = None,
+                        config: RasterizerConfig = RasterizerConfig(),
                         scale: int = 1) -> np.ndarray:
     """Independent evaluation of the albedo * shade + light chain.
 
     Exists purely to cross-check the production rasterizer; shares only
     the Bezier flattening with it.  ``scale`` > 1 renders at an integer
     multiple of the native canvas (geometry scaled, smoothing kept in
-    output-pixel units).  Missing layers default to their blend
-    identities (white for multiply, black for plus-lighter).
+    output-pixel units).  Empty layers render as their blend identities
+    (white for multiply, black for plus-lighter).
     """
-    config = config or RasterizerConfig()
     if scale < 1:
         raise ValueError("scale must be >= 1")
     w, h = doc.width * scale, doc.height * scale
@@ -358,10 +355,7 @@ def reference_composite(doc: LayeredDocument,
                            fill_color=p.fill_color.copy(), opacity=p.opacity,
                            layer_tag=p.layer_tag) for p in paths]
 
-    albedo = doc.albedo if doc.albedo is not None else []
-    shade = doc.shade if doc.shade is not None else []
-    light = doc.light if doc.light is not None else []
-    a_img = _ref_layer(scaled(albedo), np.ones(3), w, h, config)
-    s_img = _ref_layer(scaled(shade), np.ones(3), w, h, config)
-    l_img = _ref_layer(scaled(light), np.zeros(3), w, h, config)
+    a_img = _ref_layer(scaled(doc.albedo), np.ones(3), w, h, config)
+    s_img = _ref_layer(scaled(doc.shade), np.ones(3), w, h, config)
+    l_img = _ref_layer(scaled(doc.light), np.zeros(3), w, h, config)
     return a_img * s_img + l_img

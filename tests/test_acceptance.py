@@ -25,7 +25,6 @@ from covec.gradcheck import GradCheckConfig, run_gradcheck
 from covec.image_io import read_image, write_png, write_label_png
 from covec.init_layers import SemanticMask, region_binarize, trace_boundary
 from covec.model import BLACK, WHITE, LayeredDocument, RasterizerConfig
-from covec.optimize import Schedule
 from covec.raster import blend, layer_forward, path_coverage, render_composite
 from covec.refine import RefineConfig, refine_layer, separate_layers
 from covec.svg_io import emit_svg, parse_svg, reference_composite
@@ -195,13 +194,13 @@ def test_04_region_split_oracle():
         w = int(rng.integers(8, 15))
         image = rng.uniform(0.0, 1.0, (h, w, 3))
         labels = rng.integers(0, 4, size=(h, w))
-        masks = [SemanticMask.from_bitmap(labels == v, image)
+        masks = [SemanticMask.from_bitmap(labels == v)
                  for v in range(4) if np.any(labels == v)]
         y0 = int(rng.integers(0, h - 4))
         x0 = int(rng.integers(0, w - 4))
         rect = np.zeros((h, w), dtype=bool)
         rect[y0:y0 + 4, x0:x0 + 4] = True
-        masks.append(SemanticMask.from_bitmap(rect, image))
+        masks.append(SemanticMask.from_bitmap(rect))
         got = region_binarize(image, masks)
         want = _binarize_oracle(image, masks)
         n_regions += len(masks)
@@ -377,7 +376,6 @@ def test_08_refinement_freeze():
     for y0, x0, factor in spots:
         target[y0:y0 + 6, x0:x0 + 6] *= factor
     cfg = RefineConfig(rounds_max=1, iters_per_round=15, paths_per_round=1)
-    sched = Schedule(warmup_epochs=1, joint_epochs=1)
     illum = []
     budget = 8
     frozen_ok = True
@@ -386,7 +384,7 @@ def test_08_refinement_freeze():
         d_albedo = _params_digest(albedo)
         d_existing = _params_digest(illum)
         factor = layer_forward(albedo, WHITE, 32, 32, rcfg).image
-        out, _ = refine_layer(illum, factor, target, cfg, sched, rcfg, budget)
+        out = refine_layer(illum, factor, target, cfg, rcfg, budget).layer
         frozen_ok = frozen_ok and _params_digest(albedo) == d_albedo
         frozen_ok = frozen_ok and _params_digest(out[:len(illum)]) == d_existing
         added_total += len(out) - len(illum)

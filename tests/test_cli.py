@@ -199,6 +199,7 @@ def test_vectorize_albedo_only_rejects_albedo_file(tmp_path, capsys):
     ("refine_rounds", -1), ("refine_iters", 0), ("warmup_epochs", -1),
     ("joint_epochs", -1), ("lambda_overlap", -1.0), ("delta_overlap", 1.5),
     ("penalty_sign", "bogus"), ("dp_epsilon", -1.0), ("aa_sigma", 0.0),
+    ("seed", -1),
 ])
 def test_run_config_rejects_invalid_values(field, value):
     with pytest.raises(ValueError):
@@ -208,6 +209,7 @@ def test_run_config_rejects_invalid_values(field, value):
 @pytest.mark.parametrize("flag", [
     ["--rounds", "-1"], ["--iters", "0"], ["--warmup", "-1"],
     ["--lambda", "-1"], ["--dp-eps", "-1"], ["--aa-sigma", "0"],
+    ["--seed", "-1"],
 ])
 def test_vectorize_invalid_value_exits_2_before_any_work(flag, tmp_path, capsys,
                                                          monkeypatch):
@@ -329,6 +331,12 @@ def test_gradcheck_negative_probes_exits_2(capsys):
     assert "n_probes" in err and "PASS" not in out
 
 
+def test_gradcheck_negative_seed_exits_2(capsys):
+    code, out, err = _run(["gradcheck", "--seed", "-1"], capsys)
+    assert code == 2
+    assert "seed must be nonnegative" in err and "PASS" not in out
+
+
 def test_gradcheck_small_run_passes(capsys):
     code, out, _ = _run(["gradcheck", "--probes", "2", "--seed", "5"], capsys)
     assert code == 0
@@ -337,7 +345,16 @@ def test_gradcheck_small_run_passes(capsys):
 
 def test_gradcheck_detects_corruption(capsys, monkeypatch):
     import covec.gradcheck as gc
-    monkeypatch.setattr(gc, "_CORRUPT", "flip_color")
+    real_backward = gc.composite_backward
+
+    def flip_color(*args):
+        grads = real_backward(*args)
+        for buffers in grads.values():
+            for g in buffers:
+                g.d_fill_color = -g.d_fill_color
+        return grads
+
+    monkeypatch.setattr(gc, "composite_backward", flip_color)
     code, out, _ = _run(["gradcheck", "--probes", "2", "--seed", "5"], capsys)
     assert code == 1
     assert "probe" in out

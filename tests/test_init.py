@@ -16,11 +16,8 @@ from covec.init_layers import (InitError, SemanticMask,
 from covec.model import RasterizerConfig, VectorPath
 
 
-def _mask(bitmap, image=None):
-    bitmap = np.asarray(bitmap, dtype=bool)
-    if image is None:
-        image = np.zeros(bitmap.shape + (3,))
-    return SemanticMask.from_bitmap(bitmap, image)
+def _mask(bitmap):
+    return SemanticMask.from_bitmap(bitmap)
 
 
 def test_luma_rec601_weights():
@@ -93,20 +90,19 @@ def test_fallback_segment_uniform_single_mask():
 def test_masks_from_labels_zero_is_a_region():
     labels = np.zeros((4, 8), dtype=int)
     labels[:, 4:] = 1
-    image = np.zeros((4, 8, 3))
-    masks = masks_from_labels(labels, image)
+    masks = masks_from_labels(labels)
     assert len(masks) == 2
     assert masks[0].area == masks[1].area == 16
 
 
 def test_masks_from_labels_empty_errors():
     with pytest.raises(InitError):
-        masks_from_labels(np.zeros((0, 0), dtype=int), np.zeros((0, 0, 3)))
+        masks_from_labels(np.zeros((0, 0), dtype=int))
 
 
 def test_region_binarize_constant_region():
     img = np.full((6, 6, 3), 0.5)
-    out = region_binarize(img, [_mask(np.ones((6, 6), bool), img)])
+    out = region_binarize(img, [_mask(np.ones((6, 6), bool))])
     assert len(out) == 1
     assert np.array_equal(out[0].bitmap, np.ones((6, 6), bool))
 
@@ -115,7 +111,7 @@ def test_region_binarize_two_level_region():
     img = np.zeros((4, 8, 3))
     img[:, :4] = 0.2
     img[:, 4:] = 0.8
-    out = region_binarize(img, [_mask(np.ones((4, 8), bool), img)])
+    out = region_binarize(img, [_mask(np.ones((4, 8), bool))])
     expect = np.zeros((4, 8), bool)
     expect[:, :4] = True
     assert np.array_equal(out[0].bitmap, expect)
@@ -154,7 +150,7 @@ def test_region_binarize_matches_pixel_loop(seed):
     for _ in range(3):
         bm = rng.uniform(0, 1, (12, 10)) < 0.4
         if bm.any():
-            masks.append(_mask(bm, img))
+            masks.append(_mask(bm))
     got = region_binarize(img, masks)
     want = _binarize_oracle(img, masks)
     assert len(got) == len(want)
@@ -165,7 +161,7 @@ def test_region_binarize_matches_pixel_loop(seed):
 def test_binarize_output_subset_of_input(rng):
     img = rng.uniform(0, 1, (10, 10, 3))
     bm = rng.uniform(0, 1, (10, 10)) < 0.5
-    out = region_binarize(img, [_mask(bm, img)])
+    out = region_binarize(img, [_mask(bm)])
     for m in out:
         assert not np.any(m.bitmap & ~bm)
 
@@ -177,8 +173,8 @@ def test_organize_disjoint_single_group():
     b = np.zeros((6, 6), bool)
     b[5, 0] = True
     out = organize_masks([masks[0], _mask(a), _mask(b)])
-    assert len(out.groups) == 1
-    assert len(out.groups[0]) == 3
+    assert len(out) == 1
+    assert len(out[0]) == 3
 
 
 def test_organize_nested_three_groups():
@@ -189,10 +185,10 @@ def test_organize_nested_three_groups():
     small = np.zeros((8, 8), bool)
     small[3:5, 3:5] = True
     out = organize_masks([_mask(small), _mask(big), _mask(mid)])
-    assert [len(g) for g in out.groups] == [1, 1, 1]
-    assert out.groups[0][0].area == 36
-    assert out.groups[1][0].area == 16
-    assert out.groups[2][0].area == 4
+    assert [len(g) for g in out] == [1, 1, 1]
+    assert out[0][0].area == 36
+    assert out[1][0].area == 16
+    assert out[2][0].area == 4
 
 
 def test_organize_first_fit_prefers_earliest_group():
@@ -205,9 +201,9 @@ def test_organize_first_fit_prefers_earliest_group():
     overlap = np.zeros((8, 8), bool)
     overlap[2:4, 0:2] = True
     out = organize_masks([_mask(big), _mask(dot), _mask(overlap)])
-    assert len(out.groups) == 2
-    assert len(out.groups[0]) == 2
-    assert len(out.groups[1]) == 1
+    assert len(out) == 2
+    assert len(out[0]) == 2
+    assert len(out[1]) == 1
 
 
 @settings(max_examples=25, deadline=None)
@@ -223,7 +219,7 @@ def test_organize_partition_properties(seed):
         masks.append(_mask(np.ones((9, 9), bool)))
     out = organize_masks(masks)
     seen = 0
-    for group in out.groups:
+    for group in out:
         seen += len(group)
         stack = np.zeros((9, 9), dtype=int)
         for m in group:
@@ -347,7 +343,7 @@ def test_init_layers_shading_free_image():
     img[:, 12:] = [0.2, 0.6, 0.4]
     labels = np.zeros((24, 24), dtype=int)
     labels[:, 12:] = 1
-    masks = masks_from_labels(labels, img)
+    masks = masks_from_labels(labels)
     result = init_layers(img, img.copy(), masks, dp_epsilon=2.0)
     n_albedo = sum(len(g) for g in result.albedo_groups)
     assert n_albedo == 2
@@ -364,7 +360,7 @@ def test_init_layers_shadowed_disk_color():
     shading = np.where(ys >= 16, 0.5, 1.0)[:, :, None]
     img = albedo * shading
     labels = inside.astype(int) + 1
-    masks = masks_from_labels(labels, img)
+    masks = masks_from_labels(labels)
     result = init_layers(img, albedo, masks, dp_epsilon=2.0)
     colors = [p.fill_color for g in result.illum_groups for p in g]
     assert any(np.all(np.abs(c - 0.5) <= 0.05) for c in colors)
@@ -376,14 +372,14 @@ def test_init_layers_counts_and_ranges():
     img[8:] = 0.3
     labels = np.zeros((16, 16), dtype=int)
     labels[8:] = 1
-    masks = masks_from_labels(labels, img)
+    masks = masks_from_labels(labels)
     result = init_layers(img, img.copy(), masks, dp_epsilon=2.0)
     assert sum(len(g) for g in result.albedo_groups) == len(masks)
     for g in result.albedo_groups:
         for p in g:
             assert p.fill_color.min() >= 0.0 and p.fill_color.max() <= 1.0
-    for bm_group, path_group in zip(result.illum_mask_groups.groups,
-                                    result.illum_groups):
+    mask_groups = organize_masks(region_binarize(img, masks))
+    for bm_group, path_group in zip(mask_groups, result.illum_groups):
         assert len(bm_group) == len(path_group)
 
 

@@ -143,8 +143,8 @@ def test_recon_loss_single_layer_mode():
     rcfg = RasterizerConfig()
     albedo = [square_path(1, 1, 7, 7, color=(0.4, 0.5, 0.6))]
     target = _render(albedo, 8, 8, rcfg)
-    loss, grads, gi = loss_recon(albedo, None, target, 8, 8, rcfg)
-    assert loss == 0.0 and gi is None and len(grads) == 1
+    loss, grads, gi = loss_recon(albedo, [], target, 8, 8, rcfg)
+    assert loss == 0.0 and gi == [] and len(grads) == 1
 
 
 def test_recon_loss_dim_mismatch():

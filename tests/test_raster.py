@@ -12,6 +12,8 @@ from covec.raster import (blend, composite_backward, composite_forward,
                           layer_backward, layer_forward, path_coverage,
                           render_composite, source_over)
 
+from covec.svg_io import emit_svg
+
 from conftest import disk_path, random_path, square_path
 
 
@@ -129,12 +131,22 @@ def test_composite_equals_explicit_chain(rcfg, rng):
     assert np.array_equal(out2, blend("multiply", a, i))
 
 
-def test_composite_missing_layer_errors(rcfg):
+def test_composite_unknown_mode_errors(rcfg):
     doc = LayeredDocument(width=8, height=8, albedo=[])
-    with pytest.raises(ValueError, match="missing required layer"):
-        render_composite(doc, "two_layer", rcfg)
     with pytest.raises(ValueError, match="unknown composite mode"):
         render_composite(doc, "overlay", rcfg)
+
+
+def test_omitted_layers_match_empty_lists(rcfg):
+    albedo = [disk_path(6, 6, 4, color=(0.8, 0.3, 0.1)),
+              square_path(2, 3, 9, 10, color=(0.1, 0.5, 0.9), opacity=0.6)]
+    omitted = LayeredDocument(12, 12, albedo=albedo)
+    explicit = LayeredDocument(12, 12, albedo=albedo, illumination=[],
+                               shade=[], light=[])
+    for mode in ("two_layer", "three_layer"):
+        assert np.array_equal(render_composite(omitted, mode, rcfg),
+                              render_composite(explicit, mode, rcfg))
+    assert emit_svg(omitted) == emit_svg(explicit)
 
 
 def test_empty_document_renders_identities(rcfg):

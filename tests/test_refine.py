@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covec.model import RasterizerConfig, VectorPath
-from covec.optimize import Schedule
 import covec.raster
 import covec.refine
 from covec.raster import WHITE, layer_forward, path_coverage, render_composite
@@ -139,9 +138,9 @@ def test_refine_rounds_zero_noop():
     illum = [square_path(0, 0, 32, 32, color=(0.9, 0.9, 0.9),
                          tag="illumination")]
     refined = refine_layer(illum, _render(albedo, 32, 32, rcfg), target,
-                           RefineConfig(rounds_max=0), Schedule(), rcfg,
+                           RefineConfig(rounds_max=0), rcfg,
                            budget_remaining=8)
-    out, trace = refined
+    out, trace = refined.layer, refined.trace
     assert out == illum and trace == []
     assert np.array_equal(refined.image, _render(illum, 32, 32, rcfg))
 
@@ -149,8 +148,9 @@ def test_refine_rounds_zero_noop():
 def test_refine_zero_budget_noop():
     rcfg = RasterizerConfig()
     albedo, target = _highlight_scene(rcfg)
-    out, trace = refine_layer([], _render(albedo, 32, 32, rcfg), target,
-                              RefineConfig(), Schedule(), rcfg, budget_remaining=0)
+    refined = refine_layer([], _render(albedo, 32, 32, rcfg), target,
+                           RefineConfig(), rcfg, budget_remaining=0)
+    out, trace = refined.layer, refined.trace
     assert out == [] and trace == []
 
 
@@ -158,8 +158,9 @@ def test_refine_stops_when_error_negligible():
     rcfg = RasterizerConfig()
     albedo = [square_path(0, 0, 16, 16, color=(0.5, 0.5, 0.5))]
     target = _render(albedo, 16, 16, rcfg)
-    out, trace = refine_layer([], _render(albedo, 16, 16, rcfg), target,
-                              RefineConfig(), Schedule(), rcfg, budget_remaining=8)
+    refined = refine_layer([], _render(albedo, 16, 16, rcfg), target,
+                           RefineConfig(), rcfg, budget_remaining=8)
+    out, trace = refined.layer, refined.trace
     assert out == [] and trace == []
 
 
@@ -174,8 +175,9 @@ def test_refine_freeze_contract():
     albedo_snap = [(p.control_points.copy(), p.fill_color.copy(), p.opacity)
                    for p in albedo]
     cfg = RefineConfig(rounds_max=2, iters_per_round=10)
-    out, _ = refine_layer(existing, _render(albedo, 32, 32, rcfg), target, cfg,
-                          Schedule(), rcfg, budget_remaining=4)
+    refined = refine_layer(existing, _render(albedo, 32, 32, rcfg), target, cfg,
+                           rcfg, budget_remaining=4)
+    out = refined.layer
     assert out[0] is existing[0]
     assert np.array_equal(existing[0].control_points, snap_pts)
     assert np.array_equal(existing[0].fill_color, snap_col)
@@ -192,8 +194,9 @@ def test_refine_strict_decrease_on_highlight():
     a_img = _render(albedo, 32, 32, rcfg)
     before = float(np.mean((a_img - target) ** 2))
     cfg = RefineConfig(rounds_max=1, iters_per_round=40)
-    out, trace = refine_layer([], a_img, target, cfg, Schedule(), rcfg,
-                              budget_remaining=4)
+    refined = refine_layer([], a_img, target, cfg, rcfg,
+                           budget_remaining=4)
+    out, trace = refined.layer, refined.trace
     assert len(trace) == 1
     assert trace[0].loss < before
     assert trace[0].paths_added >= 1
@@ -230,8 +233,9 @@ def test_refine_rasterizes_frozen_stack_once(monkeypatch):
     monkeypatch.setattr(covec.refine, "path_coverage", counting)
     monkeypatch.setattr(covec.refine, "propose_paths", recording)
     cfg = RefineConfig(rounds_max=3, iters_per_round=4, paths_per_round=1)
-    _, trace = refine_layer(frozen, factor, target, cfg, Schedule(), rcfg,
-                            budget_remaining=4)
+    refined = refine_layer(frozen, factor, target, cfg, rcfg,
+                           budget_remaining=4)
+    trace = refined.trace
     assert len(trace) >= 2 and len(proposed) >= 2
     # each frozen path once for the base render; each new path once after
     # its Adam iterations, whether cleanup keeps it or not
@@ -249,9 +253,9 @@ def test_refine_trace_loss_is_fresh_render_mse(mode):
     else:   # a standalone layer, as in albedo-only mode
         frozen, factor, tag = albedo, WHITE, "albedo"
     cfg = RefineConfig(rounds_max=3, iters_per_round=4, paths_per_round=1)
-    refined = refine_layer(frozen, factor, target, cfg, Schedule(), rcfg,
+    refined = refine_layer(frozen, factor, target, cfg, rcfg,
                            budget_remaining=4, layer_tag=tag)
-    out, trace = refined
+    out, trace = refined.layer, refined.trace
     assert len(trace) >= 2
     n = len(frozen)
     for row in trace:
@@ -396,8 +400,9 @@ def test_refine_budget_limits_additions():
     target = target.copy()
     target[second] = np.minimum(target[second] + 0.25, 1.0)
     cfg = RefineConfig(rounds_max=3, iters_per_round=5)
-    out, trace = refine_layer([], _render(albedo, 32, 32, rcfg), target, cfg,
-                              Schedule(), rcfg, budget_remaining=1)
+    refined = refine_layer([], _render(albedo, 32, 32, rcfg), target, cfg,
+                           rcfg, budget_remaining=1)
+    out, trace = refined.layer, refined.trace
     assert len(out) <= 1
     assert sum(r.paths_added for r in trace) <= 1
 
