@@ -8,8 +8,11 @@ run.  On the ``disk_grid_edit`` document of seeds 0-1 it then runs
 ``edit.run_edit`` at K = 1, 4 and 16, printing
 ``edit/kK/seed sha256(svg+report json)``, and renders the K = 16 result
 with ``covec render --scale 2``, printing ``render/seed sha256(png)``.
-Two checkouts that print the same lines wrote byte-identical SVG, trace,
-report and PNG files and reached the same final MSE, so a refactor that
+Last it runs ``gradcheck.run_gradcheck`` (100 probes, seed 0) and prints
+``gradcheck/0 sha256`` over every (analytic, numeric) pair that
+``gradcheck._agree`` compared.  Two checkouts that print the same lines
+wrote byte-identical SVG, trace, report and PNG files, reached the same
+final MSE and checked the same gradients, so a refactor that
 must not change behaviour diffs this output before and after.  Usage,
 from any checkout (its own ``src/`` is imported, files go to a temporary
 directory): ``python3 scripts/output_digest.py``.
@@ -28,7 +31,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import scenes  # noqa: E402
-from covec import cli, edit, image_io, pipeline, svg_io  # noqa: E402
+from covec import cli, edit, gradcheck, image_io, pipeline, svg_io  # noqa: E402
 from covec.model import RasterizerConfig  # noqa: E402
 from covec.raster import render_composite  # noqa: E402
 
@@ -86,6 +89,23 @@ def edit_digests(seed: int, work: Path) -> list[str]:
     return lines
 
 
+def gradcheck_digest() -> str:
+    pairs = []
+    agree = gradcheck._agree
+
+    def recording(analytic: float, numeric: float) -> bool:
+        pairs.append((analytic, numeric))
+        return agree(analytic, numeric)
+
+    gradcheck._agree = recording
+    try:
+        gradcheck.run_gradcheck(gradcheck.GradCheckConfig(n_probes=100, seed=0))
+    finally:
+        gradcheck._agree = agree
+    blob = repr([(float(a), float(n)) for a, n in pairs]).encode("utf-8")
+    return f"gradcheck/0 {hashlib.sha256(blob).hexdigest()}"
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for schedule in SCHEDULES:
@@ -95,3 +115,4 @@ if __name__ == "__main__":
         for seed in range(2):
             for line in edit_digests(seed, Path(tmp)):
                 print(line, flush=True)
+    print(gradcheck_digest(), flush=True)

@@ -16,8 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import LayeredDocument, RasterizerConfig, VectorPath, WHITE
-from .raster import layer_forward, render_composite
+from .model import LayeredDocument, RasterizerConfig, WHITE
+from .optimize import mse
+from .raster import layer_forward, path_coverage, render_composite
 
 # Stabilizer added to the mean shade before dividing it out of a color.
 EPSILON_SHADE = 1e-4
@@ -89,15 +90,6 @@ class EditReport:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
-def mse(a: np.ndarray, b: np.ndarray) -> float:
-    """Mean squared difference over all pixels and channels."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"image shapes differ: {a.shape} vs {b.shape}")
-    return float(np.mean((a - b) ** 2))
-
-
 def compute_edit_mask(original: np.ndarray, reference: np.ndarray,
                       tau: float) -> np.ndarray:
     """Boolean mask of pixels whose channel-mean absolute change exceeds tau."""
@@ -108,12 +100,6 @@ def compute_edit_mask(original: np.ndarray, reference: np.ndarray,
                          f"{reference.shape}")
     diff = np.mean(np.abs(original - reference), axis=2)
     return diff > tau
-
-
-def _path_mask(path: VectorPath, width: int, height: int,
-               rcfg: RasterizerConfig) -> np.ndarray:
-    render = layer_forward([path], WHITE, width, height, rcfg)
-    return render.coverages[0].coverage > 0.5
 
 
 def candidate_paths(doc: LayeredDocument, original: np.ndarray,
@@ -132,7 +118,7 @@ def candidate_paths(doc: LayeredDocument, original: np.ndarray,
     edit_area = int(edit_mask.sum())
     out: list[EditCandidate] = []
     for idx, path in enumerate(doc.albedo):
-        support = _path_mask(path, doc.width, doc.height, rcfg)
+        support = path_coverage(path, doc.width, doc.height, rcfg).coverage > 0.5
         n_support = int(support.sum())
         if n_support == 0:
             continue

@@ -2,10 +2,11 @@
 
 Each probe builds a random little scene (one to five paths split across
 the albedo and illumination layers, canvas between 16 and 32 pixels per
-side), takes the mean squared error of the two-layer composite against a
-random target, and compares analytic gradients against central
-differences for a sample of control-point coordinates plus one color
-channel and the opacity of every path.  Differences must satisfy
+side) and a random target.  The analytic gradients are those of
+optimize.loss_recon, the loss the joint stage steps on; the numeric ones
+are central differences of optimize.mse on the two-layer composite.
+They are compared for a sample of control-point coordinates plus one
+color channel and the opacity of every path.  Differences must satisfy
 rel < REL_TOL or abs < ABS_TOL.
 
 Flattening runs in the fixed-count mode here: the adaptive subdivision
@@ -23,7 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import WHITE, LayeredDocument, RasterizerConfig, VectorPath
-from .raster import composite_backward, composite_forward, path_coverage, source_over
+from .optimize import loss_recon, mse
+from .raster import path_coverage, source_over
 from .refine import circle_control_points
 
 logger = logging.getLogger(__name__)
@@ -119,14 +121,16 @@ def _cached_loss(doc: LayeredDocument, target: np.ndarray,
     w, h = doc.width, doc.height
     a = source_over(doc.albedo, covs["albedo"], WHITE, w, h).image
     i = source_over(doc.illumination, covs["illumination"], WHITE, w, h).image
-    return float(np.mean((a * i - target) ** 2))
+    return mse(a * i, target)
 
 
-def _analytic_grads(doc: LayeredDocument, target: np.ndarray,
-                    config: RasterizerConfig):
-    result = composite_forward(doc, "two_layer", config, with_grad=True)
-    upstream = 2.0 * (result.image - target) / result.image.size
-    return composite_backward(doc, result, upstream, config)
+def _set_param(path: VectorPath, kind: str, coord: tuple, value: float) -> None:
+    if kind == "control_point":
+        path.control_points[coord] = value
+    elif kind == "color":
+        path.fill_color[coord] = value
+    else:
+        path.opacity = value
 
 
 def _agree(analytic: float, numeric: float) -> bool:
@@ -145,67 +149,43 @@ def run_gradcheck(cfg: GradCheckConfig = GradCheckConfig()) -> GradCheckReport:
     t0 = time.perf_counter()
     for probe in range(cfg.n_probes):
         doc, target, config = _random_scene(rng)
-        grads = _analytic_grads(doc, target, config)
+        _, grads_a, grads_i = loss_recon(doc.albedo, doc.illumination, target,
+                                         config)
         covs = _coverage_cache(doc, config)
 
-        def fd(tag: str, pi: int, set_value, base: float, eps: float,
-               reraster: bool) -> float:
+        def fd(tag: str, pi: int, kind: str, coord: tuple, base: float) -> float:
             path = doc.layer(tag)[pi]
             saved_cov = covs[tag][pi]
+            eps = EPS_POINTS if kind == "control_point" else EPS_SCALARS
             vals = []
             for sign in (+1.0, -1.0):
-                set_value(path, base + sign * eps)
-                if reraster:
+                _set_param(path, kind, coord, base + sign * eps)
+                if kind == "control_point":  # only geometry moves the coverage
                     covs[tag][pi] = path_coverage(path, doc.width, doc.height,
                                                   config).coverage
                 vals.append(_cached_loss(doc, target, covs))
-            set_value(path, base)
+            _set_param(path, kind, coord, base)
             covs[tag][pi] = saved_cov
             return (vals[0] - vals[1]) / (2.0 * eps)
 
-        for tag in ("albedo", "illumination"):
-            for pi, path in enumerate(doc.layer(tag)):
-                g = grads[tag][pi]
+        for tag, grads in (("albedo", grads_a), ("illumination", grads_i)):
+            for pi, (path, g) in enumerate(zip(doc.layer(tag), grads)):
                 n_ctrl = path.control_points.shape[0]
                 picks = rng.choice(n_ctrl * 2, size=min(COORDS_PER_PATH, n_ctrl * 2),
                                    replace=False)
-                for flat in picks:
-                    r, c = divmod(int(flat), 2)
-
-                    def set_ctrl(p, v, r=r, c=c):
-                        p.control_points[r, c] = v
-
-                    numeric = fd(tag, pi, set_ctrl,
-                                 float(path.control_points[r, c]),
-                                 EPS_POINTS, reraster=True)
-                    analytic = float(g.d_control_points[r, c])
+                ch = int(rng.integers(0, 3))
+                # (kind, coord, value, analytic gradient) per comparison
+                rows = [("control_point", (r, c), float(path.control_points[r, c]),
+                         float(g.d_control_points[r, c]))
+                        for r, c in (divmod(int(flat), 2) for flat in picks)]
+                rows += [("color", (ch,), float(path.fill_color[ch]),
+                          float(g.d_fill_color[ch])),
+                         ("opacity", (), path.opacity, float(g.d_opacity))]
+                for kind, coord, value, analytic in rows:
+                    numeric = fd(tag, pi, kind, coord, value)
                     report.n_comparisons += 1
                     if not _agree(analytic, numeric):
                         report.failures.append(ProbeFailure(
-                            probe, "control_point", tag, pi, (r, c),
-                            analytic, numeric))
-                ch = int(rng.integers(0, 3))
-
-                def set_color(p, v, ch=ch):
-                    p.fill_color[ch] = v
-
-                numeric = fd(tag, pi, set_color, float(path.fill_color[ch]),
-                             EPS_SCALARS, reraster=False)
-                analytic = float(g.d_fill_color[ch])
-                report.n_comparisons += 1
-                if not _agree(analytic, numeric):
-                    report.failures.append(ProbeFailure(
-                        probe, "color", tag, pi, (ch,), analytic, numeric))
-
-                def set_opacity(p, v):
-                    p.opacity = v
-
-                numeric = fd(tag, pi, set_opacity, path.opacity,
-                             EPS_SCALARS, reraster=False)
-                analytic = float(g.d_opacity)
-                report.n_comparisons += 1
-                if not _agree(analytic, numeric):
-                    report.failures.append(ProbeFailure(
-                        probe, "opacity", tag, pi, (), analytic, numeric))
+                            probe, kind, tag, pi, coord, analytic, numeric))
     report.elapsed = time.perf_counter() - t0
     return report

@@ -8,6 +8,9 @@ reconstruction loss of the multiplied composite.  Opacities are optimized
 through a logistic reparameterization so they stay strictly inside
 [0, 1]; colors are projected to their layer's valid range after every
 step.
+
+The package's one loss lives here: ``mse`` and ``layer_loss`` (image
+gradient 2 * diff / N), which refinement, gradcheck, pipeline and edit call.
 """
 
 from __future__ import annotations
@@ -19,8 +22,9 @@ import numpy as np
 from scipy.special import expit, logit
 
 from .model import WHITE, GradientBuffer, LayeredDocument, VectorPath, project_color
-from .raster import (RasterizerConfig, composite_backward, composite_forward,
-                     coverage_backward, layer_backward, layer_forward)
+from .raster import (LayerRender, RasterizerConfig, composite_backward,
+                     composite_forward, coverage_backward, layer_backward,
+                     layer_forward)
 
 logger = logging.getLogger(__name__)
 
@@ -162,14 +166,37 @@ def gray_alpha_field(coverages: list[np.ndarray]) -> tuple[np.ndarray, np.ndarra
     return 1.0 - prod, prod
 
 
+def mse(a: np.ndarray, b: np.ndarray) -> float:
+    """Mean squared difference over all pixels and channels."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise ValueError(f"image shapes differ: {a.shape} vs {b.shape}")
+    return float(np.mean((a - b) ** 2))
+
+
+def layer_loss(paths: list[VectorPath], background, factor, target: np.ndarray,
+               rcfg: RasterizerConfig
+               ) -> tuple[float, list[GradientBuffer], LayerRender]:
+    """MSE of ``paths`` over ``background``, times the frozen ``factor``
+    (WHITE for none), to the target; its image gradient is 2 * diff / N *
+    factor.  Returns the loss, one buffer per path and the cached render."""
+    height, width = target.shape[:2]
+    render = layer_forward(paths, background, width, height, rcfg, with_grad=True)
+    image = render.image * factor
+    diff = image - target
+    d_image = 2.0 * diff / diff.size * factor
+    return mse(image, target), layer_backward(paths, render, d_image, rcfg), render
+
+
 def loss_struct(groups: list[list[VectorPath]], mask_renders: list[np.ndarray],
-                cfg: StructLossConfig, width: int, height: int,
-                rcfg: RasterizerConfig) -> tuple[float, list[GradientBuffer]]:
+                cfg: StructLossConfig, rcfg: RasterizerConfig
+                ) -> tuple[float, list[GradientBuffer]]:
     """Per-group MSE to the mask renders plus the overlap hinge penalty.
 
     Every group renders over white and is compared to its flat mask
-    render (mean over pixels and channels).  The penalty term evaluates
-    the gray alpha field of the same geometry and adds
+    render through layer_loss.  The penalty term evaluates the gray alpha
+    field of the same geometry and adds
     lambda_overlap * sum_p hinge(alpha(p)).  Gradients from both terms
     accumulate into one buffer per path, ordered by group then path.
     """
@@ -177,13 +204,9 @@ def loss_struct(groups: list[list[VectorPath]], mask_renders: list[np.ndarray],
         raise ValueError("group count does not match mask render count")
     total = 0.0
     all_grads: list[GradientBuffer] = []
-    denom = float(width * height * 3)
     for group, reference in zip(groups, mask_renders):
-        render = layer_forward(group, WHITE, width, height, rcfg, with_grad=True)
-        diff = render.image - reference
-        total += float(np.mean(diff * diff))
-        d_img = 2.0 * diff / denom
-        grads = layer_backward(group, render, d_img, rcfg)
+        loss, grads, render = layer_loss(group, WHITE, WHITE, reference, rcfg)
+        total += loss
         if cfg.lambda_overlap > 0.0 and group:
             alpha, prod = gray_alpha_field([pc.coverage for pc in render.coverages])
             if cfg.penalty_sign == "overlap":
@@ -201,26 +224,23 @@ def loss_struct(groups: list[list[VectorPath]], mask_renders: list[np.ndarray],
 
 
 def loss_recon(albedo: list[VectorPath], illumination: list[VectorPath],
-               target: np.ndarray, width: int, height: int,
-               rcfg: RasterizerConfig
+               target: np.ndarray, rcfg: RasterizerConfig
                ) -> tuple[float, list[GradientBuffer], list[GradientBuffer]]:
     """Mean squared error of the composite against the target image.
 
     The composite is the two-layer product of the albedo and illumination
-    renders (each over white), run through composite_forward/backward.
+    renders (each over white) on the target's canvas, run through
+    composite_forward/backward with layer_loss's loss and image gradient.
     An empty illumination layer renders white, the identity of multiply,
     so the albedo render is compared directly and its gradients are [].
     """
-    if target.shape != (height, width, 3):
-        raise ValueError("target dims do not match the canvas")
+    height, width = target.shape[:2]
     doc = LayeredDocument(width=width, height=height, albedo=albedo,
                           illumination=illumination)
     result = composite_forward(doc, "two_layer", rcfg, with_grad=True)
     diff = result.image - target
-    loss = float(np.mean(diff * diff))
-    up = 2.0 * diff / float(width * height * 3)
-    grads = composite_backward(doc, result, up, rcfg)
-    return loss, grads["albedo"], grads["illumination"]
+    grads = composite_backward(doc, result, 2.0 * diff / diff.size, rcfg)
+    return mse(result.image, target), grads["albedo"], grads["illumination"]
 
 
 @dataclass
@@ -251,23 +271,19 @@ def run_structural(albedo_groups: list[list[VectorPath]],
     mode) that layer adds 0.0 to every warm-up loss and takes no steps,
     and reconstruction compares the albedo render directly.
     """
-    height, width = target.shape[:2]
     albedo_flat = [p for g in albedo_groups for p in g]
     illum_flat = [p for g in illum_groups for p in g]
     opt_a = LayerOptimizer(albedo_flat)
     opt_i = LayerOptimizer(illum_flat)
     trace: list[TraceRow] = []
     for epoch in range(1, schedule.warmup_epochs + 1):
-        loss_a, grads_a = loss_struct(albedo_groups, mask_renders_a, struct_cfg,
-                                      width, height, rcfg)
+        loss_a, grads_a = loss_struct(albedo_groups, mask_renders_a, struct_cfg, rcfg)
         opt_a.step(grads_a)
-        loss_i, grads_i = loss_struct(illum_groups, mask_renders_i, struct_cfg,
-                                      width, height, rcfg)
+        loss_i, grads_i = loss_struct(illum_groups, mask_renders_i, struct_cfg, rcfg)
         opt_i.step(grads_i)
         trace.append(TraceRow(epoch=epoch, stage="warmup", loss=loss_a + loss_i))
     for epoch in range(1, schedule.joint_epochs + 1):
-        loss, grads_a, grads_i = loss_recon(albedo_flat, illum_flat, target,
-                                            width, height, rcfg)
+        loss, grads_a, grads_i = loss_recon(albedo_flat, illum_flat, target, rcfg)
         opt_a.step(grads_a)
         opt_i.step(grads_i)
         trace.append(TraceRow(epoch=schedule.warmup_epochs + epoch,

@@ -34,7 +34,7 @@ from .init_layers import (fallback_albedo, fallback_segment, init_layers,
                           masks_from_labels, organize_masks, paths_for_groups,
                           region_binarize)
 from .model import BLACK, WHITE, LayeredDocument, RasterizerConfig
-from .optimize import Schedule, StructLossConfig, TraceRow, run_structural
+from .optimize import Schedule, StructLossConfig, TraceRow, mse, run_structural
 from .raster import blend, layer_forward, source_over
 from .refine import RefineConfig, assign_light_colors, refine_layer, separate_layers
 from .svg_io import emit_svg
@@ -177,9 +177,8 @@ def vectorize(cfg: RunConfig) -> VectorizeResult:
         composite = refined.image
     doc = LayeredDocument(width=w, height=h, albedo=albedo, illumination=[],
                           shade=shade, light=light)
-    rendered = np.clip(composite, 0.0, 1.0)
-    mse = float(np.mean((rendered - image) ** 2))
-    return VectorizeResult(document=doc, trace=trace, final_mse=mse)
+    return VectorizeResult(document=doc, trace=trace,
+                           final_mse=mse(np.clip(composite, 0.0, 1.0), image))
 
 
 def trace_csv_bytes(trace: list[TraceRow]) -> bytes:

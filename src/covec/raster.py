@@ -83,15 +83,6 @@ def path_coverage(path: VectorPath, width: int, height: int,
     y1 = int(np.clip(np.ceil(v[:, 1].max() + pad), 0, height))
     cov = np.zeros((height, width))
     pc = PathCoverage(coverage=cov, window=(x0, y0, x1, y1), polyline=poly)
-    if x1 <= x0 or y1 <= y0:
-        if with_grad:
-            pc.sigma = np.zeros(0)
-            pc.unit = np.zeros((0, 2))
-            pc.edge_index = np.zeros(0, dtype=np.int64)
-            pc.foot_s = np.zeros(0)
-            pc.scatter_idx, pc.scatter_w = vertex_control_scatter(path, poly)
-        return pc
-
     s = config.supersample
     xs = x0 + (np.arange((x1 - x0) * s) + 0.5) / s
     ys = y0 + (np.arange((y1 - y0) * s) + 0.5) / s
@@ -124,8 +115,6 @@ def coverage_backward(pc: PathCoverage, d_coverage: np.ndarray,
         raise ValueError("path_coverage was run without with_grad")
     x0, y0, x1, y1 = pc.window
     d_ctrl = np.zeros((_control_count(pc), 2))
-    if x1 <= x0 or y1 <= y0 or pc.sigma.size == 0:
-        return d_ctrl
     s = config.supersample
     d_px = d_coverage[y0:y1, x0:x1]
     d_sample = np.repeat(np.repeat(d_px, s, axis=0), s, axis=1).ravel() / (s * s)

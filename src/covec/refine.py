@@ -20,9 +20,8 @@ import numpy as np
 from scipy import ndimage
 
 from .model import SHADE_FLOOR, WHITE, VectorPath, project_color
-from .optimize import LayerOptimizer, TraceRow
-from .raster import (RasterizerConfig, layer_backward, layer_forward, path_coverage,
-                     source_over)
+from .optimize import LayerOptimizer, TraceRow, layer_loss, mse
+from .raster import RasterizerConfig, layer_forward, path_coverage, source_over
 
 _CROSS = ndimage.generate_binary_structure(2, 1)
 
@@ -45,13 +44,12 @@ def circle_control_points(center, radius: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RefineConfig:
-    """Rounds (``--rounds``), Adam iterations per round (``--iters``) and
-    paths per round, where None spreads the remaining path budget evenly
-    over the remaining rounds; every threshold is a module constant."""
+    """Rounds (``--rounds``) and Adam iterations per round (``--iters``);
+    each round asks for the remaining path budget spread evenly over the
+    remaining rounds, and every threshold is a module constant."""
 
     rounds_max: int = 5
     iters_per_round: int = 100
-    paths_per_round: int | None = None
 
     def __post_init__(self):
         if self.rounds_max < 0:
@@ -116,12 +114,6 @@ def propose_paths(err: np.ndarray, n: int, target: np.ndarray,
     return paths
 
 
-def _recon_loss(layer_img: np.ndarray, frozen_factor: np.ndarray,
-                target: np.ndarray) -> float:
-    diff = layer_img * frozen_factor - target
-    return float(np.mean(diff * diff))
-
-
 # Cleanup: paths whose soft area is below CLEANUP_AREA_MIN pixels, or whose
 # removal moves the loss by less than CLEANUP_LOSS_EPS, are dropped; two
 # paths whose colors differ by less than MERGE_COLOR_EPS per channel and
@@ -154,7 +146,7 @@ def cleanup_layer(paths: list[VectorPath], coverages: list[np.ndarray],
 
     def loss_of(stack: list[VectorPath], covs: list[np.ndarray]) -> float:
         image = source_over(stack, covs, background, width, height).image
-        return _recon_loss(image, frozen_factor, target)
+        return mse(image * frozen_factor, target)
 
     for _pass in range(3):
         changed = False
@@ -237,8 +229,9 @@ def refine_layer(layer: list[VectorPath], frozen_factor: np.ndarray,
 
     The reconstruction is ``layer render * frozen_factor``; pass WHITE for
     a layer that stands alone.  The existing paths are rendered once into a
-    base image and never touched again.  Each round proposes new paths over
-    the base, optimizes them alone, rasterizes them once and hands only
+    base image and never touched again.  Each round proposes its share of
+    the budget over the base, steps them alone on optimize.layer_loss
+    (loss_recon restricted to them), rasterizes them once and hands only
     them to cleanup_layer; the cleaned composite over the base becomes the
     next round's base and the round's trace loss, and its paths join the
     frozen stack.  Stops early when the error map's maximum drops below
@@ -250,29 +243,21 @@ def refine_layer(layer: list[VectorPath], frozen_factor: np.ndarray,
     height, width = target.shape[:2]
     layer = list(layer)
     base = layer_forward(layer, WHITE, width, height, rcfg).image
-    denom = float(width * height * 3)
     trace: list[TraceRow] = []
     for rnd in range(1, cfg.rounds_max + 1):
         diff = target - base * frozen_factor
         err = np.mean(diff * diff, axis=2)
         if float(err.max()) < STOP_ERROR_MAX or budget_remaining <= 0:
             break
-        if cfg.paths_per_round is not None:
-            want = min(cfg.paths_per_round, budget_remaining)
-        else:
-            rounds_left = cfg.rounds_max - rnd + 1
-            want = max(1, int(np.ceil(budget_remaining / rounds_left)))
+        rounds_left = cfg.rounds_max - rnd + 1
+        want = max(1, int(np.ceil(budget_remaining / rounds_left)))
         new_paths = propose_paths(err, want, target, frozen_factor,
                                   layer_tag=layer_tag)
         if not new_paths:
             break
         opt = LayerOptimizer(new_paths)
         for _it in range(cfg.iters_per_round):
-            render = layer_forward(new_paths, base, width, height, rcfg,
-                                   with_grad=True)
-            resid = render.image * frozen_factor - target
-            up = 2.0 * resid / denom * frozen_factor
-            opt.step(layer_backward(new_paths, render, up, rcfg))
+            opt.step(layer_loss(new_paths, base, frozen_factor, target, rcfg)[1])
         n_new = len(new_paths)  # cleanup trims new_paths in place
         maps = [path_coverage(p, width, height, rcfg).coverage for p in new_paths]
         kept, n_removed, n_merged = cleanup_layer(new_paths, maps, base,
@@ -281,7 +266,7 @@ def refine_layer(layer: list[VectorPath], frozen_factor: np.ndarray,
         base = source_over(kept, maps, base, width, height).image
         layer += kept
         trace.append(TraceRow(epoch=rnd, stage="refine",
-                              loss=_recon_loss(base, frozen_factor, target),
+                              loss=mse(base * frozen_factor, target),
                               paths_added=n_new,
                               paths_removed=n_removed + n_merged))
     return RefineResult(layer, trace, base)

@@ -16,6 +16,7 @@ colors (light paths get residual-derived colors within range in practice).
 
 from __future__ import annotations
 
+import math
 import re
 import xml.etree.ElementTree as ET
 
@@ -128,7 +129,10 @@ def _parse_d(d: str, index: int) -> np.ndarray:
         for _ in range(n):
             if pos >= len(tokens) or not _NUM_RE.fullmatch(tokens[pos]):
                 raise SvgParseError(f"path {index}: malformed coordinate in d")
-            vals.append(float(tokens[pos]))
+            v = float(tokens[pos])
+            if not math.isfinite(v):
+                raise SvgParseError(f"path {index}: non-finite coordinate in d")
+            vals.append(v)
             pos += 1
         return vals
 

@@ -375,7 +375,7 @@ def test_08_refinement_freeze():
              (13, 13, 0.5)]
     for y0, x0, factor in spots:
         target[y0:y0 + 6, x0:x0 + 6] *= factor
-    cfg = RefineConfig(rounds_max=1, iters_per_round=15, paths_per_round=1)
+    cfg = RefineConfig(rounds_max=1, iters_per_round=15)
     illum = []
     budget = 8
     frozen_ok = True
@@ -384,7 +384,7 @@ def test_08_refinement_freeze():
         d_albedo = _params_digest(albedo)
         d_existing = _params_digest(illum)
         factor = layer_forward(albedo, WHITE, 32, 32, rcfg).image
-        out = refine_layer(illum, factor, target, cfg, rcfg, budget).layer
+        out = refine_layer(illum, factor, target, cfg, rcfg, min(budget, 1)).layer
         frozen_ok = frozen_ok and _params_digest(albedo) == d_albedo
         frozen_ok = frozen_ok and _params_digest(out[:len(illum)]) == d_existing
         added_total += len(out) - len(illum)

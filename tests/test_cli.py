@@ -94,6 +94,20 @@ def test_bad_svg_exits_4(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("command", ["render", "edit"])
+def test_non_finite_svg_coordinate_exits_4(tmp_path, capsys, command):
+    svg = tmp_path / "inf.svg"
+    emit_svg(LayeredDocument(width=8, height=8,
+                             albedo=[square_path(1, 1, 6, 6)]), svg)
+    svg.write_bytes(svg.read_bytes().replace(b"C 2.667 1.000", b"C 1e999 1.000"))
+    out = str(tmp_path / "out.png")
+    argv = {"render": ["render", str(svg), "-o", out],
+            "edit": ["edit", str(svg), "o.png", "r.png", "-o", out]}[command]
+    code, _, err = _run(argv, capsys)
+    assert code == 4
+    assert "non-finite coordinate" in err
+
+
 def test_init_failure_exits_3(tmp_path, capsys, monkeypatch):
     img = tmp_path / "in.png"
     write_image(img, make_icon_scene(12))
@@ -344,8 +358,8 @@ def test_gradcheck_small_run_passes(capsys):
 
 
 def test_gradcheck_detects_corruption(capsys, monkeypatch):
-    import covec.gradcheck as gc
-    real_backward = gc.composite_backward
+    import covec.optimize as opt
+    real_backward = opt.composite_backward
 
     def flip_color(*args):
         grads = real_backward(*args)
@@ -354,7 +368,7 @@ def test_gradcheck_detects_corruption(capsys, monkeypatch):
                 g.d_fill_color = -g.d_fill_color
         return grads
 
-    monkeypatch.setattr(gc, "composite_backward", flip_color)
+    monkeypatch.setattr(opt, "composite_backward", flip_color)
     code, out, _ = _run(["gradcheck", "--probes", "2", "--seed", "5"], capsys)
     assert code == 1
     assert "probe" in out

@@ -9,7 +9,8 @@ import pytest
 from covec.model import RasterizerConfig, VectorPath
 from covec.optimize import (ADAM_EPS, AdamState, LayerOptimizer, Schedule,
                             StructLossConfig, adam_step, gray_alpha_field,
-                            loss_recon, loss_struct, run_structural)
+                            layer_loss, loss_recon, loss_struct, mse,
+                            run_structural)
 from covec.raster import WHITE, layer_forward
 
 from conftest import (disk_path, square_control_points, square_path,
@@ -64,7 +65,7 @@ def test_struct_loss_perfect_single_path_zero():
     group = [square_path(3, 3, 13, 13, color=(0.2, 0.6, 0.4))]
     reference = _render(group, 16, 16, rcfg)
     cfg = StructLossConfig()
-    loss, grads = loss_struct([group], [reference], cfg, 16, 16, rcfg)
+    loss, grads = loss_struct([group], [reference], cfg, rcfg)
     assert loss == 0.0
     assert len(grads) == 1
     assert np.allclose(grads[0].d_control_points, 0.0)
@@ -77,7 +78,7 @@ def test_struct_loss_coincident_paths_penalized():
     reference = _render(group, 16, 16, rcfg)
     lam = 1e-3
     loss, _ = loss_struct([group], [reference], StructLossConfig(lambda_overlap=lam),
-                          16, 16, rcfg)
+                          rcfg)
     covs = [pc.coverage for pc in layer_forward(group, WHITE, 16, 16, rcfg).coverages]
     alpha, _ = gray_alpha_field(covs)
     assert alpha.max() > 0.6
@@ -94,11 +95,11 @@ def test_struct_loss_penalty_direction_modes_differ():
     loss_over, _ = loss_struct([group], [reference],
                                StructLossConfig(lambda_overlap=lam,
                                                 penalty_sign="overlap"),
-                               16, 16, rcfg)
+                               rcfg)
     loss_lit, _ = loss_struct([group], [reference],
                               StructLossConfig(lambda_overlap=lam,
                                                penalty_sign="paper_literal"),
-                              16, 16, rcfg)
+                              rcfg)
     # literal mode charges every uncovered pixel the full margin
     assert loss_lit > loss_over > 0.0
 
@@ -110,7 +111,7 @@ def test_struct_loss_zero_lambda_is_pure_mse(rng):
                square_path(9, 9, 15, 15, color=(0.9, 0.9, 0.1))]]
     refs = [rng.uniform(0, 1, (16, 16, 3)) for _ in groups]
     loss, _ = loss_struct(groups, refs, StructLossConfig(lambda_overlap=0.0),
-                          16, 16, rcfg)
+                          rcfg)
     expect = sum(float(np.mean((_render(g, 16, 16, rcfg) - r) ** 2))
                  for g, r in zip(groups, refs))
     assert loss == expect
@@ -118,7 +119,7 @@ def test_struct_loss_zero_lambda_is_pure_mse(rng):
 
 def test_struct_loss_count_mismatch():
     with pytest.raises(ValueError, match="mask render count"):
-        loss_struct([[]], [], StructLossConfig(), 8, 8, RasterizerConfig())
+        loss_struct([[]], [], StructLossConfig(), RasterizerConfig())
 
 
 def test_recon_loss_exact_fit_zero():
@@ -127,15 +128,14 @@ def test_recon_loss_exact_fit_zero():
     illum = [square_path(4, 4, 12, 12, color=(0.5, 0.5, 0.5),
                          tag="illumination")]
     target = _render(albedo, 14, 14, rcfg) * _render(illum, 14, 14, rcfg)
-    loss, ga, gi = loss_recon(albedo, illum, target, 14, 14, rcfg)
+    loss, ga, gi = loss_recon(albedo, illum, target, rcfg)
     assert loss == 0.0
     assert np.allclose(ga[0].d_fill_color, 0.0)
     assert np.allclose(gi[0].d_fill_color, 0.0)
 
 
 def test_recon_loss_white_vs_midgray():
-    loss, _, _ = loss_recon([], [], np.full((8, 8, 3), 0.5), 8, 8,
-                            RasterizerConfig())
+    loss, _, _ = loss_recon([], [], np.full((8, 8, 3), 0.5), RasterizerConfig())
     assert loss == 0.25
 
 
@@ -143,13 +143,30 @@ def test_recon_loss_single_layer_mode():
     rcfg = RasterizerConfig()
     albedo = [square_path(1, 1, 7, 7, color=(0.4, 0.5, 0.6))]
     target = _render(albedo, 8, 8, rcfg)
-    loss, grads, gi = loss_recon(albedo, [], target, 8, 8, rcfg)
+    loss, grads, gi = loss_recon(albedo, [], target, rcfg)
     assert loss == 0.0 and gi == [] and len(grads) == 1
 
 
-def test_recon_loss_dim_mismatch():
-    with pytest.raises(ValueError, match="canvas"):
-        loss_recon([], [], np.zeros((4, 4, 3)), 8, 8, RasterizerConfig())
+def test_layer_loss_is_recon_loss_restricted_to_its_layer(rng):
+    # refinement steps a layer over a frozen albedo render on layer_loss;
+    # that is loss_recon with the albedo held fixed, bit for bit
+    rcfg = RasterizerConfig()
+    albedo = [disk_path(8, 9, 5, color=(0.6, 0.2, 0.4), opacity=0.9),
+              square_path(2, 2, 9, 9, color=(0.3, 0.7, 0.5))]
+    illum = [disk_path(10, 8, 6, color=(0.7, 0.7, 0.7), opacity=0.7,
+                       tag="illumination"),
+             disk_path(6, 12, 4, color=(1.3, 1.1, 0.9), opacity=0.6,
+                       tag="illumination")]
+    target = rng.uniform(0, 1, (18, 20, 3))
+    albedo_render = layer_forward(albedo, WHITE, 20, 18, rcfg).image
+    loss, grads, render = layer_loss(illum, WHITE, albedo_render, target, rcfg)
+    want_loss, _, want_grads = loss_recon(albedo, illum, target, rcfg)
+    assert loss == want_loss
+    assert loss == mse(render.image * albedo_render, target)
+    for g, want in zip(grads, want_grads, strict=True):
+        assert np.array_equal(g.d_control_points, want.d_control_points)
+        assert np.array_equal(g.d_fill_color, want.d_fill_color)
+        assert g.d_opacity == want.d_opacity
 
 
 def _fd_check(loss_fn, paths, eps_pts=1e-3, eps_col=1e-4):
@@ -193,7 +210,7 @@ def test_struct_loss_gradient_matches_fd(rng, fixed_rcfg):
     cfg = StructLossConfig(lambda_overlap=1e-4)
 
     def loss_fn():
-        return loss_struct([group], [ref], cfg, 18, 18, fixed_rcfg)
+        return loss_struct([group], [ref], cfg, fixed_rcfg)
 
     _fd_check(loss_fn, group)
 
@@ -205,7 +222,7 @@ def test_recon_loss_gradient_matches_fd(rng, fixed_rcfg):
     target = rng.uniform(0, 1, (18, 18, 3))
 
     def loss_fn():
-        loss, ga, gi = loss_recon(albedo, illum, target, 18, 18, fixed_rcfg)
+        loss, ga, gi = loss_recon(albedo, illum, target, fixed_rcfg)
         return loss, ga + gi
 
     _fd_check(loss_fn, albedo + illum)

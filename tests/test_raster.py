@@ -240,6 +240,28 @@ def test_coverage_bounded_and_finite(seed):
     assert cov.min() >= 0.0 and cov.max() <= 1.0
 
 
+@pytest.mark.parametrize("center", [(-40, 10), (70, 10), (12, -40), (12, 70),
+                                    (-40, -40)],
+                         ids=["left", "right", "top", "bottom", "corner"])
+@pytest.mark.filterwarnings("error")
+def test_off_canvas_path_has_empty_window_and_zero_gradients(center, rcfg):
+    w, h = 24, 20
+    path = disk_path(center[0], center[1], 4.0, color=(0.2, 0.4, 0.6), opacity=0.7)
+    pc = path_coverage(path, w, h, rcfg, with_grad=True)
+    x0, y0, x1, y1 = pc.window
+    assert x0 == x1 or y0 == y1
+    assert np.array_equal(pc.coverage, np.zeros((h, w)))
+    assert pc.sigma.shape == pc.foot_s.shape == pc.edge_index.shape == (0,)
+    assert pc.unit.shape == (0, 2)
+    assert pc.edge_index.dtype == np.int64
+    render = layer_forward([path], WHITE, w, h, rcfg, with_grad=True)
+    assert np.array_equal(render.image, np.ones((h, w, 3)))
+    g = layer_backward([path], render, np.ones((h, w, 3)), rcfg)[0]
+    assert not np.any(g.d_control_points)
+    assert g.d_control_points.shape == path.control_points.shape
+    assert not np.any(g.d_fill_color) and g.d_opacity == 0.0
+
+
 def test_layer_forward_returns_coverages(rcfg):
     paths = [disk_path(6, 6, 3), disk_path(10, 10, 3, opacity=0.7)]
     render = layer_forward(paths, WHITE, 16, 16, rcfg, with_grad=True)

@@ -232,7 +232,7 @@ def test_refine_rasterizes_frozen_stack_once(monkeypatch):
     monkeypatch.setattr(covec.raster, "path_coverage", counting)
     monkeypatch.setattr(covec.refine, "path_coverage", counting)
     monkeypatch.setattr(covec.refine, "propose_paths", recording)
-    cfg = RefineConfig(rounds_max=3, iters_per_round=4, paths_per_round=1)
+    cfg = RefineConfig(rounds_max=3, iters_per_round=4)
     refined = refine_layer(frozen, factor, target, cfg, rcfg,
                            budget_remaining=4)
     trace = refined.trace
@@ -252,7 +252,7 @@ def test_refine_trace_loss_is_fresh_render_mse(mode):
             "illumination"
     else:   # a standalone layer, as in albedo-only mode
         frozen, factor, tag = albedo, WHITE, "albedo"
-    cfg = RefineConfig(rounds_max=3, iters_per_round=4, paths_per_round=1)
+    cfg = RefineConfig(rounds_max=3, iters_per_round=4)
     refined = refine_layer(frozen, factor, target, cfg, rcfg,
                            budget_remaining=4, layer_tag=tag)
     out, trace = refined.layer, refined.trace

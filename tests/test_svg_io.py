@@ -189,6 +189,13 @@ def test_parse_rejects_line_commands():
         parse_svg(bad)
 
 
+def test_parse_rejects_non_finite_coordinate():
+    # 1e999 matches the number syntax but overflows to inf
+    bad = _mutate(b"C 2.667 1.000", b"C 1e999 1.000")
+    with pytest.raises(SvgParseError, match="non-finite"):
+        parse_svg(bad)
+
+
 def test_parse_rejects_open_path():
     doc = _doc(8, 8, albedo=[square_path(1, 1, 6, 6)])
     data = emit_svg(doc)
