@@ -7,13 +7,17 @@ schedule, and prints ``mode/schedule/seed sha256(svg+csv) final_mse`` per
 run.  On the ``disk_grid_edit`` document of seeds 0-1 it then runs
 ``edit.run_edit`` at K = 1, 4 and 16, printing
 ``edit/kK/seed sha256(svg+report json)``, and renders the K = 16 result
-with ``covec render --scale 2``, printing ``render/seed sha256(png)``.
+with ``covec render --scale 2``, printing ``render/seed sha256(png)``,
+and hashes the raw float64 bytes of ``svg_io.reference_composite`` of the
+same K = 16 document at the benchmark's scale 4, before any clipping or
+quantization, printing ``reference/s4/seed sha256``.
 Last it runs ``gradcheck.run_gradcheck`` (100 probes, seed 0) and prints
 ``gradcheck/0 sha256`` over every (analytic, numeric) pair that
 ``gradcheck._agree`` compared.  Two checkouts that print the same lines
-wrote byte-identical SVG, trace, report and PNG files, reached the same
-final MSE and checked the same gradients, so a refactor that
-must not change behaviour diffs this output before and after.  Usage,
+wrote byte-identical SVG, trace, report and PNG files, rendered the same
+reference floats, reached the same final MSE and checked the same
+gradients, so a refactor that must not change behaviour diffs this
+output before and after.  Usage,
 from any checkout (its own ``src/`` is imported, files go to a temporary
 directory): ``python3 scripts/output_digest.py``.
 """
@@ -86,6 +90,8 @@ def edit_digests(seed: int, work: Path) -> list[str]:
     with contextlib.redirect_stdout(io.StringIO()):  # its line names the temp dir
         rc = cli.main(["render", str(svg), "-o", str(png), "--scale", "2"])
     lines.append(f"render/{seed} rc={rc} {hashlib.sha256(png.read_bytes()).hexdigest()}")
+    ref = svg_io.reference_composite(edited, scale=4)
+    lines.append(f"reference/s4/{seed} {hashlib.sha256(ref.tobytes()).hexdigest()}")
     return lines
 
 

@@ -36,6 +36,12 @@ _GROUP_STYLE = {
 }
 
 
+# Largest supersample canvas (output pixels times supersample squared)
+# that reference_composite renders; each path holds several float64
+# buffers of this size.  A 4096 x 4096 render at supersample 2 is at it.
+MAX_REFERENCE_SAMPLES = 2 ** 26
+
+
 class SvgParseError(ValueError):
     """Raised when input is outside the supported SVG subset."""
 
@@ -294,6 +300,16 @@ def _ref_coverage(path: VectorPath, width: int, height: int,
     Deliberately structured unlike the production rasterizer: no support
     window, no nearest-edge bookkeeping, one pass over edges with a
     running distance minimum and a winding accumulator.
+
+    A sample row at height y can only be crossed by an edge with
+    ``min(ay, by) <= y < max(ay, by)``, so each edge's crossing test runs
+    on those rows alone; an up edge adds where the cross product is
+    positive, a down edge subtracts where it is negative.  The distance
+    terms ``(gx - ax) * ex`` and ``(gy - ay) * ey`` depend on the column
+    and the row only, so they come from 1-D offsets joined by an outer
+    sum, and the rest runs in place on three canvas buffers in the
+    operation order of the plain full-canvas expressions, whose bits it
+    reproduces.
     """
     poly = flatten_bezier(path, config)
     v = poly.vertices
@@ -301,25 +317,43 @@ def _ref_coverage(path: VectorPath, width: int, height: int,
     s = config.supersample
     xs = (np.arange(width * s) + 0.5) / s
     ys = (np.arange(height * s) + 0.5) / s
-    gx = np.broadcast_to(xs[None, :], (height * s, width * s))
-    gy = np.broadcast_to(ys[:, None], (height * s, width * s))
-    min_d2 = np.full(gx.shape, np.inf)
-    winding = np.zeros(gx.shape, dtype=np.int64)
+    shape = (height * s, width * s)
+    min_d2 = np.full(shape, np.inf)
+    winding = np.zeros(shape, dtype=np.int64)
+    t, dx, dy = np.empty(shape), np.empty(shape), np.empty(shape)
     for e in range(n):
         ax, ay = v[e]
         bx, by = v[(e + 1) % n]
         ex, ey = bx - ax, by - ay
+        rx, ry = xs - ax, ys - ay
         denom = ex * ex + ey * ey
         if denom < 1e-24:
-            d2 = (gx - ax) ** 2 + (gy - ay) ** 2
+            np.add.outer(ry ** 2, rx ** 2, out=dx)
         else:
-            t = np.clip(((gx - ax) * ex + (gy - ay) * ey) / denom, 0.0, 1.0)
-            d2 = (gx - (ax + t * ex)) ** 2 + (gy - (ay + t * ey)) ** 2
-        np.minimum(min_d2, d2, out=min_d2)
-        cross = ex * (gy - ay) - ey * (gx - ax)
-        winding += ((ay <= gy) & (by > gy) & (cross > 0)).astype(np.int64)
-        winding -= ((by <= gy) & (ay > gy) & (cross < 0)).astype(np.int64)
-    sd = np.sqrt(min_d2)
+            # t = clip(((gx - ax) * ex + (gy - ay) * ey) / denom, 0, 1)
+            np.add.outer(ry * ey, rx * ex, out=t)
+            t /= denom
+            np.clip(t, 0.0, 1.0, out=t)
+            # d2 = (gx - (ax + t * ex)) ** 2 + (gy - (ay + t * ey)) ** 2
+            np.multiply(t, ex, out=dx)
+            dx += ax
+            np.subtract(xs, dx, out=dx)
+            np.square(dx, out=dx)
+            np.multiply(t, ey, out=dy)
+            dy += ay
+            np.subtract(ys[:, None], dy, out=dy)
+            np.square(dy, out=dy)
+            dx += dy
+        np.minimum(min_d2, dx, out=min_d2)
+        r0, r1 = np.searchsorted(ys, (min(ay, by), max(ay, by)))
+        if r0 < r1:
+            cross = np.subtract.outer(ex * ry[r0:r1], ey * rx)
+            if ay < by:
+                winding[r0:r1] += cross > 0
+            else:
+                winding[r0:r1] -= cross < 0
+    del t, dx, dy  # free the edge buffers before the sigmoid's temporaries
+    sd = np.sqrt(min_d2, out=min_d2)
     sd[winding != 0] *= -1.0
     sigma = _ref_sigmoid(-sd / config.aa_sigma)
     return sigma.reshape(height, s, width, s).mean(axis=(1, 3))
@@ -346,11 +380,18 @@ def reference_composite(doc: LayeredDocument,
     the Bezier flattening with it.  ``scale`` > 1 renders at an integer
     multiple of the native canvas (geometry scaled, smoothing kept in
     output-pixel units).  Empty layers render as their blend identities
-    (white for multiply, black for plus-lighter).
+    (white for multiply, black for plus-lighter).  A render of more than
+    ``MAX_REFERENCE_SAMPLES`` supersamples raises ValueError before any
+    allocation.
     """
     if scale < 1:
         raise ValueError("scale must be >= 1")
     w, h = doc.width * scale, doc.height * scale
+    samples = w * h * config.supersample ** 2
+    if samples > MAX_REFERENCE_SAMPLES:
+        raise ValueError(f"render of {w}x{h} px at supersample {config.supersample} "
+                         f"needs {samples} samples, above the limit of "
+                         f"{MAX_REFERENCE_SAMPLES}")
 
     def scaled(paths):
         if scale == 1:

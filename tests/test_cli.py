@@ -13,7 +13,7 @@ from covec.init_layers import InitError
 from covec.model import LayeredDocument
 from covec.pipeline import RunConfig
 from covec.svg_io import emit_svg
-from covec.synthetic import make_icon_scene
+from covec.synthetic import make_disk_grid_document, make_icon_scene
 
 from conftest import square_path
 
@@ -177,6 +177,19 @@ def test_render_scale(tmp_path, capsys):
                        "--scale", "3"], capsys)
     assert code == 0
     assert read_image(out_png).shape == (12, 18, 3)
+
+
+def test_render_oversized_scale_exits_2(tmp_path, capsys):
+    # 128000 x 128000 px at supersample 2 would need hundreds of GiB
+    svg = tmp_path / "doc.svg"
+    emit_svg(make_disk_grid_document(), svg)
+    out_png = tmp_path / "big.png"
+    code, out, err = _run(["render", str(svg), "-o", str(out_png),
+                           "--scale", "2000"], capsys)
+    assert code == 2
+    assert "128000x128000" in err and "supersample 2" in err
+    assert "Traceback" not in err and out == ""
+    assert not out_png.exists()
 
 
 def test_vectorize_deterministic_outputs(tmp_path, capsys):

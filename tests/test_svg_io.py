@@ -2,7 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from covec import svg_io
+from covec.geometry import flatten_bezier
 from covec.model import LayeredDocument, RasterizerConfig, VectorPath
 from covec.raster import render_composite
 from covec.svg_io import (SvgParseError, emit_svg, parse_svg,
@@ -131,6 +135,114 @@ def test_reference_scale_doubles_canvas():
     # the scaled render resolves the same geometry at finer sampling
     down = ref2.reshape(5, 2, 6, 2, 3).mean(axis=(1, 3))
     assert np.max(np.abs(down - ref1)) < 0.2
+
+
+def _full_canvas_coverage(path, width, height, config):
+    """``svg_io._ref_coverage`` written as plain full-canvas expressions.
+
+    Every edge evaluates its distance and its crossing test over the
+    whole supersample canvas.  The renderer restricts crossings to the
+    rows each edge spans and builds the distance terms from 1-D offsets;
+    it must reproduce these bits exactly.
+    """
+    v = flatten_bezier(path, config).vertices
+    n = v.shape[0]
+    s = config.supersample
+    xs = (np.arange(width * s) + 0.5) / s
+    ys = (np.arange(height * s) + 0.5) / s
+    gx = np.broadcast_to(xs[None, :], (height * s, width * s))
+    gy = np.broadcast_to(ys[:, None], (height * s, width * s))
+    min_d2 = np.full(gx.shape, np.inf)
+    winding = np.zeros(gx.shape, dtype=np.int64)
+    for e in range(n):
+        ax, ay = v[e]
+        bx, by = v[(e + 1) % n]
+        ex, ey = bx - ax, by - ay
+        denom = ex * ex + ey * ey
+        if denom < 1e-24:
+            d2 = (gx - ax) ** 2 + (gy - ay) ** 2
+        else:
+            t = np.clip(((gx - ax) * ex + (gy - ay) * ey) / denom, 0.0, 1.0)
+            d2 = (gx - (ax + t * ex)) ** 2 + (gy - (ay + t * ey)) ** 2
+        np.minimum(min_d2, d2, out=min_d2)
+        cross = ex * (gy - ay) - ey * (gx - ax)
+        winding += ((ay <= gy) & (by > gy) & (cross > 0)).astype(np.int64)
+        winding -= ((by <= gy) & (ay > gy) & (cross < 0)).astype(np.int64)
+    sd = np.sqrt(min_d2)
+    sd[winding != 0] *= -1.0
+    sigma = svg_io._ref_sigmoid(-sd / config.aa_sigma)
+    return sigma.reshape(height, s, width, s).mean(axis=(1, 3))
+
+
+def _polygon_path(pts):
+    """Closed loop of straight cubics (a, a, b, b): the flattened
+    vertices are the corners themselves, bit for bit."""
+    ctrl = []
+    for i, a in enumerate(pts):
+        ctrl += [a, a, pts[(i + 1) % len(pts)]]
+    return VectorPath(control_points=np.asarray(ctrl, dtype=np.float64),
+                      fill_color=np.full(3, 0.5), opacity=1.0,
+                      layer_tag="albedo")
+
+
+@st.composite
+def _coverage_cases(draw):
+    """A random closed loop on a w x h canvas (w != h) at supersample 1-3.
+
+    Vertices may sit exactly on a sample-row centre (k + 0.5) / s, repeat
+    the previous vertex's y (a horizontal edge) or the whole previous
+    vertex (a zero-length edge); segments are straight or curved.
+    """
+    s = draw(st.integers(1, 3))
+    w = draw(st.integers(2, 8))
+    h = draw(st.integers(2, 8).filter(lambda v: v != w))
+    fx = st.floats(-1.5, w + 1.5)
+    fy = st.floats(-1.5, h + 1.5)
+    row = st.integers(-1, h * s).map(lambda k: (k + 0.5) / s)
+    pts = [(draw(fx), draw(st.one_of(fy, row)))]
+    for _ in range(draw(st.integers(2, 7))):
+        kind = draw(st.sampled_from(("free", "row", "horizontal", "repeat")))
+        x, y = draw(fx), draw(row if kind == "row" else fy)
+        if kind == "horizontal":
+            y = pts[-1][1]
+        elif kind == "repeat":
+            x, y = pts[-1]
+        pts.append((x, y))
+    path = _polygon_path(pts)
+    if draw(st.booleans()):  # bend every segment through random handles
+        ctrl = path.control_points
+        for i in range(len(pts)):
+            ctrl[3 * i + 1] = draw(fx), draw(fy)
+            ctrl[3 * i + 2] = draw(fx), draw(fy)
+    assume(np.ptp(path.control_points, axis=0).max() > 0.0)
+    cfg = RasterizerConfig(supersample=s,
+                           aa_sigma=draw(st.sampled_from((0.5, 1.0, 2.0))))
+    return path, w, h, cfg
+
+
+@settings(max_examples=200, deadline=None)
+@given(_coverage_cases())
+def test_reference_coverage_matches_full_canvas_oracle(case):
+    path, w, h, cfg = case
+    assert np.array_equal(svg_io._ref_coverage(path, w, h, cfg),
+                          _full_canvas_coverage(path, w, h, cfg))
+
+
+# Loops with corners exactly on sample-row centres.  Along a horizontal
+# edge on such a row, a crossing rule closed at the other end of each
+# edge's row span flips the sign of the rounding-sized distance, which
+# changes the last bits of the coverage; the last loop repeats a corner.
+@pytest.mark.parametrize("s,pts", [
+    (1, [(0.3, 1.5), (4.9, 1.5), (2.2, 3.9)]),
+    (2, [(0.3, 0.75), (5.7, 0.75), (5.7, 2.75), (0.3, 2.75)]),
+    (2, [(0.3, 0.2), (0.3, 0.75), (4.1, 0.75), (4.1, 4.6), (0.6, 4.6)]),
+    (3, [(0.3, 0.5), (0.3, 0.5), (6.2, 2.5), (1.1, 4.2)]),  # zero-length edge
+])
+def test_reference_coverage_row_centre_vertices(s, pts):
+    path = _polygon_path(pts)
+    cfg = RasterizerConfig(supersample=s)
+    assert np.array_equal(svg_io._ref_coverage(path, 7, 5, cfg),
+                          _full_canvas_coverage(path, 7, 5, cfg))
 
 
 def test_light_only_document_saturates_white():
