@@ -11,13 +11,19 @@ with ``covec render --scale 2``, printing ``render/seed sha256(png)``,
 and hashes the raw float64 bytes of ``svg_io.reference_composite`` of the
 same K = 16 document at the benchmark's scale 4, before any clipping or
 quantization, printing ``reference/s4/seed sha256``.
-Last it runs ``gradcheck.run_gradcheck`` (100 probes, seed 0) and prints
+Then it runs ``gradcheck.run_gradcheck`` (100 probes, seed 0) and prints
 ``gradcheck/0 sha256`` over every (analytic, numeric) pair that
-``gradcheck._agree`` compared.  Two checkouts that print the same lines
-wrote byte-identical SVG, trace, report and PNG files, rendered the same
-reference floats, reached the same final MSE and checked the same
-gradients, so a refactor that must not change behaviour diffs this
-output before and after.  Usage,
+``gradcheck._agree`` compared.  Last it prints ``sd/<case> sha256`` over
+the four outputs of ``geometry.batch_signed_distance`` on fixed-seed
+inputs: random flattened Bezier loops against whole-canvas supersample
+grids at supersample 1-6, and integer-lattice polygons (some repeated
+vertices) against a permutation of their vertices, edge midpoints, a
+half-integer lattice, dense clusters and far points.  Two checkouts that
+print the same lines wrote byte-identical SVG, trace, report and PNG
+files, rendered the same reference floats, reached the same final MSE,
+checked the same gradients and computed the same signed distances, so a
+refactor that must not change behaviour diffs this output before and
+after.  Usage,
 from any checkout (its own ``src/`` is imported, files go to a temporary
 directory): ``python3 scripts/output_digest.py``.
 """
@@ -36,7 +42,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import scenes  # noqa: E402
 from covec import cli, edit, gradcheck, image_io, pipeline, svg_io  # noqa: E402
-from covec.model import RasterizerConfig  # noqa: E402
+from covec.geometry import Polyline, batch_signed_distance, flatten_bezier  # noqa: E402
+from covec.model import RasterizerConfig, VectorPath  # noqa: E402
 from covec.raster import render_composite  # noqa: E402
 
 # (warm-up epochs, joint epochs, refine rounds, iterations per round)
@@ -112,6 +119,48 @@ def gradcheck_digest() -> str:
     return f"gradcheck/0 {hashlib.sha256(blob).hexdigest()}"
 
 
+def _bezier_case(seed: int, ss: int) -> tuple[Polyline, np.ndarray]:
+    rng = np.random.default_rng(seed)
+    size = int(rng.integers(4, 40))
+    n_seg = int(rng.integers(2, 7))
+    ctrl = rng.uniform(-0.2 * size, 1.2 * size, (3 * n_seg, 2))
+    path = VectorPath(control_points=ctrl, fill_color=np.zeros(3), opacity=1.0,
+                      layer_tag="albedo")
+    tol = float(rng.choice([0.02, 0.1, 1.0]))
+    poly = flatten_bezier(path, RasterizerConfig(flatten_tolerance=tol))
+    coords = (np.arange(size * ss) + 0.5) / ss
+    gy, gx = np.meshgrid(coords, coords, indexing="ij")
+    return poly, np.stack([gx.ravel(), gy.ravel()], axis=1)
+
+
+def _lattice_case(seed: int) -> tuple[Polyline, np.ndarray]:
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 16))
+    verts = rng.integers(0, 12, (n, 2)).astype(np.float64)
+    verts = np.repeat(verts, np.where(rng.random(n) < 0.2, 2, 1), axis=0)
+    if np.ptp(verts, axis=0).max() == 0.0:
+        verts[0] += 1.0
+    mids = 0.5 * (verts + np.roll(verts, -1, axis=0))
+    half = np.arange(-2.0, 14.5, 0.5)
+    gy, gx = np.meshgrid(half, half, indexing="ij")
+    cluster = rng.uniform(0, 12, 2) + rng.uniform(0, 0.5, (int(rng.integers(0, 200)), 2))
+    far = rng.uniform(-200, 200, (int(rng.integers(0, 20)), 2))
+    pts = np.concatenate([verts, mids, np.stack([gx.ravel(), gy.ravel()], axis=1),
+                          cluster, far])
+    return Polyline(vertices=verts), rng.permutation(pts)
+
+
+def sd_digests() -> list[str]:
+    cases = {f"bezier/ss{ss}/{seed}": _bezier_case(seed, ss)
+             for ss in range(1, 7) for seed in range(3)}
+    cases.update({f"lattice/{seed}": _lattice_case(seed) for seed in range(6)})
+    lines = []
+    for name, (poly, pts) in cases.items():
+        blob = b"".join(out.tobytes() for out in batch_signed_distance(poly, pts))
+        lines.append(f"sd/{name} {hashlib.sha256(blob).hexdigest()}")
+    return lines
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for schedule in SCHEDULES:
@@ -122,3 +171,5 @@ if __name__ == "__main__":
             for line in edit_digests(seed, Path(tmp)):
                 print(line, flush=True)
     print(gradcheck_digest(), flush=True)
+    for line in sd_digests():
+        print(line, flush=True)

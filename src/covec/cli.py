@@ -62,9 +62,9 @@ def cmd_vectorize(args: argparse.Namespace) -> int:
 
 
 def cmd_render(args: argparse.Namespace) -> int:
+    config = RasterizerConfig(aa_sigma=args.aa_sigma)
     doc = _read_svg(args.input)
-    image = reference_composite(doc, RasterizerConfig(aa_sigma=args.aa_sigma),
-                                scale=args.scale)
+    image = reference_composite(doc, config, scale=args.scale)
     write_image(args.output, np.clip(image, 0.0, 1.0))
     print(f"wrote {args.output} ({image.shape[1]}x{image.shape[0]})")
     return 0
@@ -73,11 +73,11 @@ def cmd_render(args: argparse.Namespace) -> int:
 def cmd_edit(args: argparse.Namespace) -> int:
     if args.k < 1:
         raise CliUsageError("--k must be a positive integer")
+    cfg = EditConfig(tau_diff=args.tau, gamma_iou=args.gamma,
+                     delta_color=args.delta_color, top_k=args.k)
     doc = _read_svg(args.input)
     original = read_image(args.original)
     reference = read_image(args.reference)
-    cfg = EditConfig(tau_diff=args.tau, gamma_iou=args.gamma,
-                     delta_color=args.delta_color, top_k=args.k)
     edited, report = run_edit(doc, original, reference, cfg)
     emit_svg(edited, out=args.output)
     report_path = args.report

@@ -44,8 +44,8 @@ class EditConfig:
 
     def __post_init__(self):
         for name in ("tau_diff", "gamma_iou", "delta_color"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if self.top_k < 1:
             raise ValueError("top_k must be >= 1")
 

@@ -162,12 +162,14 @@ def vertex_control_scatter(path: VectorPath, polyline: Polyline) -> tuple[np.nda
     return idx, w
 
 
-# Side of the square tiles that batch_signed_distance groups query points
-# into, in the points' units (pixels for the rasterizer's supersamples).
+# Side of the square cells that batch_signed_distance tiles the query
+# points into, in the points' units (pixels for the rasterizer's
+# supersamples).  Each cell is one tile with one table of kept edges.
 SD_TILE = 2.0
 
-# Most points one tile holds; the points of a denser cell fill several tiles.
-_TILE_POINTS_MAX = 64
+# Points per group of tiles in batch_signed_distance; the group's
+# (slot, kept edge, tile) temporaries scale with it.
+SD_GROUP_POINTS = 2048
 
 # Slack on the edge-culling test, relative to the bound plus the squared
 # coordinate scale: rounding moves a computed squared distance by about
@@ -197,57 +199,44 @@ def _foot_offsets(px, py, ax, ay, abx, aby, ab_sq):
     return s, dx, dy
 
 
-def _kept_edges(keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Edge table of an (edges, tiles) mask: column t lists the edges kept
-    for tile t in ascending order, padded.  Returns the (K, tiles) table
-    and its padding mask."""
-    n_keep = np.count_nonzero(keep, axis=0)
-    table = np.argsort(~keep, axis=0, kind="stable")[:n_keep.max(initial=0)]
-    return table, np.arange(table.shape[0])[:, None] >= n_keep
-
-
-def batch_signed_distance(polyline: Polyline, points: np.ndarray,
-                          chunk: int = 2048) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def batch_signed_distance(polyline: Polyline, points: np.ndarray
+                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized signed distance for many query points.
 
     Returns (sd, edge_index, foot_s, unit) where ``unit`` is the outward
     derivative d(sd)/d(point), i.e. sign * (p - foot) / |p - foot|, or zero
     when the query point sits exactly on the boundary.  The nearest edge
     is the lowest-indexed edge at the minimum squared distance, and the
-    sign comes from the nonzero-winding crossing count.
+    sign comes from the nonzero winding number, counted in one pass over
+    the edges as in scanline polygon fill.
 
-    Points are grouped into tiles (square cells of side SD_TILE, holding
-    at most _TILE_POINTS_MAX points), and each tile is tested only against
-    the edges that can be nearest to one of its points.  With B the
-    bounding box of the tile's points, edge e's lower bound is the squared
-    gap between B and e's bounding box; the tile's upper bound is the
-    minimum over edges of the squared distance from B's farthest corner to
-    the edge's first vertex.  Every point of B is within the upper bound of
-    some edge, so an edge whose lower bound exceeds it (by more than
-    _CULL_SLACK, which absorbs rounding) is never nearest nor tied for
-    nearest.  Kept edges stay in ascending order and every pair goes
-    through the same foot, distance and argmin arithmetic as a test
-    against every edge, so all four outputs are bit for bit those of the
-    all-pairs computation.  The crossing count likewise takes only the
-    edges whose y-range meets B's, the only ones a horizontal ray from a
-    point of B can cross.  Tiles are processed in groups of at most
-    ``chunk`` points (or one tile, if a tile holds more), which bounds the
-    temporaries.
+    The points of each square cell of side SD_TILE form a tile, and each
+    tile is tested only against the edges that can be nearest to one of
+    its points.  With B the bounding box of the tile's points, edge e's
+    lower bound is the squared gap between B and e's bounding box; the
+    tile's upper bound is the minimum over edges of the squared distance
+    from B's farthest corner to the edge's first vertex.  Every point of B
+    is within the upper bound of some edge, so an edge whose lower bound
+    exceeds it (by more than _CULL_SLACK, which absorbs rounding) is never
+    nearest nor tied for nearest.  Kept edges stay in ascending order and
+    every pair goes through the same foot, distance and argmin arithmetic
+    as a test against every edge, so all four outputs are bit for bit
+    those of the all-pairs computation.  Tiles are processed in groups of
+    at most SD_GROUP_POINTS points (or one tile, if a tile holds more),
+    which bounds the temporaries.
     """
     pts = np.asarray(points, dtype=np.float64)
     v = polyline.vertices
-    a = v
     b = np.roll(v, -1, axis=0)
-    ab = b - a
+    ab = b - v
     ab_sq = np.einsum("ij,ij->i", ab, ab)
     ab_sq_safe = np.where(ab_sq < 1e-24, 1.0, ab_sq)
-    ax, ay = np.ascontiguousarray(a.T)
+    ax, ay = np.ascontiguousarray(v.T)
     abx, aby = np.ascontiguousarray(ab.T)
-    by = b[:, 1].copy()
     x_lo = np.minimum(ax, b[:, 0])[:, None]
     x_hi = np.maximum(ax, b[:, 0])[:, None]
-    y_lo = np.minimum(ay, by)[:, None]
-    y_hi = np.maximum(ay, by)[:, None]
+    y_lo = np.minimum(ay, b[:, 1])[:, None]
+    y_hi = np.maximum(ay, b[:, 1])[:, None]
 
     n_pts = pts.shape[0]
     sd = np.empty(n_pts)
@@ -256,9 +245,25 @@ def batch_signed_distance(polyline: Polyline, points: np.ndarray,
     unit = np.zeros((n_pts, 2))
     if n_pts == 0:
         return sd, edge_idx, foot_s, unit
-
-    # sort the points by cell, then cut each cell into tiles
     x, y = pts[:, 0], pts[:, 1]
+
+    # winding number, one pass over the edges: with the points sorted by y,
+    # edge e crosses the rays of the run with y in [y_lo[e], y_hi[e]); an up
+    # edge adds where the cross product is positive, a down edge subtracts
+    by_y = np.argsort(y, kind="stable")
+    first, last = np.searchsorted(y[by_y], (y_lo.ravel(), y_hi.ravel()))
+    wind = np.zeros(n_pts, dtype=np.int64)
+    for e in np.flatnonzero(first < last):
+        i = by_y[first[e]:last[e]]
+        cross = abx[e] * (y[i] - ay[e]) - aby[e] * (x[i] - ax[e])
+        if aby[e] > 0:
+            wind[i] += cross > 0
+        else:
+            wind[i] -= cross < 0
+    inside = wind != 0
+    del by_y, wind  # only the mask outlives the pass
+
+    # sort the points by cell; slot is a point's rank within its tile
     cx = np.floor((x - x.min()) / SD_TILE).astype(np.int64)
     cy = np.floor((y - y.min()) / SD_TILE).astype(np.int64)
     cell = cy * (cx.max() + 1) + cx
@@ -266,27 +271,22 @@ def batch_signed_distance(polyline: Polyline, points: np.ndarray,
     cell = cell[order]
     xs, ys = x[order], y[order]
     new_cell = np.r_[True, cell[1:] != cell[:-1]]
-    rank = np.arange(n_pts) - np.flatnonzero(new_cell)[np.cumsum(new_cell) - 1]
-    slot = rank % _TILE_POINTS_MAX
-    tile = np.cumsum(slot == 0) - 1
-    starts = np.flatnonzero(slot == 0)
+    tile = np.cumsum(new_cell) - 1
+    starts = np.flatnonzero(new_cell)
+    slot = np.arange(n_pts) - starts[tile]
     n_tiles = starts.size
-    box_x0 = np.minimum.reduceat(xs, starts)
-    box_x1 = np.maximum.reduceat(xs, starts)
-    box_y0 = np.minimum.reduceat(ys, starts)
-    box_y1 = np.maximum.reduceat(ys, starts)
+    box_lo = np.minimum.reduceat(np.stack([xs, ys]), starts, axis=1)
+    box_hi = np.maximum.reduceat(np.stack([xs, ys]), starts, axis=1)
     scale_sq = max(np.abs(pts).max(), np.abs(v).max()) ** 2
 
     nearest = np.empty(n_pts, dtype=np.int64)
-    wind = np.empty(n_pts, dtype=np.int64)
     cuts = np.r_[starts, n_pts]  # tile t is sorted points cuts[t]:cuts[t + 1]
-    step = max(1, chunk // int(np.diff(cuts).max()))
+    step = max(1, SD_GROUP_POINTS // int(np.diff(cuts).max()))
     for t0 in range(0, n_tiles, step):
         t1 = min(t0 + step, n_tiles)
         lo, hi = cuts[t0], cuts[t1]
         rows, cols = slot[lo:hi], tile[lo:hi] - t0
-        x0, x1 = box_x0[t0:t1], box_x1[t0:t1]
-        y0, y1 = box_y0[t0:t1], box_y1[t0:t1]
+        (x0, y0), (x1, y1) = box_lo[:, t0:t1], box_hi[:, t0:t1]
         # (slot, 1, tile) grid of the group's points; empty slots stay 0
         px = np.zeros((rows.max() + 1, 1, t1 - t0))
         py = np.zeros_like(px)
@@ -301,31 +301,22 @@ def batch_signed_distance(polyline: Polyline, points: np.ndarray,
         upper = (fx * fx + fy * fy).min(axis=0)
         keep = gx * gx + gy * gy <= upper + _CULL_SLACK * (upper + scale_sq)
 
-        # (slot, K, tile) squared distances to the kept edges
-        table, pad = _kept_edges(keep)
+        # (K, tile) table of the kept edges in ascending order, padded, and
+        # the (slot, K, tile) squared distances to them
+        n_keep = np.count_nonzero(keep, axis=0)
+        table = np.argsort(~keep, axis=0, kind="stable")[:n_keep.max()]
         _, dx, dy = _foot_offsets(px, py, ax[table], ay[table], abx[table],
                                   aby[table], ab_sq_safe[table])
         dist_sq = dx * dx + dy * dy
-        dist_sq[:, pad] = np.inf
+        dist_sq[:, np.arange(table.shape[0])[:, None] >= n_keep] = np.inf
         k = np.argmin(dist_sq, axis=1)
         nearest[lo:hi] = table[k[rows, cols], cols]
-
-        # winding via crossing counts over the edges spanning the tile's rows
-        table, pad = _kept_edges((y_lo <= y1) & (y_hi > y0))
-        ey_a, ey_b = ay[table], by[table]
-        up = (ey_a <= py) & (ey_b > py)
-        down = (ey_b <= py) & (ey_a > py)
-        cross = abx[table] * (py - ey_a) - aby[table] * (px - ax[table])
-        live = ~pad
-        counts = (np.count_nonzero(up & (cross > 0) & live, axis=1)
-                  - np.count_nonzero(down & (cross < 0) & live, axis=1))
-        wind[lo:hi] = counts[rows, cols]
 
     # the nearest pair's foot and offset again, by the same arithmetic
     e = nearest
     s, dx, dy = _foot_offsets(xs, ys, ax[e], ay[e], abx[e], aby[e], ab_sq_safe[e])
     d_best = np.sqrt(dx * dx + dy * dy)
-    sign = np.where(wind != 0, -1.0, 1.0)
+    sign = np.where(inside[order], -1.0, 1.0)
     sd[order] = sign * d_best
     edge_idx[order] = e
     foot_s[order] = s

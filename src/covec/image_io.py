@@ -161,9 +161,11 @@ def _read_png_planes(path) -> tuple[np.ndarray, int, int]:
             idat.extend(payload)
         elif tag == b"IEND":
             break
-    if ihdr is None:
-        raise ImageFormatError("PNG missing IHDR chunk")
+    if ihdr is None or len(ihdr) != 13:
+        raise ImageFormatError("PNG IHDR chunk missing or malformed")
     w, h, depth, ctype, comp, filt, interlace = struct.unpack(">IIBBBBB", ihdr)
+    if w < 1 or h < 1:
+        raise ImageFormatError(f"PNG size {w}x{h} is empty")
     if depth not in (8, 16):
         raise ImageFormatError(f"unsupported PNG bit depth {depth}")
     if ctype not in _SUPPORTED_COLOR_TYPES:
@@ -174,7 +176,10 @@ def _read_png_planes(path) -> tuple[np.ndarray, int, int]:
         raise ImageFormatError("interlaced PNG is unsupported")
     channels = _CHANNELS[ctype]
     bpp = channels * depth // 8
-    raw = zlib.decompress(bytes(idat))
+    try:
+        raw = zlib.decompress(bytes(idat))
+    except zlib.error as exc:
+        raise ImageFormatError(f"corrupt PNG image data: {exc}") from exc
     rows = _unfilter(raw, w, h, bpp)
     if depth == 8:
         planes = rows.reshape(h, w, channels).astype(np.uint32)
@@ -257,7 +262,11 @@ def read_ppm(path) -> np.ndarray:
     w_tok, pos = _ppm_token(data, pos)
     h_tok, pos = _ppm_token(data, pos)
     m_tok, pos = _ppm_token(data, pos)
+    if not (w_tok.isdigit() and h_tok.isdigit() and m_tok.isdigit()):
+        raise ImageFormatError("PPM width, height and maxval must be decimal numbers")
     w, h, maxval = int(w_tok), int(h_tok), int(m_tok)
+    if w < 1 or h < 1:
+        raise ImageFormatError(f"PPM size {w}x{h} is empty")
     if not 0 < maxval < 65536:
         raise ImageFormatError(f"invalid PPM maxval {maxval}")
     pos += 1  # single whitespace byte after maxval

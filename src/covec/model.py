@@ -140,16 +140,13 @@ class RasterizerConfig:
     aa_sigma: float = 1.0
     supersample: int = 2
     flatten_mode: str = "adaptive"
-    cutoff_sigmas: float = 30.0
 
     def __post_init__(self):
-        if self.flatten_tolerance <= 0:
-            raise ValueError("flatten_tolerance must be positive")
-        if self.aa_sigma <= 0:
-            raise ValueError("aa_sigma must be positive")
+        if not 0 < self.flatten_tolerance < np.inf:
+            raise ValueError("flatten_tolerance must be positive and finite")
+        if not 0 < self.aa_sigma < np.inf:
+            raise ValueError("aa_sigma must be positive and finite")
         if self.supersample < 1:
             raise ValueError("supersample must be >= 1")
         if self.flatten_mode not in ("adaptive", "fixed"):
             raise ValueError("flatten_mode must be 'adaptive' or 'fixed'")
-        if self.cutoff_sigmas <= 0:
-            raise ValueError("cutoff_sigmas must be positive")

@@ -58,8 +58,8 @@ class StructLossConfig:
     penalty_sign: str = "overlap"
 
     def __post_init__(self):
-        if self.lambda_overlap < 0:
-            raise ValueError("lambda_overlap must be nonnegative")
+        if not 0 <= self.lambda_overlap < np.inf:
+            raise ValueError("lambda_overlap must be nonnegative and finite")
         if not 0.0 < self.delta_overlap < 1.0:
             raise ValueError("delta_overlap must lie in (0, 1)")
         if self.penalty_sign not in PENALTY_MODES:

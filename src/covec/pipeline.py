@@ -79,8 +79,8 @@ class RunConfig:
             raise ValueError("seed must be nonnegative")
         if self.mode == "albedo_only" and self.albedo_path is not None:
             raise ValueError("an albedo estimate is only used in full mode")
-        if self.dp_epsilon < 0:
-            raise ValueError("dp_epsilon must be nonnegative")
+        if not 0 <= self.dp_epsilon < np.inf:
+            raise ValueError("dp_epsilon must be nonnegative and finite")
         stages = {
             "raster_config": RasterizerConfig(aa_sigma=self.aa_sigma),
             "schedule": Schedule(warmup_epochs=self.warmup_epochs,

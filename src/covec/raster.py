@@ -44,6 +44,9 @@ from .model import (
 
 COMPOSITE_MODES = ("two_layer", "three_layer")
 
+# Pad of a path's support window beyond its outline, in units of aa_sigma.
+CUTOFF_SIGMAS = 30.0
+
 
 @dataclass
 class PathCoverage:
@@ -65,7 +68,7 @@ def path_coverage(path: VectorPath, width: int, height: int,
     """Soft coverage of a single path over the canvas.
 
     Work is restricted to the path's bounding box padded by
-    cutoff_sigmas * aa_sigma; outside that window the logistic tail is
+    CUTOFF_SIGMAS * aa_sigma; outside that window the logistic tail is
     below ~1e-13 and coverage is set to exactly zero.  Inside it, every
     supersample gets its signed distance to the flattened outline from
     batch_signed_distance, which culls edges per tile of samples without
@@ -75,7 +78,7 @@ def path_coverage(path: VectorPath, width: int, height: int,
     coverage_backward.
     """
     poly = flatten_bezier(path, config)
-    pad = config.cutoff_sigmas * config.aa_sigma
+    pad = CUTOFF_SIGMAS * config.aa_sigma
     v = poly.vertices
     x0 = int(np.clip(np.floor(v[:, 0].min() - pad), 0, width))
     x1 = int(np.clip(np.ceil(v[:, 0].max() + pad), 0, width))

@@ -37,9 +37,9 @@ _GROUP_STYLE = {
 
 
 # Largest supersample canvas (output pixels times supersample squared)
-# that reference_composite renders; each path holds several float64
-# buffers of this size.  A 4096 x 4096 render at supersample 2 is at it.
-MAX_REFERENCE_SAMPLES = 2 ** 26
+# that reference_composite renders: at its peak of about 83 bytes per
+# supersample, 2048 x 2048 px at supersample 2 need about 1.3 GiB.
+MAX_REFERENCE_SAMPLES = 2 ** 24
 
 
 class SvgParseError(ValueError):

@@ -140,6 +140,18 @@ def test_metrics_identical_and_mismatch(tmp_path, capsys):
     assert "shapes differ" in err
 
 
+def test_metrics_corrupt_png_exits_2(tmp_path, capsys):
+    a = tmp_path / "a.png"
+    bad = tmp_path / "bad.png"
+    write_image(a, make_icon_scene(4))
+    data = a.read_bytes()
+    idat = data.index(b"IDAT") + 4
+    bad.write_bytes(data[:idat] + b"\x00" * 4 + data[idat + 4:])
+    code, _, err = _run(["metrics", str(bad), str(a)], capsys)
+    assert code == 2
+    assert "corrupt PNG" in err and "Traceback" not in err
+
+
 def test_metrics_nonzero(tmp_path, capsys):
     a = tmp_path / "a.png"
     b = tmp_path / "b.png"
@@ -192,6 +204,38 @@ def test_render_oversized_scale_exits_2(tmp_path, capsys):
     assert not out_png.exists()
 
 
+def test_render_scale_above_sample_limit_exits_2(tmp_path, capsys):
+    # 2112 x 2112 px at supersample 2 is above MAX_REFERENCE_SAMPLES
+    svg = tmp_path / "doc.svg"
+    emit_svg(make_disk_grid_document(), svg)
+    out_png = tmp_path / "big.png"
+    code, _, err = _run(["render", str(svg), "-o", str(out_png),
+                         "--scale", "33"], capsys)
+    assert code == 2
+    assert "2112x2112" in err
+    assert not out_png.exists()
+
+
+def test_render_non_finite_aa_sigma_exits_2(tmp_path, capsys):
+    svg = tmp_path / "doc.svg"
+    emit_svg(LayeredDocument(width=6, height=4,
+                             albedo=[square_path(1, 1, 5, 3)]), svg)
+    out_png = tmp_path / "o.png"
+    code, _, err = _run(["render", str(svg), "-o", str(out_png),
+                         "--aa-sigma", "nan"], capsys)
+    assert code == 2
+    assert "aa_sigma" in err
+    assert not out_png.exists()
+
+
+def test_edit_non_finite_tau_exits_2_before_reading(tmp_path, capsys):
+    # the inputs do not exist: the setting is rejected before they are read
+    code, _, err = _run(["edit", "a.svg", "o.png", "r.png",
+                         "-o", str(tmp_path / "b.svg"), "--tau", "nan"], capsys)
+    assert code == 2
+    assert "tau_diff" in err
+
+
 def test_vectorize_deterministic_outputs(tmp_path, capsys):
     img_path = tmp_path / "icon.png"
     write_image(img_path, make_icon_scene(20))
@@ -226,7 +270,9 @@ def test_vectorize_albedo_only_rejects_albedo_file(tmp_path, capsys):
     ("refine_rounds", -1), ("refine_iters", 0), ("warmup_epochs", -1),
     ("joint_epochs", -1), ("lambda_overlap", -1.0), ("delta_overlap", 1.5),
     ("penalty_sign", "bogus"), ("dp_epsilon", -1.0), ("aa_sigma", 0.0),
-    ("seed", -1),
+    ("seed", -1), ("dp_epsilon", float("nan")), ("dp_epsilon", float("inf")),
+    ("lambda_overlap", float("nan")), ("aa_sigma", float("nan")),
+    ("aa_sigma", float("inf")),
 ])
 def test_run_config_rejects_invalid_values(field, value):
     with pytest.raises(ValueError):
@@ -236,7 +282,8 @@ def test_run_config_rejects_invalid_values(field, value):
 @pytest.mark.parametrize("flag", [
     ["--rounds", "-1"], ["--iters", "0"], ["--warmup", "-1"],
     ["--lambda", "-1"], ["--dp-eps", "-1"], ["--aa-sigma", "0"],
-    ["--seed", "-1"],
+    ["--seed", "-1"], ["--dp-eps", "nan"], ["--lambda", "nan"],
+    ["--aa-sigma", "inf"],
 ])
 def test_vectorize_invalid_value_exits_2_before_any_work(flag, tmp_path, capsys,
                                                          monkeypatch):

@@ -64,17 +64,18 @@ def test_png_16bit_big_endian_layout(tmp_path):
     assert samples == (65535, 0, 0, 0, 258, 0)
 
 
+def _chunk(tag, payload):
+    body = tag + payload
+    return (struct.pack(">I", len(payload)) + body
+            + struct.pack(">I", zlib.crc32(body) & 0xFFFFFFFF))
+
+
 def _png_bytes(width, height, bit_depth, color_type, idat,
                interlace=0) -> bytes:
-    def chunk(tag, payload):
-        body = tag + payload
-        return (struct.pack(">I", len(payload)) + body
-                + struct.pack(">I", zlib.crc32(body) & 0xFFFFFFFF))
-
     ihdr = struct.pack(">IIBBBBB", width, height, bit_depth, color_type,
                        0, 0, interlace)
-    return (b"\x89PNG\r\n\x1a\n" + chunk(b"IHDR", ihdr)
-            + chunk(b"IDAT", zlib.compress(idat)) + chunk(b"IEND", b""))
+    return (b"\x89PNG\r\n\x1a\n" + _chunk(b"IHDR", ihdr)
+            + _chunk(b"IDAT", zlib.compress(idat)) + _chunk(b"IEND", b""))
 
 
 def _paeth_ref(a, b, c):
@@ -162,6 +163,23 @@ def test_png_rejects_unsupported(tmp_path):
         read_png(p)
 
 
+def test_png_rejects_malformed_header(tmp_path):
+    p = tmp_path / "m.png"
+    magic = b"\x89PNG\r\n\x1a\n"
+    ihdr = struct.pack(">IIBBBBB", 2, 1, 8, 0, 0, 0, 0)
+    p.write_bytes(magic + _chunk(b"IHDR", ihdr)
+                  + _chunk(b"IDAT", b"not a zlib stream") + _chunk(b"IEND", b""))
+    with pytest.raises(ImageFormatError, match="corrupt"):
+        read_png(p)
+    for width, height in ((0, 1), (2, 0)):
+        p.write_bytes(_png_bytes(width, height, 8, 0, b""))
+        with pytest.raises(ImageFormatError, match="empty"):
+            read_png(p)
+    p.write_bytes(magic + _chunk(b"IHDR", ihdr[:12]) + _chunk(b"IEND", b""))
+    with pytest.raises(ImageFormatError, match="IHDR"):
+        read_png(p)
+
+
 def test_label_png_roundtrip(tmp_path):
     labels = np.array([[0, 1, 2], [300, 2, 1]], dtype=np.int64)
     p = tmp_path / "lab.png"
@@ -219,6 +237,13 @@ def test_ppm_rejects_bad_header(tmp_path):
         read_ppm(p)
     p.write_bytes(b"P6 2 1 255\n" + bytes(3))
     with pytest.raises(ImageFormatError, match="truncated"):
+        read_ppm(p)
+    for header in (b"P6 -4 4 255\n", b"P6 4 +4 255\n", b"P6 4 4 2_55\n"):
+        p.write_bytes(header + bytes(48))
+        with pytest.raises(ImageFormatError, match="decimal"):
+            read_ppm(p)
+    p.write_bytes(b"P6 0 4 255\n")
+    with pytest.raises(ImageFormatError, match="empty"):
         read_ppm(p)
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
+from covec import raster
 from covec.geometry import batch_signed_distance, flatten_bezier
 from covec.model import LayeredDocument, RasterizerConfig, VectorPath, WHITE
 from covec.raster import (blend, composite_backward, composite_forward,
@@ -44,10 +45,11 @@ def test_coverage_interior_near_one(rcfg):
     assert np.all(pc.coverage >= 0) and np.all(pc.coverage <= 1)
 
 
-def test_coverage_window_truncation_negligible():
+def test_coverage_window_truncation_negligible(monkeypatch):
     path = disk_path(10, 10, 4)
-    tight = path_coverage(path, 48, 48, RasterizerConfig(cutoff_sigmas=30.0))
-    wide = path_coverage(path, 48, 48, RasterizerConfig(cutoff_sigmas=1e6))
+    tight = path_coverage(path, 48, 48, RasterizerConfig())
+    monkeypatch.setattr(raster, "CUTOFF_SIGMAS", 1e6)
+    wide = path_coverage(path, 48, 48, RasterizerConfig())
     assert np.allclose(tight.coverage, wide.coverage, atol=1e-12)
 
 
