@@ -10,7 +10,9 @@ run.  On the ``disk_grid_edit`` document of seeds 0-1 it then runs
 with ``covec render --scale 2``, printing ``render/seed sha256(png)``,
 and hashes the raw float64 bytes of ``svg_io.reference_composite`` of the
 same K = 16 document at the benchmark's scale 4, before any clipping or
-quantization, printing ``reference/s4/seed sha256``.
+quantization, printing ``reference/s4/seed sha256``, and again at
+supersample 1 and 3, whose row bands end on other rows, printing
+``reference/ss1/seed`` and ``reference/ss3/seed``.
 Then it runs ``gradcheck.run_gradcheck`` (100 probes, seed 0) and prints
 ``gradcheck/0 sha256`` over every (analytic, numeric) pair that
 ``gradcheck._agree`` compared.  Last it prints ``sd/<case> sha256`` over
@@ -99,6 +101,9 @@ def edit_digests(seed: int, work: Path) -> list[str]:
     lines.append(f"render/{seed} rc={rc} {hashlib.sha256(png.read_bytes()).hexdigest()}")
     ref = svg_io.reference_composite(edited, scale=4)
     lines.append(f"reference/s4/{seed} {hashlib.sha256(ref.tobytes()).hexdigest()}")
+    for ss in (1, 3):
+        ref = svg_io.reference_composite(edited, RasterizerConfig(supersample=ss), scale=4)
+        lines.append(f"reference/ss{ss}/{seed} {hashlib.sha256(ref.tobytes()).hexdigest()}")
     return lines
 
 

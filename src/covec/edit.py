@@ -6,7 +6,8 @@ changed pixels, picks the top K by support area, and rewrites only their
 fill colors so the shaded composite matches the reference.  Dividing the
 reference color by the mean shade under each path compensates for the
 multiply blend, so a path that renders dark under shadow still receives
-the intended surface color.
+the intended surface color.  Recoloring never moves geometry, so one edit
+rasterizes each path once and every later step reuses those coverage maps.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import LayeredDocument, RasterizerConfig, WHITE
+from .model import BLACK, WHITE, LayeredDocument, RasterizerConfig
 from .optimize import mse
-from .raster import layer_forward, path_coverage, render_composite
+from .raster import layer_forward, render_composite
 
 # Stabilizer added to the mean shade before dividing it out of a color.
 EPSILON_SHADE = 1e-4
@@ -102,23 +103,22 @@ def compute_edit_mask(original: np.ndarray, reference: np.ndarray,
     return diff > tau
 
 
-def candidate_paths(doc: LayeredDocument, original: np.ndarray,
+def candidate_paths(albedo_maps: list[np.ndarray], original: np.ndarray,
                     reference: np.ndarray, edit_mask: np.ndarray,
-                    cfg: EditConfig,
-                    rcfg: RasterizerConfig = RasterizerConfig()
-                    ) -> list[EditCandidate]:
+                    cfg: EditConfig) -> list[EditCandidate]:
     """Albedo paths overlapping the edit mask, largest support first.
 
-    A path survives when its binary support (coverage above one half)
-    has IoU with the edit mask above gamma_iou AND its mean color moved
-    by at most delta_color between the two images.  The second filter
-    keeps small shifts by construction; scenes with drastic recolors
-    should raise delta_color accordingly.
+    ``albedo_maps`` holds the coverage map of each albedo path, in layer
+    order.  A path survives when its binary support (coverage above one
+    half) has IoU with the edit mask above gamma_iou AND its mean color
+    moved by at most delta_color between the two images.  The second
+    filter keeps small shifts by construction; scenes with drastic
+    recolors should raise delta_color accordingly.
     """
     edit_area = int(edit_mask.sum())
     out: list[EditCandidate] = []
-    for idx, path in enumerate(doc.albedo):
-        support = path_coverage(path, doc.width, doc.height, rcfg).coverage > 0.5
+    for idx, coverage in enumerate(albedo_maps):
+        support = coverage > 0.5
         n_support = int(support.sum())
         if n_support == 0:
             continue
@@ -140,29 +140,24 @@ def candidate_paths(doc: LayeredDocument, original: np.ndarray,
 
 def apply_color_edit(doc: LayeredDocument, candidates: list[EditCandidate],
                      reference: np.ndarray, cfg: EditConfig,
-                     rcfg: RasterizerConfig = RasterizerConfig()
-                     ) -> tuple[LayeredDocument, EditReport]:
+                     shade_img: np.ndarray) -> tuple[LayeredDocument, EditReport]:
     """Recolor the top-K candidate paths toward the reference.
 
     Only fill colors change; geometry, opacity, and stacking order stay
-    put.  With a nonempty shade layer the target color divides out the
-    mean rendered shade under the path, so the multiply composite lands
-    on the reference color; without one the reference mean is used as is.
-    Asking for more paths than exist edits them all and records the
-    shortfall in the report.
+    put.  ``shade_img`` is the rendered shade layer.  With a nonempty
+    shade layer the target color divides out the mean rendered shade
+    under the path, so the multiply composite lands on the reference
+    color; without one the reference mean is used as is.  Asking for more
+    paths than exist edits them all and records the shortfall in the
+    report.
     """
     edited = doc.copy()
     report = EditReport(requested_k=cfg.top_k, n_candidates=len(candidates))
-    chosen = candidates[:cfg.top_k]
-    shade_img = None
-    if doc.shade:
-        shade_img = layer_forward(doc.shade, WHITE, doc.width, doc.height,
-                                  rcfg).image
-    for cand in chosen:
+    for cand in candidates[:cfg.top_k]:
         path = edited.albedo[cand.path_index]
         old_color = path.fill_color.copy()
         c_ref = reference[cand.mask].mean(axis=0)
-        if shade_img is not None:
+        if doc.shade:
             s_bar = shade_img[cand.mask].mean(axis=0)
             new_color = np.clip(c_ref / (s_bar + EPSILON_SHADE), 0.0, 1.0)
         else:
@@ -184,14 +179,25 @@ def run_edit(doc: LayeredDocument, original: np.ndarray,
              reference: np.ndarray, cfg: EditConfig,
              rcfg: RasterizerConfig = RasterizerConfig()
              ) -> tuple[LayeredDocument, EditReport]:
-    """Full edit pass: mask, candidates, recolor, before/after MSE."""
+    """Full edit pass: mask, candidates, recolor, before/after MSE.
+
+    Each path is rasterized once.  The albedo coverage maps give the
+    candidates their supports, the shade render gives the recolor its
+    shade, and the before and after composites, which differ only in
+    albedo fills, both blend from the same maps.
+    """
     if (original.shape[0] != doc.height or original.shape[1] != doc.width):
         raise ValueError("original image does not match document dimensions")
     edit_mask = compute_edit_mask(original, reference, cfg.tau_diff)
-    cands = candidate_paths(doc, original, reference, edit_mask, cfg, rcfg)
-    edited, report = apply_color_edit(doc, cands, reference, cfg, rcfg)
-    before = render_composite(doc, "three_layer", rcfg)
-    after = render_composite(edited, "three_layer", rcfg)
+    renders = {tag: layer_forward(doc.layer(tag), BLACK if tag == "light" else WHITE,
+                                  doc.width, doc.height, rcfg)
+               for tag in ("albedo", "shade", "light")}
+    maps = {tag: [pc.coverage for pc in r.coverages] for tag, r in renders.items()}
+    cands = candidate_paths(maps["albedo"], original, reference, edit_mask, cfg)
+    edited, report = apply_color_edit(doc, cands, reference, cfg,
+                                      renders["shade"].image)
+    before = render_composite(doc, "three_layer", rcfg, maps)
+    after = render_composite(edited, "three_layer", rcfg, maps)
     report.mse_before = mse(np.clip(before, 0.0, 1.0), reference)
     report.mse_after = mse(np.clip(after, 0.0, 1.0), reference)
     return edited, report

@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import WHITE, LayeredDocument, RasterizerConfig, VectorPath
+from .model import LayeredDocument, RasterizerConfig, VectorPath
 from .optimize import loss_recon, mse
-from .raster import path_coverage, source_over
+from .raster import path_coverage, render_composite
 from .refine import circle_control_points
 
 logger = logging.getLogger(__name__)
@@ -116,14 +116,6 @@ def _coverage_cache(doc: LayeredDocument,
             for tag in ("albedo", "illumination")}
 
 
-def _cached_loss(doc: LayeredDocument, target: np.ndarray,
-                 covs: dict[str, list[np.ndarray]]) -> float:
-    w, h = doc.width, doc.height
-    a = source_over(doc.albedo, covs["albedo"], WHITE, w, h).image
-    i = source_over(doc.illumination, covs["illumination"], WHITE, w, h).image
-    return mse(a * i, target)
-
-
 def _set_param(path: VectorPath, kind: str, coord: tuple, value: float) -> None:
     if kind == "control_point":
         path.control_points[coord] = value
@@ -163,7 +155,7 @@ def run_gradcheck(cfg: GradCheckConfig = GradCheckConfig()) -> GradCheckReport:
                 if kind == "control_point":  # only geometry moves the coverage
                     covs[tag][pi] = path_coverage(path, doc.width, doc.height,
                                                   config).coverage
-                vals.append(_cached_loss(doc, target, covs))
+                vals.append(mse(render_composite(doc, "two_layer", config, covs), target))
             _set_param(path, kind, coord, base)
             covs[tag][pi] = saved_cov
             return (vals[0] - vals[1]) / (2.0 * eps)

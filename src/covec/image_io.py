@@ -144,7 +144,11 @@ def _unfilter(raw: bytes, width: int, height: int, bpp: int) -> np.ndarray:
 
 
 def _read_png_planes(path) -> tuple[np.ndarray, int, int]:
-    """Decode a PNG into (H, W, channels) integer samples plus depth/type."""
+    """Decode a PNG into (H, W, channels) integer samples plus depth/type.
+
+    Every chunk up to IEND must be whole and pass its CRC-32 over type and
+    data; a damaged or truncated one raises ImageFormatError.
+    """
     data = Path(path).read_bytes()
     if not data.startswith(_PNG_MAGIC):
         raise ImageFormatError("not a PNG file")
@@ -153,8 +157,14 @@ def _read_png_planes(path) -> tuple[np.ndarray, int, int]:
     idat = bytearray()
     while pos + 8 <= len(data):
         length, tag = struct.unpack(">I4s", data[pos:pos + 8])
-        payload = data[pos + 8:pos + 8 + length]
-        pos += 12 + length
+        end = pos + 8 + length
+        name = tag.decode("latin-1")
+        if end + 4 > len(data):
+            raise ImageFormatError(f"corrupt PNG: {name} chunk truncated")
+        payload = data[pos + 8:end]
+        if zlib.crc32(tag + payload) != struct.unpack(">I", data[end:end + 4])[0]:
+            raise ImageFormatError(f"corrupt PNG: {name} chunk fails its CRC check")
+        pos = end + 4
         if tag == b"IHDR":
             ihdr = payload
         elif tag == b"IDAT":

@@ -15,8 +15,10 @@ precomputed coverage maps: ``layer_forward`` rasterizes a layer and calls
 it, and callers that cache coverage maps (refinement cleanup, gradcheck)
 call it directly.  ``composite_forward``/``composite_backward`` render a
 whole document and run its backward pass; the optimizer's reconstruction
-loss runs through them.  The pipeline's final composite reuses renders it
-already holds, combined with ``source_over`` and ``blend``.
+loss runs through them.  ``render_composite`` blends a document from
+coverage maps its caller already holds (edit, gradcheck) or rasterizes
+it; the pipeline's final composite reuses renders it already holds,
+combined with ``source_over`` and ``blend``.
 
 Every forward quantity needed by the analytic backward pass is cached per
 path: sample-level sigmoid values, nearest-edge foot points, and the
@@ -283,6 +285,20 @@ def _factor_tag(mode: str) -> str:
     return "illumination" if mode == "two_layer" else "shade"
 
 
+def _layer_tags(mode: str) -> list[str]:
+    """Tags of the layers a ``mode`` composite blends, albedo first."""
+    if mode not in COMPOSITE_MODES:
+        raise ValueError(f"unknown composite mode {mode!r}")
+    return ["albedo", _factor_tag(mode)] + (["light"] if mode == "three_layer" else [])
+
+
+def _blend_layers(images: dict[str, np.ndarray], mode: str) -> np.ndarray:
+    image = blend("multiply", images["albedo"], images[_factor_tag(mode)])
+    if "light" in images:
+        image = blend("plus_lighter", image, images["light"])
+    return image
+
+
 def composite_forward(doc: LayeredDocument, mode: str, config: RasterizerConfig,
                       with_grad: bool = False) -> CompositeResult:
     """Render a document in two_layer (A * I) or three_layer ((A * S) + L) form.
@@ -291,23 +307,31 @@ def composite_forward(doc: LayeredDocument, mode: str, config: RasterizerConfig,
     white (the identity of multiply), light over black (the identity of
     plus-lighter), so empty layers drop out of the blend exactly.
     """
-    if mode not in COMPOSITE_MODES:
-        raise ValueError(f"unknown composite mode {mode!r}")
-    factor = _factor_tag(mode)
-    tags = ["albedo", factor] + (["light"] if mode == "three_layer" else [])
     renders = {tag: layer_forward(doc.layer(tag), BLACK if tag == "light" else WHITE,
                                   doc.width, doc.height, config, with_grad)
-               for tag in tags}
-    image = blend("multiply", renders["albedo"].image, renders[factor].image)
-    if "light" in renders:
-        image = blend("plus_lighter", image, renders["light"].image)
+               for tag in _layer_tags(mode)}
+    image = _blend_layers({tag: r.image for tag, r in renders.items()}, mode)
     return CompositeResult(image=image, mode=mode, renders=renders)
 
 
-def render_composite(doc: LayeredDocument, mode: str,
-                     config: RasterizerConfig) -> np.ndarray:
-    """Forward-only composite; see composite_forward for layer semantics."""
-    return composite_forward(doc, mode, config).image
+def render_composite(doc: LayeredDocument, mode: str, config: RasterizerConfig,
+                     maps: dict[str, list[np.ndarray]] | None = None) -> np.ndarray:
+    """Forward-only composite; see composite_forward for layer semantics.
+
+    ``maps`` holds each blended layer's coverage maps by tag, one per path
+    in layer order.  Given them, nothing is rasterized: the layers
+    composite from the maps with source_over, the same arithmetic as
+    layer_forward, so a document whose geometry they match renders to the
+    same bits.  Recoloring keeps geometry, so its before and after
+    composites share one set of maps.
+    """
+    if maps is None:
+        return composite_forward(doc, mode, config).image
+    images = {tag: source_over(doc.layer(tag), maps[tag],
+                               BLACK if tag == "light" else WHITE,
+                               doc.width, doc.height).image
+              for tag in _layer_tags(mode)}
+    return _blend_layers(images, mode)
 
 
 def composite_backward(doc: LayeredDocument, result: CompositeResult,

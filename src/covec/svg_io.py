@@ -36,9 +36,14 @@ _GROUP_STYLE = {
 }
 
 
+# Sample rows per band of the reference renderer, rounded down to whole
+# pixel rows (at least one), so its per-edge buffers stay small: 64 x 512
+# samples (256 KiB each) for the benchmark's 256 px render.
+_REF_BAND_ROWS = 64
+
 # Largest supersample canvas (output pixels times supersample squared)
-# that reference_composite renders: at its peak of about 83 bytes per
-# supersample, 2048 x 2048 px at supersample 2 need about 1.3 GiB.
+# that reference_composite renders: at its peak of about 36 bytes per
+# supersample, 2048 x 2048 px at supersample 2 need about 576 MiB.
 MAX_REFERENCE_SAMPLES = 2 ** 24
 
 
@@ -299,7 +304,25 @@ def _ref_coverage(path: VectorPath, width: int, height: int,
 
     Deliberately structured unlike the production rasterizer: no support
     window, no nearest-edge bookkeeping, one pass over edges with a
-    running distance minimum and a winding accumulator.
+    running distance minimum and a winding accumulator.  The canvas is
+    evaluated in bands of about ``_REF_BAND_ROWS`` sample rows, a whole
+    number of pixel rows each, so a band's buffers stay small and each
+    pixel averages samples of one band.
+    """
+    v = flatten_bezier(path, config).vertices
+    s = config.supersample
+    xs = (np.arange(width * s) + 0.5) / s
+    ys = (np.arange(height * s) + 0.5) / s
+    band = max(1, _REF_BAND_ROWS // s) * s
+    cov = np.empty((height, width))
+    for r in range(0, ys.size, band):
+        cov[r // s:(r + band) // s] = _ref_band(v, xs, ys[r:r + band], config)
+    return cov
+
+
+def _ref_band(v: np.ndarray, xs: np.ndarray, ys: np.ndarray,
+              config: RasterizerConfig) -> np.ndarray:
+    """Coverage of the pixel rows whose sample rows sit at heights ``ys``.
 
     A sample row at height y can only be crossed by an edge with
     ``min(ay, by) <= y < max(ay, by)``, so each edge's crossing test runs
@@ -307,17 +330,13 @@ def _ref_coverage(path: VectorPath, width: int, height: int,
     positive, a down edge subtracts where it is negative.  The distance
     terms ``(gx - ax) * ex`` and ``(gy - ay) * ey`` depend on the column
     and the row only, so they come from 1-D offsets joined by an outer
-    sum, and the rest runs in place on three canvas buffers in the
+    sum, and the rest runs in place on three band buffers in the
     operation order of the plain full-canvas expressions, whose bits it
     reproduces.
     """
-    poly = flatten_bezier(path, config)
-    v = poly.vertices
     n = v.shape[0]
     s = config.supersample
-    xs = (np.arange(width * s) + 0.5) / s
-    ys = (np.arange(height * s) + 0.5) / s
-    shape = (height * s, width * s)
+    shape = (ys.size, xs.size)
     min_d2 = np.full(shape, np.inf)
     winding = np.zeros(shape, dtype=np.int64)
     t, dx, dy = np.empty(shape), np.empty(shape), np.empty(shape)
@@ -352,11 +371,10 @@ def _ref_coverage(path: VectorPath, width: int, height: int,
                 winding[r0:r1] += cross > 0
             else:
                 winding[r0:r1] -= cross < 0
-    del t, dx, dy  # free the edge buffers before the sigmoid's temporaries
     sd = np.sqrt(min_d2, out=min_d2)
     sd[winding != 0] *= -1.0
     sigma = _ref_sigmoid(-sd / config.aa_sigma)
-    return sigma.reshape(height, s, width, s).mean(axis=(1, 3))
+    return sigma.reshape(-1, s, xs.size // s, s).mean(axis=(1, 3))
 
 
 def _ref_layer(paths: list[VectorPath], background: np.ndarray, width: int,

@@ -1,16 +1,20 @@
 """Edit-mask extraction, candidate ranking, and shade-aware recoloring."""
 
+import importlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import covec.edit
+import covec.raster
 from covec.edit import (EditConfig, apply_color_edit, candidate_paths,
                         compute_edit_mask, mse, run_edit)
 from covec.model import LayeredDocument, RasterizerConfig
-from covec.raster import WHITE, layer_forward
+from covec.raster import WHITE, layer_forward, render_composite
 
 from conftest import disk_path, square_path
 
@@ -22,6 +26,12 @@ def _doc(w, h, albedo, shade=()):
 
 def _render_layer(paths, w, h, rcfg):
     return layer_forward(paths, WHITE, w, h, rcfg).image
+
+
+def _maps(doc, rcfg):
+    """The albedo coverage maps candidate_paths takes."""
+    return [pc.coverage for pc in
+            layer_forward(doc.albedo, WHITE, doc.width, doc.height, rcfg).coverages]
 
 
 def test_mse_identical_zero():
@@ -100,8 +110,8 @@ def _recolor_scene(rcfg):
 def test_candidates_exactly_overlapping_paths(rcfg):
     doc, original, reference = _recolor_scene(rcfg)
     mask = compute_edit_mask(original, reference, 0.1)
-    cands = candidate_paths(doc, original, reference, mask,
-                            EditConfig(delta_color=1.0), rcfg)
+    cands = candidate_paths(_maps(doc, rcfg), original, reference, mask,
+                            EditConfig(delta_color=1.0))
     assert [c.path_index for c in cands] == [0, 3] or \
         [c.path_index for c in cands] == [3, 0]
     # ordered by support area, largest first
@@ -116,7 +126,7 @@ def test_candidates_disjoint_path_excluded(rcfg):
     original = _render_layer(paths, 16, 16, rcfg)
     mask = np.zeros((16, 16), bool)
     mask[10:14, 10:14] = True       # nowhere near the path
-    cands = candidate_paths(doc, original, original, mask, EditConfig(), rcfg)
+    cands = candidate_paths(_maps(doc, rcfg), original, original, mask, EditConfig())
     assert cands == []
 
 
@@ -126,8 +136,8 @@ def test_candidates_identical_mask_iou_one(rcfg):
     original = _render_layer(paths, 16, 16, rcfg)
     support = layer_forward(paths, WHITE, 16, 16,
                             rcfg).coverages[0].coverage > 0.5
-    cands = candidate_paths(doc, original, original, support,
-                            EditConfig(), rcfg)
+    cands = candidate_paths(_maps(doc, rcfg), original, original, support,
+                            EditConfig())
     assert len(cands) == 1
     assert cands[0].iou == pytest.approx(1.0)
 
@@ -136,10 +146,10 @@ def test_candidates_color_filter_drops_large_shift(rcfg):
     doc, original, reference = _recolor_scene(rcfg)
     mask = compute_edit_mask(original, reference, 0.1)
     # path 0's mean moves by ~0.24; a tight delta excludes it
-    tight = candidate_paths(doc, original, reference, mask,
-                            EditConfig(delta_color=0.05), rcfg)
-    loose = candidate_paths(doc, original, reference, mask,
-                            EditConfig(delta_color=1.0), rcfg)
+    tight = candidate_paths(_maps(doc, rcfg), original, reference, mask,
+                            EditConfig(delta_color=0.05))
+    loose = candidate_paths(_maps(doc, rcfg), original, reference, mask,
+                            EditConfig(delta_color=1.0))
     assert len(tight) < len(loose)
 
 
@@ -157,10 +167,11 @@ def test_apply_edit_arithmetic_with_uniform_shade(rcfg):
                             rcfg).coverages[0].coverage > 0.5
     reference[support] = (0.3, 0.3, 0.3)
     mask = compute_edit_mask(original, reference, 0.05)
-    cands = candidate_paths(doc, original, reference, mask,
-                            EditConfig(delta_color=1.0), rcfg)
+    cands = candidate_paths(_maps(doc, rcfg), original, reference, mask,
+                            EditConfig(delta_color=1.0))
     edited, report = apply_color_edit(doc, cands, reference,
-                                      EditConfig(delta_color=1.0), rcfg)
+                                      EditConfig(delta_color=1.0),
+                                      _render_layer(shade, 16, 16, rcfg))
     got = edited.albedo[0].fill_color
     assert np.all(np.abs(got - 0.3 / 0.5001) < 1e-6)
     assert report.selected[0]["path_index"] == 0
@@ -178,10 +189,11 @@ def test_apply_edit_identity_shade_passes_reference_through(rcfg):
                             rcfg).coverages[0].coverage > 0.5
     reference[support] = (0.2, 0.6, 0.4)
     mask = compute_edit_mask(original, reference, 0.05)
-    cands = candidate_paths(doc, original, reference, mask,
-                            EditConfig(delta_color=1.0), rcfg)
+    cands = candidate_paths(_maps(doc, rcfg), original, reference, mask,
+                            EditConfig(delta_color=1.0))
     edited, _ = apply_color_edit(doc, cands, reference,
-                                 EditConfig(delta_color=1.0), rcfg)
+                                 EditConfig(delta_color=1.0),
+                                 _render_layer(shade, 16, 16, rcfg))
     assert np.all(np.abs(edited.albedo[0].fill_color - (0.2, 0.6, 0.4)) < 2e-3)
 
 
@@ -189,7 +201,8 @@ def test_apply_edit_no_candidates_noop(rcfg):
     paths = [square_path(1, 1, 8, 8, color=(0.4, 0.2, 0.6))]
     doc = _doc(12, 12, paths)
     reference = _render_layer(paths, 12, 12, rcfg)
-    edited, report = apply_color_edit(doc, [], reference, EditConfig(), rcfg)
+    edited, report = apply_color_edit(doc, [], reference, EditConfig(),
+                                      _render_layer([], 12, 12, rcfg))
     assert np.array_equal(edited.albedo[0].fill_color, paths[0].fill_color)
     assert report.selected == []
     assert report.n_candidates == 0
@@ -199,12 +212,13 @@ def test_apply_edit_no_candidates_noop(rcfg):
 def test_edit_k_prefix_monotone(rcfg):
     doc, original, reference = _recolor_scene(rcfg)
     mask = compute_edit_mask(original, reference, 0.1)
-    cands = candidate_paths(doc, original, reference, mask,
-                            EditConfig(delta_color=1.0), rcfg)
+    cands = candidate_paths(_maps(doc, rcfg), original, reference, mask,
+                            EditConfig(delta_color=1.0))
     selected_by_k = []
     for k in (1, 2, 4):
         cfg = EditConfig(delta_color=1.0, top_k=k)
-        _, report = apply_color_edit(doc, cands, reference, cfg, rcfg)
+        _, report = apply_color_edit(doc, cands, reference, cfg,
+                                     _render_layer([], 20, 20, rcfg))
         selected_by_k.append({s["path_index"] for s in report.selected})
     assert selected_by_k[0] <= selected_by_k[1] <= selected_by_k[2]
     assert len(selected_by_k[0]) == 1
@@ -243,6 +257,30 @@ def test_run_edit_improves_mse(rcfg):
     assert report.requested_k == 2
     assert report.n_candidates == 2
     assert report.shortfall == 0
+
+
+def test_run_edit_rasterizes_each_path_once(monkeypatch):
+    """One edit of the benchmark's disk-grid document (nine albedo disks,
+    a shade and a light path) rasterizes each of its 11 paths once."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    grid = importlib.import_module("scenes").disk_grid_edit(0)
+    doc, rcfg = grid["document"], RasterizerConfig()
+    original, reference = (np.clip(render_composite(d, "three_layer", rcfg), 0.0, 1.0)
+                           for d in (doc, grid["reference"]))
+    calls = []
+    real_coverage = covec.raster.path_coverage
+
+    def counting(path, *args, **kwargs):
+        calls.append(path)
+        return real_coverage(path, *args, **kwargs)
+
+    monkeypatch.setattr(covec.raster, "path_coverage", counting)
+    monkeypatch.setattr(covec.edit, "path_coverage", counting, raising=False)
+    _, report = run_edit(doc, original, reference, EditConfig(top_k=16), rcfg)
+    assert report.n_candidates == 2
+    paths = doc.albedo + doc.shade + doc.light
+    assert len(paths) == 11
+    assert [id(p) for p in calls] == [id(p) for p in paths]
 
 
 def test_run_edit_dim_mismatch(rcfg):

@@ -180,6 +180,36 @@ def test_png_rejects_malformed_header(tmp_path):
         read_png(p)
 
 
+def test_png_rejects_stale_chunk_crc(tmp_path):
+    # another image's IDAT data, which inflates and decodes, under the
+    # original chunk's CRC
+    data = _png_bytes(2, 1, 8, 0, bytes([0, 10, 20]))
+    other = zlib.compress(bytes([0, 200, 100]))
+    start = data.index(b"IDAT") + 4
+    assert len(other) == len(zlib.compress(bytes([0, 10, 20])))
+    p = tmp_path / "stale.png"
+    p.write_bytes(data[:start] + other + data[start + len(other):])
+    with pytest.raises(ImageFormatError, match="corrupt PNG.*CRC"):
+        read_png(p)
+
+
+def test_png_rejects_truncated_chunk(tmp_path):
+    data = _png_bytes(2, 1, 8, 0, bytes([0, 10, 20]))
+    crc_end = data.index(b"IEND") - 4
+    p = tmp_path / "cut.png"
+    # the file ends inside the IDAT chunk's CRC, with its data whole
+    p.write_bytes(data[:crc_end - 2])
+    with pytest.raises(ImageFormatError, match="corrupt PNG.*truncated"):
+        read_png(p)
+    # the IDAT chunk declares a length that runs past the end of the file
+    length_at = data.index(b"IDAT") - 4
+    (length,) = struct.unpack(">I", data[length_at:length_at + 4])
+    p.write_bytes(data[:length_at] + struct.pack(">I", length + 64)
+                  + data[length_at + 4:])
+    with pytest.raises(ImageFormatError, match="corrupt PNG.*truncated"):
+        read_png(p)
+
+
 def test_label_png_roundtrip(tmp_path):
     labels = np.array([[0, 1, 2], [300, 2, 1]], dtype=np.int64)
     p = tmp_path / "lab.png"

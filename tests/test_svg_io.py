@@ -1,5 +1,7 @@
 """Canonical SVG serialization, strict parsing, and the reference renderer."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -141,9 +143,9 @@ def _full_canvas_coverage(path, width, height, config):
     """``svg_io._ref_coverage`` written as plain full-canvas expressions.
 
     Every edge evaluates its distance and its crossing test over the
-    whole supersample canvas.  The renderer restricts crossings to the
-    rows each edge spans and builds the distance terms from 1-D offsets;
-    it must reproduce these bits exactly.
+    whole supersample canvas.  The renderer works in bands of pixel rows,
+    restricts crossings to the rows each edge spans and builds the
+    distance terms from 1-D offsets; it must reproduce these bits exactly.
     """
     v = flatten_bezier(path, config).vertices
     n = v.shape[0]
@@ -228,21 +230,50 @@ def test_reference_coverage_matches_full_canvas_oracle(case):
                           _full_canvas_coverage(path, w, h, cfg))
 
 
+def _bands_of(rows, cfg):
+    """Patch the reference renderer to bands of ``rows`` pixel rows."""
+    return mock.patch.object(svg_io, "_REF_BAND_ROWS", rows * cfg.supersample)
+
+
+# Bands of 1-3 pixel rows put band seams inside these small canvases.
+@pytest.mark.parametrize("rows", [1, 2, 3])
+@settings(max_examples=200, deadline=None)
+@given(_coverage_cases())
+def test_reference_coverage_band_seams_match_full_canvas_oracle(rows, case):
+    path, w, h, cfg = case
+    with _bands_of(rows, cfg):
+        assert np.array_equal(svg_io._ref_coverage(path, w, h, cfg),
+                              _full_canvas_coverage(path, w, h, cfg))
+
+
 # Loops with corners exactly on sample-row centres.  Along a horizontal
 # edge on such a row, a crossing rule closed at the other end of each
 # edge's row span flips the sign of the rounding-sized distance, which
 # changes the last bits of the coverage; the last loop repeats a corner.
-@pytest.mark.parametrize("s,pts", [
+ROW_CENTRE_LOOPS = [
     (1, [(0.3, 1.5), (4.9, 1.5), (2.2, 3.9)]),
     (2, [(0.3, 0.75), (5.7, 0.75), (5.7, 2.75), (0.3, 2.75)]),
     (2, [(0.3, 0.2), (0.3, 0.75), (4.1, 0.75), (4.1, 4.6), (0.6, 4.6)]),
     (3, [(0.3, 0.5), (0.3, 0.5), (6.2, 2.5), (1.1, 4.2)]),  # zero-length edge
-])
+]
+
+
+@pytest.mark.parametrize("s,pts", ROW_CENTRE_LOOPS)
 def test_reference_coverage_row_centre_vertices(s, pts):
     path = _polygon_path(pts)
     cfg = RasterizerConfig(supersample=s)
     assert np.array_equal(svg_io._ref_coverage(path, 7, 5, cfg),
                           _full_canvas_coverage(path, 7, 5, cfg))
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+@pytest.mark.parametrize("s,pts", ROW_CENTRE_LOOPS)
+def test_reference_coverage_row_centre_vertices_band_seams(s, pts, rows):
+    path = _polygon_path(pts)
+    cfg = RasterizerConfig(supersample=s)
+    with _bands_of(rows, cfg):
+        assert np.array_equal(svg_io._ref_coverage(path, 7, 5, cfg),
+                              _full_canvas_coverage(path, 7, 5, cfg))
 
 
 def test_light_only_document_saturates_white():
