@@ -12,7 +12,11 @@ and hashes the raw float64 bytes of ``svg_io.reference_composite`` of the
 same K = 16 document at the benchmark's scale 4, before any clipping or
 quantization, printing ``reference/s4/seed sha256``, and again at
 supersample 1 and 3, whose row bands end on other rows, printing
-``reference/ss1/seed`` and ``reference/ss3/seed``.
+``reference/ss1/seed`` and ``reference/ss3/seed``.  It also hashes the
+raw float64 bytes of ``raster.render_composite``, rasterizing without
+coverage maps, of the same K = 16 document in ``three_layer`` form and,
+with its shade paths retagged as illumination, in ``two_layer`` form,
+printing ``composite/<mode>/seed sha256``.
 Then it runs ``gradcheck.run_gradcheck`` (100 probes, seed 0) and prints
 ``gradcheck/0 sha256`` over every (analytic, numeric) pair that
 ``gradcheck._agree`` compared.  Last it prints ``sd/<case> sha256`` over
@@ -31,6 +35,7 @@ directory): ``python3 scripts/output_digest.py``.
 """
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import sys
@@ -45,7 +50,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import scenes  # noqa: E402
 from covec import cli, edit, gradcheck, image_io, pipeline, svg_io  # noqa: E402
 from covec.geometry import Polyline, batch_signed_distance, flatten_bezier  # noqa: E402
-from covec.model import RasterizerConfig, VectorPath  # noqa: E402
+from covec.model import LayeredDocument, RasterizerConfig, VectorPath  # noqa: E402
 from covec.raster import render_composite  # noqa: E402
 
 # (warm-up epochs, joint epochs, refine rounds, iterations per round)
@@ -104,6 +109,12 @@ def edit_digests(seed: int, work: Path) -> list[str]:
     for ss in (1, 3):
         ref = svg_io.reference_composite(edited, RasterizerConfig(supersample=ss), scale=4)
         lines.append(f"reference/ss{ss}/{seed} {hashlib.sha256(ref.tobytes()).hexdigest()}")
+    lit = LayeredDocument(edited.width, edited.height, albedo=edited.albedo,
+                          illumination=[dataclasses.replace(p, layer_tag="illumination")
+                                        for p in edited.shade])
+    for mode, d in (("three_layer", edited), ("two_layer", lit)):
+        img = render_composite(d, mode, RasterizerConfig())
+        lines.append(f"composite/{mode}/{seed} {hashlib.sha256(img.tobytes()).hexdigest()}")
     return lines
 
 

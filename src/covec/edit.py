@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import BLACK, WHITE, LayeredDocument, RasterizerConfig
+from .model import LayeredDocument, RasterizerConfig
 from .optimize import mse
-from .raster import layer_forward, render_composite
+from .raster import COMPOSITE_MODES, layer_background, layer_forward, render_composite
 
 # Stabilizer added to the mean shade before dividing it out of a color.
 EPSILON_SHADE = 1e-4
@@ -189,9 +189,9 @@ def run_edit(doc: LayeredDocument, original: np.ndarray,
     if (original.shape[0] != doc.height or original.shape[1] != doc.width):
         raise ValueError("original image does not match document dimensions")
     edit_mask = compute_edit_mask(original, reference, cfg.tau_diff)
-    renders = {tag: layer_forward(doc.layer(tag), BLACK if tag == "light" else WHITE,
+    renders = {tag: layer_forward(doc.layer(tag), layer_background(tag),
                                   doc.width, doc.height, rcfg)
-               for tag in ("albedo", "shade", "light")}
+               for tag in COMPOSITE_MODES["three_layer"]}
     maps = {tag: [pc.coverage for pc in r.coverages] for tag, r in renders.items()}
     cands = candidate_paths(maps["albedo"], original, reference, edit_mask, cfg)
     edited, report = apply_color_edit(doc, cands, reference, cfg,

@@ -21,9 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit, logit
 
-from .model import WHITE, GradientBuffer, LayeredDocument, VectorPath, project_color
-from .raster import (LayerRender, RasterizerConfig, composite_backward,
-                     composite_forward, coverage_backward, layer_backward,
+from .model import WHITE, GradientBuffer, VectorPath, project_color
+from .raster import (LayerRender, RasterizerConfig, coverage_backward, layer_backward,
                      layer_forward)
 
 logger = logging.getLogger(__name__)
@@ -228,19 +227,22 @@ def loss_recon(albedo: list[VectorPath], illumination: list[VectorPath],
                ) -> tuple[float, list[GradientBuffer], list[GradientBuffer]]:
     """Mean squared error of the composite against the target image.
 
-    The composite is the two-layer product of the albedo and illumination
-    renders (each over white) on the target's canvas, run through
-    composite_forward/backward with layer_loss's loss and image gradient.
-    An empty illumination layer renders white, the identity of multiply,
-    so the albedo render is compared directly and its gradients are [].
+    The composite is the two-layer product A * I of the albedo and
+    illumination renders, each over white, on the target's canvas.  With
+    layer_loss's image gradient up = 2 * diff / N, each layer's backward
+    pass takes the gradient times the other layer's render: up * I for the
+    albedo, up * A for the illumination.  An empty illumination layer
+    renders white, the identity of multiply, so the albedo render is
+    compared directly and its gradients are [].
     """
     height, width = target.shape[:2]
-    doc = LayeredDocument(width=width, height=height, albedo=albedo,
-                          illumination=illumination)
-    result = composite_forward(doc, "two_layer", rcfg, with_grad=True)
-    diff = result.image - target
-    grads = composite_backward(doc, result, 2.0 * diff / diff.size, rcfg)
-    return mse(result.image, target), grads["albedo"], grads["illumination"]
+    r_a = layer_forward(albedo, WHITE, width, height, rcfg, with_grad=True)
+    r_i = layer_forward(illumination, WHITE, width, height, rcfg, with_grad=True)
+    image = r_a.image * r_i.image
+    diff = image - target
+    up = 2.0 * diff / diff.size
+    return (mse(image, target), layer_backward(albedo, r_a, up * r_i.image, rcfg),
+            layer_backward(illumination, r_i, up * r_a.image, rcfg))
 
 
 @dataclass

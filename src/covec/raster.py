@@ -13,11 +13,11 @@ quantization.
 All source-over compositing runs through ``source_over``, which works on
 precomputed coverage maps: ``layer_forward`` rasterizes a layer and calls
 it, and callers that cache coverage maps (refinement cleanup, gradcheck)
-call it directly.  ``composite_forward``/``composite_backward`` render a
-whole document and run its backward pass; the optimizer's reconstruction
-loss runs through them.  ``render_composite`` blends a document from
-coverage maps its caller already holds (edit, gradcheck) or rasterizes
-it; the pipeline's final composite reuses renders it already holds,
+call it directly.  ``render_composite`` blends the layers a mode names in
+``COMPOSITE_MODES``, from coverage maps its caller holds (edit, gradcheck)
+or by rasterizing them.  Gradients flow per layer through
+``layer_backward``; the reconstruction loss differentiates the two-layer
+product itself.  The pipeline's final composite reuses renders it holds,
 combined with ``source_over`` and ``blend``.
 
 Every forward quantity needed by the analytic backward pass is cached per
@@ -44,7 +44,17 @@ from .model import (
     project_color,
 )
 
-COMPOSITE_MODES = ("two_layer", "three_layer")
+# Tags each composite mode blends, in order: the albedo render times the
+# second layer's, plus the light layer's in three_layer form.  Each layer
+# composites over its blend's identity, so an empty one drops out exactly:
+# light (plus-lighter) over black, every other layer (multiply) over white.
+COMPOSITE_MODES = {"two_layer": ("albedo", "illumination"),
+                   "three_layer": ("albedo", "shade", "light")}
+
+
+def layer_background(tag: str) -> np.ndarray:
+    return BLACK if tag == "light" else WHITE
+
 
 # Pad of a path's support window beyond its outline, in units of aa_sigma.
 CUTOFF_SIGMAS = 30.0
@@ -181,11 +191,14 @@ def source_over(paths: list[VectorPath], coverages: list[np.ndarray], background
     Path j has alpha coverage_j * opacity_j and its fill color clamped to
     its layer's range.  With ``record`` the result also keeps what
     layer_backward needs: the under-composite below each path and the
-    transmittance of the paths above it.  The returned render carries no
-    PathCoverage objects; layer_forward attaches its own.
+    transmittance of the paths above it.  One coverage map per path, or
+    ValueError.  The returned render carries no PathCoverage objects;
+    layer_forward attaches its own.
     """
-    under = _tile_background(background, width, height)
     n = len(paths)
+    if len(coverages) != n:
+        raise ValueError(f"{len(coverages)} coverage maps for {n} paths")
+    under = _tile_background(background, width, height)
     if n == 0:
         return LayerRender(image=under)
     alphas = np.zeros((n, height, width))
@@ -271,84 +284,27 @@ def blend(mode: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown blend mode {mode!r}")
 
 
-@dataclass
-class CompositeResult:
-    """Forward composite plus the per-layer renders backward needs."""
-
-    image: np.ndarray
-    mode: str
-    renders: dict[str, LayerRender]
-
-
-def _factor_tag(mode: str) -> str:
-    """Tag of the layer that multiplies the albedo render in ``mode``."""
-    return "illumination" if mode == "two_layer" else "shade"
-
-
-def _layer_tags(mode: str) -> list[str]:
-    """Tags of the layers a ``mode`` composite blends, albedo first."""
-    if mode not in COMPOSITE_MODES:
-        raise ValueError(f"unknown composite mode {mode!r}")
-    return ["albedo", _factor_tag(mode)] + (["light"] if mode == "three_layer" else [])
-
-
-def _blend_layers(images: dict[str, np.ndarray], mode: str) -> np.ndarray:
-    image = blend("multiply", images["albedo"], images[_factor_tag(mode)])
-    if "light" in images:
-        image = blend("plus_lighter", image, images["light"])
-    return image
-
-
-def composite_forward(doc: LayeredDocument, mode: str, config: RasterizerConfig,
-                      with_grad: bool = False) -> CompositeResult:
-    """Render a document in two_layer (A * I) or three_layer ((A * S) + L) form.
-
-    Layer backgrounds: albedo, illumination and shade composite over
-    white (the identity of multiply), light over black (the identity of
-    plus-lighter), so empty layers drop out of the blend exactly.
-    """
-    renders = {tag: layer_forward(doc.layer(tag), BLACK if tag == "light" else WHITE,
-                                  doc.width, doc.height, config, with_grad)
-               for tag in _layer_tags(mode)}
-    image = _blend_layers({tag: r.image for tag, r in renders.items()}, mode)
-    return CompositeResult(image=image, mode=mode, renders=renders)
-
-
 def render_composite(doc: LayeredDocument, mode: str, config: RasterizerConfig,
                      maps: dict[str, list[np.ndarray]] | None = None) -> np.ndarray:
-    """Forward-only composite; see composite_forward for layer semantics.
+    """Forward-only two_layer (A * I) or three_layer ((A * S) + L) composite.
 
     ``maps`` holds each blended layer's coverage maps by tag, one per path
-    in layer order.  Given them, nothing is rasterized: the layers
-    composite from the maps with source_over, the same arithmetic as
-    layer_forward, so a document whose geometry they match renders to the
-    same bits.  Recoloring keeps geometry, so its before and after
-    composites share one set of maps.
+    in layer order; without them every path is rasterized with
+    path_coverage.  Each layer composites its maps with source_over over
+    its background, the same arithmetic as layer_forward, so a document
+    whose geometry the maps match renders to the same bits either way.
+    Recoloring keeps geometry, so its before and after composites share
+    one set of maps.
     """
-    if maps is None:
-        return composite_forward(doc, mode, config).image
-    images = {tag: source_over(doc.layer(tag), maps[tag],
-                               BLACK if tag == "light" else WHITE,
-                               doc.width, doc.height).image
-              for tag in _layer_tags(mode)}
-    return _blend_layers(images, mode)
-
-
-def composite_backward(doc: LayeredDocument, result: CompositeResult,
-                       upstream: np.ndarray,
-                       config: RasterizerConfig) -> dict[str, list[GradientBuffer]]:
-    """Distribute d(loss)/d(composite) to every path of every layer."""
-    upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.shape != result.image.shape:
-        raise ValueError("upstream gradient must match the composite shape")
-    renders = result.renders
-    factor = _factor_tag(result.mode)
-    grads = {
-        "albedo": layer_backward(doc.albedo, renders["albedo"],
-                                 upstream * renders[factor].image, config),
-        factor: layer_backward(doc.layer(factor), renders[factor],
-                               upstream * renders["albedo"].image, config),
-    }
-    if "light" in renders:
-        grads["light"] = layer_backward(doc.light, renders["light"], upstream, config)
-    return grads
+    if mode not in COMPOSITE_MODES:
+        raise ValueError(f"unknown composite mode {mode!r}")
+    images = []
+    for tag in COMPOSITE_MODES[mode]:
+        paths = doc.layer(tag)
+        _check_single_tag(paths)
+        covs = (maps[tag] if maps is not None else
+                [path_coverage(p, doc.width, doc.height, config).coverage for p in paths])
+        images.append(source_over(paths, covs, layer_background(tag),
+                                  doc.width, doc.height).image)
+    image = blend("multiply", images[0], images[1])
+    return blend("plus_lighter", image, images[2]) if len(images) == 3 else image

@@ -419,16 +419,15 @@ def test_gradcheck_small_run_passes(capsys):
 
 def test_gradcheck_detects_corruption(capsys, monkeypatch):
     import covec.optimize as opt
-    real_backward = opt.composite_backward
+    real_backward = opt.layer_backward
 
     def flip_color(*args):
         grads = real_backward(*args)
-        for buffers in grads.values():
-            for g in buffers:
-                g.d_fill_color = -g.d_fill_color
+        for g in grads:
+            g.d_fill_color = -g.d_fill_color
         return grads
 
-    monkeypatch.setattr(opt, "composite_backward", flip_color)
+    monkeypatch.setattr(opt, "layer_backward", flip_color)
     code, out, _ = _run(["gradcheck", "--probes", "2", "--seed", "5"], capsys)
     assert code == 1
     assert "probe" in out

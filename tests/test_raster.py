@@ -8,9 +8,9 @@ from scipy.special import expit
 
 from covec import raster
 from covec.geometry import batch_signed_distance, flatten_bezier
-from covec.model import LayeredDocument, RasterizerConfig, VectorPath, WHITE
-from covec.raster import (blend, composite_backward, composite_forward,
-                          layer_backward, layer_forward, path_coverage,
+from covec.model import LAYER_TAGS, LayeredDocument, RasterizerConfig, VectorPath, WHITE
+from covec.optimize import loss_recon
+from covec.raster import (blend, layer_backward, layer_forward, path_coverage,
                           render_composite, source_over)
 
 from covec.svg_io import emit_svg
@@ -160,6 +160,47 @@ def test_empty_document_renders_identities(rcfg):
                           np.ones((5, 5, 3)))
 
 
+def _random_doc(rng, size, factor_tag):
+    n = {"albedo": 3, factor_tag: 2, "light": 2 if factor_tag == "shade" else 0}
+    return LayeredDocument(size, size, **{
+        tag: [random_path(rng, size, size, tag=tag,
+                          color_hi=0.6 if tag == "light" else 0.95)
+              for _ in range(k)]
+        for tag, k in n.items()})
+
+
+def _maps(doc, config):
+    return {tag: [path_coverage(p, doc.width, doc.height, config).coverage
+                  for p in doc.layer(tag)]
+            for tag in LAYER_TAGS}
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("mode,factor_tag", [("two_layer", "illumination"),
+                                             ("three_layer", "shade")])
+def test_composite_from_maps_matches_rasterized(mode, factor_tag, seed, rcfg):
+    doc = _random_doc(np.random.default_rng(seed), 20, factor_tag)
+    assert np.array_equal(render_composite(doc, mode, rcfg, _maps(doc, rcfg)),
+                          render_composite(doc, mode, rcfg))
+
+
+def test_composite_rejects_short_map_list(rcfg, rng):
+    doc = _random_doc(rng, 20, "shade")
+    maps = _maps(doc, rcfg)
+    maps["albedo"] = maps["albedo"][:1]
+    with pytest.raises(ValueError, match="coverage maps for 3 paths"):
+        render_composite(doc, "three_layer", rcfg, maps)
+    with pytest.raises(ValueError, match="coverage maps for 0 paths"):
+        source_over([], maps["albedo"], WHITE, 20, 20)
+
+
+def test_composite_from_maps_rejects_mixed_tags(rcfg, rng):
+    doc = _random_doc(rng, 20, "shade")
+    doc.shade.append(random_path(rng, 20, 20, tag="light"))
+    with pytest.raises(ValueError, match="mixes"):
+        render_composite(doc, "three_layer", rcfg, _maps(doc, rcfg))
+
+
 def test_color_gradient_closed_form(rcfg):
     # single opaque path: d(sum img)/d(color_c) = sum of alpha
     path = disk_path(8, 8, 5, color=(0.3, 0.6, 0.2))
@@ -193,7 +234,7 @@ def test_layer_backward_requires_grad_caches(rcfg):
 
 
 def _fd_loss(doc, target, config):
-    img = composite_forward(doc, "two_layer", config).image
+    img = render_composite(doc, "two_layer", config)
     return float(np.mean((img - target) ** 2))
 
 
@@ -204,9 +245,8 @@ def test_two_layer_gradients_vs_finite_difference(fixed_rcfg, rng):
         illumination=[random_path(rng, 18, 18, tag="illumination",
                                   color_hi=1.3)])
     target = rng.uniform(0, 1, (18, 18, 3))
-    result = composite_forward(doc, "two_layer", fixed_rcfg, with_grad=True)
-    up = 2.0 * (result.image - target) / result.image.size
-    grads = composite_backward(doc, result, up, fixed_rcfg)
+    _, grads_a, grads_i = loss_recon(doc.albedo, doc.illumination, target, fixed_rcfg)
+    grads = {"albedo": grads_a, "illumination": grads_i}
     for tag in ("albedo", "illumination"):
         path = doc.layer(tag)[0]
         g = grads[tag][0]
