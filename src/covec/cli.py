@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .edit import EditConfig, mse, run_edit
-from .image_io import ImageFormatError, read_image, write_image
+from .image_io import ImageFormatError, image_format, read_image, write_image
 from .init_layers import InitError
 from .model import RasterizerConfig
 from .pipeline import RunConfig, run
@@ -31,6 +31,14 @@ logger = logging.getLogger(__name__)
 def _read_svg(path: str):
     with open(path, "rb") as fh:
         return parse_svg(fh.read())
+
+
+def _check_output_dirs(*paths: str) -> None:
+    """Fail before any work when an output's directory does not exist."""
+    for path in paths:
+        parent = Path(path).parent
+        if not parent.is_dir():
+            raise CliUsageError(f"output directory {parent} does not exist")
 
 
 def cmd_vectorize(args: argparse.Namespace) -> int:
@@ -53,6 +61,7 @@ def cmd_vectorize(args: argparse.Namespace) -> int:
         delta_overlap=args.delta_overlap,
         penalty_sign=args.penalty.replace("-", "_"),
     )
+    _check_output_dirs(cfg.output_path, cfg.effective_trace_path)
     result = run(cfg)
     doc = result.document
     print(f"wrote {cfg.output_path} ({len(doc.albedo)} albedo / "
@@ -63,6 +72,8 @@ def cmd_vectorize(args: argparse.Namespace) -> int:
 
 def cmd_render(args: argparse.Namespace) -> int:
     config = RasterizerConfig(aa_sigma=args.aa_sigma)
+    image_format(args.output)
+    _check_output_dirs(args.output)
     doc = _read_svg(args.input)
     image = reference_composite(doc, config, scale=args.scale)
     write_image(args.output, np.clip(image, 0.0, 1.0))
@@ -75,14 +86,17 @@ def cmd_edit(args: argparse.Namespace) -> int:
         raise CliUsageError("--k must be a positive integer")
     cfg = EditConfig(tau_diff=args.tau, gamma_iou=args.gamma,
                      delta_color=args.delta_color, top_k=args.k)
+    report_path = args.report
+    if report_path is None:
+        report_path = str(Path(args.output).with_suffix(".json"))
+    if Path(report_path).resolve() == Path(args.output).resolve():
+        raise CliUsageError(f"the report would overwrite the output {args.output}")
+    _check_output_dirs(args.output, report_path)
     doc = _read_svg(args.input)
     original = read_image(args.original)
     reference = read_image(args.reference)
     edited, report = run_edit(doc, original, reference, cfg)
     emit_svg(edited, out=args.output)
-    report_path = args.report
-    if report_path is None:
-        report_path = str(Path(args.output).with_suffix(".json"))
     with open(report_path, "w", encoding="utf-8") as fh:
         fh.write(report.to_json())
     print(f"edited {len(report.selected)} of {report.n_candidates} candidate "

@@ -292,28 +292,31 @@ def read_ppm(path) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# dispatch by extension
+# dispatch by extension: the format each file suffix reads and writes
+_FORMATS = {".png": "png", ".ppm": "ppm", ".pnm": "ppm"}
+
+
+def image_format(path) -> str:
+    """The format read_image and write_image use for ``path``'s suffix."""
+    suffix = Path(path).suffix.lower()
+    if suffix not in _FORMATS:
+        raise ImageFormatError(f"unsupported image extension {suffix!r}")
+    return _FORMATS[suffix]
 
 
 def read_image(path) -> np.ndarray:
     """Read PNG or PPM by extension as (H, W, 3) float64 in [0, 1]."""
-    suffix = Path(path).suffix.lower()
-    if suffix == ".png":
+    if image_format(path) == "png":
         return read_png(path)
-    if suffix in (".ppm", ".pnm"):
-        return read_ppm(path)
-    raise ImageFormatError(f"unsupported image extension {suffix!r}")
+    return read_ppm(path)
 
 
 def write_image(path, img: np.ndarray, bit_depth: int = 8) -> None:
     """Write PNG or PPM by extension."""
-    suffix = Path(path).suffix.lower()
-    if suffix == ".png":
+    if image_format(path) == "png":
         write_png(path, img, bit_depth=bit_depth)
-    elif suffix in (".ppm", ".pnm"):
-        write_ppm(path, img, maxval=(1 << bit_depth) - 1)
     else:
-        raise ImageFormatError(f"unsupported image extension {suffix!r}")
+        write_ppm(path, img, maxval=(1 << bit_depth) - 1)
 
 
 def read_label_map(path) -> np.ndarray:

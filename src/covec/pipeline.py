@@ -33,9 +33,9 @@ from .image_io import read_image, read_label_map
 from .init_layers import (fallback_albedo, fallback_segment, init_layers,
                           masks_from_labels, organize_masks, paths_for_groups,
                           region_binarize)
-from .model import BLACK, WHITE, LayeredDocument, RasterizerConfig
+from .model import WHITE, LayeredDocument, RasterizerConfig
 from .optimize import Schedule, StructLossConfig, TraceRow, mse, run_structural
-from .raster import blend, layer_forward, source_over
+from .raster import layer_forward, render_composite
 from .refine import RefineConfig, assign_light_colors, refine_layer, separate_layers
 from .svg_io import emit_svg
 
@@ -81,6 +81,9 @@ class RunConfig:
             raise ValueError("an albedo estimate is only used in full mode")
         if not 0 <= self.dp_epsilon < np.inf:
             raise ValueError("dp_epsilon must be nonnegative and finite")
+        trace = Path(self.effective_trace_path)
+        if trace.resolve() == Path(self.output_path).resolve():
+            raise ValueError(f"the trace would overwrite the output {self.output_path}")
         stages = {
             "raster_config": RasterizerConfig(aa_sigma=self.aa_sigma),
             "schedule": Schedule(warmup_epochs=self.warmup_epochs,
@@ -158,25 +161,25 @@ def vectorize(cfg: RunConfig) -> VectorizeResult:
     budget_left = max(0, cfg.effective_budget - len(albedo) - len(illum))
     if full:
         layer, tag = illum, "illumination"
-        factor = layer_forward(albedo, WHITE, w, h, rcfg).image
+        a_render = layer_forward(albedo, WHITE, w, h, rcfg)
+        factor, a_maps = a_render.image, [pc.coverage for pc in a_render.coverages]
     else:
         layer, tag, factor = albedo, "albedo", WHITE
     refined = refine_layer(layer, factor, image, cfg.refine_config, rcfg,
                            budget_left, layer_tag=tag)
     trace.extend(refined.trace)
-    # the three-layer composite (A * S) + L, from renders already held
+    # every path now has its coverage map: the composite rasterizes nothing
     if full:
-        shade, light = separate_layers(refined.layer)
-        light, shade_img, light_maps = assign_light_colors(light, image, factor,
-                                                           shade, rcfg)
-        light_img = source_over(light, light_maps, BLACK, w, h).image
-        composite = blend("plus_lighter", blend("multiply", factor, shade_img),
-                          light_img)
-    else:  # empty shade and light: (A * 1) + 0 is A
-        albedo, shade, light = refined.layer, [], []
-        composite = refined.image
+        shade, light, s_maps, l_maps = separate_layers(refined.layer, refined.maps)
+        light, l_maps = assign_light_colors(light, l_maps, image, factor,
+                                            shade, s_maps)
+    else:
+        albedo, a_maps = refined.layer, refined.maps
+        shade, light, s_maps, l_maps = [], [], [], []
     doc = LayeredDocument(width=w, height=h, albedo=albedo, illumination=[],
                           shade=shade, light=light)
+    maps = {"albedo": a_maps, "shade": s_maps, "light": l_maps}
+    composite = render_composite(doc, "three_layer", rcfg, maps)
     return VectorizeResult(document=doc, trace=trace,
                            final_mse=mse(np.clip(composite, 0.0, 1.0), image))
 

@@ -12,13 +12,12 @@ quantization.
 
 All source-over compositing runs through ``source_over``, which works on
 precomputed coverage maps: ``layer_forward`` rasterizes a layer and calls
-it, and callers that cache coverage maps (refinement cleanup, gradcheck)
-call it directly.  ``render_composite`` blends the layers a mode names in
-``COMPOSITE_MODES``, from coverage maps its caller holds (edit, gradcheck)
-or by rasterizing them.  Gradients flow per layer through
-``layer_backward``; the reconstruction loss differentiates the two-layer
-product itself.  The pipeline's final composite reuses renders it holds,
-combined with ``source_over`` and ``blend``.
+it, and callers that cache coverage maps (refinement, gradcheck) call it
+directly.  ``render_composite`` blends the layers a mode names in
+``COMPOSITE_MODES``, from coverage maps its caller holds (the pipeline's
+final composite, edit, gradcheck) or by rasterizing them.  Gradients flow
+per layer through ``layer_backward``; the reconstruction loss
+differentiates the two-layer product itself.
 
 Every forward quantity needed by the analytic backward pass is cached per
 path: sample-level sigmoid values, nearest-edge foot points, and the

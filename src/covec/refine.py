@@ -7,9 +7,11 @@ reconstruction error map, drop small circular paths onto the worst
 of iterations, and clean them up.  Cleanup only ever sees the round's new
 paths, composited over the frozen render, so the freeze holds by
 construction; the cleaned composite becomes the next round's frozen
-render.  The finished illumination layer then splits by color range:
-paths whose fill stays within [0, 1] become multiplicative shade, the rest
-become additive light whose colors are re-derived from the residual image.
+render.  Each path leaves with its coverage map, so nothing downstream
+rasterizes it again.  The finished illumination layer then splits, maps
+and all, by color range: paths whose fill stays within [0, 1] become
+multiplicative shade, the rest become additive light whose colors are
+re-derived from the residual image.
 """
 
 from __future__ import annotations
@@ -124,6 +126,22 @@ MERGE_COLOR_EPS = 0.02
 MERGE_IOU_MIN = 0.8
 
 
+def _first_merge(paths: list[VectorPath], coverages: list[np.ndarray]
+                 ) -> tuple[int, int] | None:
+    """The first pair i < j, in lexicographic order, that cleanup merges."""
+    for i in range(len(paths)):
+        for j in range(i + 1, len(paths)):
+            gap = np.abs(paths[i].fill_color - paths[j].fill_color)
+            if np.max(gap) >= MERGE_COLOR_EPS:
+                continue
+            sup_i = coverages[i] > 0.5
+            sup_j = coverages[j] > 0.5
+            union = np.sum(sup_i | sup_j)
+            if union > 0 and np.sum(sup_i & sup_j) / union > MERGE_IOU_MIN:
+                return i, j
+    return None
+
+
 def cleanup_layer(paths: list[VectorPath], coverages: list[np.ndarray],
                   background: np.ndarray, frozen_factor: np.ndarray,
                   target: np.ndarray) -> tuple[list[VectorPath], int, int]:
@@ -174,35 +192,17 @@ def cleanup_layer(paths: list[VectorPath], coverages: list[np.ndarray],
             i += 1
 
         # merge scan: near-identical color and strongly overlapping support
-        restart = True
-        while restart:
-            restart = False
-            for i in range(len(paths)):
-                for j in range(i + 1, len(paths)):
-                    a, b = paths[i], paths[j]
-                    if np.max(np.abs(a.fill_color - b.fill_color)) >= MERGE_COLOR_EPS:
-                        continue
-                    sup_a = coverages[i] > 0.5
-                    sup_b = coverages[j] > 0.5
-                    union = np.sum(sup_a | sup_b)
-                    if union == 0:
-                        continue
-                    iou = np.sum(sup_a & sup_b) / union
-                    if iou <= MERGE_IOU_MIN:
-                        continue
-                    area_a = float(coverages[i].sum())
-                    area_b = float(coverages[j].sum())
-                    keep_i, drop_j = (i, j) if area_a >= area_b else (j, i)
-                    total = area_a + area_b
-                    blended = (area_a * a.fill_color + area_b * b.fill_color) / total
-                    paths[keep_i].fill_color = blended
-                    del paths[drop_j], coverages[drop_j]
-                    merged += 1
-                    changed = True
-                    restart = True
-                    break
-                if restart:
-                    break
+        while (pair := _first_merge(paths, coverages)) is not None:
+            i, j = pair
+            area_i = float(coverages[i].sum())
+            area_j = float(coverages[j].sum())
+            keep, drop = (i, j) if area_i >= area_j else (j, i)
+            blended = (area_i * paths[i].fill_color
+                       + area_j * paths[j].fill_color) / (area_i + area_j)
+            paths[keep].fill_color = blended
+            del paths[drop], coverages[drop]
+            merged += 1
+            changed = True
 
         if not changed:
             break
@@ -215,11 +215,11 @@ STOP_ERROR_MAX = 1e-4
 
 @dataclass
 class RefineResult:
-    """A refined layer, its trace rows and its render over white."""
+    """A refined layer, its trace rows and one coverage map per path."""
 
     layer: list[VectorPath]
     trace: list[TraceRow]
-    image: np.ndarray
+    maps: list[np.ndarray]
 
 
 def refine_layer(layer: list[VectorPath], frozen_factor: np.ndarray,
@@ -235,14 +235,15 @@ def refine_layer(layer: list[VectorPath], frozen_factor: np.ndarray,
     them to cleanup_layer; the cleaned composite over the base becomes the
     next round's base and the round's trace loss, and its paths join the
     frozen stack.  Stops early when the error map's maximum drops below
-    STOP_ERROR_MAX, the budget runs out, or nothing is proposed.  The last
-    base is the returned layer's render over white, bit for bit what
-    layer_forward would give.  Adam steps at the fixed
-    optimize.LR_POINTS/LR_COLORS.
+    STOP_ERROR_MAX, the budget runs out, or nothing is proposed.  The
+    coverage maps of the base render and of each round's kept paths come
+    back with the layer, one per path, bit for bit what path_coverage
+    gives for it.  Adam steps at the fixed optimize.LR_POINTS/LR_COLORS.
     """
     height, width = target.shape[:2]
     layer = list(layer)
-    base = layer_forward(layer, WHITE, width, height, rcfg).image
+    render = layer_forward(layer, WHITE, width, height, rcfg)
+    base, layer_maps = render.image, [pc.coverage for pc in render.coverages]
     trace: list[TraceRow] = []
     for rnd in range(1, cfg.rounds_max + 1):
         diff = target - base * frozen_factor
@@ -265,59 +266,61 @@ def refine_layer(layer: list[VectorPath], frozen_factor: np.ndarray,
         budget_remaining -= len(kept)
         base = source_over(kept, maps, base, width, height).image
         layer += kept
+        layer_maps += maps
         trace.append(TraceRow(epoch=rnd, stage="refine",
                               loss=mse(base * frozen_factor, target),
                               paths_added=n_new,
                               paths_removed=n_removed + n_merged))
-    return RefineResult(layer, trace, base)
+    return RefineResult(layer, trace, layer_maps)
 
 
-def separate_layers(illumination: list[VectorPath]
-                    ) -> tuple[list[VectorPath], list[VectorPath]]:
-    """Partition illumination paths into shade and light by color range.
+def separate_layers(illumination: list[VectorPath], maps: list[np.ndarray]
+                    ) -> tuple[list[VectorPath], list[VectorPath],
+                               list[np.ndarray], list[np.ndarray]]:
+    """Partition illumination paths, and their coverage maps, by color range.
 
     Colors fully inside [0, 1] keep everything and become shade;
     anything brighter contributes geometry only (opacity 1, color zeroed
     until assign_light_colors runs).  Input order is preserved within
-    each output and every path lands in exactly one of them.
+    each output and every path lands in exactly one of them with its
+    map, which still holds: geometry is copied unchanged.
     """
-    shade: list[VectorPath] = []
-    light: list[VectorPath] = []
-    for p in illumination:
+    shade, light, shade_maps, light_maps = [], [], [], []
+    for p, cov in zip(illumination, maps, strict=True):
         if float(p.fill_color.max()) <= 1.0:
             q = p.copy()
             q.layer_tag = "shade"
             shade.append(q)
+            shade_maps.append(cov)
         else:
             light.append(VectorPath(control_points=p.control_points.copy(),
                                     fill_color=np.zeros(3), opacity=1.0,
                                     layer_tag="light"))
-    return shade, light
+            light_maps.append(cov)
+    return shade, light, shade_maps, light_maps
 
 
-def assign_light_colors(light: list[VectorPath], target: np.ndarray,
-                        albedo_render: np.ndarray, shade: list[VectorPath],
-                        rcfg: RasterizerConfig
-                        ) -> tuple[list[VectorPath], np.ndarray, list[np.ndarray]]:
+def assign_light_colors(light: list[VectorPath], light_maps: list[np.ndarray],
+                        target: np.ndarray, albedo_render: np.ndarray,
+                        shade: list[VectorPath], shade_maps: list[np.ndarray]
+                        ) -> tuple[list[VectorPath], list[np.ndarray]]:
     """Color light paths from the additive residual under their support.
 
-    The residual is target minus the albedo render times the shade layer's
-    render.  Each light path takes the mean residual over its coverage >
-    0.5 support, clamped at 0; paths with empty support are dropped.
-    Returns the kept light paths, the shade layer's render over white and
-    the kept paths' coverage maps, from which the three-layer composite
-    follows without rasterizing again.
+    The residual is target minus the albedo render times the shade
+    layer's render, composited from ``shade_maps``.  Each light path takes
+    the mean residual over its coverage > 0.5 support, clamped at 0;
+    paths with empty support are dropped, maps and all.  Nothing is
+    rasterized.  Returns the kept light paths and their coverage maps.
     """
     height, width = target.shape[:2]
-    s_img = layer_forward(shade, WHITE, width, height, rcfg).image
+    s_img = source_over(shade, shade_maps, WHITE, width, height).image
     residual = target - albedo_render * s_img
     out, maps = [], []
-    for p in light:
-        cov = path_coverage(p, width, height, rcfg).coverage
+    for p, cov in zip(light, light_maps, strict=True):
         support = cov > 0.5
         if not np.any(support):
             continue
         p.fill_color = np.maximum(residual[support].mean(axis=0), 0.0)
         out.append(p)
         maps.append(cov)
-    return out, s_img, maps
+    return out, maps

@@ -270,12 +270,12 @@ def synthetic_run(tmp_path_factory):
     separated = {}
     real = pipeline.separate_layers
 
-    def recording(illumination):
-        shade, light = real(illumination)
+    def recording(illumination, maps):
+        shade, light, shade_maps, light_maps = real(illumination, maps)
         separated["n_illumination"] = len(illumination)
         separated["n_shade"] = len(shade)
         separated["n_light"] = len(light)
-        return shade, light
+        return shade, light, shade_maps, light_maps
 
     mp = pytest.MonkeyPatch()
     mp.setattr(pipeline, "separate_layers", recording)
@@ -336,7 +336,7 @@ def test_07_separation_partition(synthetic_run):
         rng = np.random.default_rng(700 + seed)
         illum = [random_path(rng, 20, 20, tag="illumination", color_hi=1.6)
                  for _ in range(int(rng.integers(1, 8)))]
-        shade, light = separate_layers(illum)
+        shade, light, _, _ = separate_layers(illum, [np.zeros((20, 20))] * len(illum))
         n_random += len(illum)
         ok = ok and len(shade) + len(light) == len(illum)
         geoms = sorted(p.control_points.tobytes() for p in shade + light)

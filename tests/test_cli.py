@@ -272,11 +272,12 @@ def test_vectorize_albedo_only_rejects_albedo_file(tmp_path, capsys):
     ("penalty_sign", "bogus"), ("dp_epsilon", -1.0), ("aa_sigma", 0.0),
     ("seed", -1), ("dp_epsilon", float("nan")), ("dp_epsilon", float("inf")),
     ("lambda_overlap", float("nan")), ("aa_sigma", float("nan")),
-    ("aa_sigma", float("inf")),
+    ("aa_sigma", float("inf")), ("output_path", "out.csv"),
+    ("trace_path", "out.svg"),
 ])
 def test_run_config_rejects_invalid_values(field, value):
     with pytest.raises(ValueError):
-        RunConfig(input_path="in.png", output_path="out.svg", **{field: value})
+        RunConfig(**{"input_path": "in.png", "output_path": "out.svg", field: value})
 
 
 @pytest.mark.parametrize("flag", [
@@ -300,6 +301,64 @@ def test_vectorize_invalid_value_exits_2_before_any_work(flag, tmp_path, capsys,
     assert code == 2
     assert "error:" in err
     assert not svg.exists()
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("the work started")
+
+
+@pytest.mark.parametrize("extra", [["-o", "{d}/out.csv"],
+                                   ["-o", "{d}/doc.svg", "--trace", "{d}/doc.svg"],
+                                   ["-o", "{d}/missing/doc.svg"],
+                                   ["-o", "{d}/doc.svg", "--trace", "{d}/missing/t.csv"]])
+def test_vectorize_bad_outputs_exit_2_before_any_work(extra, tmp_path, capsys,
+                                                      monkeypatch):
+    # a trace over the SVG, or a missing output directory, is rejected
+    # before the pipeline runs, and nothing is written
+    img_path = tmp_path / "icon.png"
+    write_image(img_path, make_icon_scene(8))
+    import covec.cli as cli
+    monkeypatch.setattr(cli, "run", _never)
+    argv = ["vectorize", str(img_path), *(x.format(d=tmp_path) for x in extra)]
+    code, out, err = _run(argv, capsys)
+    assert code == 2
+    assert "error:" in err and out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["icon.png"]
+
+
+@pytest.mark.parametrize("extra", [["-o", "{d}/x.json"],
+                                   ["-o", "{d}/x.svg", "--report", "{d}/x.svg"],
+                                   ["-o", "{d}/missing/x.svg"],
+                                   ["-o", "{d}/x.svg", "--report", "{d}/missing/r.json"]])
+def test_edit_bad_outputs_exit_2_before_any_work(extra, tmp_path, capsys,
+                                                 monkeypatch):
+    svg = tmp_path / "in.svg"
+    emit_svg(LayeredDocument(width=8, height=8,
+                             albedo=[square_path(2, 2, 6, 6)]), svg)
+    img = tmp_path / "img.png"
+    write_image(img, np.ones((8, 8, 3)))
+    import covec.cli as cli
+    monkeypatch.setattr(cli, "run_edit", _never)
+    argv = ["edit", str(svg), str(img), str(img),
+            *(x.format(d=tmp_path) for x in extra)]
+    code, out, err = _run(argv, capsys)
+    assert code == 2
+    assert "error:" in err and out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["img.png", "in.svg"]
+
+
+@pytest.mark.parametrize("output", ["out.jpg", "out", "missing/out.png"])
+def test_render_bad_output_exits_2_before_rendering(output, tmp_path, capsys,
+                                                    monkeypatch):
+    svg = tmp_path / "doc.svg"
+    emit_svg(make_disk_grid_document(), svg)
+    import covec.cli as cli
+    monkeypatch.setattr(cli, "reference_composite", _never)
+    code, out, err = _run(["render", str(svg), "-o", str(tmp_path / output),
+                           "--scale", "8"], capsys)
+    assert code == 2
+    assert "error:" in err and out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["doc.svg"]
 
 
 def test_vectorize_trace_schema(tmp_path, capsys):

@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+import covec.pipeline
+import covec.raster
+import covec.refine
 from covec.image_io import read_image, write_label_png, write_png
 from covec.model import RasterizerConfig
 from covec.pipeline import RunConfig, vectorize
@@ -10,10 +13,8 @@ from covec.raster import render_composite
 from covec.synthetic import make_acceptance_scene, make_icon_scene
 
 
-@pytest.mark.parametrize("mode", ["full", "albedo_only"])
-def test_final_mse_is_that_of_a_fresh_three_layer_render(mode, tmp_path):
-    # final_mse is composed from renders the run already holds; it must be
-    # bit for bit the MSE of rasterizing the finished document again
+def _small_run(mode, tmp_path):
+    """A short run of ``mode`` on a small scene."""
     target = tmp_path / "target.png"
     files = {}
     if mode == "full":
@@ -25,10 +26,18 @@ def test_final_mse_is_that_of_a_fresh_three_layer_render(mode, tmp_path):
         write_label_png(files["masks_path"], scene.labels)
     else:
         write_png(target, make_icon_scene(24), bit_depth=16)
-    cfg = RunConfig(input_path=str(target), output_path=str(tmp_path / "out.svg"),
-                    mode=mode, path_budget=24 if mode == "full" else 8,
-                    warmup_epochs=2, joint_epochs=2, refine_rounds=1,
-                    refine_iters=5, **files)
+    return RunConfig(input_path=str(target), output_path=str(tmp_path / "out.svg"),
+                     mode=mode, path_budget=24 if mode == "full" else 8,
+                     warmup_epochs=2, joint_epochs=2, refine_rounds=1,
+                     refine_iters=5, **files)
+
+
+@pytest.mark.parametrize("mode", ["full", "albedo_only"])
+def test_final_mse_is_that_of_a_fresh_three_layer_render(mode, tmp_path):
+    # final_mse is composed from renders the run already holds; it must be
+    # bit for bit the MSE of rasterizing the finished document again
+    cfg = _small_run(mode, tmp_path)
+    target = cfg.input_path
     result = vectorize(cfg)
     doc = result.document
     if mode == "full":
@@ -36,3 +45,33 @@ def test_final_mse_is_that_of_a_fresh_three_layer_render(mode, tmp_path):
     rendered = np.clip(render_composite(doc, "three_layer", RasterizerConfig()),
                        0.0, 1.0)
     assert result.final_mse == float(np.mean((rendered - read_image(target)) ** 2))
+
+
+@pytest.mark.parametrize("mode", ["full", "albedo_only"])
+def test_nothing_rasterized_after_refinement(mode, tmp_path, monkeypatch):
+    # refinement hands every path's coverage map on: separation, light
+    # colors and the final composite rasterize nothing
+    cfg = _small_run(mode, tmp_path)
+    refined = []
+    late = []
+    real_refine = covec.pipeline.refine_layer
+    real_coverage = covec.raster.path_coverage
+
+    def refining(*args, **kwargs):
+        result = real_refine(*args, **kwargs)
+        refined.append(result)
+        return result
+
+    def counting(*args, **kwargs):
+        if refined:
+            late.append(args[0])
+        return real_coverage(*args, **kwargs)
+
+    monkeypatch.setattr(covec.pipeline, "refine_layer", refining)
+    monkeypatch.setattr(covec.raster, "path_coverage", counting)
+    monkeypatch.setattr(covec.refine, "path_coverage", counting)
+    doc = vectorize(cfg).document
+    assert len(refined) == 1
+    if mode == "full":
+        assert doc.shade or doc.light
+    assert late == []

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from covec.model import RasterizerConfig, VectorPath
 import covec.raster
 import covec.refine
-from covec.raster import WHITE, layer_forward, path_coverage, render_composite
+from covec.raster import (WHITE, layer_forward, path_coverage, render_composite,
+                          source_over)
 from covec.refine import (CLEANUP_LOSS_EPS, KAPPA, RefineConfig,
                           assign_light_colors, circle_control_points,
                           cleanup_layer, propose_paths, refine_layer,
@@ -26,6 +27,10 @@ def _render(paths, w, h, rcfg):
 
 def _maps(paths, w, h, rcfg):
     return [path_coverage(p, w, h, rcfg).coverage for p in paths]
+
+
+def _composite(paths, maps, w, h):
+    return source_over(paths, maps, WHITE, w, h).image
 
 
 def test_circle_control_points_on_circle():
@@ -142,7 +147,8 @@ def test_refine_rounds_zero_noop():
                            budget_remaining=8)
     out, trace = refined.layer, refined.trace
     assert out == illum and trace == []
-    assert np.array_equal(refined.image, _render(illum, 32, 32, rcfg))
+    assert np.array_equal(_composite(out, refined.maps, 32, 32),
+                          _render(illum, 32, 32, rcfg))
 
 
 def test_refine_zero_budget_noop():
@@ -243,6 +249,34 @@ def test_refine_rasterizes_frozen_stack_once(monkeypatch):
     assert calls[True] == Counter({id(p): cfg.iters_per_round for p in proposed})
 
 
+def test_refine_maps_are_each_paths_coverage(monkeypatch):
+    # every returned map is its path's own coverage, also when cleanup
+    # merged proposals and trimmed the round's maps
+    rcfg = RasterizerConfig()
+    albedo, target = _highlight_scene(rcfg)
+    real_propose = covec.refine.propose_paths
+    real_cleanup = covec.refine.cleanup_layer
+    merged = []
+
+    def doubled(*args, **kwargs):
+        return [q for p in real_propose(*args, **kwargs) for q in (p, p.copy())]
+
+    def recording(*args, **kwargs):
+        result = real_cleanup(*args, **kwargs)
+        merged.append(result[2])
+        return result
+
+    monkeypatch.setattr(covec.refine, "propose_paths", doubled)
+    monkeypatch.setattr(covec.refine, "cleanup_layer", recording)
+    refined = refine_layer(_frozen_illumination(), _render(albedo, 32, 32, rcfg),
+                           target, RefineConfig(rounds_max=2, iters_per_round=3),
+                           rcfg, budget_remaining=4)
+    assert sum(merged) >= 1
+    assert len(refined.maps) == len(refined.layer)
+    for p, m in zip(refined.layer, refined.maps):
+        assert np.array_equal(m, path_coverage(p, 32, 32, rcfg).coverage)
+
+
 @pytest.mark.parametrize("mode", ["factor", "white"])
 def test_refine_trace_loss_is_fresh_render_mse(mode):
     rcfg = RasterizerConfig()
@@ -263,8 +297,9 @@ def test_refine_trace_loss_is_fresh_render_mse(mode):
         diff = _render(out[:n], 32, 32, rcfg) * factor - target
         assert row.loss == float(np.mean(diff * diff))
     assert n == len(out)
-    # the returned image is the final layer's render, bit for bit
-    assert np.array_equal(refined.image, _render(out, 32, 32, rcfg))
+    # the returned maps composite to the final layer's render, bit for bit
+    assert np.array_equal(_composite(out, refined.maps, 32, 32),
+                          _render(out, 32, 32, rcfg))
 
 
 def test_cleanup_merges_coincident_duplicates():
@@ -277,6 +312,34 @@ def test_cleanup_merges_coincident_duplicates():
     assert len(out) == 1 and (removed, merged) == (0, 1)
     assert np.allclose(out[0].fill_color, 0.4)
     assert len(maps) == 1   # trimmed in step with the paths
+
+
+def test_cleanup_merges_near_duplicate_chain_in_order():
+    # three mutually mergeable disks and one distinct path; pairs merge in
+    # lexicographic (i, j) order, the larger soft area keeps its place and
+    # takes the area-weighted color, and the next scan starts over
+    rcfg = RasterizerConfig()
+    a = disk_path(12, 12, 5.0, color=(0.40, 0.50, 0.60), opacity=0.5,
+                  tag="illumination")
+    b = disk_path(12, 12, 5.2, color=(0.41, 0.49, 0.61), opacity=0.5,
+                  tag="illumination")
+    c = disk_path(12, 12, 4.9, color=(0.415, 0.505, 0.595), opacity=0.5,
+                  tag="illumination")
+    d = disk_path(20, 20, 3.0, color=(0.9, 0.1, 0.1), tag="illumination")
+    paths = [a, b, c, d]
+    colors = [p.fill_color.copy() for p in paths]
+    target = _render(paths, 24, 24, rcfg)
+    maps = _maps(paths, 24, 24, rcfg)
+    area_a, area_b, area_c, _ = (float(m.sum()) for m in maps)
+    assert area_b > area_a and area_b > area_c
+    out, removed, merged = cleanup_layer(paths, maps, WHITE, WHITE, target)
+    assert (removed, merged) == (0, 2)
+    assert len(out) == 2 and out[0] is b and out[1] is d
+    first = (area_a * colors[0] + area_b * colors[1]) / (area_a + area_b)
+    second = (area_b * first + area_c * colors[2]) / (area_b + area_c)
+    assert np.allclose(out[0].fill_color, second, rtol=0.0, atol=1e-12)
+    assert np.array_equal(out[1].fill_color, colors[3])
+    assert len(maps) == 2 and float(maps[0].sum()) == area_b
 
 
 def test_cleanup_removes_hidden_path():
@@ -310,7 +373,7 @@ def test_cleanup_loss_budget(rng):
 
 def test_separate_in_range_goes_to_shade():
     p = disk_path(5, 5, 3, color=(0.4, 0.4, 0.4), tag="illumination")
-    shade, light = separate_layers([p])
+    shade, light, _, _ = separate_layers([p], [np.zeros((10, 10))])
     assert len(shade) == 1 and light == []
     assert shade[0].layer_tag == "shade"
     assert np.array_equal(shade[0].fill_color, p.fill_color)
@@ -319,7 +382,7 @@ def test_separate_in_range_goes_to_shade():
 
 def test_separate_bright_goes_to_light():
     p = disk_path(5, 5, 3, color=(1.2, 0.9, 0.8), tag="illumination")
-    shade, light = separate_layers([p])
+    shade, light, _, _ = separate_layers([p], [np.zeros((10, 10))])
     assert shade == [] and len(light) == 1
     assert light[0].layer_tag == "light"
     assert light[0].opacity == 1.0
@@ -334,11 +397,17 @@ def test_separate_partition_property(seed):
     for _ in range(int(rng.integers(1, 7))):
         p = random_path(rng, 20, 20, tag="illumination", color_hi=1.6)
         paths.append(p)
-    shade, light = separate_layers(paths)
+    maps = [np.full((20, 20), float(k)) for k in range(len(paths))]
+    shade, light, shade_maps, light_maps = separate_layers(paths, maps)
     assert len(shade) + len(light) == len(paths)
     inputs = sorted(tuple(p.control_points.ravel()) for p in paths)
     outputs = sorted(tuple(p.control_points.ravel()) for p in shade + light)
     assert inputs == outputs
+    # each output path carries its own input path's map, the same object
+    source = {p.control_points.tobytes(): m for p, m in zip(paths, maps)}
+    assert len(shade_maps) == len(shade) and len(light_maps) == len(light)
+    for p, m in zip(shade + light, shade_maps + light_maps):
+        assert m is source[p.control_points.tobytes()]
     for p in shade:
         assert p.fill_color.max() <= 1.0
     for p in light:
@@ -350,7 +419,8 @@ def test_assign_light_colors_zero_residual():
     albedo = [square_path(0, 0, 16, 16, color=(0.5, 0.5, 0.5))]
     target = _render(albedo, 16, 16, rcfg)
     light = [disk_path(8, 8, 4, color=(0.0, 0.0, 0.0), tag="light")]
-    out, _, _ = assign_light_colors(light, target, target, [], rcfg)  # target = albedo
+    out, _ = assign_light_colors(light, _maps(light, 16, 16, rcfg), target,
+                                 target, [], [])  # target = albedo
     assert len(out) == 1
     assert np.allclose(out[0].fill_color, 0.0, atol=1e-12)
     assert np.all(out[0].fill_color >= 0.0)
@@ -360,8 +430,8 @@ def test_assign_light_colors_uniform_boost():
     rcfg = RasterizerConfig()
     albedo, target = _highlight_scene(rcfg)
     light = [disk_path(20, 12, 6, color=(0.0, 0.0, 0.0), tag="light")]
-    out, _, _ = assign_light_colors(light, target, _render(albedo, 32, 32, rcfg),
-                                    [], rcfg)
+    out, _ = assign_light_colors(light, _maps(light, 32, 32, rcfg), target,
+                                 _render(albedo, 32, 32, rcfg), [], [])
     assert len(out) == 1
     assert np.all(np.abs(out[0].fill_color - 0.3) <= 0.02)
 
@@ -370,7 +440,8 @@ def test_assign_light_colors_drops_empty_support():
     rcfg = RasterizerConfig()
     target = np.full((16, 16, 3), 0.5)
     outside = disk_path(100, 100, 3, color=(0.0, 0.0, 0.0), tag="light")
-    out, _, maps = assign_light_colors([outside], target, WHITE, [], rcfg)
+    out, maps = assign_light_colors([outside], _maps([outside], 16, 16, rcfg),
+                                    target, WHITE, [], [])
     assert out == [] and maps == []
 
 
@@ -378,8 +449,8 @@ def test_three_layer_beats_two_layer():
     rcfg = RasterizerConfig()
     albedo, target = _highlight_scene(rcfg)
     light = [disk_path(20, 12, 6, color=(0.0, 0.0, 0.0), tag="light")]
-    light, _, _ = assign_light_colors(light, target, _render(albedo, 32, 32, rcfg),
-                                      [], rcfg)
+    light, _ = assign_light_colors(light, _maps(light, 32, 32, rcfg), target,
+                                   _render(albedo, 32, 32, rcfg), [], [])
     doc3 = LayeredDocument(width=32, height=32, albedo=albedo,
                            illumination=[], shade=[], light=light)
     doc2 = LayeredDocument(width=32, height=32, albedo=albedo,
