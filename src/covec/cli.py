@@ -33,12 +33,19 @@ def _read_svg(path: str):
         return parse_svg(fh.read())
 
 
-def _check_output_dirs(*paths: str) -> None:
-    """Fail before any work when an output's directory does not exist."""
-    for path in paths:
+def _check_outputs(outputs: tuple[str, ...], inputs: tuple[str, ...] = ()) -> None:
+    """Fail before any work when an output's directory does not exist, or
+    an output would overwrite an input or an earlier output."""
+    taken = {Path(path).resolve() for path in inputs}
+    for path in outputs:
         parent = Path(path).parent
         if not parent.is_dir():
             raise CliUsageError(f"output directory {parent} does not exist")
+        resolved = Path(path).resolve()
+        if resolved in taken:
+            raise CliUsageError(f"the output {path} would overwrite an input "
+                                "or another output")
+        taken.add(resolved)
 
 
 def cmd_vectorize(args: argparse.Namespace) -> int:
@@ -61,7 +68,7 @@ def cmd_vectorize(args: argparse.Namespace) -> int:
         delta_overlap=args.delta_overlap,
         penalty_sign=args.penalty.replace("-", "_"),
     )
-    _check_output_dirs(cfg.output_path, cfg.effective_trace_path)
+    _check_outputs((cfg.output_path, cfg.effective_trace_path))
     result = run(cfg)
     doc = result.document
     print(f"wrote {cfg.output_path} ({len(doc.albedo)} albedo / "
@@ -73,7 +80,7 @@ def cmd_vectorize(args: argparse.Namespace) -> int:
 def cmd_render(args: argparse.Namespace) -> int:
     config = RasterizerConfig(aa_sigma=args.aa_sigma)
     image_format(args.output)
-    _check_output_dirs(args.output)
+    _check_outputs((args.output,), (args.input,))
     doc = _read_svg(args.input)
     image = reference_composite(doc, config, scale=args.scale)
     write_image(args.output, np.clip(image, 0.0, 1.0))
@@ -89,9 +96,8 @@ def cmd_edit(args: argparse.Namespace) -> int:
     report_path = args.report
     if report_path is None:
         report_path = str(Path(args.output).with_suffix(".json"))
-    if Path(report_path).resolve() == Path(args.output).resolve():
-        raise CliUsageError(f"the report would overwrite the output {args.output}")
-    _check_output_dirs(args.output, report_path)
+    _check_outputs((args.output, report_path),
+                   (args.input, args.original, args.reference))
     doc = _read_svg(args.input)
     original = read_image(args.original)
     reference = read_image(args.reference)

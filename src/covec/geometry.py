@@ -168,35 +168,13 @@ def vertex_control_scatter(path: VectorPath, polyline: Polyline) -> tuple[np.nda
 SD_TILE = 2.0
 
 # Points per group of tiles in batch_signed_distance; the group's
-# (slot, kept edge, tile) temporaries scale with it.
+# (point, kept edge) pair temporaries scale with it.
 SD_GROUP_POINTS = 2048
 
 # Slack on the edge-culling test, relative to the bound plus the squared
 # coordinate scale: rounding moves a computed squared distance by about
 # 1e-16 of that scale, so no edge that can win the argmin is dropped.
 _CULL_SLACK = 1e-9
-
-
-def _foot_offsets(px, py, ax, ay, abx, aby, ab_sq):
-    """Foot parameter on edge a->a+ab, clamped to [0, 1], and p - foot.
-
-    Computes s = ((p - a) . ab) / ab_sq and p - (a + s * ab) in three
-    buffers; each rounding step is that of the plain expression.
-    """
-    dx = px - ax
-    dy = py - ay
-    s = dx * abx
-    dy *= aby
-    s += dy
-    s /= ab_sq
-    np.clip(s, 0.0, 1.0, out=s)
-    np.multiply(s, abx, out=dx)
-    dx += ax
-    np.subtract(px, dx, out=dx)
-    np.multiply(s, aby, out=dy)
-    dy += ay
-    np.subtract(py, dy, out=dy)
-    return s, dx, dy
 
 
 def batch_signed_distance(polyline: Polyline, points: np.ndarray
@@ -208,7 +186,7 @@ def batch_signed_distance(polyline: Polyline, points: np.ndarray
     when the query point sits exactly on the boundary.  The nearest edge
     is the lowest-indexed edge at the minimum squared distance, and the
     sign comes from the nonzero winding number, counted in one pass over
-    the edges as in scanline polygon fill.
+    the edges as in scanline polygon fill.  The points must be finite.
 
     The points of each square cell of side SD_TILE form a tile, and each
     tile is tested only against the edges that can be nearest to one of
@@ -218,12 +196,15 @@ def batch_signed_distance(polyline: Polyline, points: np.ndarray
     from B's farthest corner to the edge's first vertex.  Every point of B
     is within the upper bound of some edge, so an edge whose lower bound
     exceeds it (by more than _CULL_SLACK, which absorbs rounding) is never
-    nearest nor tied for nearest.  Kept edges stay in ascending order and
-    every pair goes through the same foot, distance and argmin arithmetic
-    as a test against every edge, so all four outputs are bit for bit
-    those of the all-pairs computation.  Tiles are processed in groups of
-    at most SD_GROUP_POINTS points (or one tile, if a tile holds more),
-    which bounds the temporaries.
+    nearest nor tied for nearest; the edge that sets the upper bound is
+    always kept.  Each point then meets its tile's kept edges once, in
+    ascending order, as one run of (point, edge) pairs, and its nearest
+    edge is the first pair at the run's minimum.  Every pair goes through
+    the same foot and distance arithmetic as a test against every edge,
+    so all four outputs are bit for bit those of the all-pairs
+    computation.  Tiles are processed in groups of at most SD_GROUP_POINTS
+    points (or one tile, if a tile holds more), which bounds the
+    temporaries.
     """
     pts = np.asarray(points, dtype=np.float64)
     v = polyline.vertices
@@ -263,7 +244,7 @@ def batch_signed_distance(polyline: Polyline, points: np.ndarray
     inside = wind != 0
     del by_y, wind  # only the mask outlives the pass
 
-    # sort the points by cell; slot is a point's rank within its tile
+    # sort the points by cell; each occupied cell is one tile
     cx = np.floor((x - x.min()) / SD_TILE).astype(np.int64)
     cy = np.floor((y - y.min()) / SD_TILE).astype(np.int64)
     cell = cy * (cx.max() + 1) + cx
@@ -273,25 +254,17 @@ def batch_signed_distance(polyline: Polyline, points: np.ndarray
     new_cell = np.r_[True, cell[1:] != cell[:-1]]
     tile = np.cumsum(new_cell) - 1
     starts = np.flatnonzero(new_cell)
-    slot = np.arange(n_pts) - starts[tile]
     n_tiles = starts.size
     box_lo = np.minimum.reduceat(np.stack([xs, ys]), starts, axis=1)
     box_hi = np.maximum.reduceat(np.stack([xs, ys]), starts, axis=1)
     scale_sq = max(np.abs(pts).max(), np.abs(v).max()) ** 2
 
-    nearest = np.empty(n_pts, dtype=np.int64)
     cuts = np.r_[starts, n_pts]  # tile t is sorted points cuts[t]:cuts[t + 1]
     step = max(1, SD_GROUP_POINTS // int(np.diff(cuts).max()))
     for t0 in range(0, n_tiles, step):
         t1 = min(t0 + step, n_tiles)
         lo, hi = cuts[t0], cuts[t1]
-        rows, cols = slot[lo:hi], tile[lo:hi] - t0
         (x0, y0), (x1, y1) = box_lo[:, t0:t1], box_hi[:, t0:t1]
-        # (slot, 1, tile) grid of the group's points; empty slots stay 0
-        px = np.zeros((rows.max() + 1, 1, t1 - t0))
-        py = np.zeros_like(px)
-        px[rows, 0, cols] = xs[lo:hi]
-        py[rows, 0, cols] = ys[lo:hi]
 
         # (edge, tile) bounds on the squared point-edge distance
         gx = np.maximum(np.maximum(x_lo - x1, x0 - x_hi), 0.0)
@@ -301,28 +274,34 @@ def batch_signed_distance(polyline: Polyline, points: np.ndarray
         upper = (fx * fx + fy * fy).min(axis=0)
         keep = gx * gx + gy * gy <= upper + _CULL_SLACK * (upper + scale_sq)
 
-        # (K, tile) table of the kept edges in ascending order, padded, and
-        # the (slot, K, tile) squared distances to them
+        # (point, kept edge) pairs, point by point, each run in edge order
+        kept = np.nonzero(keep.T)[1]  # tile by tile, edges ascending
         n_keep = np.count_nonzero(keep, axis=0)
-        table = np.argsort(~keep, axis=0, kind="stable")[:n_keep.max()]
-        _, dx, dy = _foot_offsets(px, py, ax[table], ay[table], abx[table],
-                                  aby[table], ab_sq_safe[table])
+        j = tile[lo:hi] - t0
+        runs = n_keep[j]
+        run_start = np.cumsum(runs) - runs
+        tile_start = np.cumsum(n_keep) - n_keep
+        e = kept[np.arange(runs.sum()) + np.repeat(tile_start[j] - run_start, runs)]
+        px, py = np.repeat(xs[lo:hi], runs), np.repeat(ys[lo:hi], runs)
+        ex, ey, ux, uy = ax[e], ay[e], abx[e], aby[e]
+        s = ((px - ex) * ux + (py - ey) * uy) / ab_sq_safe[e]
+        np.clip(s, 0.0, 1.0, out=s)
+        dx = px - (ex + s * ux)
+        dy = py - (ey + s * uy)
         dist_sq = dx * dx + dy * dy
-        dist_sq[:, np.arange(table.shape[0])[:, None] >= n_keep] = np.inf
-        k = np.argmin(dist_sq, axis=1)
-        nearest[lo:hi] = table[k[rows, cols], cols]
+        run_min = np.minimum.reduceat(dist_sq, run_start)
+        at_min = np.flatnonzero(dist_sq == np.repeat(run_min, runs))
+        k = at_min[np.searchsorted(at_min, run_start)]  # each run's first minimum
 
-    # the nearest pair's foot and offset again, by the same arithmetic
-    e = nearest
-    s, dx, dy = _foot_offsets(xs, ys, ax[e], ay[e], abx[e], aby[e], ab_sq_safe[e])
-    d_best = np.sqrt(dx * dx + dy * dy)
-    sign = np.where(inside[order], -1.0, 1.0)
-    sd[order] = sign * d_best
-    edge_idx[order] = e
-    foot_s[order] = s
-    signed = sign[:, None] * np.stack([dx, dy], axis=1)
-    unit[order] = np.divide(signed, d_best[:, None], out=np.zeros_like(signed),
-                            where=d_best[:, None] > 1e-12)
+        out = order[lo:hi]
+        d = np.sqrt(dist_sq[k])
+        sign = np.where(inside[out], -1.0, 1.0)
+        sd[out] = sign * d
+        edge_idx[out] = e[k]
+        foot_s[out] = s[k]
+        signed = sign[:, None] * np.stack([dx[k], dy[k]], axis=1)
+        unit[out] = np.divide(signed, d[:, None], out=np.zeros_like(signed),
+                              where=d[:, None] > 1e-12)
     return sd, edge_idx, foot_s, unit
 
 

@@ -186,10 +186,16 @@ def _read_png_planes(path) -> tuple[np.ndarray, int, int]:
         raise ImageFormatError("interlaced PNG is unsupported")
     channels = _CHANNELS[ctype]
     bpp = channels * depth // 8
+    expected = h * (w * bpp + 1)
+    inflate = zlib.decompressobj()
     try:
-        raw = zlib.decompress(bytes(idat))
+        # one byte past the expected length is enough to reject a stream
+        # that inflates to more, however much more it would inflate to
+        raw = inflate.decompress(bytes(idat), expected + 1)
     except zlib.error as exc:
         raise ImageFormatError(f"corrupt PNG image data: {exc}") from exc
+    if not inflate.eof and len(raw) <= expected:
+        raise ImageFormatError("corrupt PNG image data: incomplete or truncated stream")
     rows = _unfilter(raw, w, h, bpp)
     if depth == 8:
         planes = rows.reshape(h, w, channels).astype(np.uint32)

@@ -84,6 +84,11 @@ class RunConfig:
         trace = Path(self.effective_trace_path)
         if trace.resolve() == Path(self.output_path).resolve():
             raise ValueError(f"the trace would overwrite the output {self.output_path}")
+        inputs = {Path(p).resolve() for p in (self.input_path, self.albedo_path,
+                                              self.masks_path) if p is not None}
+        for out in (self.output_path, trace):
+            if Path(out).resolve() in inputs:
+                raise ValueError(f"the output {out} would overwrite an input")
         stages = {
             "raster_config": RasterizerConfig(aa_sigma=self.aa_sigma),
             "schedule": Schedule(warmup_epochs=self.warmup_epochs,

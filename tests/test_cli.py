@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from covec.cli import build_parser, main
-from covec.image_io import read_image, write_image
+from covec.image_io import read_image, write_image, write_label_png
 from covec.init_layers import InitError
 from covec.model import LayeredDocument
 from covec.pipeline import RunConfig
@@ -359,6 +359,38 @@ def test_render_bad_output_exits_2_before_rendering(output, tmp_path, capsys,
     assert code == 2
     assert "error:" in err and out == ""
     assert sorted(p.name for p in tmp_path.iterdir()) == ["doc.svg"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["vectorize", "in.png", "-o", "in.svg", "--trace", "in.png"],
+    ["vectorize", "in.png", "-o", "in.png", "--trace", "out.csv"],
+    ["vectorize", "in.png", "-o", "out.svg", "--masks", "labels.png",
+     "--trace", "labels.png"],
+    ["vectorize", "in.png", "-o", "out.svg", "--albedo", "ref.png",
+     "--trace", "ref.png"],
+    ["edit", "doc.svg", "in.png", "ref.png", "-o", "in.png"],
+    ["edit", "doc.svg", "in.png", "ref.png", "-o", "doc.svg"],
+    ["edit", "doc.svg", "in.png", "ref.png", "-o", "out.svg", "--report", "ref.png"],
+    ["render", "svg.png", "-o", "svg.png"],
+])
+def test_output_over_an_input_exits_2_and_leaves_it(argv, tmp_path, capsys,
+                                                     monkeypatch):
+    # no output may resolve to an input path; the inputs keep their bytes
+    write_image(tmp_path / "in.png", make_icon_scene(8))
+    write_image(tmp_path / "ref.png", np.full((8, 8, 3), 0.5))
+    write_label_png(tmp_path / "labels.png", np.zeros((8, 8), dtype=np.int64))
+    doc = LayeredDocument(width=8, height=8, albedo=[square_path(2, 2, 6, 6)])
+    emit_svg(doc, tmp_path / "doc.svg")
+    emit_svg(doc, tmp_path / "svg.png")  # an SVG under an image's name
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    import covec.cli as cli
+    for name in ("run", "run_edit", "reference_composite"):
+        monkeypatch.setattr(cli, name, _never)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = _run(argv, capsys)
+    assert code == 2
+    assert "would overwrite" in err and out == ""
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_vectorize_trace_schema(tmp_path, capsys):

@@ -343,6 +343,18 @@ def test_batch_signed_distance_matches_all_pairs_on_lattice_polygons(seed, group
     _assert_matches_all_pairs(poly, rng.permutation(pts), group)
 
 
+@pytest.mark.parametrize("group", [16, 2048])
+def test_batch_signed_distance_matches_all_pairs_on_centred_circle(group):
+    # the rasterizer's supersample-2 grid on a 64 x 64 canvas, and a circle
+    # of 32 edges centred on a tile: that tile keeps all 32 edges, most
+    # tiles around it keep 8
+    poly = flatten_bezier(disk_path(31, 31, 6), RasterizerConfig())
+    assert poly.n_vertices == 32
+    coords = (np.arange(128) + 0.5) / 2
+    gy, gx = np.meshgrid(coords, coords, indexing="ij")
+    _assert_matches_all_pairs(poly, np.stack([gx.ravel(), gy.ravel()], axis=1), group)
+
+
 def test_batch_signed_distance_ties_and_empty():
     square = Polyline(vertices=np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 0.0],
                                          [4.0, 4.0], [0.0, 4.0]]))

@@ -2,6 +2,7 @@
 
 import struct
 import tempfile
+import tracemalloc
 import zlib
 from pathlib import Path
 
@@ -207,6 +208,36 @@ def test_png_rejects_truncated_chunk(tmp_path):
     p.write_bytes(data[:length_at] + struct.pack(">I", length + 64)
                   + data[length_at + 4:])
     with pytest.raises(ImageFormatError, match="corrupt PNG.*truncated"):
+        read_png(p)
+
+
+def test_png_bomb_inflates_only_the_declared_size(tmp_path):
+    # 32 MiB of zeros behind an 8x8 grayscale header, which needs 72 bytes
+    deflate = zlib.compressobj(9)
+    zeros = bytes(1 << 20)
+    idat = b"".join(deflate.compress(zeros) for _ in range(32)) + deflate.flush()
+    ihdr = struct.pack(">IIBBBBB", 8, 8, 8, 0, 0, 0, 0)
+    p = tmp_path / "bomb.png"
+    p.write_bytes(b"\x89PNG\r\n\x1a\n" + _chunk(b"IHDR", ihdr)
+                  + _chunk(b"IDAT", idat) + _chunk(b"IEND", b""))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ImageFormatError, match="wrong length"):
+            read_png(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def test_png_rejects_zlib_stream_without_checksum(tmp_path):
+    # every pixel byte inflates, but the stream stops before its Adler-32
+    ihdr = struct.pack(">IIBBBBB", 2, 1, 8, 0, 0, 0, 0)
+    idat = zlib.compress(bytes([0, 10, 20]))[:-4]
+    p = tmp_path / "cut.png"
+    p.write_bytes(b"\x89PNG\r\n\x1a\n" + _chunk(b"IHDR", ihdr)
+                  + _chunk(b"IDAT", idat) + _chunk(b"IEND", b""))
+    with pytest.raises(ImageFormatError, match="corrupt PNG image data"):
         read_png(p)
 
 
