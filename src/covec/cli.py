@@ -6,7 +6,9 @@ against a reference image), gradcheck (finite-difference validation of
 the rasterizer gradients), metrics (MSE/PSNR between two images).
 
 Exit codes: 0 success, 1 gradcheck failure, 2 usage or unreadable/invalid
-input, 3 initialization failure, 4 SVG parse failure.
+input, 3 initialization failure, 4 SVG parse failure.  Every command that
+writes files passes its outputs through ``pipeline.check_outputs`` before
+any work (vectorize does so by constructing ``RunConfig``).
 """
 
 from __future__ import annotations
@@ -19,10 +21,10 @@ from pathlib import Path
 import numpy as np
 
 from .edit import EditConfig, mse, run_edit
-from .image_io import ImageFormatError, image_format, read_image, write_image
+from .image_io import image_format, read_image, write_image
 from .init_layers import InitError
 from .model import RasterizerConfig
-from .pipeline import RunConfig, run
+from .pipeline import RunConfig, check_outputs, run
 from .svg_io import SvgParseError, emit_svg, parse_svg, reference_composite
 
 logger = logging.getLogger(__name__)
@@ -31,21 +33,6 @@ logger = logging.getLogger(__name__)
 def _read_svg(path: str):
     with open(path, "rb") as fh:
         return parse_svg(fh.read())
-
-
-def _check_outputs(outputs: tuple[str, ...], inputs: tuple[str, ...] = ()) -> None:
-    """Fail before any work when an output's directory does not exist, or
-    an output would overwrite an input or an earlier output."""
-    taken = {Path(path).resolve() for path in inputs}
-    for path in outputs:
-        parent = Path(path).parent
-        if not parent.is_dir():
-            raise CliUsageError(f"output directory {parent} does not exist")
-        resolved = Path(path).resolve()
-        if resolved in taken:
-            raise CliUsageError(f"the output {path} would overwrite an input "
-                                "or another output")
-        taken.add(resolved)
 
 
 def cmd_vectorize(args: argparse.Namespace) -> int:
@@ -68,7 +55,6 @@ def cmd_vectorize(args: argparse.Namespace) -> int:
         delta_overlap=args.delta_overlap,
         penalty_sign=args.penalty.replace("-", "_"),
     )
-    _check_outputs((cfg.output_path, cfg.effective_trace_path))
     result = run(cfg)
     doc = result.document
     print(f"wrote {cfg.output_path} ({len(doc.albedo)} albedo / "
@@ -80,7 +66,7 @@ def cmd_vectorize(args: argparse.Namespace) -> int:
 def cmd_render(args: argparse.Namespace) -> int:
     config = RasterizerConfig(aa_sigma=args.aa_sigma)
     image_format(args.output)
-    _check_outputs((args.output,), (args.input,))
+    check_outputs((args.output,), (args.input,))
     doc = _read_svg(args.input)
     image = reference_composite(doc, config, scale=args.scale)
     write_image(args.output, np.clip(image, 0.0, 1.0))
@@ -90,14 +76,14 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 def cmd_edit(args: argparse.Namespace) -> int:
     if args.k < 1:
-        raise CliUsageError("--k must be a positive integer")
+        raise ValueError("--k must be a positive integer")
     cfg = EditConfig(tau_diff=args.tau, gamma_iou=args.gamma,
                      delta_color=args.delta_color, top_k=args.k)
     report_path = args.report
     if report_path is None:
         report_path = str(Path(args.output).with_suffix(".json"))
-    _check_outputs((args.output, report_path),
-                   (args.input, args.original, args.reference))
+    check_outputs((args.output, report_path),
+                  (args.input, args.original, args.reference))
     doc = _read_svg(args.input)
     original = read_image(args.original)
     reference = read_image(args.reference)
@@ -130,10 +116,6 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     print(f"mse {err:.8f}")
     print(f"psnr {psnr:.4f}")
     return 0
-
-
-class CliUsageError(ValueError):
-    pass
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -241,8 +223,7 @@ def main(argv: list[str] | None = None) -> int:
     except InitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (FileNotFoundError, IsADirectoryError, PermissionError,
-            ImageFormatError, CliUsageError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -19,9 +19,8 @@ import numpy as np
 
 _PNG_MAGIC = b"\x89PNG\r\n\x1a\n"
 
-# color type -> channel count (palette and other exotic types unsupported)
-_CHANNELS = {0: 1, 2: 3, 4: 2, 6: 4}
-_SUPPORTED_COLOR_TYPES = (0, 2, 6)
+# supported color type (gray, RGB, RGBA) -> channel count
+_CHANNELS = {0: 1, 2: 3, 6: 4}
 
 
 class ImageFormatError(ValueError):
@@ -178,7 +177,7 @@ def _read_png_planes(path) -> tuple[np.ndarray, int, int]:
         raise ImageFormatError(f"PNG size {w}x{h} is empty")
     if depth not in (8, 16):
         raise ImageFormatError(f"unsupported PNG bit depth {depth}")
-    if ctype not in _SUPPORTED_COLOR_TYPES:
+    if ctype not in _CHANNELS:
         raise ImageFormatError(f"unsupported PNG color type {ctype}")
     if comp != 0 or filt != 0:
         raise ImageFormatError("unsupported PNG compression or filter method")
@@ -197,13 +196,8 @@ def _read_png_planes(path) -> tuple[np.ndarray, int, int]:
     if not inflate.eof and len(raw) <= expected:
         raise ImageFormatError("corrupt PNG image data: incomplete or truncated stream")
     rows = _unfilter(raw, w, h, bpp)
-    if depth == 8:
-        planes = rows.reshape(h, w, channels).astype(np.uint32)
-    else:
-        planes = rows.reshape(h, w * channels, 2)
-        planes = (planes[:, :, 0].astype(np.uint32) << 8) | planes[:, :, 1]
-        planes = planes.reshape(h, w, channels)
-    return planes, depth, ctype
+    samples = rows if depth == 8 else rows.view(">u2")
+    return samples.reshape(h, w, channels).astype(np.uint32), depth, ctype
 
 
 def read_png(path) -> np.ndarray:
@@ -289,11 +283,8 @@ def read_ppm(path) -> np.ndarray:
     need = w * h * 3 * (1 if maxval < 256 else 2)
     if len(data) - pos < need:
         raise ImageFormatError("truncated PPM pixel data")
-    if maxval < 256:
-        raw = np.frombuffer(data, np.uint8, need, pos).astype(np.uint32)
-    else:
-        raw = np.frombuffer(data, np.uint8, need, pos)
-        raw = (raw[0::2].astype(np.uint32) << 8) | raw[1::2]
+    dtype = np.uint8 if maxval < 256 else np.dtype(">u2")
+    raw = np.frombuffer(data, dtype, w * h * 3, pos).astype(np.uint32)
     return dequantize(raw.reshape(h, w, 3), maxval)
 
 

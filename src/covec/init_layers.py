@@ -249,23 +249,11 @@ def organize_masks(masks: list[SemanticMask]) -> list[list[SemanticMask]]:
 
 # direction vectors: right, down, left, up (y grows downward)
 _DIRS = np.array([(1, 0), (0, 1), (-1, 0), (0, -1)])
-
-
-def _edge_valid(filled: np.ndarray, vx: int, vy: int, d: int) -> bool:
-    """Directed grid edge test: filled pixel on the right, empty on the left."""
-    h, w = filled.shape
-
-    def px(x, y):
-        return bool(filled[y, x]) if 0 <= x < w and 0 <= y < h else False
-
-    if d == 0:  # right: below filled, above empty
-        return px(vx, vy) and not px(vx, vy - 1)
-    if d == 1:  # down: left filled, right empty
-        return px(vx - 1, vy) and not px(vx, vy)
-    if d == 2:  # left: above filled, below empty
-        return px(vx - 1, vy - 1) and not px(vx - 1, vy)
-    # up: right filled, left empty
-    return px(vx, vy - 1) and not px(vx - 1, vy - 1)
+# per direction, the (x, y) offsets from the edge's start vertex to the
+# pixel on its right, which must be filled, and the one on its left, which
+# must be empty
+_EDGE_PIXELS = (((0, 0), (0, -1)), ((-1, 0), (0, 0)),
+                ((-1, -1), (-1, 0)), ((0, -1), (-1, -1)))
 
 
 def trace_boundary(mask: np.ndarray) -> np.ndarray:
@@ -288,6 +276,7 @@ def trace_boundary(mask: np.ndarray) -> np.ndarray:
     else:
         filled = mask
     ys, xs = np.nonzero(filled)
+    padded = np.pad(filled, 1)  # pixel (x, y) is padded[y + 1, x + 1]
     start_i = np.lexsort((xs, ys))[0]
     sx, sy = int(xs[start_i]), int(ys[start_i])
     # topmost-leftmost pixel: its top edge runs right
@@ -300,7 +289,9 @@ def trace_boundary(mask: np.ndarray) -> np.ndarray:
         # right turn first, then straight, then left turn
         for turn in (1, 0, 3):
             nd = (d + turn) % 4
-            if _edge_valid(filled, vx, vy, nd):
+            (fx, fy), (ex, ey) = _EDGE_PIXELS[nd]
+            if (padded[vy + fy + 1, vx + fx + 1]
+                    and not padded[vy + ey + 1, vx + ex + 1]):
                 break
         else:
             raise RuntimeError("boundary walk reached a dead end")

@@ -14,6 +14,9 @@ File inputs are always preferred when named: an albedo estimate image
 (full mode only) and a label-map segmentation replace the internal
 fallbacks (smoothness ratio and seeded k-means).
 
+``check_outputs`` is the one rule on which files a command may write;
+``RunConfig`` applies it when constructed.
+
 ``RunConfig`` holds every setting a run takes, one per ``covec
 vectorize`` flag.  Every other threshold is fixed, as a module constant
 next to the code that reads it (``init_layers``, ``optimize``,
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -43,13 +47,46 @@ MODES = ("full", "albedo_only")
 DEFAULT_BUDGET = {"full": 64, "albedo_only": 16}
 
 
+def _file_key(path: str):
+    """What identifies ``path``'s file: device and inode when it exists
+    (so hard links and symlinks compare equal), else the resolved path."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return Path(path).resolve()
+    return st.st_dev, st.st_ino
+
+
+def check_outputs(outputs: tuple[str, ...],
+                  inputs: tuple[str | None, ...] = ()) -> None:
+    """Raise ValueError, before any work, unless every output may be written.
+
+    An output may not sit in a missing directory, be an existing directory,
+    or be the same file as an input or an earlier output.  ``None`` entries
+    (an optional input not given) are skipped.
+    """
+    taken = {_file_key(path) for path in inputs if path is not None}
+    for path in outputs:
+        if Path(path).is_dir():
+            raise ValueError(f"the output {path} is a directory")
+        parent = Path(path).parent
+        if not parent.is_dir():
+            raise ValueError(f"output directory {parent} does not exist")
+        key = _file_key(path)
+        if key in taken:
+            raise ValueError(f"the output {path} would overwrite an input "
+                             "or another output")
+        taken.add(key)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Everything one vectorization run needs, mirroring the CLI flags.
 
     The per-stage configs (``raster_config``, ``schedule``,
     ``struct_config``, ``refine_config``) are built once at construction,
-    so an invalid value raises ValueError before any work.
+    and the SVG and trace paths pass ``check_outputs`` against the input
+    files, so an invalid value raises ValueError before any work.
     """
 
     input_path: str
@@ -81,14 +118,8 @@ class RunConfig:
             raise ValueError("an albedo estimate is only used in full mode")
         if not 0 <= self.dp_epsilon < np.inf:
             raise ValueError("dp_epsilon must be nonnegative and finite")
-        trace = Path(self.effective_trace_path)
-        if trace.resolve() == Path(self.output_path).resolve():
-            raise ValueError(f"the trace would overwrite the output {self.output_path}")
-        inputs = {Path(p).resolve() for p in (self.input_path, self.albedo_path,
-                                              self.masks_path) if p is not None}
-        for out in (self.output_path, trace):
-            if Path(out).resolve() in inputs:
-                raise ValueError(f"the output {out} would overwrite an input")
+        check_outputs((self.output_path, self.effective_trace_path),
+                      (self.input_path, self.albedo_path, self.masks_path))
         stages = {
             "raster_config": RasterizerConfig(aa_sigma=self.aa_sigma),
             "schedule": Schedule(warmup_epochs=self.warmup_epochs,

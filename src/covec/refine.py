@@ -169,21 +169,15 @@ def cleanup_layer(paths: list[VectorPath], coverages: list[np.ndarray],
     for _pass in range(3):
         changed = False
 
-        # removal scan: tiny soft area first, then negligible loss impact;
-        # the current loss is refreshed only when the stack actually changes
+        # removal scan: a path goes when its soft area is tiny or removing
+        # it barely moves the loss; the loss without it becomes current
         current = loss_of(paths, coverages)
         i = 0
         while i < len(paths):
-            soft_area = float(coverages[i].sum())
-            if soft_area < CLEANUP_AREA_MIN:
-                del paths[i], coverages[i]
-                current = loss_of(paths, coverages)
-                removed += 1
-                changed = True
-                continue
             without = loss_of(paths[:i] + paths[i + 1:],
                               coverages[:i] + coverages[i + 1:])
-            if abs(without - current) < CLEANUP_LOSS_EPS:
+            if (float(coverages[i].sum()) < CLEANUP_AREA_MIN
+                    or abs(without - current) < CLEANUP_LOSS_EPS):
                 del paths[i], coverages[i]
                 current = without
                 removed += 1

@@ -84,3 +84,17 @@ def test_tracer_counts_nominal_point_edge_pairs(perfbench):
     assert (tr.counts["geometry.batch_signed_distance.point_edge_pairs"]
             == samples * pc.polyline.n_vertices)
     assert tr.counts["raster.path_coverage.calls_nograd"] == 1
+
+
+def test_every_workload_sets_up_on_tiny_inputs(perfbench, tmp_path):
+    # start() builds the workload's configs, and RunConfig checks its
+    # paths when constructed; perfbench/selftest.py is the only other
+    # caller, and it is slow
+    workloads = importlib.import_module("workloads")
+    for name, workload in workloads.WORKLOADS.items():
+        inputs, outputs = tmp_path / name / "in", tmp_path / name / "out"
+        inputs.mkdir(parents=True)
+        outputs.mkdir()
+        workload.generate(0, inputs, tiny=True)
+        workload.start(inputs, outputs, tiny=True)
+        assert list(outputs.iterdir()) == [], name

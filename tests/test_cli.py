@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -280,6 +281,16 @@ def test_run_config_rejects_invalid_values(field, value):
         RunConfig(**{"input_path": "in.png", "output_path": "out.svg", field: value})
 
 
+def test_run_config_rejects_hard_linked_trace(tmp_path):
+    # a hard link names the input's file under another path
+    img = tmp_path / "in.png"
+    write_image(img, make_icon_scene(8))
+    os.link(img, tmp_path / "link.csv")
+    with pytest.raises(ValueError, match="would overwrite"):
+        RunConfig(input_path=str(img), output_path=str(tmp_path / "out.svg"),
+                  trace_path=str(tmp_path / "link.csv"))
+
+
 @pytest.mark.parametrize("flag", [
     ["--rounds", "-1"], ["--iters", "0"], ["--warmup", "-1"],
     ["--lambda", "-1"], ["--dp-eps", "-1"], ["--aa-sigma", "0"],
@@ -372,16 +383,26 @@ def test_render_bad_output_exits_2_before_rendering(output, tmp_path, capsys,
     ["edit", "doc.svg", "in.png", "ref.png", "-o", "doc.svg"],
     ["edit", "doc.svg", "in.png", "ref.png", "-o", "out.svg", "--report", "ref.png"],
     ["render", "svg.png", "-o", "svg.png"],
+    ["vectorize", "in.png", "-o", "out.svg", "--trace", "in_link.png"],
+    ["edit", "doc.svg", "in.png", "ref.png", "-o", "in_link.png"],
+    ["edit", "doc.svg", "in.png", "ref.png", "-o", "out.svg",
+     "--report", "ref_link.png"],
+    ["render", "svg.png", "-o", "svg_link.png"],
+    ["render", "svg.png", "-o", "svg_symlink.png"],
 ])
 def test_output_over_an_input_exits_2_and_leaves_it(argv, tmp_path, capsys,
                                                      monkeypatch):
-    # no output may resolve to an input path; the inputs keep their bytes
+    # no output may be an input's file, under its own path, a hard link or
+    # a symlink; the inputs keep their bytes
     write_image(tmp_path / "in.png", make_icon_scene(8))
     write_image(tmp_path / "ref.png", np.full((8, 8, 3), 0.5))
     write_label_png(tmp_path / "labels.png", np.zeros((8, 8), dtype=np.int64))
     doc = LayeredDocument(width=8, height=8, albedo=[square_path(2, 2, 6, 6)])
     emit_svg(doc, tmp_path / "doc.svg")
     emit_svg(doc, tmp_path / "svg.png")  # an SVG under an image's name
+    for name in ("in", "ref", "svg"):
+        os.link(tmp_path / f"{name}.png", tmp_path / f"{name}_link.png")
+    (tmp_path / "svg_symlink.png").symlink_to("svg.png")
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     import covec.cli as cli
     for name in ("run", "run_edit", "reference_composite"):
@@ -391,6 +412,30 @@ def test_output_over_an_input_exits_2_and_leaves_it(argv, tmp_path, capsys,
     assert code == 2
     assert "would overwrite" in err and out == ""
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("argv", [
+    ["vectorize", "in.png", "-o", "d.svg"],
+    ["vectorize", "in.png", "-o", "out.svg", "--trace", "d.svg"],
+    ["edit", "doc.svg", "in.png", "in.png", "-o", "out.svg", "--report", "d.svg"],
+    ["render", "doc.svg", "-o", "d.png"],
+])
+def test_existing_directory_as_output_exits_2_before_any_work(argv, tmp_path,
+                                                              capsys, monkeypatch):
+    write_image(tmp_path / "in.png", make_icon_scene(8))
+    emit_svg(LayeredDocument(width=8, height=8, albedo=[square_path(2, 2, 6, 6)]),
+             tmp_path / "doc.svg")
+    (tmp_path / "d.svg").mkdir()
+    (tmp_path / "d.png").mkdir()
+    import covec.cli as cli
+    for name in ("run", "run_edit", "reference_composite"):
+        monkeypatch.setattr(cli, name, _never)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = _run(argv, capsys)
+    assert code == 2
+    assert "is a directory" in err and out == ""
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["d.png", "d.svg",
+                                                          "doc.svg", "in.png"]
 
 
 def test_vectorize_trace_schema(tmp_path, capsys):
