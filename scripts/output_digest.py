@@ -14,9 +14,11 @@ quantization, printing ``reference/s4/seed sha256``, and again at
 supersample 1 and 3, whose row bands end on other rows, printing
 ``reference/ss1/seed`` and ``reference/ss3/seed``.  It also hashes the
 raw float64 bytes of ``raster.render_composite``, rasterizing without
-coverage maps, of the same K = 16 document in ``three_layer`` form and,
-with its shade paths retagged as illumination, in ``two_layer`` form,
-printing ``composite/<mode>/seed sha256``.
+coverage maps, of the same K = 16 document: scaled 4x (control points and
+canvas), so that path windows end inside the canvas, printing
+``production/s4/seed sha256``; and at its own size in ``three_layer``
+form and, with its shade paths retagged as illumination, in
+``two_layer`` form, printing ``composite/<mode>/seed sha256``.
 Then it runs ``gradcheck.run_gradcheck`` (100 probes, seed 0) and prints
 ``gradcheck/0 sha256`` over every (analytic, numeric) pair that
 ``gradcheck._agree`` compared.  Last it prints ``sd/<case> sha256`` over
@@ -109,6 +111,12 @@ def edit_digests(seed: int, work: Path) -> list[str]:
     for ss in (1, 3):
         ref = svg_io.reference_composite(edited, RasterizerConfig(supersample=ss), scale=4)
         lines.append(f"reference/ss{ss}/{seed} {hashlib.sha256(ref.tobytes()).hexdigest()}")
+    big = edited.copy()
+    big.width, big.height = 4 * edited.width, 4 * edited.height
+    for p in big.all_paths():
+        p.control_points = 4 * p.control_points
+    img = render_composite(big, "three_layer", RasterizerConfig())
+    lines.append(f"production/s4/{seed} {hashlib.sha256(img.tobytes()).hexdigest()}")
     lit = LayeredDocument(edited.width, edited.height, albedo=edited.albedo,
                           illumination=[dataclasses.replace(p, layer_tag="illumination")
                                         for p in edited.shade])

@@ -19,7 +19,8 @@ import numpy as np
 
 from .model import LayeredDocument, RasterizerConfig
 from .optimize import mse
-from .raster import COMPOSITE_MODES, layer_background, layer_forward, render_composite
+from .raster import (COMPOSITE_MODES, PathCoverage, layer_background, layer_forward,
+                     render_composite)
 
 # Stabilizer added to the mean shade before dividing it out of a color.
 EPSILON_SHADE = 1e-4
@@ -103,12 +104,12 @@ def compute_edit_mask(original: np.ndarray, reference: np.ndarray,
     return diff > tau
 
 
-def candidate_paths(albedo_maps: list[np.ndarray], original: np.ndarray,
+def candidate_paths(albedo_maps: list[PathCoverage], original: np.ndarray,
                     reference: np.ndarray, edit_mask: np.ndarray,
                     cfg: EditConfig) -> list[EditCandidate]:
     """Albedo paths overlapping the edit mask, largest support first.
 
-    ``albedo_maps`` holds the coverage map of each albedo path, in layer
+    ``albedo_maps`` holds the PathCoverage of each albedo path, in layer
     order.  A path survives when its binary support (coverage above one
     half) has IoU with the edit mask above gamma_iou AND its mean color
     moved by at most delta_color between the two images.  The second
@@ -117,12 +118,14 @@ def candidate_paths(albedo_maps: list[np.ndarray], original: np.ndarray,
     """
     edit_area = int(edit_mask.sum())
     out: list[EditCandidate] = []
-    for idx, coverage in enumerate(albedo_maps):
-        support = coverage > 0.5
-        n_support = int(support.sum())
+    for idx, pc in enumerate(albedo_maps):
+        in_window = pc.block > 0.5
+        n_support = int(np.count_nonzero(in_window))
         if n_support == 0:
             continue
-        inter = int(np.sum(support & edit_mask))
+        support = np.zeros(edit_mask.shape, dtype=bool)
+        support[pc.region] = in_window
+        inter = int(np.count_nonzero(in_window & edit_mask[pc.region]))
         union = n_support + edit_area - inter
         iou = inter / union if union else 0.0
         if iou <= cfg.gamma_iou:
@@ -192,7 +195,7 @@ def run_edit(doc: LayeredDocument, original: np.ndarray,
     renders = {tag: layer_forward(doc.layer(tag), layer_background(tag),
                                   doc.width, doc.height, rcfg)
                for tag in COMPOSITE_MODES["three_layer"]}
-    maps = {tag: [pc.coverage for pc in r.coverages] for tag, r in renders.items()}
+    maps = {tag: r.coverages for tag, r in renders.items()}
     cands = candidate_paths(maps["albedo"], original, reference, edit_mask, cfg)
     edited, report = apply_color_edit(doc, cands, reference, cfg,
                                       renders["shade"].image)

@@ -177,8 +177,9 @@ SD_GROUP_POINTS = 2048
 _CULL_SLACK = 1e-9
 
 
-def batch_signed_distance(polyline: Polyline, points: np.ndarray
-                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def batch_signed_distance(polyline: Polyline, points: np.ndarray, with_grad: bool = True
+                          ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None,
+                                     np.ndarray | None]:
     """Vectorized signed distance for many query points.
 
     Returns (sd, edge_index, foot_s, unit) where ``unit`` is the outward
@@ -204,7 +205,8 @@ def batch_signed_distance(polyline: Polyline, points: np.ndarray
     so all four outputs are bit for bit those of the all-pairs
     computation.  Tiles are processed in groups of at most SD_GROUP_POINTS
     points (or one tile, if a tile holds more), which bounds the
-    temporaries.
+    temporaries.  Without ``with_grad`` only ``sd`` is computed, to the
+    same bits, and the result is ``(sd, None, None, None)``.
     """
     pts = np.asarray(points, dtype=np.float64)
     v = polyline.vertices
@@ -221,9 +223,11 @@ def batch_signed_distance(polyline: Polyline, points: np.ndarray
 
     n_pts = pts.shape[0]
     sd = np.empty(n_pts)
-    edge_idx = np.empty(n_pts, dtype=np.int64)
-    foot_s = np.empty(n_pts)
-    unit = np.zeros((n_pts, 2))
+    edge_idx = foot_s = unit = None
+    if with_grad:
+        edge_idx = np.empty(n_pts, dtype=np.int64)
+        foot_s = np.empty(n_pts)
+        unit = np.zeros((n_pts, 2))
     if n_pts == 0:
         return sd, edge_idx, foot_s, unit
     x, y = pts[:, 0], pts[:, 1]
@@ -248,12 +252,15 @@ def batch_signed_distance(polyline: Polyline, points: np.ndarray
     cx = np.floor((x - x.min()) / SD_TILE).astype(np.int64)
     cy = np.floor((y - y.min()) / SD_TILE).astype(np.int64)
     cell = cy * (cx.max() + 1) + cx
+    del cx, cy
     order = np.argsort(cell, kind="stable")
     cell = cell[order]
     xs, ys = x[order], y[order]
     new_cell = np.r_[True, cell[1:] != cell[:-1]]
+    del cell
     tile = np.cumsum(new_cell) - 1
     starts = np.flatnonzero(new_cell)
+    del new_cell
     n_tiles = starts.size
     box_lo = np.minimum.reduceat(np.stack([xs, ys]), starts, axis=1)
     box_hi = np.maximum.reduceat(np.stack([xs, ys]), starts, axis=1)
@@ -297,6 +304,8 @@ def batch_signed_distance(polyline: Polyline, points: np.ndarray
         d = np.sqrt(dist_sq[k])
         sign = np.where(inside[out], -1.0, 1.0)
         sd[out] = sign * d
+        if not with_grad:
+            continue
         edge_idx[out] = e[k]
         foot_s[out] = s[k]
         signed = sign[:, None] * np.stack([dx[k], dy[k]], axis=1)

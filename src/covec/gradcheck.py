@@ -25,7 +25,7 @@ import numpy as np
 
 from .model import LayeredDocument, RasterizerConfig, VectorPath
 from .optimize import loss_recon, mse
-from .raster import path_coverage, render_composite
+from .raster import PathCoverage, path_coverage, render_composite
 from .refine import circle_control_points
 
 logger = logging.getLogger(__name__)
@@ -110,8 +110,8 @@ def _random_scene(rng: np.random.Generator
 
 
 def _coverage_cache(doc: LayeredDocument,
-                    config: RasterizerConfig) -> dict[str, list[np.ndarray]]:
-    return {tag: [path_coverage(p, doc.width, doc.height, config).coverage
+                    config: RasterizerConfig) -> dict[str, list[PathCoverage]]:
+    return {tag: [path_coverage(p, doc.width, doc.height, config)
                   for p in doc.layer(tag)]
             for tag in ("albedo", "illumination")}
 
@@ -153,8 +153,7 @@ def run_gradcheck(cfg: GradCheckConfig = GradCheckConfig()) -> GradCheckReport:
             for sign in (+1.0, -1.0):
                 _set_param(path, kind, coord, base + sign * eps)
                 if kind == "control_point":  # only geometry moves the coverage
-                    covs[tag][pi] = path_coverage(path, doc.width, doc.height,
-                                                  config).coverage
+                    covs[tag][pi] = path_coverage(path, doc.width, doc.height, config)
                 vals.append(mse(render_composite(doc, "two_layer", config, covs), target))
             _set_param(path, kind, coord, base)
             covs[tag][pi] = saved_cov

@@ -128,26 +128,47 @@ def _connected_components(labels: np.ndarray) -> np.ndarray:
 
 
 def _merge_small_components(comp: np.ndarray, min_area: int) -> np.ndarray:
-    """Absorb tiny components into their largest 4-adjacent neighbor."""
+    """Absorb tiny components into their largest 4-adjacent neighbor.
+
+    Component ids are positive.  Each sweep visits the components below
+    ``min_area`` at its start, smallest first (ties to the lower id), and
+    relabels each one not yet absorbed to the neighbor with the largest
+    current area (ties to the lower id); sweeps repeat until none is small,
+    one component is left, or a sweep merges nothing.  A component is
+    handled inside its bounding box padded by 1 px, which holds its
+    4-neighbor ring, and a box grows over every component it absorbs.
+    """
     comp = comp.copy()
+    h, w = comp.shape
+    areas = np.bincount(comp.ravel())
+    boxes = {}  # id -> (y0, y1, x0, x1)
+    for cid, found in enumerate(ndimage.find_objects(comp), start=1):
+        if found is not None:
+            ys, xs = found
+            boxes[cid] = (max(ys.start - 1, 0), min(ys.stop + 1, h),
+                          max(xs.start - 1, 0), min(xs.stop + 1, w))
     while True:
-        ids, areas = np.unique(comp, return_counts=True)
-        small = [(a, i) for i, a in zip(ids, areas) if a < min_area]
-        if not small or len(ids) == 1:
+        ids = np.flatnonzero(areas)
+        small = ids[areas[ids] < min_area]
+        if small.size == 0 or ids.size == 1:
             return comp
-        small.sort()
         merged_any = False
-        for _area, cid in small:
-            mask = comp == cid
-            if not np.any(mask):
+        for cid in small[np.argsort(areas[small], kind="stable")]:
+            if areas[cid] == 0:
                 continue  # already absorbed this sweep
+            y0, y1, x0, x1 = boxes[cid]
+            box = comp[y0:y1, x0:x1]
+            mask = box == cid
             ring = ndimage.binary_dilation(mask, structure=_CROSS) & ~mask
-            neighbors = np.unique(comp[ring])
+            neighbors = np.unique(box[ring])
             if neighbors.size == 0:
                 continue
-            n_areas = [(np.sum(comp == n), -n) for n in neighbors]
-            target = -max(n_areas)[1]
-            comp[mask] = target
+            target = -max((areas[n], -n) for n in neighbors)[1]
+            box[mask] = target
+            areas[target] += areas[cid]
+            areas[cid] = 0
+            t0, t1, s0, s1 = boxes[target]
+            boxes[target] = (min(t0, y0), max(t1, y1), min(s0, x0), max(s1, x1))
             merged_any = True
         if not merged_any:
             return comp

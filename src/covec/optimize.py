@@ -22,8 +22,8 @@ import numpy as np
 from scipy.special import expit, logit
 
 from .model import WHITE, GradientBuffer, VectorPath, project_color
-from .raster import (LayerRender, RasterizerConfig, coverage_backward, layer_backward,
-                     layer_forward)
+from .raster import (LayerRender, PathCoverage, RasterizerConfig, coverage_backward,
+                     layer_backward, layer_forward)
 
 logger = logging.getLogger(__name__)
 
@@ -150,7 +150,7 @@ class LayerOptimizer:
             path.opacity = float(expit(new_logit))
 
 
-def gray_alpha_field(coverages: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+def gray_alpha_field(coverages: list[PathCoverage]) -> tuple[np.ndarray, np.ndarray]:
     """Source-over alpha of every path re-filled at opacity GRAY_ALPHA.
 
     alpha(p) = 1 - prod_i (1 - GRAY_ALPHA * coverage_i(p)); a singly
@@ -159,9 +159,9 @@ def gray_alpha_field(coverages: list[np.ndarray]) -> tuple[np.ndarray, np.ndarra
     Returns (alpha, prod): the product is the transmittance the penalty's
     gradient divides by each path's own factor.
     """
-    prod = np.ones_like(coverages[0])
-    for cov in coverages:
-        prod *= 1.0 - GRAY_ALPHA * cov
+    prod = np.ones(coverages[0].canvas)
+    for pc in coverages:  # a factor of exactly 1 outside the window
+        prod[pc.region] *= 1.0 - GRAY_ALPHA * pc.block
     return 1.0 - prod, prod
 
 
@@ -207,7 +207,7 @@ def loss_struct(groups: list[list[VectorPath]], mask_renders: list[np.ndarray],
         loss, grads, render = layer_loss(group, WHITE, WHITE, reference, rcfg)
         total += loss
         if cfg.lambda_overlap > 0.0 and group:
-            alpha, prod = gray_alpha_field([pc.coverage for pc in render.coverages])
+            alpha, prod = gray_alpha_field(render.coverages)
             if cfg.penalty_sign == "overlap":
                 excess = alpha - cfg.delta_overlap
                 d_alpha = cfg.lambda_overlap * (excess > 0.0)
@@ -216,7 +216,8 @@ def loss_struct(groups: list[list[VectorPath]], mask_renders: list[np.ndarray],
                 d_alpha = -cfg.lambda_overlap * (excess > 0.0)
             total += cfg.lambda_overlap * float(np.maximum(excess, 0.0).sum())
             for i, pc in enumerate(render.coverages):
-                d_cov = d_alpha * GRAY_ALPHA * prod / (1.0 - GRAY_ALPHA * pc.coverage)
+                r = pc.region
+                d_cov = d_alpha[r] * GRAY_ALPHA * prod[r] / (1.0 - GRAY_ALPHA * pc.block)
                 grads[i].d_control_points += coverage_backward(pc, d_cov, rcfg)
         all_grads.extend(grads)
     return total, all_grads

@@ -198,7 +198,7 @@ def vectorize(cfg: RunConfig) -> VectorizeResult:
     if full:
         layer, tag = illum, "illumination"
         a_render = layer_forward(albedo, WHITE, w, h, rcfg)
-        factor, a_maps = a_render.image, [pc.coverage for pc in a_render.coverages]
+        factor, a_maps = a_render.image, a_render.coverages
     else:
         layer, tag, factor = albedo, "albedo", WHITE
     refined = refine_layer(layer, factor, image, cfg.refine_config, rcfg,

@@ -19,10 +19,17 @@ final composite, edit, gradcheck) or by rasterizing them.  Gradients flow
 per layer through ``layer_backward``; the reconstruction loss
 differentiates the two-layer product itself.
 
-Every forward quantity needed by the analytic backward pass is cached per
-path: sample-level sigmoid values, nearest-edge foot points, and the
-under-composite / transmittance stacks of the source-over sweep.  Caches
-are full canvas, sized for research-scale images rather than huge ones.
+Each path's coverage lives in its support window: ``PathCoverage.block``
+covers only the window, and everything the rasterizer keeps per sample
+(sigmoid values, nearest-edge foot points) covers only the window's
+supersamples.  source_over writes each path into its window slice of the
+canvas, which is exact, since outside it zero coverage leaves the
+composite as it was.  A no-grad path_coverage computes nothing per
+sample but the signed distance, which becomes the sigmoid in place.
+Full-canvas arrays remain where layer_backward needs them: the alpha,
+under-composite and transmittance stacks of a recorded source-over
+sweep, and the few float sums whose bits depend on the canvas's
+summation order (PathCoverage.placed).
 """
 
 from __future__ import annotations
@@ -61,10 +68,12 @@ CUTOFF_SIGMAS = 30.0
 
 @dataclass
 class PathCoverage:
-    """Coverage map of one path plus the caches its backward pass needs."""
+    """Coverage of one path in its support window, plus the caches its
+    backward pass needs.  Coverage is exactly zero outside the window."""
 
-    coverage: np.ndarray  # (H, W), zero outside the support window
+    block: np.ndarray  # (y1 - y0, x1 - x0) coverage inside the window
     window: tuple[int, int, int, int]  # x0, y0, x1, y1 pixel bounds
+    canvas: tuple[int, int]  # height, width of the canvas
     polyline: Polyline
     sigma: np.ndarray | None = None  # (m,) per supersample in the window
     unit: np.ndarray | None = None  # (m, 2) d(sd)/d(sample point)
@@ -73,20 +82,42 @@ class PathCoverage:
     scatter_idx: np.ndarray | None = None  # (V, 4) control indices per vertex
     scatter_w: np.ndarray | None = None  # (V, 4) Bernstein weights
 
+    @property
+    def region(self) -> tuple[slice, slice]:
+        """The window's rows and columns, for indexing a canvas."""
+        x0, y0, x1, y1 = self.window
+        return slice(y0, y1), slice(x0, x1)
+
+    def placed(self) -> np.ndarray:
+        """The block on a zero canvas.  Only for canvas sums that feed an
+        output: numpy groups a window's values differently from the whole
+        canvas's, so a window-only sum can differ in the last bit."""
+        canvas = np.zeros(self.canvas)
+        canvas[self.region] = self.block
+        return canvas
+
+    @property
+    def coverage(self) -> np.ndarray:
+        """Read-only full-canvas map, for readers outside the package."""
+        canvas = self.placed()
+        canvas.flags.writeable = False
+        return canvas
+
 
 def path_coverage(path: VectorPath, width: int, height: int,
                   config: RasterizerConfig, with_grad: bool = False) -> PathCoverage:
     """Soft coverage of a single path over the canvas.
 
     Work is restricted to the path's bounding box padded by
-    CUTOFF_SIGMAS * aa_sigma; outside that window the logistic tail is
-    below ~1e-13 and coverage is set to exactly zero.  Inside it, every
-    supersample gets its signed distance to the flattened outline from
-    batch_signed_distance, which culls edges per tile of samples without
-    changing a bit of the result, and coverage is the pixel mean of
-    expit(-sd / aa_sigma).  With ``with_grad`` the per-sample sigmoid,
-    nearest edge, foot parameter and unit gradient are kept for
-    coverage_backward.
+    CUTOFF_SIGMAS * aa_sigma, clipped to the canvas; outside that window
+    the logistic tail is below ~1e-13 and coverage is exactly zero.
+    Inside it, every supersample gets its signed distance to the
+    flattened outline from batch_signed_distance, which culls edges per
+    tile of samples without changing a bit of the result, and the
+    window's block is the pixel mean of expit(-sd / aa_sigma).  With
+    ``with_grad`` the per-sample sigmoid, nearest edge, foot parameter
+    and unit gradient are kept for coverage_backward; without it only the
+    signed distance is computed.
     """
     poly = flatten_bezier(path, config)
     pad = CUTOFF_SIGMAS * config.aa_sigma
@@ -95,18 +126,22 @@ def path_coverage(path: VectorPath, width: int, height: int,
     x1 = int(np.clip(np.ceil(v[:, 0].max() + pad), 0, width))
     y0 = int(np.clip(np.floor(v[:, 1].min() - pad), 0, height))
     y1 = int(np.clip(np.ceil(v[:, 1].max() + pad), 0, height))
-    cov = np.zeros((height, width))
-    pc = PathCoverage(coverage=cov, window=(x0, y0, x1, y1), polyline=poly)
     s = config.supersample
     xs = x0 + (np.arange((x1 - x0) * s) + 0.5) / s
     ys = y0 + (np.arange((y1 - y0) * s) + 0.5) / s
-    gy, gx = np.meshgrid(ys, xs, indexing="ij")
-    pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
+    pts = np.empty((ys.size, xs.size, 2))  # row-major supersample grid
+    pts[:, :, 0] = xs
+    pts[:, :, 1] = ys[:, None]
 
-    sd, edge_idx, foot_s, unit = batch_signed_distance(poly, pts)
-    sigma = expit(-sd / config.aa_sigma)
-    grid = sigma.reshape(y1 - y0, s, x1 - x0, s)
-    cov[y0:y1, x0:x1] = grid.mean(axis=(1, 3))
+    sd, edge_idx, foot_s, unit = batch_signed_distance(poly, pts.reshape(-1, 2),
+                                                       with_grad)
+    del pts
+    sigma = np.negative(sd, out=sd)  # expit(-sd / aa_sigma), in place
+    sigma /= config.aa_sigma
+    expit(sigma, out=sigma)
+    block = sigma.reshape(y1 - y0, s, x1 - x0, s).mean(axis=(1, 3))
+    pc = PathCoverage(block=block, window=(x0, y0, x1, y1), canvas=(height, width),
+                      polyline=poly)
     if with_grad:
         pc.sigma = sigma
         pc.unit = unit
@@ -116,9 +151,10 @@ def path_coverage(path: VectorPath, width: int, height: int,
     return pc
 
 
-def coverage_backward(pc: PathCoverage, d_coverage: np.ndarray,
+def coverage_backward(pc: PathCoverage, d_block: np.ndarray,
                       config: RasterizerConfig) -> np.ndarray:
-    """Pull a coverage-map gradient back to control-point space.
+    """Pull a coverage gradient, over the path's window, back to
+    control-point space.
 
     Chain: coverage -> sample sigmoid -> signed distance -> nearest-edge
     foot point -> the edge's two polyline vertices -> Bernstein-weighted
@@ -127,11 +163,9 @@ def coverage_backward(pc: PathCoverage, d_coverage: np.ndarray,
     """
     if pc.sigma is None:
         raise ValueError("path_coverage was run without with_grad")
-    x0, y0, x1, y1 = pc.window
     d_ctrl = np.zeros((_control_count(pc), 2))
     s = config.supersample
-    d_px = d_coverage[y0:y1, x0:x1]
-    d_sample = np.repeat(np.repeat(d_px, s, axis=0), s, axis=1).ravel() / (s * s)
+    d_sample = np.repeat(np.repeat(d_block, s, axis=0), s, axis=1).ravel() / (s * s)
     d_sd = d_sample * (-pc.sigma * (1.0 - pc.sigma) / config.aa_sigma)
     # d(sd)/d(vertex a) = -unit * (1 - s_foot); d/d(vertex b) = -unit * s_foot
     ga = d_sd[:, None] * (-pc.unit) * (1.0 - pc.foot_s)[:, None]
@@ -183,34 +217,41 @@ def _check_single_tag(paths: list[VectorPath]) -> None:
         raise ValueError(f"layer mixes paths tagged {a!r} and {b!r}")
 
 
-def source_over(paths: list[VectorPath], coverages: list[np.ndarray], background,
+def source_over(paths: list[VectorPath], coverages: list[PathCoverage], background,
                 width: int, height: int, record: bool = False) -> LayerRender:
-    """Source-over composite, back to front, from per-path coverage maps.
+    """Source-over composite, back to front, from per-path coverage.
 
     Path j has alpha coverage_j * opacity_j and its fill color clamped to
-    its layer's range.  With ``record`` the result also keeps what
-    layer_backward needs: the under-composite below each path and the
-    transmittance of the paths above it.  One coverage map per path, or
-    ValueError.  The returned render carries no PathCoverage objects;
-    layer_forward attaches its own.
+    its layer's range; it is composited into its window slice only, since
+    outside it ``under * 1 + 0 * color`` is ``under`` exactly.  With
+    ``record`` the result also keeps what layer_backward needs, on the
+    full canvas: the alphas, the under-composite below each path and the
+    transmittance of the paths above it.  One PathCoverage of this canvas
+    per path, or ValueError.  The returned render carries no PathCoverage
+    objects; layer_forward attaches its own.
     """
     n = len(paths)
     if len(coverages) != n:
         raise ValueError(f"{len(coverages)} coverage maps for {n} paths")
+    if any(pc.canvas != (height, width) for pc in coverages):
+        raise ValueError(f"coverage of another canvas than {height}x{width}")
     under = _tile_background(background, width, height)
     if n == 0:
         return LayerRender(image=under)
-    alphas = np.zeros((n, height, width))
-    unders = np.zeros((n, height, width, 3)) if record else None
+    alphas = unders = None
+    if record:
+        alphas = np.zeros((n, height, width))
+        unders = np.zeros((n, height, width, 3))
     eff = np.zeros((n, 3))
-    for j, (path, cov) in enumerate(zip(paths, coverages)):
-        alpha = cov * path.opacity
-        alphas[j] = alpha
+    for j, (path, pc) in enumerate(zip(paths, coverages)):
+        alpha = pc.block * path.opacity
         color = project_color(path.fill_color, path.layer_tag)
         eff[j] = color
         if record:
+            alphas[j][pc.region] = alpha
             unders[j] = under
-        under = alpha[:, :, None] * color + (1.0 - alpha[:, :, None]) * under
+        window = under[pc.region]
+        window[...] = alpha[:, :, None] * color + (1.0 - alpha[:, :, None]) * window
     trans = None
     if record:
         trans = np.zeros((n, height, width))
@@ -228,8 +269,8 @@ def layer_forward(paths: list[VectorPath], background, width: int, height: int,
     _check_single_tag(paths)
     coverages = [path_coverage(p, width, height, config, with_grad=with_grad)
                  for p in paths]
-    render = source_over(paths, [pc.coverage for pc in coverages], background,
-                         width, height, record=with_grad)
+    render = source_over(paths, coverages, background, width, height,
+                         record=with_grad)
     render.coverages = coverages
     return render
 
@@ -258,9 +299,8 @@ def layer_backward(paths: list[VectorPath], render: LayerRender,
         d_color_eff = weighted.sum(axis=(0, 1))
         diff = render.effective_colors[j][None, None, :] - render.unders[j]
         d_alpha = np.einsum("hwc,hwc->hw", d_image, diff) * t
-        d_cov = d_alpha * path.opacity
-        d_opacity = float(np.sum(d_alpha * pc.coverage))
-        d_ctrl = coverage_backward(pc, d_cov, config)
+        d_opacity = float(np.sum(d_alpha * pc.placed()))
+        d_ctrl = coverage_backward(pc, d_alpha[pc.region] * path.opacity, config)
         # The range clamp passes gradient only where it left the color alone.
         passthrough = render.effective_colors[j] == path.fill_color
         d_color = np.where(passthrough, d_color_eff, 0.0)
@@ -284,10 +324,10 @@ def blend(mode: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def render_composite(doc: LayeredDocument, mode: str, config: RasterizerConfig,
-                     maps: dict[str, list[np.ndarray]] | None = None) -> np.ndarray:
+                     maps: dict[str, list[PathCoverage]] | None = None) -> np.ndarray:
     """Forward-only two_layer (A * I) or three_layer ((A * S) + L) composite.
 
-    ``maps`` holds each blended layer's coverage maps by tag, one per path
+    ``maps`` holds each blended layer's PathCoverage by tag, one per path
     in layer order; without them every path is rasterized with
     path_coverage.  Each layer composites its maps with source_over over
     its background, the same arithmetic as layer_forward, so a document
@@ -302,7 +342,7 @@ def render_composite(doc: LayeredDocument, mode: str, config: RasterizerConfig,
         paths = doc.layer(tag)
         _check_single_tag(paths)
         covs = (maps[tag] if maps is not None else
-                [path_coverage(p, doc.width, doc.height, config).coverage for p in paths])
+                [path_coverage(p, doc.width, doc.height, config) for p in paths])
         images.append(source_over(paths, covs, layer_background(tag),
                                   doc.width, doc.height).image)
     image = blend("multiply", images[0], images[1])

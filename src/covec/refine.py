@@ -23,7 +23,8 @@ from scipy import ndimage
 
 from .model import SHADE_FLOOR, WHITE, VectorPath, project_color
 from .optimize import LayerOptimizer, TraceRow, layer_loss, mse
-from .raster import RasterizerConfig, layer_forward, path_coverage, source_over
+from .raster import (PathCoverage, RasterizerConfig, layer_forward, path_coverage,
+                     source_over)
 
 _CROSS = ndimage.generate_binary_structure(2, 1)
 
@@ -126,7 +127,20 @@ MERGE_COLOR_EPS = 0.02
 MERGE_IOU_MIN = 0.8
 
 
-def _first_merge(paths: list[VectorPath], coverages: list[np.ndarray]
+def _support_overlap(a: PathCoverage, b: PathCoverage) -> int:
+    """Pixels where both coverages exceed 0.5, counted where the windows meet."""
+    ax0, ay0, ax1, ay1 = a.window
+    bx0, by0, bx1, by1 = b.window
+    x0, y0 = max(ax0, bx0), max(ay0, by0)
+    x1, y1 = min(ax1, bx1), min(ay1, by1)
+    if x0 >= x1 or y0 >= y1:
+        return 0
+    in_a = a.block[y0 - ay0:y1 - ay0, x0 - ax0:x1 - ax0] > 0.5
+    in_b = b.block[y0 - by0:y1 - by0, x0 - bx0:x1 - bx0] > 0.5
+    return int(np.count_nonzero(in_a & in_b))
+
+
+def _first_merge(paths: list[VectorPath], coverages: list[PathCoverage]
                  ) -> tuple[int, int] | None:
     """The first pair i < j, in lexicographic order, that cleanup merges."""
     for i in range(len(paths)):
@@ -134,15 +148,15 @@ def _first_merge(paths: list[VectorPath], coverages: list[np.ndarray]
             gap = np.abs(paths[i].fill_color - paths[j].fill_color)
             if np.max(gap) >= MERGE_COLOR_EPS:
                 continue
-            sup_i = coverages[i] > 0.5
-            sup_j = coverages[j] > 0.5
-            union = np.sum(sup_i | sup_j)
-            if union > 0 and np.sum(sup_i & sup_j) / union > MERGE_IOU_MIN:
+            inter = _support_overlap(coverages[i], coverages[j])
+            union = (np.count_nonzero(coverages[i].block > 0.5)
+                     + np.count_nonzero(coverages[j].block > 0.5) - inter)
+            if union > 0 and inter / union > MERGE_IOU_MIN:
                 return i, j
     return None
 
 
-def cleanup_layer(paths: list[VectorPath], coverages: list[np.ndarray],
+def cleanup_layer(paths: list[VectorPath], coverages: list[PathCoverage],
                   background: np.ndarray, frozen_factor: np.ndarray,
                   target: np.ndarray) -> tuple[list[VectorPath], int, int]:
     """Prune tiny/ineffective paths and merge near-duplicates, <= 3 passes.
@@ -155,14 +169,18 @@ def cleanup_layer(paths: list[VectorPath], coverages: list[np.ndarray],
     are edited in place and in step, and merged colors are written into
     the surviving path.  Removal decisions re-evaluate the composite after
     each change, so each loss-rule removal perturbs the reconstruction loss
-    by less than CLEANUP_LOSS_EPS at the moment it is applied.  Returns
+    by less than CLEANUP_LOSS_EPS at the moment it is applied.  Soft areas
+    are sums over the whole canvas (PathCoverage.placed).  Returns
     (paths, removed_count, merged_count).
     """
     height, width = target.shape[:2]
     removed = 0
     merged = 0
 
-    def loss_of(stack: list[VectorPath], covs: list[np.ndarray]) -> float:
+    def area(pc: PathCoverage) -> float:
+        return float(pc.placed().sum())
+
+    def loss_of(stack: list[VectorPath], covs: list[PathCoverage]) -> float:
         image = source_over(stack, covs, background, width, height).image
         return mse(image * frozen_factor, target)
 
@@ -176,7 +194,7 @@ def cleanup_layer(paths: list[VectorPath], coverages: list[np.ndarray],
         while i < len(paths):
             without = loss_of(paths[:i] + paths[i + 1:],
                               coverages[:i] + coverages[i + 1:])
-            if (float(coverages[i].sum()) < CLEANUP_AREA_MIN
+            if (area(coverages[i]) < CLEANUP_AREA_MIN
                     or abs(without - current) < CLEANUP_LOSS_EPS):
                 del paths[i], coverages[i]
                 current = without
@@ -188,8 +206,8 @@ def cleanup_layer(paths: list[VectorPath], coverages: list[np.ndarray],
         # merge scan: near-identical color and strongly overlapping support
         while (pair := _first_merge(paths, coverages)) is not None:
             i, j = pair
-            area_i = float(coverages[i].sum())
-            area_j = float(coverages[j].sum())
+            area_i = area(coverages[i])
+            area_j = area(coverages[j])
             keep, drop = (i, j) if area_i >= area_j else (j, i)
             blended = (area_i * paths[i].fill_color
                        + area_j * paths[j].fill_color) / (area_i + area_j)
@@ -209,11 +227,11 @@ STOP_ERROR_MAX = 1e-4
 
 @dataclass
 class RefineResult:
-    """A refined layer, its trace rows and one coverage map per path."""
+    """A refined layer, its trace rows and one PathCoverage per path."""
 
     layer: list[VectorPath]
     trace: list[TraceRow]
-    maps: list[np.ndarray]
+    maps: list[PathCoverage]
 
 
 def refine_layer(layer: list[VectorPath], frozen_factor: np.ndarray,
@@ -230,14 +248,14 @@ def refine_layer(layer: list[VectorPath], frozen_factor: np.ndarray,
     next round's base and the round's trace loss, and its paths join the
     frozen stack.  Stops early when the error map's maximum drops below
     STOP_ERROR_MAX, the budget runs out, or nothing is proposed.  The
-    coverage maps of the base render and of each round's kept paths come
-    back with the layer, one per path, bit for bit what path_coverage
-    gives for it.  Adam steps at the fixed optimize.LR_POINTS/LR_COLORS.
+    PathCoverage of the base render's paths and of each round's kept
+    paths comes back with the layer, one per path, bit for bit what
+    path_coverage gives for it.  Adam steps at the fixed optimize.LR_POINTS/LR_COLORS.
     """
     height, width = target.shape[:2]
     layer = list(layer)
     render = layer_forward(layer, WHITE, width, height, rcfg)
-    base, layer_maps = render.image, [pc.coverage for pc in render.coverages]
+    base, layer_maps = render.image, render.coverages
     trace: list[TraceRow] = []
     for rnd in range(1, cfg.rounds_max + 1):
         diff = target - base * frozen_factor
@@ -254,7 +272,7 @@ def refine_layer(layer: list[VectorPath], frozen_factor: np.ndarray,
         for _it in range(cfg.iters_per_round):
             opt.step(layer_loss(new_paths, base, frozen_factor, target, rcfg)[1])
         n_new = len(new_paths)  # cleanup trims new_paths in place
-        maps = [path_coverage(p, width, height, rcfg).coverage for p in new_paths]
+        maps = [path_coverage(p, width, height, rcfg) for p in new_paths]
         kept, n_removed, n_merged = cleanup_layer(new_paths, maps, base,
                                                   frozen_factor, target)
         budget_remaining -= len(kept)
@@ -268,9 +286,9 @@ def refine_layer(layer: list[VectorPath], frozen_factor: np.ndarray,
     return RefineResult(layer, trace, layer_maps)
 
 
-def separate_layers(illumination: list[VectorPath], maps: list[np.ndarray]
+def separate_layers(illumination: list[VectorPath], maps: list[PathCoverage]
                     ) -> tuple[list[VectorPath], list[VectorPath],
-                               list[np.ndarray], list[np.ndarray]]:
+                               list[PathCoverage], list[PathCoverage]]:
     """Partition illumination paths, and their coverage maps, by color range.
 
     Colors fully inside [0, 1] keep everything and become shade;
@@ -294,10 +312,10 @@ def separate_layers(illumination: list[VectorPath], maps: list[np.ndarray]
     return shade, light, shade_maps, light_maps
 
 
-def assign_light_colors(light: list[VectorPath], light_maps: list[np.ndarray],
+def assign_light_colors(light: list[VectorPath], light_maps: list[PathCoverage],
                         target: np.ndarray, albedo_render: np.ndarray,
-                        shade: list[VectorPath], shade_maps: list[np.ndarray]
-                        ) -> tuple[list[VectorPath], list[np.ndarray]]:
+                        shade: list[VectorPath], shade_maps: list[PathCoverage]
+                        ) -> tuple[list[VectorPath], list[PathCoverage]]:
     """Color light paths from the additive residual under their support.
 
     The residual is target minus the albedo render times the shade
@@ -310,11 +328,11 @@ def assign_light_colors(light: list[VectorPath], light_maps: list[np.ndarray],
     s_img = source_over(shade, shade_maps, WHITE, width, height).image
     residual = target - albedo_render * s_img
     out, maps = [], []
-    for p, cov in zip(light, light_maps, strict=True):
-        support = cov > 0.5
+    for p, pc in zip(light, light_maps, strict=True):
+        support = pc.block > 0.5
         if not np.any(support):
             continue
-        p.fill_color = np.maximum(residual[support].mean(axis=0), 0.0)
+        p.fill_color = np.maximum(residual[pc.region][support].mean(axis=0), 0.0)
         out.append(p)
-        maps.append(cov)
+        maps.append(pc)
     return out, maps

@@ -336,7 +336,8 @@ def test_07_separation_partition(synthetic_run):
         rng = np.random.default_rng(700 + seed)
         illum = [random_path(rng, 20, 20, tag="illumination", color_hi=1.6)
                  for _ in range(int(rng.integers(1, 8)))]
-        shade, light, _, _ = separate_layers(illum, [np.zeros((20, 20))] * len(illum))
+        shade, light, _, _ = separate_layers(
+            illum, [path_coverage(p, 20, 20, RasterizerConfig()) for p in illum])
         n_random += len(illum)
         ok = ok and len(shade) + len(light) == len(illum)
         geoms = sorted(p.control_points.tobytes() for p in shade + light)

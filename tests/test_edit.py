@@ -30,8 +30,7 @@ def _render_layer(paths, w, h, rcfg):
 
 def _maps(doc, rcfg):
     """The albedo coverage maps candidate_paths takes."""
-    return [pc.coverage for pc in
-            layer_forward(doc.albedo, WHITE, doc.width, doc.height, rcfg).coverages]
+    return layer_forward(doc.albedo, WHITE, doc.width, doc.height, rcfg).coverages
 
 
 def test_mse_identical_zero():

@@ -1,5 +1,8 @@
 """Bezier flattening, signed distance and closed-curve simplification."""
 
+import importlib.util
+import sys
+from pathlib import Path
 from typing import NamedTuple
 from unittest import mock
 
@@ -487,3 +490,28 @@ def test_square_helper_flattens_to_square():
     sd = np.abs(batch_signed_distance(
         poly, np.array([[2.0, 2.0], [10.0, 10.0], [6.0, 2.0]]))[0])
     assert sd.max() < RasterizerConfig().flatten_tolerance + 1e-6
+
+
+@pytest.fixture(scope="module")
+def digest_sd_cases():
+    """The 24 (polyline, points) cases behind output_digest.py's sd/ lines."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / "output_digest.py"
+    spec = importlib.util.spec_from_file_location("output_digest", script)
+    module = importlib.util.module_from_spec(spec)
+    saved = list(sys.path)  # the script puts src/ and perfbench/ on sys.path
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path[:] = saved
+    cases = [module._bezier_case(seed, ss) for ss in range(1, 7) for seed in range(3)]
+    return cases + [module._lattice_case(seed) for seed in range(6)]
+
+
+def test_signed_distance_without_grad_is_the_same_sd(digest_sd_cases):
+    assert len(digest_sd_cases) == 24
+    for poly, pts in digest_sd_cases:
+        full = batch_signed_distance(poly, pts)
+        lean = batch_signed_distance(poly, pts, with_grad=False)
+        assert lean[1:] == (None, None, None)
+        assert lean[0].dtype == full[0].dtype
+        assert lean[0].tobytes() == full[0].tobytes()  # also tells -0.0 from 0.0

@@ -1,12 +1,17 @@
 """Segmentation fallbacks, mask grouping, contour tracing and layer init."""
 
+import importlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from covec.geometry import Polyline, batch_signed_distance, flatten_bezier
-from covec.init_layers import (InitError, SemanticMask,
+from covec.init_layers import (KMEANS_CLUSTERS, MIN_REGION_FRAC, InitError, SemanticMask,
+                               _connected_components, _merge_small_components,
                                attenuation_ratio, fallback_albedo,
                                fallback_segment, fit_bezier_contour,
                                init_layers, kmeans_labels, luma,
@@ -85,6 +90,61 @@ def test_fallback_segment_uniform_single_mask():
     masks = fallback_segment(img, seed=0)
     assert len(masks) == 1
     assert masks[0].area == 400
+
+
+def _merge_small_components_oracle(comp, min_area):
+    """Whole-canvas merge: four full-canvas passes per small component."""
+    cross = ndimage.generate_binary_structure(2, 1)
+    comp = comp.copy()
+    while True:
+        ids, areas = np.unique(comp, return_counts=True)
+        small = [(a, i) for i, a in zip(ids, areas) if a < min_area]
+        if not small or len(ids) == 1:
+            return comp
+        small.sort()
+        merged_any = False
+        for _area, cid in small:
+            mask = comp == cid
+            if not np.any(mask):
+                continue  # already absorbed this sweep
+            ring = ndimage.binary_dilation(mask, structure=cross) & ~mask
+            neighbors = np.unique(comp[ring])
+            if neighbors.size == 0:
+                continue
+            n_areas = [(np.sum(comp == n), -n) for n in neighbors]
+            target = -max(n_areas)[1]
+            comp[mask] = target
+            merged_any = True
+        if not merged_any:
+            return comp
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 24), st.integers(1, 24),
+       st.integers(1, 6), st.integers(1, 3), st.integers(1, 40))
+def test_merge_small_components_matches_whole_canvas_oracle(seed, h, w, n_labels,
+                                                            block, min_area):
+    # labels drawn on a coarse grid and upsampled give components of many
+    # sizes; block 1 is pixel noise, mostly single-pixel components
+    rng = np.random.default_rng(seed)
+    coarse = rng.integers(0, n_labels, (-(-h // block), -(-w // block)))
+    labels = np.repeat(np.repeat(coarse, block, axis=0), block, axis=1)[:h, :w]
+    comp = _connected_components(labels)
+    assert np.array_equal(_merge_small_components(comp, min_area),
+                          _merge_small_components_oracle(comp, min_area))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_merge_small_components_matches_oracle_on_icon_scenes(seed, monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    img = importlib.import_module("scenes").icon_scene(seed)
+    h, w = img.shape[:2]
+    labels = kmeans_labels(img.reshape(-1, 3), KMEANS_CLUSTERS, 0).reshape(h, w)
+    comp = _connected_components(labels)
+    min_area = int(np.ceil(MIN_REGION_FRAC * h * w))
+    merged = _merge_small_components(comp, min_area)
+    assert np.array_equal(merged, _merge_small_components_oracle(comp, min_area))
+    assert np.unique(comp).size > np.unique(merged).size
 
 
 def test_masks_from_labels_zero_is_a_region():

@@ -6,12 +6,13 @@ import logging
 import numpy as np
 import pytest
 
+from covec.geometry import Polyline
 from covec.model import RasterizerConfig, VectorPath
 from covec.optimize import (ADAM_EPS, AdamState, LayerOptimizer, Schedule,
                             StructLossConfig, adam_step, gray_alpha_field,
                             layer_loss, loss_recon, loss_struct, mse,
                             run_structural)
-from covec.raster import WHITE, layer_forward
+from covec.raster import WHITE, PathCoverage, layer_forward
 
 from conftest import (disk_path, square_control_points, square_path,
                       zero_gradient)
@@ -79,8 +80,7 @@ def test_struct_loss_coincident_paths_penalized():
     lam = 1e-3
     loss, _ = loss_struct([group], [reference], StructLossConfig(lambda_overlap=lam),
                           rcfg)
-    covs = [pc.coverage for pc in layer_forward(group, WHITE, 16, 16, rcfg).coverages]
-    alpha, _ = gray_alpha_field(covs)
+    alpha, _ = gray_alpha_field(layer_forward(group, WHITE, 16, 16, rcfg).coverages)
     assert alpha.max() > 0.6
     expect = lam * float(np.maximum(alpha - 0.6, 0.0).sum())
     assert loss == pytest.approx(expect, rel=1e-12)
@@ -349,7 +349,9 @@ def test_schedule_validation():
 
 
 def test_gray_alpha_field_values():
-    cov = [np.full((2, 2), 1.0), np.full((2, 2), 1.0)]
+    triangle = Polyline(np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]]))
+    cov = [PathCoverage(block=np.full((2, 2), 1.0), window=(0, 0, 2, 2),
+                        canvas=(2, 2), polyline=triangle) for _ in range(2)]
     alpha, prod = gray_alpha_field(cov)
     assert np.allclose(alpha, 0.75) and np.allclose(prod, 0.25)
     assert np.allclose(gray_alpha_field(cov[:1])[0], 0.5)

@@ -1,5 +1,9 @@
 """Soft rasterization forward/backward and layer compositing."""
 
+import importlib
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +12,9 @@ from scipy.special import expit
 
 from covec import raster
 from covec.geometry import batch_signed_distance, flatten_bezier
-from covec.model import LAYER_TAGS, LayeredDocument, RasterizerConfig, VectorPath, WHITE
+from covec.edit import EditConfig, run_edit
+from covec.model import (LAYER_TAGS, LayeredDocument, RasterizerConfig, VectorPath, WHITE,
+                         project_color)
 from covec.optimize import loss_recon
 from covec.raster import (blend, layer_backward, layer_forward, path_coverage,
                           render_composite, source_over)
@@ -170,7 +176,7 @@ def _random_doc(rng, size, factor_tag):
 
 
 def _maps(doc, config):
-    return {tag: [path_coverage(p, doc.width, doc.height, config).coverage
+    return {tag: [path_coverage(p, doc.width, doc.height, config)
                   for p in doc.layer(tag)]
             for tag in LAYER_TAGS}
 
@@ -311,8 +317,91 @@ def test_layer_forward_returns_coverages(rcfg):
     assert len(render.coverages) == 2
     assert render.coverages[0].coverage.shape == (16, 16)
     # compositing the cached coverage maps reproduces the layer bit for bit
-    covs = [pc.coverage for pc in render.coverages]
-    again = source_over(paths, covs, WHITE, 16, 16, record=True)
+    again = source_over(paths, render.coverages, WHITE, 16, 16, record=True)
     assert np.array_equal(again.image, render.image)
     assert np.array_equal(again.unders, render.unders)
     assert np.array_equal(again.trans_above, render.trans_above)
+
+
+@pytest.mark.parametrize("center", [(20, 14), (-40, 10), (70, 10), (-2, 30), (45, -1)],
+                         ids=["inside", "off-left", "off-right", "left-edge", "top-edge"])
+@pytest.mark.parametrize("with_grad", [False, True])
+def test_block_spans_the_window_and_places_on_a_zero_canvas(center, with_grad):
+    w, h = 48, 36
+    rcfg = RasterizerConfig(aa_sigma=0.25)  # a pad of 7.5 px: partial windows
+    pc = path_coverage(disk_path(center[0], center[1], 4.0), w, h, rcfg,
+                       with_grad=with_grad)
+    x0, y0, x1, y1 = pc.window
+    assert pc.block.shape == (y1 - y0, x1 - x0)
+    assert pc.canvas == (h, w)
+    placed = np.zeros((h, w))
+    placed[y0:y1, x0:x1] = pc.block
+    assert np.array_equal(pc.coverage, placed)
+    assert np.array_equal(pc.placed(), placed)
+    assert not pc.coverage.flags.writeable
+
+
+def _full_canvas_composite(doc, mode, config):
+    """Source-over of whole-canvas coverage maps, layer by layer, blended."""
+    images = []
+    for tag in raster.COMPOSITE_MODES[mode]:
+        under = np.broadcast_to(raster.layer_background(tag),
+                                (doc.height, doc.width, 3)).copy()
+        for p in doc.layer(tag):
+            alpha = path_coverage(p, doc.width, doc.height, config).coverage * p.opacity
+            color = project_color(p.fill_color, p.layer_tag)
+            under = alpha[:, :, None] * color + (1.0 - alpha[:, :, None]) * under
+        images.append(under)
+    image = images[0] * images[1]
+    return image + images[2] if len(images) == 3 else image
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["two_layer", "three_layer"]),
+       st.sampled_from([0.25, 0.5, 1.0]))
+def test_window_composite_matches_full_canvas_oracle(seed, mode, aa_sigma):
+    # one path straddles each canvas edge, so windows are clipped on every
+    # side; the others fall anywhere, partly or wholly off the canvas
+    rng = np.random.default_rng(seed)
+    w, h = int(rng.integers(24, 64)), int(rng.integers(24, 64))
+    tags = raster.COMPOSITE_MODES[mode]
+    layers = {tag: [] for tag in tags}
+    edges = [(0.0, None), (float(w), None), (None, 0.0), (None, float(h))]
+    for k in range(4 + int(rng.integers(0, 5))):
+        cx, cy = edges[k] if k < 4 else (None, None)
+        cx = rng.uniform(-8, w + 8) if cx is None else cx + rng.uniform(-3, 3)
+        cy = rng.uniform(-8, h + 8) if cy is None else cy + rng.uniform(-3, 3)
+        tag = tags[int(rng.integers(0, len(tags)))]
+        layers[tag].append(disk_path(cx, cy, rng.uniform(1.5, 8.0),
+                                     color=rng.uniform(0.0, 1.4, 3),
+                                     opacity=float(rng.uniform(0.1, 1.0)), tag=tag))
+    doc = LayeredDocument(w, h, **layers)
+    config = RasterizerConfig(aa_sigma=aa_sigma)
+    assert render_composite(doc, mode, config).tobytes() == \
+        _full_canvas_composite(doc, mode, config).tobytes()
+
+
+# tracemalloc peak of render_composite of the K = 16 edit document scaled 4x:
+# the window blocks' measured 9.4 MiB plus 20 %; whole-canvas coverage maps
+# need 18.4 MiB.
+RENDER_X4_PEAK_MIB = 11.3
+
+
+def test_render_composite_of_scaled_edit_document_stays_small(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    g = importlib.import_module("scenes").disk_grid_edit(0)
+    rcfg = RasterizerConfig()
+    original, reference = (np.clip(render_composite(d, "three_layer", rcfg), 0.0, 1.0)
+                           for d in (g["document"], g["reference"]))
+    edited, _ = run_edit(g["document"], original, reference, EditConfig(top_k=16))
+    big = edited.copy()
+    big.width, big.height = 4 * edited.width, 4 * edited.height
+    for p in big.all_paths():
+        p.control_points = 4 * p.control_points
+    tracemalloc.start()
+    try:
+        render_composite(big, "three_layer", rcfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 2**20 < RENDER_X4_PEAK_MIB

@@ -26,7 +26,7 @@ def _render(paths, w, h, rcfg):
 
 
 def _maps(paths, w, h, rcfg):
-    return [path_coverage(p, w, h, rcfg).coverage for p in paths]
+    return [path_coverage(p, w, h, rcfg) for p in paths]
 
 
 def _composite(paths, maps, w, h):
@@ -274,7 +274,7 @@ def test_refine_maps_are_each_paths_coverage(monkeypatch):
     assert sum(merged) >= 1
     assert len(refined.maps) == len(refined.layer)
     for p, m in zip(refined.layer, refined.maps):
-        assert np.array_equal(m, path_coverage(p, 32, 32, rcfg).coverage)
+        assert np.array_equal(m.coverage, path_coverage(p, 32, 32, rcfg).coverage)
 
 
 @pytest.mark.parametrize("mode", ["factor", "white"])
@@ -330,7 +330,7 @@ def test_cleanup_merges_near_duplicate_chain_in_order():
     colors = [p.fill_color.copy() for p in paths]
     target = _render(paths, 24, 24, rcfg)
     maps = _maps(paths, 24, 24, rcfg)
-    area_a, area_b, area_c, _ = (float(m.sum()) for m in maps)
+    area_a, area_b, area_c, _ = (float(m.coverage.sum()) for m in maps)
     assert area_b > area_a and area_b > area_c
     out, removed, merged = cleanup_layer(paths, maps, WHITE, WHITE, target)
     assert (removed, merged) == (0, 2)
@@ -339,7 +339,7 @@ def test_cleanup_merges_near_duplicate_chain_in_order():
     second = (area_b * first + area_c * colors[2]) / (area_b + area_c)
     assert np.allclose(out[0].fill_color, second, rtol=0.0, atol=1e-12)
     assert np.array_equal(out[1].fill_color, colors[3])
-    assert len(maps) == 2 and float(maps[0].sum()) == area_b
+    assert len(maps) == 2 and float(maps[0].coverage.sum()) == area_b
 
 
 def test_cleanup_removes_hidden_path():
@@ -373,7 +373,7 @@ def test_cleanup_loss_budget(rng):
 
 def test_separate_in_range_goes_to_shade():
     p = disk_path(5, 5, 3, color=(0.4, 0.4, 0.4), tag="illumination")
-    shade, light, _, _ = separate_layers([p], [np.zeros((10, 10))])
+    shade, light, _, _ = separate_layers([p], _maps([p], 10, 10, RasterizerConfig()))
     assert len(shade) == 1 and light == []
     assert shade[0].layer_tag == "shade"
     assert np.array_equal(shade[0].fill_color, p.fill_color)
@@ -382,7 +382,7 @@ def test_separate_in_range_goes_to_shade():
 
 def test_separate_bright_goes_to_light():
     p = disk_path(5, 5, 3, color=(1.2, 0.9, 0.8), tag="illumination")
-    shade, light, _, _ = separate_layers([p], [np.zeros((10, 10))])
+    shade, light, _, _ = separate_layers([p], _maps([p], 10, 10, RasterizerConfig()))
     assert shade == [] and len(light) == 1
     assert light[0].layer_tag == "light"
     assert light[0].opacity == 1.0
@@ -397,7 +397,7 @@ def test_separate_partition_property(seed):
     for _ in range(int(rng.integers(1, 7))):
         p = random_path(rng, 20, 20, tag="illumination", color_hi=1.6)
         paths.append(p)
-    maps = [np.full((20, 20), float(k)) for k in range(len(paths))]
+    maps = _maps(paths, 20, 20, RasterizerConfig())
     shade, light, shade_maps, light_maps = separate_layers(paths, maps)
     assert len(shade) + len(light) == len(paths)
     inputs = sorted(tuple(p.control_points.ravel()) for p in paths)
