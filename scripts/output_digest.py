@@ -31,20 +31,30 @@ print the same lines wrote byte-identical SVG, trace, report and PNG
 files, rendered the same reference floats, reached the same final MSE,
 checked the same gradients and computed the same signed distances, so a
 refactor that must not change behaviour diffs this output before and
-after.  Usage,
-from any checkout (its own ``src/`` is imported, files go to a temporary
-directory): ``python3 scripts/output_digest.py``.
+after.  The first line names the numpy and scipy versions, since float
+results may change with them.
+
+``scripts/output_digest.txt`` holds the lines of a checked-in commit.
+With ``--check`` the script compares its lines with that file instead of
+printing them, prints each line that differs, and exits 1 if any does.
+Usage, from any checkout (its own ``src/`` is imported, files go to a
+temporary directory)::
+
+    python3 scripts/output_digest.py > scripts/output_digest.txt
+    python3 scripts/output_digest.py --check
 """
 
 import contextlib
 import dataclasses
 import hashlib
 import io
+import itertools
 import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
@@ -60,6 +70,11 @@ SCHEDULES = {"bench": {"full": (2, 2, 1, 5), "albedo_only": (1, 1, 1, 3)},
              "rounds": {"full": (2, 2, 4, 5), "albedo_only": (1, 1, 3, 3)}}
 BUDGET = {"full": 24, "albedo_only": 16}
 EDIT_KS = (1, 4, 16)
+DIGEST_FILE = ROOT / "scripts" / "output_digest.txt"
+
+
+def version_line() -> str:
+    return f"# numpy {np.__version__} scipy {scipy.__version__}"
 
 
 def digest(mode: str, schedule: str, seed: int, work: Path) -> str:
@@ -185,15 +200,37 @@ def sd_digests() -> list[str]:
     return lines
 
 
-if __name__ == "__main__":
+def all_lines():
+    yield version_line()
     with tempfile.TemporaryDirectory() as tmp:
         for schedule in SCHEDULES:
             for mode in ("full", "albedo_only"):
                 for seed in range(4):
-                    print(digest(mode, schedule, seed, Path(tmp)), flush=True)
+                    yield digest(mode, schedule, seed, Path(tmp))
         for seed in range(2):
-            for line in edit_digests(seed, Path(tmp)):
-                print(line, flush=True)
-    print(gradcheck_digest(), flush=True)
-    for line in sd_digests():
-        print(line, flush=True)
+            yield from edit_digests(seed, Path(tmp))
+    yield gradcheck_digest()
+    yield from sd_digests()
+
+
+def main(argv: list[str]) -> int:
+    if argv not in ([], ["--check"]):
+        print("usage: output_digest.py [--check]", file=sys.stderr)
+        return 2
+    if not argv:
+        for line in all_lines():
+            print(line, flush=True)
+        return 0
+    want = DIGEST_FILE.read_text().splitlines()
+    got = list(all_lines())
+    differing = 0
+    for i, (w, g) in enumerate(itertools.zip_longest(want, got, fillvalue="(none)"), 1):
+        if w != g:
+            differing += 1
+            print(f"line {i} differs\n  checked in: {w}\n  now:        {g}")
+    print(f"{differing} of {len(want)} lines differ from {DIGEST_FILE.name}")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -162,19 +162,41 @@ def vertex_control_scatter(path: VectorPath, polyline: Polyline) -> tuple[np.nda
     return idx, w
 
 
-# Side of the square cells that batch_signed_distance tiles the query
-# points into, in the points' units (pixels for the rasterizer's
-# supersamples).  Each cell is one tile with one table of kept edges.
-SD_TILE = 2.0
+# Side of the square cells that batch_signed_distance sorts the query
+# points by, in the points' units (pixels for the rasterizer's
+# supersamples): at supersample 2 a full cell holds one chunk of points.
+SD_TILE = 4.0
 
-# Points per group of tiles in batch_signed_distance; the group's
-# (point, kept edge) pair temporaries scale with it.
-SD_GROUP_POINTS = 2048
+# Points per group of chunks in batch_signed_distance; the group's
+# running minimum, its winner pass and its (edge, chunk) cull tables
+# scale with it.
+SD_GROUP_POINTS = 12288
+
+# Consecutive cell-sorted points per chunk in batch_signed_distance, the
+# unit a kept edge is tested on: one full cell at supersample 2.
+_SD_CHUNK = 64
 
 # Slack on the edge-culling test, relative to the bound plus the squared
 # coordinate scale: rounding moves a computed squared distance by about
 # 1e-16 of that scale, so no edge that can win the argmin is dropped.
 _CULL_SLACK = 1e-9
+
+
+def _foot(px, py, ax, ay, abx, aby, ab_sq):
+    """Clamped foot parameter s of p on edge a + s * ab, and p minus the foot.
+
+    The operations are those of ``((p - a) . ab) / |ab|^2`` clipped to
+    [0, 1] and of ``p - (a + s * ab)``, in that order; most run in place,
+    so a call holds few temporaries.
+    """
+    s = (px - ax) * abx
+    s += (py - ay) * aby
+    s /= ab_sq
+    np.clip(s, 0.0, 1.0, out=s)
+    dx, dy = s * abx, s * aby
+    dx += ax
+    dy += ay
+    return s, np.subtract(px, dx, out=dx), np.subtract(py, dy, out=dy)
 
 
 def batch_signed_distance(polyline: Polyline, points: np.ndarray, with_grad: bool = True
@@ -189,22 +211,26 @@ def batch_signed_distance(polyline: Polyline, points: np.ndarray, with_grad: boo
     sign comes from the nonzero winding number, counted in one pass over
     the edges as in scanline polygon fill.  The points must be finite.
 
-    The points of each square cell of side SD_TILE form a tile, and each
-    tile is tested only against the edges that can be nearest to one of
-    its points.  With B the bounding box of the tile's points, edge e's
-    lower bound is the squared gap between B and e's bounding box; the
-    tile's upper bound is the minimum over edges of the squared distance
-    from B's farthest corner to the edge's first vertex.  Every point of B
-    is within the upper bound of some edge, so an edge whose lower bound
-    exceeds it (by more than _CULL_SLACK, which absorbs rounding) is never
-    nearest nor tied for nearest; the edge that sets the upper bound is
-    always kept.  Each point then meets its tile's kept edges once, in
-    ascending order, as one run of (point, edge) pairs, and its nearest
-    edge is the first pair at the run's minimum.  Every pair goes through
-    the same foot and distance arithmetic as a test against every edge,
-    so all four outputs are bit for bit those of the all-pairs
-    computation.  Tiles are processed in groups of at most SD_GROUP_POINTS
-    points (or one tile, if a tile holds more), which bounds the
+    The points are sorted by square cell of side SD_TILE and cut into
+    chunks of _SD_CHUNK consecutive sorted points, the last padded with
+    copies of its last point, and each chunk is tested only against the
+    edges that can be nearest to one of its points.  With B the bounding
+    box of the chunk, edge e's lower bound is the squared gap between B
+    and e's bounding box; the chunk's upper bound is the minimum over
+    edges of the squared distance from B's farthest corner to the edge's
+    first vertex.  Every point of B is within the upper bound of some
+    edge, so an edge whose lower bound exceeds it (by more than
+    _CULL_SLACK, which absorbs rounding) is never nearest nor tied for
+    nearest; the edge that sets the upper bound is always kept.  Then
+    each kept edge, in ascending order, is tested against all its kept
+    chunks as one dense block, and every point keeps a running minimum
+    of the squared distance that only a strictly smaller value replaces,
+    so ties go to the lowest edge index.  Last, the foot parameter and
+    offset are computed once per point for its nearest edge.  Every
+    point meets every edge tied at its minimum, through the same foot
+    and distance arithmetic as a test against every edge, so all four
+    outputs are bit for bit those of the all-pairs computation.  Chunks
+    are processed in groups (see SD_GROUP_POINTS), which bounds the
     temporaries.  Without ``with_grad`` only ``sd`` is computed, to the
     same bits, and the result is ``(sd, None, None, None)``.
     """
@@ -248,32 +274,27 @@ def batch_signed_distance(polyline: Polyline, points: np.ndarray, with_grad: boo
     inside = wind != 0
     del by_y, wind  # only the mask outlives the pass
 
-    # sort the points by cell; each occupied cell is one tile
+    # sort the points by cell and cut them into (chunk, _SD_CHUNK) blocks
     cx = np.floor((x - x.min()) / SD_TILE).astype(np.int64)
     cy = np.floor((y - y.min()) / SD_TILE).astype(np.int64)
-    cell = cy * (cx.max() + 1) + cx
+    order = np.argsort(cy * (cx.max() + 1) + cx, kind="stable")
     del cx, cy
-    order = np.argsort(cell, kind="stable")
-    cell = cell[order]
-    xs, ys = x[order], y[order]
-    new_cell = np.r_[True, cell[1:] != cell[:-1]]
-    del cell
-    tile = np.cumsum(new_cell) - 1
-    starts = np.flatnonzero(new_cell)
-    del new_cell
-    n_tiles = starts.size
-    box_lo = np.minimum.reduceat(np.stack([xs, ys]), starts, axis=1)
-    box_hi = np.maximum.reduceat(np.stack([xs, ys]), starts, axis=1)
+    n_chunks = -(-n_pts // _SD_CHUNK)
+    padded = np.r_[order, np.full(n_chunks * _SD_CHUNK - n_pts, order[-1])]
+    xs = x[padded].reshape(n_chunks, _SD_CHUNK)
+    ys = y[padded].reshape(n_chunks, _SD_CHUNK)
+    del padded
+    box_x0, box_x1 = xs.min(axis=1), xs.max(axis=1)
+    box_y0, box_y1 = ys.min(axis=1), ys.max(axis=1)
     scale_sq = max(np.abs(pts).max(), np.abs(v).max()) ** 2
+    edges = np.stack([ax, ay, abx, aby, ab_sq_safe], axis=1).tolist()  # cheaper than np.float64
 
-    cuts = np.r_[starts, n_pts]  # tile t is sorted points cuts[t]:cuts[t + 1]
-    step = max(1, SD_GROUP_POINTS // int(np.diff(cuts).max()))
-    for t0 in range(0, n_tiles, step):
-        t1 = min(t0 + step, n_tiles)
-        lo, hi = cuts[t0], cuts[t1]
-        (x0, y0), (x1, y1) = box_lo[:, t0:t1], box_hi[:, t0:t1]
+    step = max(1, SD_GROUP_POINTS // _SD_CHUNK)  # chunks per group
+    for c0 in range(0, n_chunks, step):
+        c1 = min(c0 + step, n_chunks)
+        x0, x1, y0, y1 = box_x0[c0:c1], box_x1[c0:c1], box_y0[c0:c1], box_y1[c0:c1]
 
-        # (edge, tile) bounds on the squared point-edge distance
+        # (edge, chunk) bounds on the squared point-edge distance
         gx = np.maximum(np.maximum(x_lo - x1, x0 - x_hi), 0.0)
         gy = np.maximum(np.maximum(y_lo - y1, y0 - y_hi), 0.0)
         fx = np.maximum(np.abs(ax[:, None] - x0), np.abs(ax[:, None] - x1))
@@ -281,36 +302,39 @@ def batch_signed_distance(polyline: Polyline, points: np.ndarray, with_grad: boo
         upper = (fx * fx + fy * fy).min(axis=0)
         keep = gx * gx + gy * gy <= upper + _CULL_SLACK * (upper + scale_sq)
 
-        # (point, kept edge) pairs, point by point, each run in edge order
-        kept = np.nonzero(keep.T)[1]  # tile by tile, edges ascending
-        n_keep = np.count_nonzero(keep, axis=0)
-        j = tile[lo:hi] - t0
-        runs = n_keep[j]
-        run_start = np.cumsum(runs) - runs
-        tile_start = np.cumsum(n_keep) - n_keep
-        e = kept[np.arange(runs.sum()) + np.repeat(tile_start[j] - run_start, runs)]
-        px, py = np.repeat(xs[lo:hi], runs), np.repeat(ys[lo:hi], runs)
-        ex, ey, ux, uy = ax[e], ay[e], abx[e], aby[e]
-        s = ((px - ex) * ux + (py - ey) * uy) / ab_sq_safe[e]
-        np.clip(s, 0.0, 1.0, out=s)
-        dx = px - (ex + s * ux)
-        dy = py - (ey + s * uy)
-        dist_sq = dx * dx + dy * dy
-        run_min = np.minimum.reduceat(dist_sq, run_start)
-        at_min = np.flatnonzero(dist_sq == np.repeat(run_min, runs))
-        k = at_min[np.searchsorted(at_min, run_start)]  # each run's first minimum
+        # each kept edge, ascending, against its kept chunks as one block;
+        # a running minimum that only a strictly smaller distance replaces
+        px, py = xs[c0:c1], ys[c0:c1]
+        best = np.full(px.shape, np.inf)
+        near = np.zeros(px.shape, dtype=np.int64)
+        for e in np.flatnonzero(keep.any(axis=1)):
+            rows = np.flatnonzero(keep[e])
+            _, dx, dy = _foot(px[rows], py[rows], *edges[e])
+            dist_sq = dx * dx + dy * dy
+            if not with_grad:
+                best[rows] = np.minimum(best[rows], dist_sq)
+                continue
+            cur, cur_e = best[rows], near[rows]
+            closer = dist_sq < cur
+            np.copyto(cur, dist_sq, where=closer)
+            cur_e[closer] = e
+            best[rows], near[rows] = cur, cur_e
 
-        out = order[lo:hi]
-        d = np.sqrt(dist_sq[k])
+        out = order[c0 * _SD_CHUNK:c1 * _SD_CHUNK]  # the padding is dropped
+        d = np.sqrt(best.ravel()[:out.size])
         sign = np.where(inside[out], -1.0, 1.0)
         sd[out] = sign * d
         if not with_grad:
             continue
-        edge_idx[out] = e[k]
-        foot_s[out] = s[k]
-        signed = sign[:, None] * np.stack([dx[k], dy[k]], axis=1)
+        e = near.ravel()[:out.size]
+        s, dx, dy = _foot(px.ravel()[:out.size], py.ravel()[:out.size],
+                          ax[e], ay[e], abx[e], aby[e], ab_sq_safe[e])
+        edge_idx[out] = e
+        foot_s[out] = s
+        signed = sign[:, None] * np.stack([dx, dy], axis=1)
         unit[out] = np.divide(signed, d[:, None], out=np.zeros_like(signed),
                               where=d[:, None] > 1e-12)
+        del s, dx, dy, d, signed, sign  # freed before the next group's sweep
     return sd, edge_idx, foot_s, unit
 
 

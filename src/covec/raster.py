@@ -3,8 +3,9 @@
 Coverage of a path at a pixel is the mean, over a supersample grid, of a
 logistic smoothstep applied to the signed distance from each sample to the
 flattened outline.  The distance search (geometry.batch_signed_distance)
-tests each tile of samples only against the outline edges that can be
-nearest to it, and returns bit for bit what testing every edge would.
+tests each chunk of samples only against the outline edges that can be
+nearest to it, sweeping edge by edge over dense blocks of kept chunks,
+and returns bit for bit what testing every edge would.
 Paths within a layer composite source-over onto the layer background;
 layers combine with multiply (shade) and plus-lighter (light).  Nothing is
 clamped between operations, so composites can carry values above 1 until
@@ -113,7 +114,7 @@ def path_coverage(path: VectorPath, width: int, height: int,
     the logistic tail is below ~1e-13 and coverage is exactly zero.
     Inside it, every supersample gets its signed distance to the
     flattened outline from batch_signed_distance, which culls edges per
-    tile of samples without changing a bit of the result, and the
+    chunk of samples without changing a bit of the result, and the
     window's block is the pixel mean of expit(-sd / aa_sigma).  With
     ``with_grad`` the per-sample sigmoid, nearest edge, foot parameter
     and unit gradient are kept for coverage_backward; without it only the

@@ -2,6 +2,7 @@
 
 import importlib.util
 import sys
+import tracemalloc
 from pathlib import Path
 from typing import NamedTuple
 from unittest import mock
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covec import geometry
-from covec.geometry import (_MAX_SPLIT_DEPTH, SD_GROUP_POINTS, Polyline,
+from covec.geometry import (_MAX_SPLIT_DEPTH, _SD_CHUNK, SD_GROUP_POINTS, Polyline,
                             batch_signed_distance, bernstein3, flatten_bezier, polygon_area,
                             simplify_closed, vertex_control_scatter, _farthest_pair)
 from covec.model import RasterizerConfig, VectorPath
@@ -295,8 +296,9 @@ def test_batch_signed_distance_matches_scalar(rng):
         assert edge[i] == near.edge_index
 
 
-def _assert_matches_all_pairs(poly: Polyline, pts: np.ndarray, group: int = SD_GROUP_POINTS):
-    with mock.patch.object(geometry, "SD_GROUP_POINTS", group):
+def _assert_matches_all_pairs(poly: Polyline, pts: np.ndarray, group: int = SD_GROUP_POINTS,
+                              chunk: int = _SD_CHUNK):
+    with mock.patch.multiple(geometry, SD_GROUP_POINTS=group, _SD_CHUNK=chunk):
         got = batch_signed_distance(poly, pts)
     want = _all_pairs_signed_distance(poly, pts)
     for name, g, w in zip(("sd", "edge_index", "foot_s", "unit"), got, want):
@@ -304,11 +306,21 @@ def _assert_matches_all_pairs(poly: Polyline, pts: np.ndarray, group: int = SD_G
         assert g.tobytes() == w.tobytes(), name  # also tells -0.0 from 0.0
 
 
+# Chunk sizes for the all-pairs tests: one point, the default, and more
+# points than any tile holds (at supersample 6 a 4 px tile holds 576).
+# Group sizes (in points) include one chunk per group and groups that
+# split an edge's kept chunks.
+SD_CHUNKS = [1, 64, 1024]
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.sampled_from([1, 300, 2048]))
-def test_batch_signed_distance_matches_all_pairs_on_bezier_loops(seed, ss, group):
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.sampled_from([1, 300, SD_GROUP_POINTS]),
+       st.sampled_from(SD_CHUNKS))
+def test_batch_signed_distance_matches_all_pairs_on_bezier_loops(seed, ss, group, chunk):
     # random (often self-intersecting) closed Bezier loops, flattened as the
-    # rasterizer does, against a supersample grid spanning the whole canvas
+    # rasterizer does, against a supersample grid spanning the whole canvas;
+    # canvas sizes 4-39 px are mostly not a multiple of the tile, and at
+    # supersample 3 and above a tile holds more points than a 64-point chunk
     rng = np.random.default_rng(seed)
     size = int(rng.integers(4, 40))
     n_seg = int(rng.integers(2, 7))
@@ -318,16 +330,18 @@ def test_batch_signed_distance_matches_all_pairs_on_bezier_loops(seed, ss, group
     poly = flatten_bezier(path, RasterizerConfig(flatten_tolerance=float(rng.choice([0.02, 0.1, 1.0]))))
     coords = (np.arange(size * ss) + 0.5) / ss
     gy, gx = np.meshgrid(coords, coords, indexing="ij")
-    _assert_matches_all_pairs(poly, np.stack([gx.ravel(), gy.ravel()], axis=1), group)
+    _assert_matches_all_pairs(poly, np.stack([gx.ravel(), gy.ravel()], axis=1), group, chunk)
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 64, 2048]))
-def test_batch_signed_distance_matches_all_pairs_on_lattice_polygons(seed, group):
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 64, SD_GROUP_POINTS]),
+       st.sampled_from(SD_CHUNKS))
+def test_batch_signed_distance_matches_all_pairs_on_lattice_polygons(seed, group, chunk):
     # integer vertices, some repeated (zero-length edges); queries on the
     # vertices, on edge midpoints, on a half-integer lattice (many points
     # equidistant from two or more edges, so argmin ties), in dense clusters
-    # and scattered far away
+    # (up to 200 points in half a pixel, more than a 64-point chunk) and
+    # scattered far away
     rng = np.random.default_rng(seed)
     n = int(rng.integers(3, 16))
     verts = rng.integers(0, 12, (n, 2)).astype(np.float64)
@@ -343,19 +357,23 @@ def test_batch_signed_distance_matches_all_pairs_on_lattice_polygons(seed, group
     far = rng.uniform(-200, 200, (int(rng.integers(0, 20)), 2))
     pts = np.concatenate([verts, mids, np.stack([gx.ravel(), gy.ravel()], axis=1),
                           cluster, far])
-    _assert_matches_all_pairs(poly, rng.permutation(pts), group)
+    _assert_matches_all_pairs(poly, rng.permutation(pts), group, chunk)
 
 
 @pytest.mark.parametrize("group", [16, 2048])
 def test_batch_signed_distance_matches_all_pairs_on_centred_circle(group):
-    # the rasterizer's supersample-2 grid on a 64 x 64 canvas, and a circle
-    # of 32 edges centred on a tile: that tile keeps all 32 edges, most
-    # tiles around it keep 8
+    # the rasterizer's supersample-2 grid on a 64 x 64 canvas (16 tiles a
+    # side) and on a 62.5 px one (not a multiple of the 4 px tile), and a
+    # circle of 32 edges: the chunk around its centre keeps all 32 edges,
+    # chunks near the outline only a few
     poly = flatten_bezier(disk_path(31, 31, 6), RasterizerConfig())
     assert poly.n_vertices == 32
-    coords = (np.arange(128) + 0.5) / 2
-    gy, gx = np.meshgrid(coords, coords, indexing="ij")
-    _assert_matches_all_pairs(poly, np.stack([gx.ravel(), gy.ravel()], axis=1), group)
+    for n in (128, 125):
+        coords = (np.arange(n) + 0.5) / 2
+        gy, gx = np.meshgrid(coords, coords, indexing="ij")
+        for chunk in SD_CHUNKS:
+            _assert_matches_all_pairs(poly, np.stack([gx.ravel(), gy.ravel()], axis=1),
+                                      group, chunk)
 
 
 def test_batch_signed_distance_ties_and_empty():
@@ -493,8 +511,8 @@ def test_square_helper_flattens_to_square():
 
 
 @pytest.fixture(scope="module")
-def digest_sd_cases():
-    """The 24 (polyline, points) cases behind output_digest.py's sd/ lines."""
+def digest_script():
+    """scripts/output_digest.py, loaded as a module."""
     script = Path(__file__).resolve().parents[1] / "scripts" / "output_digest.py"
     spec = importlib.util.spec_from_file_location("output_digest", script)
     module = importlib.util.module_from_spec(spec)
@@ -503,8 +521,44 @@ def digest_sd_cases():
         spec.loader.exec_module(module)
     finally:
         sys.path[:] = saved
-    cases = [module._bezier_case(seed, ss) for ss in range(1, 7) for seed in range(3)]
-    return cases + [module._lattice_case(seed) for seed in range(6)]
+    return module
+
+
+@pytest.fixture(scope="module")
+def digest_sd_cases(digest_script):
+    """The 24 (polyline, points) cases behind output_digest.py's sd/ lines."""
+    cases = [digest_script._bezier_case(seed, ss) for ss in range(1, 7) for seed in range(3)]
+    return cases + [digest_script._lattice_case(seed) for seed in range(6)]
+
+
+def test_signed_distance_matches_checked_in_digest(digest_script):
+    # the sd/ lines of scripts/output_digest.txt, recomputed: a one-ulp
+    # change to any output of any case changes its line
+    checked_in = digest_script.DIGEST_FILE.read_text().splitlines()
+    if checked_in[0] != digest_script.version_line():
+        pytest.skip(f"output_digest.txt was made under {checked_in[0][2:]}, "
+                    f"this is {digest_script.version_line()[2:]}")
+    want = [line for line in checked_in if line.startswith("sd/")]
+    assert len(want) == 24
+    assert digest_script.sd_digests() == want
+
+
+def test_signed_distance_memory_on_a_128_canvas():
+    # one with-grad call over the supersample-2 grid of a 128 x 128 canvas
+    # (65 536 points) and a 64-edge circle: the outputs alone are 2.5 MiB;
+    # 7.86 MiB is the peak of the pair-by-pair search this one replaced
+    poly = flatten_bezier(disk_path(64, 64, 40), RasterizerConfig())
+    assert poly.n_vertices == 64
+    coords = (np.arange(256) + 0.5) / 2
+    gy, gx = np.meshgrid(coords, coords, indexing="ij")
+    pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
+    tracemalloc.start()
+    try:
+        batch_signed_distance(poly, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7.86 * 2**20, peak / 2**20
 
 
 def test_signed_distance_without_grad_is_the_same_sd(digest_sd_cases):
