@@ -99,21 +99,26 @@ def digest(mode: str, schedule: str, seed: int, work: Path) -> str:
     return f"{mode}/{schedule}/{seed} {hashlib.sha256(blob).hexdigest()} {result.final_mse!r}"
 
 
-def edit_digests(seed: int, work: Path) -> list[str]:
+def edit_inputs(seed: int, work: Path) -> tuple[LayeredDocument, np.ndarray, np.ndarray]:
+    """The disk_grid_edit document of ``seed`` and its original and
+    reference renders, read back from 16-bit PNG files as in the benchmark."""
     g = scenes.disk_grid_edit(seed)
     doc = svg_io.parse_svg(svg_io.emit_svg(g["document"]))
-    images = {}
-    # original and reference go through 16-bit PNG files, as in the benchmark
+    images = []
     for name, d in (("original", doc),
                     ("reference", svg_io.parse_svg(svg_io.emit_svg(g["reference"])))):
         img = np.clip(render_composite(d, "three_layer", RasterizerConfig()), 0.0, 1.0)
         image_io.write_png(work / f"{name}.png", img, bit_depth=16)
-        images[name] = image_io.read_image(work / f"{name}.png")
+        images.append(image_io.read_image(work / f"{name}.png"))
+    return doc, images[0], images[1]
+
+
+def edit_digests(seed: int, work: Path) -> list[str]:
+    doc, original, reference = edit_inputs(seed, work)
     lines = []
     svg = work / "edited.svg"
     for k in EDIT_KS:
-        edited, report = edit.run_edit(doc, images["original"], images["reference"],
-                                       edit.EditConfig(top_k=k))
+        edited, report = edit.run_edit(doc, original, reference, edit.EditConfig(top_k=k))
         svg_io.emit_svg(edited, out=str(svg))
         blob = svg.read_bytes() + report.to_json().encode("utf-8")
         lines.append(f"edit/k{k}/{seed} {hashlib.sha256(blob).hexdigest()}")
@@ -126,12 +131,17 @@ def edit_digests(seed: int, work: Path) -> list[str]:
     for ss in (1, 3):
         ref = svg_io.reference_composite(edited, RasterizerConfig(supersample=ss), scale=4)
         lines.append(f"reference/ss{ss}/{seed} {hashlib.sha256(ref.tobytes()).hexdigest()}")
+    return lines + composite_digests(edited, seed)
+
+
+def composite_digests(edited: LayeredDocument, seed: int) -> list[str]:
+    """The production/ and composite/ lines of the K = 16 edit result."""
     big = edited.copy()
     big.width, big.height = 4 * edited.width, 4 * edited.height
     for p in big.all_paths():
         p.control_points = 4 * p.control_points
     img = render_composite(big, "three_layer", RasterizerConfig())
-    lines.append(f"production/s4/{seed} {hashlib.sha256(img.tobytes()).hexdigest()}")
+    lines = [f"production/s4/{seed} {hashlib.sha256(img.tobytes()).hexdigest()}"]
     lit = LayeredDocument(edited.width, edited.height, albedo=edited.albedo,
                           illumination=[dataclasses.replace(p, layer_tag="illumination")
                                         for p in edited.shade])

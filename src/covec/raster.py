@@ -21,16 +21,14 @@ per layer through ``layer_backward``; the reconstruction loss
 differentiates the two-layer product itself.
 
 Each path's coverage lives in its support window: ``PathCoverage.block``
-covers only the window, and everything the rasterizer keeps per sample
-(sigmoid values, nearest-edge foot points) covers only the window's
-supersamples.  source_over writes each path into its window slice of the
-canvas, which is exact, since outside it zero coverage leaves the
-composite as it was.  A no-grad path_coverage computes nothing per
-sample but the signed distance, which becomes the sigmoid in place.
-Full-canvas arrays remain where layer_backward needs them: the alpha,
-under-composite and transmittance stacks of a recorded source-over
-sweep, and the few float sums whose bits depend on the canvas's
-summation order (PathCoverage.placed).
+covers only the window, as does everything the rasterizer keeps per
+sample (sigmoid values, nearest-edge foot points).  source_over writes
+each path into its window slice of the canvas, which is exact, since
+outside it zero coverage leaves the composite as it was, and training
+records and backpropagates over each window too.  A no-grad path_coverage
+computes only the signed distance, which becomes the sigmoid in place.
+Only float sums whose bits depend on the canvas's summation order place a
+window on a zero canvas (PathCoverage.placed).
 """
 
 from __future__ import annotations
@@ -89,18 +87,18 @@ class PathCoverage:
         x0, y0, x1, y1 = self.window
         return slice(y0, y1), slice(x0, x1)
 
-    def placed(self) -> np.ndarray:
-        """The block on a zero canvas.  Only for canvas sums that feed an
-        output: numpy groups a window's values differently from the whole
-        canvas's, so a window-only sum can differ in the last bit."""
+    def placed(self, values: np.ndarray) -> np.ndarray:
+        """Window-shaped ``values`` on a zero canvas, for canvas sums that
+        feed an output: numpy sums a 2-D array pairwise, so a window-only
+        sum can differ from the whole canvas's in the last bit."""
         canvas = np.zeros(self.canvas)
-        canvas[self.region] = self.block
+        canvas[self.region] = values
         return canvas
 
     @property
     def coverage(self) -> np.ndarray:
         """Read-only full-canvas map, for readers outside the package."""
-        canvas = self.placed()
+        canvas = self.placed(self.block)
         canvas.flags.writeable = False
         return canvas
 
@@ -196,9 +194,9 @@ class LayerRender:
 
     image: np.ndarray  # (H, W, 3)
     coverages: list[PathCoverage] = field(default_factory=list)
-    alphas: np.ndarray | None = None  # (n, H, W)
-    unders: np.ndarray | None = None  # (n, H, W, 3) composite below path j
-    trans_above: np.ndarray | None = None  # (n, H, W) transmittance above j
+    alphas: list[np.ndarray] | None = None  # (h, w) over path j's window
+    unders: list[np.ndarray] | None = None  # (h, w, 3) composite below path j
+    trans_above: list[np.ndarray] | None = None  # (h, w) transmittance above j
     effective_colors: np.ndarray | None = None  # (n, 3) after range clamp
 
 
@@ -225,11 +223,12 @@ def source_over(paths: list[VectorPath], coverages: list[PathCoverage], backgrou
     Path j has alpha coverage_j * opacity_j and its fill color clamped to
     its layer's range; it is composited into its window slice only, since
     outside it ``under * 1 + 0 * color`` is ``under`` exactly.  With
-    ``record`` the result also keeps what layer_backward needs, on the
-    full canvas: the alphas, the under-composite below each path and the
-    transmittance of the paths above it.  One PathCoverage of this canvas
-    per path, or ValueError.  The returned render carries no PathCoverage
-    objects; layer_forward attaches its own.
+    ``record`` the result also keeps, over each path's window, what
+    layer_backward needs: its alpha, the under-composite below it and the
+    transmittance above it, sliced from a running product that each path
+    updates in its window only (outside it the factor is 1 - 0).  One
+    PathCoverage of this canvas per path, or ValueError.  The returned
+    render carries no PathCoverage objects; layer_forward attaches its own.
     """
     n = len(paths)
     if len(coverages) != n:
@@ -239,27 +238,25 @@ def source_over(paths: list[VectorPath], coverages: list[PathCoverage], backgrou
     under = _tile_background(background, width, height)
     if n == 0:
         return LayerRender(image=under)
-    alphas = unders = None
-    if record:
-        alphas = np.zeros((n, height, width))
-        unders = np.zeros((n, height, width, 3))
+    alphas, unders = [], []
     eff = np.zeros((n, 3))
     for j, (path, pc) in enumerate(zip(paths, coverages)):
         alpha = pc.block * path.opacity
         color = project_color(path.fill_color, path.layer_tag)
         eff[j] = color
-        if record:
-            alphas[j][pc.region] = alpha
-            unders[j] = under
         window = under[pc.region]
+        if record:
+            alphas.append(alpha)
+            unders.append(window.copy())
         window[...] = alpha[:, :, None] * color + (1.0 - alpha[:, :, None]) * window
-    trans = None
-    if record:
-        trans = np.zeros((n, height, width))
-        running = np.ones((height, width))
-        for j in range(n - 1, -1, -1):
-            trans[j] = running
-            running = running * (1.0 - alphas[j])
+    if not record:
+        return LayerRender(image=under, effective_colors=eff)
+    trans = [None] * n
+    running = np.ones((height, width))
+    for j in range(n - 1, -1, -1):
+        region = coverages[j].region
+        trans[j] = running[region].copy()
+        running[region] *= 1.0 - alphas[j]
     return LayerRender(image=under, alphas=alphas, unders=unders,
                        trans_above=trans, effective_colors=eff)
 
@@ -287,6 +284,9 @@ def layer_backward(paths: list[VectorPath], render: LayerRender,
         d_alpha_j   = sum_c  d_image_c * (color_jc - U_jc) * T_j
         d_coverage  = d_alpha * opacity_j
         d_opacity_j = sum_px d_alpha * coverage_j
+
+    alpha_j is zero outside the path's window, so all of it is computed
+    there; only the d_opacity sum runs on a zero canvas (placed).
     """
     if not paths:
         return []
@@ -296,12 +296,12 @@ def layer_backward(paths: list[VectorPath], render: LayerRender,
     for j, path in enumerate(paths):
         pc = render.coverages[j]
         t = render.trans_above[j]
-        weighted = d_image * (render.alphas[j] * t)[:, :, None]
-        d_color_eff = weighted.sum(axis=(0, 1))
-        diff = render.effective_colors[j][None, None, :] - render.unders[j]
-        d_alpha = np.einsum("hwc,hwc->hw", d_image, diff) * t
-        d_opacity = float(np.sum(d_alpha * pc.placed()))
-        d_ctrl = coverage_backward(pc, d_alpha[pc.region] * path.opacity, config)
+        d_window = d_image[pc.region]
+        d_color_eff = (d_window * (render.alphas[j] * t)[:, :, None]).sum(axis=(0, 1))
+        diff = render.effective_colors[j] - render.unders[j]
+        d_alpha = np.einsum("hwc,hwc->hw", d_window, diff) * t
+        d_opacity = float(np.sum(pc.placed(d_alpha * pc.block)))
+        d_ctrl = coverage_backward(pc, d_alpha * path.opacity, config)
         # The range clamp passes gradient only where it left the color alone.
         passthrough = render.effective_colors[j] == path.fill_color
         d_color = np.where(passthrough, d_color_eff, 0.0)

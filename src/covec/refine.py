@@ -178,7 +178,7 @@ def cleanup_layer(paths: list[VectorPath], coverages: list[PathCoverage],
     merged = 0
 
     def area(pc: PathCoverage) -> float:
-        return float(pc.placed().sum())
+        return float(pc.placed(pc.block).sum())
 
     def loss_of(stack: list[VectorPath], covs: list[PathCoverage]) -> float:
         image = source_over(stack, covs, background, width, height).image

@@ -1,5 +1,9 @@
 """Shared fixtures and scene helpers for the test suite."""
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -69,3 +73,29 @@ def rcfg():
 def fixed_rcfg():
     # uniform-parameter flattening keeps finite differences smooth
     return RasterizerConfig(flatten_mode="fixed")
+
+
+@pytest.fixture(scope="session")
+def digest_script():
+    """scripts/output_digest.py, loaded as a module."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / "output_digest.py"
+    spec = importlib.util.spec_from_file_location("output_digest", script)
+    module = importlib.util.module_from_spec(spec)
+    saved = list(sys.path)  # the script puts src/ and perfbench/ on sys.path
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path[:] = saved
+    return module
+
+
+@pytest.fixture(scope="session")
+def checked_in_digest(digest_script):
+    """The lines of scripts/output_digest.txt.  Float results may change
+    with numpy and scipy, so a test using them skips, naming both
+    versions, when the file was made under other versions."""
+    lines = digest_script.DIGEST_FILE.read_text().splitlines()
+    if lines[0] != digest_script.version_line():
+        pytest.skip(f"output_digest.txt was made under {lines[0][2:]}, "
+                    f"this is {digest_script.version_line()[2:]}")
+    return lines

@@ -1,5 +1,6 @@
 """Soft rasterization forward/backward and layer compositing."""
 
+import dataclasses
 import importlib
 import tracemalloc
 from pathlib import Path
@@ -13,8 +14,8 @@ from scipy.special import expit
 from covec import raster
 from covec.geometry import batch_signed_distance, flatten_bezier
 from covec.edit import EditConfig, run_edit
-from covec.model import (LAYER_TAGS, LayeredDocument, RasterizerConfig, VectorPath, WHITE,
-                         project_color)
+from covec.model import (LAYER_TAGS, GradientBuffer, LayeredDocument, RasterizerConfig,
+                         VectorPath, WHITE, project_color)
 from covec.optimize import loss_recon
 from covec.raster import (blend, layer_backward, layer_forward, path_coverage,
                           render_composite, source_over)
@@ -310,17 +311,89 @@ def test_off_canvas_path_has_empty_window_and_zero_gradients(center, rcfg):
     assert not np.any(g.d_fill_color) and g.d_opacity == 0.0
 
 
-def test_layer_forward_returns_coverages(rcfg):
-    paths = [disk_path(6, 6, 3), disk_path(10, 10, 3, opacity=0.7)]
-    render = layer_forward(paths, WHITE, 16, 16, rcfg, with_grad=True)
-    assert render.image.shape == (16, 16, 3)
+def test_layer_forward_returns_coverages():
+    # aa_sigma 0.25 pads windows by 7.5 px: neither fills the 40 x 32 canvas
+    rcfg = RasterizerConfig(aa_sigma=0.25)
+    paths = [disk_path(12, 10, 4), disk_path(18, 14, 5, opacity=0.7)]
+    render = layer_forward(paths, WHITE, 40, 32, rcfg, with_grad=True)
+    assert render.image.shape == (32, 40, 3)
     assert len(render.coverages) == 2
-    assert render.coverages[0].coverage.shape == (16, 16)
-    # compositing the cached coverage maps reproduces the layer bit for bit
-    again = source_over(paths, render.coverages, WHITE, 16, 16, record=True)
-    assert np.array_equal(again.image, render.image)
-    assert np.array_equal(again.unders, render.unders)
-    assert np.array_equal(again.trans_above, render.trans_above)
+    for pc in render.coverages:
+        x0, y0, x1, y1 = pc.window
+        assert pc.coverage.shape == (32, 40)
+        assert 0 < x1 - x0 < 40 and 0 < y1 - y0 < 32
+    # compositing the cached coverage maps reproduces the layer bit for bit,
+    # and records the same window arrays, path by path
+    again = source_over(paths, render.coverages, WHITE, 40, 32, record=True)
+    assert again.image.tobytes() == render.image.tobytes()
+    for name in ("alphas", "unders", "trans_above"):
+        ours, theirs = getattr(again, name), getattr(render, name)
+        assert len(ours) == len(theirs) == 2
+        for pc, a, b in zip(render.coverages, ours, theirs):
+            assert a.shape[:2] == pc.block.shape
+            assert a.tobytes() == b.tobytes()
+
+
+def _full_canvas_backward(paths, coverages, background, d_image, config):
+    """layer_backward's formulas on whole-canvas alpha, under and
+    transmittance stacks."""
+    h, w = d_image.shape[:2]
+    alphas = np.stack([pc.coverage * p.opacity for p, pc in zip(paths, coverages)])
+    colors = np.stack([project_color(p.fill_color, p.layer_tag) for p in paths])
+    unders = np.zeros((len(paths), h, w, 3))
+    under = np.broadcast_to(background, (h, w, 3)).copy()
+    for j, alpha in enumerate(alphas):
+        unders[j] = under
+        under = alpha[:, :, None] * colors[j] + (1.0 - alpha[:, :, None]) * under
+    trans = np.zeros_like(alphas)
+    running = np.ones((h, w))
+    for j in range(len(paths) - 1, -1, -1):
+        trans[j] = running
+        running = running * (1.0 - alphas[j])
+    grads = []
+    for j, (path, pc) in enumerate(zip(paths, coverages)):
+        weighted = d_image * (alphas[j] * trans[j])[:, :, None]
+        d_color_eff = weighted.sum(axis=(0, 1))
+        diff = colors[j][None, None, :] - unders[j]
+        d_alpha = np.einsum("hwc,hwc->hw", d_image, diff) * trans[j]
+        d_opacity = float(np.sum(d_alpha * pc.coverage))
+        d_ctrl = raster.coverage_backward(pc, d_alpha[pc.region] * path.opacity, config)
+        d_color = np.where(colors[j] == path.fill_color, d_color_eff, 0.0)
+        grads.append(GradientBuffer(d_ctrl, d_color, d_opacity))
+    return grads
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("tag", ["albedo", "illumination"])
+def test_window_backward_matches_full_canvas_oracle(tag, seed):
+    # partial windows (a 7.5 px pad on a 48 x 40 canvas): overlapping
+    # disks, one clipped by the canvas edge, one off the canvas; opacity
+    # below 1 and colors outside the layer's range, so the clamp zeroes
+    # some channels and, on illumination, passes one above 1
+    rng = np.random.default_rng(seed)
+    rcfg = RasterizerConfig(aa_sigma=0.25)
+    w, h = 48, 40
+    centers = [(16, 16), (22, 18), (19, 24), (-2, 20), (70, 12)]
+    paths = [disk_path(cx + rng.uniform(-1, 1), cy + rng.uniform(-1, 1),
+                       rng.uniform(4, 7), color=rng.uniform(-0.3, 1.4, 3),
+                       opacity=float(rng.uniform(0.3, 0.95)), tag=tag)
+             for cx, cy in centers]
+    paths[0].fill_color = np.array([1.3, 0.4, -0.2])
+    render = layer_forward(paths, WHITE, w, h, rcfg, with_grad=True)
+    windows = [pc.window for pc in render.coverages]
+    assert all(x1 - x0 < w and y1 - y0 < h for x0, y0, x1, y1 in windows)
+    assert windows[3][0] == 0 and windows[3][2] > 0  # clipped on the left
+    assert windows[4][0] == windows[4][2]  # off the canvas: empty
+    d_image = rng.normal(0.0, 1e-3, (h, w, 3))
+    got = layer_backward(paths, render, d_image, rcfg)
+    want = _full_canvas_backward(paths, render.coverages, WHITE, d_image, rcfg)
+    assert want[0].d_fill_color[2] == 0.0
+    assert (want[0].d_fill_color[0] == 0.0) == (tag == "albedo")
+    for g, o in zip(got, want):
+        for f in dataclasses.fields(GradientBuffer):
+            a, b = np.asarray(getattr(g, f.name)), np.asarray(getattr(o, f.name))
+            assert a.dtype == b.dtype and a.shape == b.shape, f.name
+            assert a.tobytes() == b.tobytes(), f.name
 
 
 @pytest.mark.parametrize("center", [(20, 14), (-40, 10), (70, 10), (-2, 30), (45, -1)],
@@ -337,7 +410,7 @@ def test_block_spans_the_window_and_places_on_a_zero_canvas(center, with_grad):
     placed = np.zeros((h, w))
     placed[y0:y1, x0:x1] = pc.block
     assert np.array_equal(pc.coverage, placed)
-    assert np.array_equal(pc.placed(), placed)
+    assert np.array_equal(pc.placed(pc.block), placed)
     assert not pc.coverage.flags.writeable
 
 
@@ -405,3 +478,17 @@ def test_render_composite_of_scaled_edit_document_stays_small(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak / 2**20 < RENDER_X4_PEAK_MIB
+
+
+def test_composites_match_checked_in_digest(digest_script, checked_in_digest, tmp_path):
+    # the production/ and composite/ lines of scripts/output_digest.txt,
+    # recomputed from the K = 16 edit of each disk_grid_edit document
+    want = [line for line in checked_in_digest
+            if line.startswith(("production/", "composite/"))]
+    assert len(want) == 6
+    got = []
+    for seed in range(2):
+        doc, original, reference = digest_script.edit_inputs(seed, tmp_path)
+        edited, _ = run_edit(doc, original, reference, EditConfig(top_k=16))
+        got += digest_script.composite_digests(edited, seed)
+    assert got == want
