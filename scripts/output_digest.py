@@ -3,9 +3,11 @@
 
 Runs ``pipeline.run`` on ``perfbench/scenes`` seeds 0-3 in full and
 albedo-only mode, each at the benchmark schedule and at a multi-round
-schedule, and prints ``mode/schedule/seed sha256(svg+csv) final_mse`` per
-run.  On the ``disk_grid_edit`` document of seeds 0-1 it then runs
-``edit.run_edit`` at K = 1, 4 and 16, printing
+schedule, and on seed 0 at a longer schedule whose later refinement
+rounds propose the paths of the round before (``replay``), and prints
+``mode/schedule/seed sha256(svg+csv) final_mse`` per run.  On the
+``disk_grid_edit`` document of seeds 0-1 it then runs ``edit.run_edit``
+at K = 1, 4 and 16, printing
 ``edit/kK/seed sha256(svg+report json)``, and renders the K = 16 result
 with ``covec render --scale 2``, printing ``render/seed sha256(png)``,
 and hashes the raw float64 bytes of ``svg_io.reference_composite`` of the
@@ -67,7 +69,8 @@ from covec.raster import render_composite  # noqa: E402
 
 # (warm-up epochs, joint epochs, refine rounds, iterations per round)
 SCHEDULES = {"bench": {"full": (2, 2, 1, 5), "albedo_only": (1, 1, 1, 3)},
-             "rounds": {"full": (2, 2, 4, 5), "albedo_only": (1, 1, 3, 3)}}
+             "rounds": {"full": (2, 2, 4, 5), "albedo_only": (1, 1, 3, 3)},
+             "replay": {"full": (5, 5, 5, 10), "albedo_only": (10, 10, 5, 20)}}
 BUDGET = {"full": 24, "albedo_only": 16}
 EDIT_KS = (1, 4, 16)
 DIGEST_FILE = ROOT / "scripts" / "output_digest.txt"
@@ -215,7 +218,7 @@ def all_lines():
     with tempfile.TemporaryDirectory() as tmp:
         for schedule in SCHEDULES:
             for mode in ("full", "albedo_only"):
-                for seed in range(4):
+                for seed in range(1 if schedule == "replay" else 4):
                     yield digest(mode, schedule, seed, Path(tmp))
         for seed in range(2):
             yield from edit_digests(seed, Path(tmp))

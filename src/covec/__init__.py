@@ -6,19 +6,9 @@ paths through a differentiable soft rasterizer, and emits the result as
 an SVG using standard blend modes.
 """
 
-import os as _os
-
-# Honor COVEC_THREADS before numpy loads its BLAS: these variables only
-# take effect at library initialization.
-_threads = _os.environ.get("COVEC_THREADS")
-if _threads:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        _os.environ.setdefault(_var, _threads)
-
 __version__ = "0.1.0"
 
-from .model import (  # noqa: F401,E402
+from .model import (  # noqa: F401
     GradientBuffer,
     LayeredDocument,
     RasterizerConfig,

@@ -207,17 +207,6 @@ def masks_from_labels(label_map: np.ndarray) -> list[SemanticMask]:
 # region thresholding
 
 
-def region_threshold(image: np.ndarray, mask: SemanticMask) -> np.ndarray:
-    """Split one region at its mean luma; returns the dark side (luma <= mean)."""
-    lum = luma(image)
-    vals = lum[mask.bitmap]
-    # shift by the min before averaging so a constant region thresholds at
-    # exactly its own value instead of one rounding step below it
-    base = float(vals.min())
-    threshold = base + float((vals - base).mean())
-    return mask.bitmap & (lum <= threshold)
-
-
 def region_binarize(image: np.ndarray, masks: list[SemanticMask]) -> list[SemanticMask]:
     """Dark-side submasks of each region, thresholded at the region's mean luma.
 
@@ -225,9 +214,14 @@ def region_binarize(image: np.ndarray, masks: list[SemanticMask]) -> list[Semant
     of its parent region, so a perfectly uniform region yields itself.
     Empty results are dropped; every output is a subset of its parent.
     """
+    lum = luma(image)
     out = []
     for m in masks:
-        dark = region_threshold(image, m)
+        vals = lum[m.bitmap]
+        # shift by the min before averaging so a constant region thresholds
+        # at exactly its own value instead of one rounding step below it
+        base = float(vals.min())
+        dark = m.bitmap & (lum <= base + float((vals - base).mean()))
         if np.any(dark):
             out.append(SemanticMask.from_bitmap(dark))
     return out

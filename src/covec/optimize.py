@@ -67,15 +67,21 @@ class StructLossConfig:
 
 @dataclass(frozen=True)
 class Schedule:
-    """Epoch counts of the two stages (``--warmup``, ``--joint``); every
-    Adam step uses the learning rates LR_POINTS and LR_COLORS."""
+    """A run's four stage counts: warm-up and joint epochs (``--warmup``,
+    ``--joint``), refinement rounds and Adam iterations per round
+    (``--rounds``, ``--iters``); every Adam step uses the learning rates
+    LR_POINTS and LR_COLORS."""
 
     warmup_epochs: int = 50
     joint_epochs: int = 50
+    refine_rounds: int = 5
+    refine_iters: int = 100
 
     def __post_init__(self):
-        if self.warmup_epochs < 0 or self.joint_epochs < 0:
-            raise ValueError("epoch counts must be nonnegative")
+        if min(self.warmup_epochs, self.joint_epochs, self.refine_rounds) < 0:
+            raise ValueError("epoch and round counts must be nonnegative")
+        if self.refine_iters < 1:
+            raise ValueError("refine_iters must be >= 1")
 
 
 @dataclass

@@ -40,7 +40,7 @@ from .init_layers import (fallback_albedo, fallback_segment, init_layers,
 from .model import WHITE, LayeredDocument, RasterizerConfig
 from .optimize import Schedule, StructLossConfig, TraceRow, mse, run_structural
 from .raster import layer_forward, render_composite
-from .refine import RefineConfig, assign_light_colors, refine_layer, separate_layers
+from .refine import assign_light_colors, refine_layer, separate_layers
 from .svg_io import emit_svg
 
 MODES = ("full", "albedo_only")
@@ -83,10 +83,10 @@ def check_outputs(outputs: tuple[str, ...],
 class RunConfig:
     """Everything one vectorization run needs, mirroring the CLI flags.
 
-    The per-stage configs (``raster_config``, ``schedule``,
-    ``struct_config``, ``refine_config``) are built once at construction,
-    and the SVG and trace paths pass ``check_outputs`` against the input
-    files, so an invalid value raises ValueError before any work.
+    The per-stage configs (``raster_config``, ``schedule`` and
+    ``struct_config``) are built once at construction, and the SVG and
+    trace paths pass ``check_outputs`` against the input files, so an
+    invalid value raises ValueError before any work.
     """
 
     input_path: str
@@ -123,12 +123,12 @@ class RunConfig:
         stages = {
             "raster_config": RasterizerConfig(aa_sigma=self.aa_sigma),
             "schedule": Schedule(warmup_epochs=self.warmup_epochs,
-                                 joint_epochs=self.joint_epochs),
+                                 joint_epochs=self.joint_epochs,
+                                 refine_rounds=self.refine_rounds,
+                                 refine_iters=self.refine_iters),
             "struct_config": StructLossConfig(lambda_overlap=self.lambda_overlap,
                                               delta_overlap=self.delta_overlap,
                                               penalty_sign=self.penalty_sign),
-            "refine_config": RefineConfig(rounds_max=self.refine_rounds,
-                                          iters_per_round=self.refine_iters),
         }
         for name, value in stages.items():
             object.__setattr__(self, name, value)  # frozen: derived, not fields
@@ -196,22 +196,20 @@ def vectorize(cfg: RunConfig) -> VectorizeResult:
     illum = [p for g in i_groups for p in g]
     budget_left = max(0, cfg.effective_budget - len(albedo) - len(illum))
     if full:
-        layer, tag = illum, "illumination"
         a_render = layer_forward(albedo, WHITE, w, h, rcfg)
-        factor, a_maps = a_render.image, a_render.coverages
-    else:
-        layer, tag, factor = albedo, "albedo", WHITE
-    refined = refine_layer(layer, factor, image, cfg.refine_config, rcfg,
-                           budget_left, layer_tag=tag)
-    trace.extend(refined.trace)
-    # every path now has its coverage map: the composite rasterizes nothing
-    if full:
+        a_maps = a_render.coverages
+        refined = refine_layer(illum, a_render.image, image, cfg.schedule, rcfg,
+                               budget_left)
         shade, light, s_maps, l_maps = separate_layers(refined.layer, refined.maps)
-        light, l_maps = assign_light_colors(light, l_maps, image, factor,
+        light, l_maps = assign_light_colors(light, l_maps, image, a_render.image,
                                             shade, s_maps)
     else:
+        refined = refine_layer(albedo, WHITE, image, cfg.schedule, rcfg,
+                               budget_left, layer_tag="albedo")
         albedo, a_maps = refined.layer, refined.maps
         shade, light, s_maps, l_maps = [], [], [], []
+    trace.extend(refined.trace)
+    # every path now has its coverage map: the composite rasterizes nothing
     doc = LayeredDocument(width=w, height=h, albedo=albedo, illumination=[],
                           shade=shade, light=light)
     maps = {"albedo": a_maps, "shade": s_maps, "light": l_maps}

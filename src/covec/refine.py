@@ -16,13 +16,13 @@ re-derived from the residual image.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import ndimage
 
 from .model import SHADE_FLOOR, WHITE, VectorPath, project_color
-from .optimize import LayerOptimizer, TraceRow, layer_loss, mse
+from .optimize import LayerOptimizer, Schedule, TraceRow, layer_loss, mse
 from .raster import (PathCoverage, RasterizerConfig, layer_forward, path_coverage,
                      source_over)
 
@@ -43,22 +43,6 @@ def circle_control_points(center, radius: float) -> np.ndarray:
         [cx - r, cy], [cx - r, cy - k], [cx - k, cy - r],
         [cx, cy - r], [cx + k, cy - r], [cx + r, cy - k],
     ])
-
-
-@dataclass(frozen=True)
-class RefineConfig:
-    """Rounds (``--rounds``) and Adam iterations per round (``--iters``);
-    each round asks for the remaining path budget spread evenly over the
-    remaining rounds, and every threshold is a module constant."""
-
-    rounds_max: int = 5
-    iters_per_round: int = 100
-
-    def __post_init__(self):
-        if self.rounds_max < 0:
-            raise ValueError("rounds_max must be nonnegative")
-        if self.iters_per_round < 1:
-            raise ValueError("iters_per_round must be >= 1")
 
 
 # Proposal thresholds; propose_paths says how each applies.
@@ -235,41 +219,49 @@ class RefineResult:
 
 
 def refine_layer(layer: list[VectorPath], frozen_factor: np.ndarray,
-                 target: np.ndarray, cfg: RefineConfig, rcfg: RasterizerConfig,
+                 target: np.ndarray, schedule: Schedule, rcfg: RasterizerConfig,
                  budget_remaining: int, layer_tag: str = "illumination") -> RefineResult:
     """Grow one layer with freshly optimized paths over frozen content.
 
     The reconstruction is ``layer render * frozen_factor``; pass WHITE for
     a layer that stands alone.  The existing paths are rendered once into a
-    base image and never touched again.  Each round proposes its share of
-    the budget over the base, steps them alone on optimize.layer_loss
-    (loss_recon restricted to them), rasterizes them once and hands only
-    them to cleanup_layer; the cleaned composite over the base becomes the
-    next round's base and the round's trace loss, and its paths join the
-    frozen stack.  Stops early when the error map's maximum drops below
-    STOP_ERROR_MAX, the budget runs out, or nothing is proposed.  The
-    PathCoverage of the base render's paths and of each round's kept
-    paths comes back with the layer, one per path, bit for bit what
-    path_coverage gives for it.  Adam steps at the fixed optimize.LR_POINTS/LR_COLORS.
+    base image and never touched again.  Each of ``schedule.refine_rounds``
+    rounds proposes the remaining budget spread evenly over the remaining
+    rounds, steps those paths alone on optimize.layer_loss (loss_recon
+    restricted to them) for ``schedule.refine_iters`` iterations,
+    rasterizes them once and hands only them to cleanup_layer; the cleaned
+    composite over the base becomes the next round's base and the round's
+    trace loss, and its paths join the frozen stack.  After a round that
+    kept no path the base and budget are unchanged, so a proposal of as
+    many paths is the same paths: that round is not re-run, and its trace
+    row repeats with the new epoch.  Stops early when the error map's
+    maximum drops below STOP_ERROR_MAX, the budget runs out, or nothing is
+    proposed.  The PathCoverage of the base render's paths and of each
+    round's kept paths comes back with the layer, one per path, bit for
+    bit what path_coverage gives for it.  Adam steps at the fixed
+    optimize.LR_POINTS/LR_COLORS.
     """
     height, width = target.shape[:2]
     layer = list(layer)
     render = layer_forward(layer, WHITE, width, height, rcfg)
     base, layer_maps = render.image, render.coverages
     trace: list[TraceRow] = []
-    for rnd in range(1, cfg.rounds_max + 1):
+    for rnd in range(1, schedule.refine_rounds + 1):
         diff = target - base * frozen_factor
         err = np.mean(diff * diff, axis=2)
         if float(err.max()) < STOP_ERROR_MAX or budget_remaining <= 0:
             break
-        rounds_left = cfg.rounds_max - rnd + 1
+        rounds_left = schedule.refine_rounds - rnd + 1
         want = max(1, int(np.ceil(budget_remaining / rounds_left)))
         new_paths = propose_paths(err, want, target, frozen_factor,
                                   layer_tag=layer_tag)
         if not new_paths:
             break
+        if trace and trace[-1].paths_added == trace[-1].paths_removed == len(new_paths):
+            trace.append(replace(trace[-1], epoch=rnd))
+            continue
         opt = LayerOptimizer(new_paths)
-        for _it in range(cfg.iters_per_round):
+        for _it in range(schedule.refine_iters):
             opt.step(layer_loss(new_paths, base, frozen_factor, target, rcfg)[1])
         n_new = len(new_paths)  # cleanup trims new_paths in place
         maps = [path_coverage(p, width, height, rcfg) for p in new_paths]

@@ -78,9 +78,7 @@ def emit_svg(doc: LayeredDocument, out=None) -> bytes:
 
     Writes the albedo, shade and light layers, empty ones as empty
     groups; a document still carrying unseparated illumination paths is
-    rejected.
-    When ``out`` is given (path or binary file object), bytes are also
-    written there.
+    rejected.  When ``out`` names a file, the bytes are also written there.
     """
     if doc.illumination:
         raise ValueError("document still has unseparated illumination paths")
@@ -106,11 +104,8 @@ def emit_svg(doc: LayeredDocument, out=None) -> bytes:
     lines.append("</svg>")
     data = ("\n".join(lines) + "\n").encode("utf-8")
     if out is not None:
-        if hasattr(out, "write"):
-            out.write(data)
-        else:
-            with open(out, "wb") as fh:
-                fh.write(data)
+        with open(out, "wb") as fh:
+            fh.write(data)
     return data
 
 

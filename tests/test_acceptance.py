@@ -25,8 +25,9 @@ from covec.gradcheck import GradCheckConfig, run_gradcheck
 from covec.image_io import read_image, write_png, write_label_png
 from covec.init_layers import SemanticMask, region_binarize, trace_boundary
 from covec.model import BLACK, WHITE, LayeredDocument, RasterizerConfig
+from covec.optimize import Schedule
 from covec.raster import blend, layer_forward, path_coverage, render_composite
-from covec.refine import RefineConfig, refine_layer, separate_layers
+from covec.refine import refine_layer, separate_layers
 from covec.svg_io import emit_svg, parse_svg, reference_composite
 from covec.synthetic import (make_acceptance_scene, make_disk_grid_document,
                              make_icon_scene, make_recolor_reference)
@@ -376,7 +377,7 @@ def test_08_refinement_freeze():
              (13, 13, 0.5)]
     for y0, x0, factor in spots:
         target[y0:y0 + 6, x0:x0 + 6] *= factor
-    cfg = RefineConfig(rounds_max=1, iters_per_round=15)
+    cfg = Schedule(refine_rounds=1, refine_iters=15)
     illum = []
     budget = 8
     frozen_ok = True

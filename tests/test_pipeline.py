@@ -1,8 +1,14 @@
 """pipeline.vectorize end to end on small scenes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import covec
 import covec.pipeline
 import covec.raster
 import covec.refine
@@ -75,3 +81,17 @@ def test_nothing_rasterized_after_refinement(mode, tmp_path, monkeypatch):
     if mode == "full":
         assert doc.shade or doc.light
     assert late == []
+
+
+def test_import_sets_no_thread_variables():
+    # BLAS threads are capped by the standard variables, set before the
+    # run starts; importing covec reads and writes none of them
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                        "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")}
+    env.update(COVEC_THREADS="3", PYTHONPATH=str(Path(covec.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import os, covec; print(os.environ.get('OMP_NUM_THREADS'))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out == "None\n"

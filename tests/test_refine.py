@@ -1,5 +1,6 @@
 """Error-driven path growth, cleanup, and shade/light separation."""
 
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -8,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covec.model import RasterizerConfig, VectorPath
+from covec.optimize import Schedule
 import covec.raster
 import covec.refine
 from covec.raster import (WHITE, layer_forward, path_coverage, render_composite,
                           source_over)
-from covec.refine import (CLEANUP_LOSS_EPS, KAPPA, RefineConfig,
+from covec.refine import (CLEANUP_LOSS_EPS, KAPPA,
                           assign_light_colors, circle_control_points,
                           cleanup_layer, propose_paths, refine_layer,
                           separate_layers)
@@ -143,7 +145,7 @@ def test_refine_rounds_zero_noop():
     illum = [square_path(0, 0, 32, 32, color=(0.9, 0.9, 0.9),
                          tag="illumination")]
     refined = refine_layer(illum, _render(albedo, 32, 32, rcfg), target,
-                           RefineConfig(rounds_max=0), rcfg,
+                           Schedule(refine_rounds=0), rcfg,
                            budget_remaining=8)
     out, trace = refined.layer, refined.trace
     assert out == illum and trace == []
@@ -155,7 +157,7 @@ def test_refine_zero_budget_noop():
     rcfg = RasterizerConfig()
     albedo, target = _highlight_scene(rcfg)
     refined = refine_layer([], _render(albedo, 32, 32, rcfg), target,
-                           RefineConfig(), rcfg, budget_remaining=0)
+                           Schedule(), rcfg, budget_remaining=0)
     out, trace = refined.layer, refined.trace
     assert out == [] and trace == []
 
@@ -165,7 +167,7 @@ def test_refine_stops_when_error_negligible():
     albedo = [square_path(0, 0, 16, 16, color=(0.5, 0.5, 0.5))]
     target = _render(albedo, 16, 16, rcfg)
     refined = refine_layer([], _render(albedo, 16, 16, rcfg), target,
-                           RefineConfig(), rcfg, budget_remaining=8)
+                           Schedule(), rcfg, budget_remaining=8)
     out, trace = refined.layer, refined.trace
     assert out == [] and trace == []
 
@@ -180,7 +182,7 @@ def test_refine_freeze_contract():
     snap_op = existing[0].opacity
     albedo_snap = [(p.control_points.copy(), p.fill_color.copy(), p.opacity)
                    for p in albedo]
-    cfg = RefineConfig(rounds_max=2, iters_per_round=10)
+    cfg = Schedule(refine_rounds=2, refine_iters=10)
     refined = refine_layer(existing, _render(albedo, 32, 32, rcfg), target, cfg,
                            rcfg, budget_remaining=4)
     out = refined.layer
@@ -199,7 +201,7 @@ def test_refine_strict_decrease_on_highlight():
     albedo, target = _highlight_scene(rcfg)
     a_img = _render(albedo, 32, 32, rcfg)
     before = float(np.mean((a_img - target) ** 2))
-    cfg = RefineConfig(rounds_max=1, iters_per_round=40)
+    cfg = Schedule(refine_rounds=1, refine_iters=40)
     refined = refine_layer([], a_img, target, cfg, rcfg,
                            budget_remaining=4)
     out, trace = refined.layer, refined.trace
@@ -208,6 +210,36 @@ def test_refine_strict_decrease_on_highlight():
     assert trace[0].paths_added >= 1
     assert len(out) >= 1
     assert all(p.layer_tag == "illumination" for p in out)
+
+
+def test_refine_does_not_rerun_a_round_that_would_replay(monkeypatch):
+    # a 5 x 5 patch 0.02 off the frozen render: one blob, one proposal,
+    # and the whole error is below CLEANUP_LOSS_EPS, so cleanup drops the
+    # path and every later round would propose and drop it again
+    rcfg = RasterizerConfig()
+    frozen = [square_path(0, 0, 32, 32, color=(0.5, 0.5, 0.5), tag="albedo")]
+    target = _render(frozen, 32, 32, rcfg)
+    target[10:15, 20:25] += 0.02
+    assert float(np.mean((target - _render(frozen, 32, 32, rcfg)) ** 2)) \
+        < CLEANUP_LOSS_EPS
+    real_loss = covec.refine.layer_loss
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real_loss(*args, **kwargs)
+
+    monkeypatch.setattr(covec.refine, "layer_loss", counting)
+    cfg = Schedule(refine_rounds=4, refine_iters=6)
+    refined = refine_layer(frozen, WHITE, target, cfg, rcfg,
+                           budget_remaining=8, layer_tag="albedo")
+    trace = refined.trace
+    assert [row.epoch for row in trace] == [1, 2, 3, 4]
+    assert trace[0].paths_added == trace[0].paths_removed == 1
+    assert len(calls) == cfg.refine_iters * 1  # round 1 only
+    for before, row in zip(trace, trace[1:]):
+        assert dataclasses.replace(row, epoch=before.epoch) == before
+    assert refined.layer == frozen and len(refined.maps) == 1
 
 
 def _frozen_illumination():
@@ -238,7 +270,7 @@ def test_refine_rasterizes_frozen_stack_once(monkeypatch):
     monkeypatch.setattr(covec.raster, "path_coverage", counting)
     monkeypatch.setattr(covec.refine, "path_coverage", counting)
     monkeypatch.setattr(covec.refine, "propose_paths", recording)
-    cfg = RefineConfig(rounds_max=3, iters_per_round=4)
+    cfg = Schedule(refine_rounds=3, refine_iters=4)
     refined = refine_layer(frozen, factor, target, cfg, rcfg,
                            budget_remaining=4)
     trace = refined.trace
@@ -246,7 +278,7 @@ def test_refine_rasterizes_frozen_stack_once(monkeypatch):
     # each frozen path once for the base render; each new path once after
     # its Adam iterations, whether cleanup keeps it or not
     assert calls[False] == Counter({id(p): 1 for p in frozen + proposed})
-    assert calls[True] == Counter({id(p): cfg.iters_per_round for p in proposed})
+    assert calls[True] == Counter({id(p): cfg.refine_iters for p in proposed})
 
 
 def test_refine_maps_are_each_paths_coverage(monkeypatch):
@@ -269,7 +301,7 @@ def test_refine_maps_are_each_paths_coverage(monkeypatch):
     monkeypatch.setattr(covec.refine, "propose_paths", doubled)
     monkeypatch.setattr(covec.refine, "cleanup_layer", recording)
     refined = refine_layer(_frozen_illumination(), _render(albedo, 32, 32, rcfg),
-                           target, RefineConfig(rounds_max=2, iters_per_round=3),
+                           target, Schedule(refine_rounds=2, refine_iters=3),
                            rcfg, budget_remaining=4)
     assert sum(merged) >= 1
     assert len(refined.maps) == len(refined.layer)
@@ -286,7 +318,7 @@ def test_refine_trace_loss_is_fresh_render_mse(mode):
             "illumination"
     else:   # a standalone layer, as in albedo-only mode
         frozen, factor, tag = albedo, WHITE, "albedo"
-    cfg = RefineConfig(rounds_max=3, iters_per_round=4)
+    cfg = Schedule(refine_rounds=3, refine_iters=4)
     refined = refine_layer(frozen, factor, target, cfg, rcfg,
                            budget_remaining=4, layer_tag=tag)
     out, trace = refined.layer, refined.trace
@@ -470,16 +502,9 @@ def test_refine_budget_limits_additions():
     second = (xs - 8) ** 2 + (ys - 24) ** 2 <= 5 ** 2
     target = target.copy()
     target[second] = np.minimum(target[second] + 0.25, 1.0)
-    cfg = RefineConfig(rounds_max=3, iters_per_round=5)
+    cfg = Schedule(refine_rounds=3, refine_iters=5)
     refined = refine_layer([], _render(albedo, 32, 32, rcfg), target, cfg,
                            rcfg, budget_remaining=1)
     out, trace = refined.layer, refined.trace
     assert len(out) <= 1
     assert sum(r.paths_added for r in trace) <= 1
-
-
-def test_refine_config_validation():
-    with pytest.raises(ValueError):
-        RefineConfig(rounds_max=-1)
-    with pytest.raises(ValueError):
-        RefineConfig(iters_per_round=0)
