@@ -341,11 +341,9 @@ def test_layer_optimizer_grad_count_mismatch():
 
 
 def test_schedule_validation():
-    for bad in ({"warmup_epochs": -1}, {"joint_epochs": -1},
-                {"refine_rounds": -1}, {"refine_iters": 0}):
+    for bad in ({"warmup_epochs": -1}, {"joint_epochs": -1}):
         with pytest.raises(ValueError):
             Schedule(**bad)
-    assert Schedule(refine_rounds=0, refine_iters=1).refine_rounds == 0
     with pytest.raises(ValueError):
         StructLossConfig(penalty_sign="bogus")
     with pytest.raises(ValueError):

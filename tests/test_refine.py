@@ -212,6 +212,14 @@ def test_refine_strict_decrease_on_highlight():
     assert all(p.layer_tag == "illumination" for p in out)
 
 
+def test_refine_config_validation():
+    with pytest.raises(ValueError):
+        Schedule(refine_rounds=-1)
+    with pytest.raises(ValueError):
+        Schedule(refine_iters=0)
+    assert Schedule(refine_rounds=0, refine_iters=1).refine_rounds == 0
+
+
 def test_refine_does_not_rerun_a_round_that_would_replay(monkeypatch):
     # a 5 x 5 patch 0.02 off the frozen render: one blob, one proposal,
     # and the whole error is below CLEANUP_LOSS_EPS, so cleanup drops the
