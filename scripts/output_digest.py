@@ -5,7 +5,10 @@ Runs ``pipeline.run`` on ``perfbench/scenes`` seeds 0-3 in full and
 albedo-only mode, each at the benchmark schedule and at a multi-round
 schedule, and on seed 0 at a longer schedule whose later refinement
 rounds propose the paths of the round before (``replay``), and prints
-``mode/schedule/seed sha256(svg+csv) final_mse`` per run.  On the
+``mode/schedule/seed sha256(svg+csv) final_mse`` per run.  The ``init``
+schedule has no epochs and no rounds, so its SVG and final MSE are those
+of the initial paths; it also runs on ``grid``, 64 labelled regions of
+equal area, whose ties fix the order init stacks paths in.  On the
 ``disk_grid_edit`` document of seeds 0-1 it then runs ``edit.run_edit``
 at K = 1, 4 and 16, printing
 ``edit/kK/seed sha256(svg+report json)``, and renders the K = 16 result
@@ -70,7 +73,8 @@ from covec.raster import render_composite  # noqa: E402
 # (warm-up epochs, joint epochs, refine rounds, iterations per round)
 SCHEDULES = {"bench": {"full": (2, 2, 1, 5), "albedo_only": (1, 1, 1, 3)},
              "rounds": {"full": (2, 2, 4, 5), "albedo_only": (1, 1, 3, 3)},
-             "replay": {"full": (5, 5, 5, 10), "albedo_only": (10, 10, 5, 20)}}
+             "replay": {"full": (5, 5, 5, 10), "albedo_only": (10, 10, 5, 20)},
+             "init": {"full": (0, 0, 0, 1), "albedo_only": (0, 0, 0, 1)}}
 BUDGET = {"full": 24, "albedo_only": 16}
 EDIT_KS = (1, 4, 16)
 DIGEST_FILE = ROOT / "scripts" / "output_digest.txt"
@@ -80,9 +84,25 @@ def version_line() -> str:
     return f"# numpy {np.__version__} scipy {scipy.__version__}"
 
 
-def digest(mode: str, schedule: str, seed: int, work: Path) -> str:
+def run_seeds(schedule: str) -> list:
+    """The scene seeds ``schedule`` runs on, in digest order."""
+    return {"replay": [0], "init": [0, 1, 2, 3, "grid"]}.get(schedule, [0, 1, 2, 3])
+
+
+def grid_scene() -> tuple[np.ndarray, np.ndarray]:
+    """A 64 x 64 image of an 8 x 8 grid of 8 px cells in random colours,
+    and its label map: 64 regions of equal area."""
+    labels = np.repeat(np.repeat(np.arange(64).reshape(8, 8), 8, axis=0), 8, axis=1)
+    return np.random.default_rng(0).uniform(0.0, 1.0, (64, 3))[labels], labels
+
+
+def digest(mode: str, schedule: str, seed, work: Path) -> str:
     files = {}
-    if mode == "full":  # the lit scene with its albedo and label map as files
+    if seed == "grid":  # labels given; full mode estimates its albedo
+        target, labels = grid_scene()
+        files = {"masks_path": work / "labels.png"}
+        image_io.write_label_png(files["masks_path"], labels)
+    elif mode == "full":  # the lit scene with its albedo and label map as files
         s = scenes.lit_scene(seed)
         files = {"albedo_path": work / "albedo.png", "masks_path": work / "labels.png"}
         image_io.write_png(files["albedo_path"], s["albedo"], bit_depth=16)
@@ -218,7 +238,7 @@ def all_lines():
     with tempfile.TemporaryDirectory() as tmp:
         for schedule in SCHEDULES:
             for mode in ("full", "albedo_only"):
-                for seed in range(1 if schedule == "replay" else 4):
+                for seed in run_seeds(schedule):
                     yield digest(mode, schedule, seed, Path(tmp))
         for seed in range(2):
             yield from edit_digests(seed, Path(tmp))

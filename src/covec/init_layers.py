@@ -5,8 +5,10 @@ label-map file when provided, otherwise from a seeded k-means
 segmentation.  Albedo paths trace mask outlines and take the mean albedo
 color under the mask; illumination paths trace the dark (sub-threshold)
 part of each region and take the mean image/albedo attenuation ratio.
-Masks are organized into non-overlapping groups so that overlapping
-shapes land in separate groups ordered back to front.
+The masks of a label map or of the k-means segmentation partition the
+canvas, and each region's dark part lies inside it, so the masks and
+the dark parts are each a group of disjoint masks: a group's paths
+stack largest first and never cover one another.
 """
 
 from __future__ import annotations
@@ -186,11 +188,7 @@ def fallback_segment(image: np.ndarray, seed: int) -> list[SemanticMask]:
     labels = kmeans_labels(image.reshape(-1, 3), KMEANS_CLUSTERS, seed)
     comp = _connected_components(labels.reshape(h, w))
     min_area = max(1, int(np.ceil(MIN_REGION_FRAC * h * w)))
-    comp = _merge_small_components(comp, min_area)
-    masks = []
-    for cid in np.unique(comp):
-        masks.append(SemanticMask.from_bitmap(comp == cid))
-    return masks
+    return masks_from_labels(_merge_small_components(comp, min_area))
 
 
 def masks_from_labels(label_map: np.ndarray) -> list[SemanticMask]:
@@ -212,7 +210,9 @@ def region_binarize(image: np.ndarray, masks: list[SemanticMask]) -> list[Semant
 
     A pixel belongs to the output mask when its luma is <= the mean luma
     of its parent region, so a perfectly uniform region yields itself.
-    Empty results are dropped; every output is a subset of its parent.
+    One nonempty part per region, in region order, each a subset of its
+    region: the darkest pixel's luma is the base, and the threshold is
+    never below it.
     """
     lum = luma(image)
     out = []
@@ -221,42 +221,9 @@ def region_binarize(image: np.ndarray, masks: list[SemanticMask]) -> list[Semant
         # shift by the min before averaging so a constant region thresholds
         # at exactly its own value instead of one rounding step below it
         base = float(vals.min())
-        dark = m.bitmap & (lum <= base + float((vals - base).mean()))
-        if np.any(dark):
-            out.append(SemanticMask.from_bitmap(dark))
+        out.append(SemanticMask.from_bitmap(
+            m.bitmap & (lum <= base + float((vals - base).mean()))))
     return out
-
-
-# ---------------------------------------------------------------------------
-# grouping
-
-
-def _overlaps(a: SemanticMask, b: SemanticMask) -> bool:
-    return bool(np.any(a.bitmap & b.bitmap))
-
-
-def organize_masks(masks: list[SemanticMask]) -> list[list[SemanticMask]]:
-    """Partition masks into non-overlapping groups ordered back to front.
-
-    Greedy first-fit packing: masks are taken largest-first (ties by
-    input order) and dropped into the first group, scanning from the
-    back, that contains nothing they overlap; a fresh front group is
-    appended when every existing group conflicts.  Nested shapes
-    therefore stack back to front by size.
-    """
-    if not masks:
-        raise InitError("cannot organize an empty mask set")
-    order = sorted(range(len(masks)), key=lambda i: (-masks[i].area, i))
-    groups: list[list[SemanticMask]] = []
-    for idx in order:
-        m = masks[idx]
-        for group in groups:
-            if not any(_overlaps(m, other) for other in group):
-                group.append(m)
-                break
-        else:
-            groups.append([m])
-    return groups
 
 
 # ---------------------------------------------------------------------------
@@ -382,21 +349,23 @@ def attenuation_ratio(image: np.ndarray, albedo_map: np.ndarray) -> np.ndarray:
 
 
 def paths_for_groups(mask_groups: list[list[SemanticMask]], color_image: np.ndarray,
-                     layer_tag: str, dp_epsilon: float,
-                     width: int, height: int) -> tuple[list[list[VectorPath]], list[np.ndarray]]:
+                     layer_tag: str, dp_epsilon: float
+                     ) -> tuple[list[list[VectorPath]], list[np.ndarray]]:
     """Build one VectorPath per mask plus a flat-color reference render per group.
 
-    Each path traces its mask outline, simplified within ``dp_epsilon``
-    and fitted with at most MAX_SEGMENTS cubics; its fill is the mean of
-    ``color_image`` under the mask.  The reference render paints each
-    group's masks (non-overlapping by construction) onto white.
+    The masks of a group must not overlap.  Its paths stack largest first,
+    ties in input order.  Each path traces its mask outline, simplified
+    within ``dp_epsilon`` and fitted with at most MAX_SEGMENTS cubics; its
+    fill is the mean of ``color_image`` under the mask.  The reference
+    render paints each group's masks onto white, on ``color_image``'s
+    canvas.
     """
     groups: list[list[VectorPath]] = []
     renders: list[np.ndarray] = []
     for group in mask_groups:
         paths = []
-        render = np.ones((height, width, 3))
-        for mask in group:
+        render = np.ones(color_image.shape)
+        for mask in sorted(group, key=lambda m: -m.area):
             color = np.clip(color_image[mask.bitmap].mean(axis=0), 0.0, 1.0)
             loop = trace_and_simplify(mask.bitmap, dp_epsilon)
             ctrl = fit_bezier_contour(loop, MAX_SEGMENTS)
@@ -406,32 +375,3 @@ def paths_for_groups(mask_groups: list[list[SemanticMask]], color_image: np.ndar
         groups.append(paths)
         renders.append(render)
     return groups, renders
-
-
-@dataclass
-class InitResult:
-    albedo_groups: list[list[VectorPath]]
-    illum_groups: list[list[VectorPath]]
-    albedo_renders: list[np.ndarray]
-    illum_renders: list[np.ndarray]
-
-
-def init_layers(image: np.ndarray, albedo_map: np.ndarray,
-                seg_masks: list[SemanticMask], dp_epsilon: float) -> InitResult:
-    """Grouped albedo and illumination paths plus per-group reference renders.
-
-    Albedo groups come from the segmentation masks colored by the albedo
-    map.  Illumination groups come from each region's dark submask
-    colored by the image/albedo attenuation ratio.
-    """
-    if not seg_masks:
-        raise InitError("no albedo masks found")
-    h, w = image.shape[:2]
-    a_groups, a_renders = paths_for_groups(organize_masks(seg_masks), albedo_map,
-                                           "albedo", dp_epsilon, w, h)
-    shadow_masks = region_binarize(image, seg_masks)
-    ratio = attenuation_ratio(image, albedo_map)
-    i_groups, i_renders = paths_for_groups(organize_masks(shadow_masks), ratio,
-                                           "illumination", dp_epsilon, w, h)
-    return InitResult(albedo_groups=a_groups, illum_groups=i_groups,
-                      albedo_renders=a_renders, illum_renders=i_renders)

@@ -34,9 +34,8 @@ from pathlib import Path
 import numpy as np
 
 from .image_io import read_image, read_label_map
-from .init_layers import (fallback_albedo, fallback_segment, init_layers,
-                          masks_from_labels, organize_masks, paths_for_groups,
-                          region_binarize)
+from .init_layers import (attenuation_ratio, fallback_albedo, fallback_segment,
+                          masks_from_labels, paths_for_groups, region_binarize)
 from .model import WHITE, LayeredDocument, RasterizerConfig
 from .optimize import Schedule, StructLossConfig, TraceRow, mse, run_structural
 from .raster import layer_forward, render_composite
@@ -179,16 +178,16 @@ def vectorize(cfg: RunConfig) -> VectorizeResult:
     rcfg = cfg.raster_config
     h, w = image.shape[:2]
     full = cfg.mode == "full"
+    eps = cfg.dp_epsilon
+    albedo_map = _load_albedo(cfg, image) if full else None
+    masks = _load_masks(cfg, image)
+    dark = region_binarize(image, masks)
     if full:
-        albedo_map = _load_albedo(cfg, image)
-        init = init_layers(image, albedo_map, _load_masks(cfg, image), cfg.dp_epsilon)
-        a_groups, i_groups = init.albedo_groups, init.illum_groups
-        a_renders, i_renders = init.albedo_renders, init.illum_renders
+        a_groups, a_renders = paths_for_groups([masks], albedo_map, "albedo", eps)
+        i_groups, i_renders = paths_for_groups(
+            [dark], attenuation_ratio(image, albedo_map), "illumination", eps)
     else:
-        seg_masks = _load_masks(cfg, image)
-        groups_m = organize_masks(seg_masks + region_binarize(image, seg_masks))
-        a_groups, a_renders = paths_for_groups(groups_m, image, "albedo",
-                                               cfg.dp_epsilon, w, h)
+        a_groups, a_renders = paths_for_groups([masks, dark], image, "albedo", eps)
         i_groups, i_renders = [], []
     trace = run_structural(a_groups, i_groups, image, a_renders, i_renders,
                            cfg.schedule, cfg.struct_config, rcfg)

@@ -117,7 +117,7 @@ def test_init_failure_exits_3(tmp_path, capsys, monkeypatch):
         raise InitError("no albedo masks")
 
     import covec.pipeline as pipeline
-    monkeypatch.setattr(pipeline, "init_layers", boom)
+    monkeypatch.setattr(pipeline, "paths_for_groups", boom)
     code, _, err = _run(["vectorize", str(img),
                          "-o", str(tmp_path / "out.svg")], capsys)
     assert code == 3

@@ -1,4 +1,4 @@
-"""Segmentation fallbacks, mask grouping, contour tracing and layer init."""
+"""Segmentation fallbacks, dark parts, contour tracing and layer init."""
 
 import importlib
 from pathlib import Path
@@ -14,10 +14,9 @@ from covec.init_layers import (KMEANS_CLUSTERS, MIN_REGION_FRAC, InitError, Sema
                                _connected_components, _merge_small_components,
                                attenuation_ratio, fallback_albedo,
                                fallback_segment, fit_bezier_contour,
-                               init_layers, kmeans_labels, luma,
-                               masks_from_labels, organize_masks,
-                               region_binarize, trace_and_simplify,
-                               trace_boundary)
+                               kmeans_labels, luma, masks_from_labels,
+                               paths_for_groups, region_binarize,
+                               trace_and_simplify, trace_boundary)
 from covec.model import RasterizerConfig, VectorPath
 
 
@@ -226,66 +225,49 @@ def test_binarize_output_subset_of_input(rng):
         assert not np.any(m.bitmap & ~bm)
 
 
-def test_organize_disjoint_single_group():
-    masks = [_mask(np.eye(6, dtype=bool) == 1)]
-    a = np.zeros((6, 6), bool)
-    a[0, 5] = True
-    b = np.zeros((6, 6), bool)
-    b[5, 0] = True
-    out = organize_masks([masks[0], _mask(a), _mask(b)])
-    assert len(out) == 1
-    assert len(out[0]) == 3
+def _organize_oracle(masks):
+    """First-fit overlap packer: masks taken largest first (ties by input
+    order) each join the first group holding nothing they overlap, else
+    start a new group.  Returns groups of indices into ``masks``."""
+    order = sorted(range(len(masks)), key=lambda i: (-masks[i].area, i))
+    groups = []
+    for i in order:
+        for group in groups:
+            if not any(np.any(masks[i].bitmap & masks[j].bitmap) for j in group):
+                group.append(i)
+                break
+        else:
+            groups.append([i])
+    return groups
 
 
-def test_organize_nested_three_groups():
-    big = np.zeros((8, 8), bool)
-    big[1:7, 1:7] = True
-    mid = np.zeros((8, 8), bool)
-    mid[2:6, 2:6] = True
-    small = np.zeros((8, 8), bool)
-    small[3:5, 3:5] = True
-    out = organize_masks([_mask(small), _mask(big), _mask(mid)])
-    assert [len(g) for g in out] == [1, 1, 1]
-    assert out[0][0].area == 36
-    assert out[1][0].area == 16
-    assert out[2][0].area == 4
-
-
-def test_organize_first_fit_prefers_earliest_group():
-    # big square, a disjoint dot, then a mask overlapping only the square:
-    # the overlapping mask must join the dot's group, not start a third
-    big = np.zeros((8, 8), bool)
-    big[0:4, 0:8] = True
-    dot = np.zeros((8, 8), bool)
-    dot[6, 6] = True
-    overlap = np.zeros((8, 8), bool)
-    overlap[2:4, 0:2] = True
-    out = organize_masks([_mask(big), _mask(dot), _mask(overlap)])
-    assert len(out) == 2
-    assert len(out[0]) == 2
-    assert len(out[1]) == 1
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(0, 10_000))
-def test_organize_partition_properties(seed):
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 20), st.integers(1, 20),
+       st.integers(1, 6), st.integers(1, 4), st.booleans())
+def test_paths_for_groups_stacks_like_the_overlap_packer(seed, h, w, n_levels, block,
+                                                         kmeans):
+    # colors drawn from a few levels on a coarse grid (block 1 is pixel
+    # noise), so region and dark-part areas often tie; the regions come
+    # from the levels as a label map or from the k-means fallback
     rng = np.random.default_rng(seed)
-    masks = []
-    for _ in range(int(rng.integers(1, 8))):
-        bm = rng.uniform(0, 1, (9, 9)) < rng.uniform(0.1, 0.5)
-        if bm.any():
-            masks.append(_mask(bm))
-    if not masks:
-        masks.append(_mask(np.ones((9, 9), bool)))
-    out = organize_masks(masks)
-    seen = 0
-    for group in out:
-        seen += len(group)
-        stack = np.zeros((9, 9), dtype=int)
-        for m in group:
-            stack += m.bitmap
-        assert stack.max() <= 1
-    assert seen == len(masks)
+    coarse = rng.integers(0, n_levels, (-(-h // block), -(-w // block)))
+    levels = np.repeat(np.repeat(coarse, block, axis=0), block, axis=1)[:h, :w]
+    img = rng.integers(0, 4, (n_levels, 3))[levels] / 3.0
+    img = img + rng.integers(0, 2, (h, w, 1)) / 8.0  # dark parts split regions
+    masks = fallback_segment(img, seed % 7) if kmeans else masks_from_labels(levels)
+    dark = region_binarize(img, masks)
+    n = len(masks)
+    # each pixel's color names its region, so each fill names its mask
+    code = np.zeros((h, w, 3))
+    for i, m in enumerate(masks):
+        code[m.bitmap] = (i + 1) / 1024
+    for mask_groups, flat in (([masks], masks), ([dark], dark),
+                              ([masks, dark], masks + dark)):
+        groups, _ = paths_for_groups(mask_groups, code, "albedo", 1.0)
+        got = [[(g, round(p.fill_color[0] * 1024) - 1) for p in paths]
+               for g, paths in enumerate(groups)]
+        want = [[(i >= n, i % n) for i in group] for group in _organize_oracle(flat)]
+        assert got == want
 
 
 def test_trace_single_pixel_unit_square():
@@ -397,17 +379,25 @@ def test_attenuation_ratio_formula():
     assert np.allclose(attenuation_ratio(img, dark), 1.0)
 
 
+def _init_paths(img, albedo, labels):
+    """Full mode's init in vectorize: albedo and illumination path groups."""
+    masks = masks_from_labels(labels)
+    a_groups, _ = paths_for_groups([masks], albedo, "albedo", 2.0)
+    i_groups, _ = paths_for_groups([region_binarize(img, masks)],
+                                   attenuation_ratio(img, albedo), "illumination", 2.0)
+    return a_groups, i_groups
+
+
 def test_init_layers_shading_free_image():
     img = np.zeros((24, 24, 3))
     img[:, :12] = [0.7, 0.3, 0.3]
     img[:, 12:] = [0.2, 0.6, 0.4]
     labels = np.zeros((24, 24), dtype=int)
     labels[:, 12:] = 1
-    masks = masks_from_labels(labels)
-    result = init_layers(img, img.copy(), masks, dp_epsilon=2.0)
-    n_albedo = sum(len(g) for g in result.albedo_groups)
+    a_groups, i_groups = _init_paths(img, img.copy(), labels)
+    n_albedo = sum(len(g) for g in a_groups)
     assert n_albedo == 2
-    for group in result.illum_groups:
+    for group in i_groups:
         for path in group:
             assert np.all(np.abs(path.fill_color - 1.0) <= 0.05)
 
@@ -420,9 +410,8 @@ def test_init_layers_shadowed_disk_color():
     shading = np.where(ys >= 16, 0.5, 1.0)[:, :, None]
     img = albedo * shading
     labels = inside.astype(int) + 1
-    masks = masks_from_labels(labels)
-    result = init_layers(img, albedo, masks, dp_epsilon=2.0)
-    colors = [p.fill_color for g in result.illum_groups for p in g]
+    _, i_groups = _init_paths(img, albedo, labels)
+    colors = [p.fill_color for g in i_groups for p in g]
     assert any(np.all(np.abs(c - 0.5) <= 0.05) for c in colors)
 
 
@@ -432,17 +421,19 @@ def test_init_layers_counts_and_ranges():
     img[8:] = 0.3
     labels = np.zeros((16, 16), dtype=int)
     labels[8:] = 1
-    masks = masks_from_labels(labels)
-    result = init_layers(img, img.copy(), masks, dp_epsilon=2.0)
-    assert sum(len(g) for g in result.albedo_groups) == len(masks)
-    for g in result.albedo_groups:
+    a_groups, i_groups = _init_paths(img, img.copy(), labels)
+    assert [len(g) for g in a_groups] == [2]
+    for g in a_groups:
         for p in g:
             assert p.fill_color.min() >= 0.0 and p.fill_color.max() <= 1.0
-    mask_groups = organize_masks(region_binarize(img, masks))
-    for bm_group, path_group in zip(mask_groups, result.illum_groups):
-        assert len(bm_group) == len(path_group)
+    assert [len(g) for g in i_groups] == [2]  # one dark part per region
 
 
-def test_init_layers_requires_masks():
-    with pytest.raises(InitError, match="no albedo masks"):
-        init_layers(np.zeros((4, 4, 3)), np.zeros((4, 4, 3)), [], dp_epsilon=2.0)
+def test_init_matches_checked_in_digest(digest_script, checked_in_digest, tmp_path):
+    # the */init/* lines of scripts/output_digest.txt: the SVG and final
+    # MSE of the initial paths, on the bench scenes and the 64-cell grid
+    want = [line for line in checked_in_digest if "/init/" in line]
+    assert len(want) == 10
+    got = [digest_script.digest(mode, "init", seed, tmp_path)
+           for mode in ("full", "albedo_only") for seed in digest_script.run_seeds("init")]
+    assert got == want
