@@ -187,6 +187,11 @@ def vectorize(cfg: RunConfig) -> VectorizeResult:
         i_groups, i_renders = paths_for_groups(
             [dark], attenuation_ratio(image, albedo_map), "illumination", eps)
     else:
+        # a dark part lies in one region of the partition, so it equals its
+        # region exactly when both have the same area and first pixel; the
+        # region's path already covers such a part
+        whole = {(m.area, int(np.argmax(m.bitmap))) for m in masks}
+        dark = [d for d in dark if (d.area, int(np.argmax(d.bitmap))) not in whole]
         a_groups, a_renders = paths_for_groups([masks, dark], image, "albedo", eps)
         i_groups, i_renders = [], []
     trace = run_structural(a_groups, i_groups, image, a_renders, i_renders,

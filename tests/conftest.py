@@ -59,6 +59,20 @@ def random_path(rng, width, height, tag="albedo", color_hi=0.95):
                       opacity=float(rng.uniform(0.2, 0.95)), layer_tag=tag)
 
 
+def dotted_halves(piece=1):
+    """A 40 x 40 image (init's area floor is 2 px) of two flat halves, each
+    darkened on isolated pixels, the left one also on one horizontal run of
+    ``piece`` px; and its label map, one label per half."""
+    img = np.empty((40, 40, 3))
+    img[:, :20] = [0.8, 0.5, 0.3]
+    img[:, 20:] = [0.3, 0.6, 0.8]
+    img[1::4, 1::4] *= 0.5
+    img[2, 2:2 + piece] *= 0.5
+    labels = np.zeros((40, 40), dtype=int)
+    labels[:, 20:] = 1
+    return img, labels
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)

@@ -8,15 +8,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import covec.pipeline
 from covec.cli import build_parser, main
 from covec.image_io import read_image, write_image, write_label_png
 from covec.init_layers import InitError
 from covec.model import LayeredDocument
 from covec.pipeline import RunConfig
-from covec.svg_io import emit_svg
+from covec.svg_io import emit_svg, parse_svg
 from covec.synthetic import make_disk_grid_document, make_icon_scene
 
-from conftest import square_path
+from conftest import dotted_halves, square_path
 
 DATA = Path(__file__).parent / "data"
 
@@ -253,6 +254,38 @@ def test_vectorize_deterministic_outputs(tmp_path, capsys):
                       (tmp_path / f"{tag}.csv").read_bytes()))
     assert blobs[0][0] == blobs[1][0]
     assert blobs[0][1] == blobs[1][1]
+
+
+def test_vectorize_full_mode_with_only_dust_dark_parts(tmp_path, capsys, monkeypatch):
+    # every dark part is single pixels, below init's 2 px area floor, so
+    # warm-up, joint and refinement start from an empty illumination layer
+    img_path = tmp_path / "dots.png"
+    write_image(img_path, dotted_halves()[0])
+    started = []
+    real_structural = covec.pipeline.run_structural
+    real_refine = covec.pipeline.refine_layer
+
+    def structural(albedo_groups, illum_groups, *args):
+        started.append(("structural", [len(g) for g in illum_groups]))
+        return real_structural(albedo_groups, illum_groups, *args)
+
+    def refining(layer, *args, **kwargs):
+        started.append(("refine", len(layer)))
+        return real_refine(layer, *args, **kwargs)
+
+    monkeypatch.setattr(covec.pipeline, "run_structural", structural)
+    monkeypatch.setattr(covec.pipeline, "refine_layer", refining)
+    svg = tmp_path / "dots.svg"
+    code, _, _ = _run(["vectorize", str(img_path), "-o", str(svg),
+                       "--warmup", "2", "--joint", "2",
+                       "--rounds", "1", "--iters", "3"], capsys)
+    assert code == 0
+    assert started == [("structural", [0]), ("refine", 0)]
+    doc = parse_svg(svg.read_bytes())
+    assert len(doc.albedo) == 2
+    with open(tmp_path / "dots.csv", newline="") as fh:
+        stages = [row["stage"] for row in csv.DictReader(fh)]
+    assert stages == ["warmup"] * 2 + ["joint"] * 2 + ["refine"]
 
 
 def test_vectorize_albedo_only_rejects_albedo_file(tmp_path, capsys):

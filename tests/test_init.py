@@ -9,15 +9,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
+import covec.pipeline
 from covec.geometry import Polyline, batch_signed_distance, flatten_bezier
 from covec.init_layers import (KMEANS_CLUSTERS, MIN_REGION_FRAC, InitError, SemanticMask,
                                _connected_components, _merge_small_components,
                                attenuation_ratio, fallback_albedo,
                                fallback_segment, fit_bezier_contour,
                                kmeans_labels, luma, masks_from_labels,
-                               paths_for_groups, region_binarize,
+                               min_region_area, paths_for_groups, region_binarize,
                                trace_and_simplify, trace_boundary)
+from covec.image_io import write_label_png, write_png
 from covec.model import RasterizerConfig, VectorPath
+from covec.pipeline import RunConfig, vectorize
+
+from conftest import dotted_halves
 
 
 def _mask(bitmap):
@@ -427,6 +432,85 @@ def test_init_layers_counts_and_ranges():
         for p in g:
             assert p.fill_color.min() >= 0.0 and p.fill_color.max() <= 1.0
     assert [len(g) for g in i_groups] == [2]  # one dark part per region
+
+
+def _vectorize_init(tmp_path, monkeypatch, mode, image, labels=None, albedo=None):
+    """Path counts per group of the albedo and illumination layers that
+    vectorize's init block hands to warm-up (no epochs, no rounds)."""
+    files = {}
+    if labels is not None:
+        files["masks_path"] = str(tmp_path / "labels.png")
+        write_label_png(files["masks_path"], labels)
+    if albedo is not None:
+        files["albedo_path"] = str(tmp_path / "albedo.png")
+        write_png(files["albedo_path"], albedo, bit_depth=16)
+    write_png(tmp_path / "in.png", image, bit_depth=16)
+    counts = []
+    real_structural = covec.pipeline.run_structural
+
+    def structural(albedo_groups, illum_groups, *args):
+        counts.append(([len(g) for g in albedo_groups], [len(g) for g in illum_groups]))
+        return real_structural(albedo_groups, illum_groups, *args)
+
+    monkeypatch.setattr(covec.pipeline, "run_structural", structural)
+    vectorize(RunConfig(input_path=str(tmp_path / "in.png"),
+                        output_path=str(tmp_path / "out.svg"), mode=mode,
+                        warmup_epochs=0, joint_epochs=0, refine_rounds=0,
+                        refine_iters=1, **files))
+    return counts[0]
+
+
+def test_albedo_only_init_gives_a_uniform_region_one_path(tmp_path, monkeypatch,
+                                                         digest_script):
+    # the digest's grid of 64 flat cells: each cell is its own dark part,
+    # and the cell's path already covers it
+    img, labels = digest_script.grid_scene()
+    assert len(region_binarize(img, masks_from_labels(labels))) == 64
+    assert _vectorize_init(tmp_path, monkeypatch, "albedo_only", img,
+                           labels) == ([64, 0], [])
+
+
+def test_full_init_gives_a_uniform_regions_dark_part_a_path(tmp_path, monkeypatch,
+                                                            digest_script):
+    # in full mode the dark part carries the region's shade on its own layer
+    img, labels = digest_script.grid_scene()
+    assert _vectorize_init(tmp_path, monkeypatch, "full", img, labels) == ([64], [64])
+
+
+@pytest.mark.parametrize("piece,kept", [(1, []), (2, [0])])
+def test_region_binarize_drops_parts_whose_largest_piece_is_below_the_floor(piece, kept):
+    assert min_region_area(40, 40) == 2
+    img, labels = dotted_halves(piece)
+    masks = masks_from_labels(labels)
+    want = [m.bitmap & (luma(img) < 0.4) for m in masks]
+    got = region_binarize(img, masks)
+    assert [g.bitmap.tolist() for g in got] == [want[i].tolist() for i in kept]
+
+
+def test_dust_dark_parts_get_no_path_in_either_mode(tmp_path, monkeypatch):
+    img, labels = dotted_halves(1)
+    (tmp_path / "a").mkdir()
+    (tmp_path / "f").mkdir()
+    assert _vectorize_init(tmp_path / "a", monkeypatch, "albedo_only", img,
+                           labels) == ([2, 0], [])
+    assert _vectorize_init(tmp_path / "f", monkeypatch, "full", img, labels,
+                           img) == ([2], [0])
+
+
+def test_bench_scene_init_path_counts(tmp_path, monkeypatch):
+    # icon seed 0: k-means gives the disk and the background; the disk is
+    # flat (its dark part is itself) and the background's dark part is
+    # anti-aliasing dust, so neither adds a path.  Lit scene seed 0: the
+    # shadow gives the background a dark part, the disk's is dust.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    scenes = importlib.import_module("scenes")
+    (tmp_path / "icon").mkdir()
+    (tmp_path / "lit").mkdir()
+    assert _vectorize_init(tmp_path / "icon", monkeypatch, "albedo_only",
+                           scenes.icon_scene(0)) == ([2, 0], [])
+    lit = scenes.lit_scene(0)
+    assert _vectorize_init(tmp_path / "lit", monkeypatch, "full", lit["target"],
+                           lit["labels"], lit["albedo"]) == ([2], [1])
 
 
 def test_init_matches_checked_in_digest(digest_script, checked_in_digest, tmp_path):
