@@ -8,7 +8,12 @@ rounds propose the paths of the round before (``replay``), and prints
 ``mode/schedule/seed sha256(svg+csv) final_mse`` per run.  The ``init``
 schedule has no epochs and no rounds, so its SVG and final MSE are those
 of the initial paths; it also runs on ``grid``, 64 labelled regions of
-equal area, whose ties fix the order init stacks paths in.  On the
+equal area, whose ties fix the order init stacks paths in; on
+``kmeans``, the lit scene of seed 0 with no label map or albedo, so that
+both modes segment with k-means and full mode estimates its albedo; and
+on ``rings``, a ring around a disk that has more pixels than the ring,
+plus a label split in two, a region with a hole and label values above
+255, written as a 16-bit label PNG.  On the
 ``disk_grid_edit`` document of seeds 0-1 it then runs ``edit.run_edit``
 at K = 1, 4 and 16, printing
 ``edit/kK/seed sha256(svg+report json)``, and renders the K = 16 result
@@ -86,7 +91,8 @@ def version_line() -> str:
 
 def run_seeds(schedule: str) -> list:
     """The scene seeds ``schedule`` runs on, in digest order."""
-    return {"replay": [0], "init": [0, 1, 2, 3, "grid"]}.get(schedule, [0, 1, 2, 3])
+    return {"replay": [0],
+            "init": [0, 1, 2, 3, "grid", "kmeans", "rings"]}.get(schedule, [0, 1, 2, 3])
 
 
 def grid_scene() -> tuple[np.ndarray, np.ndarray]:
@@ -96,12 +102,46 @@ def grid_scene() -> tuple[np.ndarray, np.ndarray]:
     return np.random.default_rng(0).uniform(0.0, 1.0, (64, 3))[labels], labels
 
 
+def ring_icon(size: int = 64, ss: int = 4) -> tuple[np.ndarray, np.ndarray]:
+    """A dark ring (radius 20-23 px) around a blue disk (radius 20 px) on
+    a yellow field, averaged over ``ss`` x ``ss`` samples per pixel, and
+    its label map: field 0, ring 1, disk 2, each pixel labelled by the
+    part that covers more than half of it.  The ring has fewer pixels
+    than the disk it encloses."""
+    c = (np.arange(size * ss) + 0.5) / ss - size / 2.0
+    dist = np.hypot(c[None, :], c[:, None])
+    parts = np.where(dist <= 20.0, 2, np.where(dist <= 23.0, 1, 0))
+    colours = np.array([[0.95, 0.85, 0.25], [0.1, 0.1, 0.1], [0.2, 0.3, 0.9]])
+    img = colours[parts].reshape(size, ss, size, ss, 3).mean(axis=(1, 3))
+    share = (parts[:, :, None] == [1, 2]).reshape(size, ss, size, ss, 2).mean(axis=(1, 3))
+    return img, (share > 0.5).astype(np.int64) @ [1, 2]
+
+
+def rings_scene() -> tuple[np.ndarray, np.ndarray]:
+    """The ring icon with label values above 255 and three more regions
+    in its corners: one label over two 8 px squares of different shades,
+    and a square frame around a hole that holds another region.  The
+    field touches all four borders."""
+    img, parts = ring_icon()
+    labels = np.array([700, 300, 65535])[parts]
+    for (y, x), colour in (((2, 2), [0.8, 0.2, 0.2]), ((54, 54), [0.4, 0.1, 0.1])):
+        labels[y:y + 8, x:x + 8] = 256
+        img[y:y + 8, x:x + 8] = colour
+    labels[2:14, 50:62] = 1000
+    img[2:14, 50:62] = [0.3, 0.7, 0.3]
+    labels[6:10, 54:58] = 257
+    img[6:10, 54:58] = [0.9, 0.9, 0.9]
+    return img, labels
+
+
 def digest(mode: str, schedule: str, seed, work: Path) -> str:
     files = {}
-    if seed == "grid":  # labels given; full mode estimates its albedo
-        target, labels = grid_scene()
+    if seed in ("grid", "rings"):  # labels given; full mode estimates its albedo
+        target, labels = grid_scene() if seed == "grid" else rings_scene()
         files = {"masks_path": work / "labels.png"}
         image_io.write_label_png(files["masks_path"], labels)
+    elif seed == "kmeans":  # no files: k-means regions, estimated albedo
+        target = scenes.lit_scene(0)["target"]
     elif mode == "full":  # the lit scene with its albedo and label map as files
         s = scenes.lit_scene(seed)
         files = {"albedo_path": work / "albedo.png", "masks_path": work / "labels.png"}

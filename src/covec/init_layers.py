@@ -1,25 +1,27 @@
-"""Layer initialization: masks to grouped Bezier paths plus reference renders.
+"""Layer initialization: label images to grouped Bezier paths plus reference renders.
 
-The pipeline seeds optimization from semantic masks.  Masks come from a
-label-map file when provided, otherwise from a seeded k-means
-segmentation.  Albedo paths trace mask outlines and take the mean albedo
-color under the mask; illumination paths trace the dark (sub-threshold)
-part of each region and take the mean image/albedo attenuation ratio.
-The masks of a label map or of the k-means segmentation partition the
-canvas, and each region's dark part lies inside it, so the masks and
-the dark parts are each a group of disjoint masks: a group's paths
-stack largest first and never cover one another.  A dark part whose
-largest piece is below the area floor gets no path.
+The pipeline seeds optimization from a segmentation held as a label
+image, in which each positive id names a region and 0 names none.  It
+comes from a label-map file when provided, otherwise from a seeded
+k-means segmentation.  Albedo paths trace region outlines and take the
+mean albedo color under the region; illumination paths trace the dark
+(sub-threshold) part of each region and take the mean image/albedo
+attenuation ratio.  The dark parts form a label image too, each part
+keeping its region's id.  A group of paths is one label image, so its
+members never overlap.  Every step handles a region inside its bounding
+box from ``ndimage.find_objects``, so init costs pixels rather than
+regions x canvas.  A group's paths stack by the area inside their
+outlines, largest first: a region enclosed by a ring stacks above the
+ring, even when the ring has more pixels.  A dark part whose largest
+piece is below the area floor gets no path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import ndimage
 
-from .geometry import simplify_closed
+from .geometry import polygon_area, simplify_closed
 from .model import SHADE_FLOOR, VectorPath
 
 
@@ -37,22 +39,6 @@ MAX_SEGMENTS = 8
 
 class InitError(ValueError):
     """Raised when no usable initialization can be built for an input."""
-
-
-@dataclass
-class SemanticMask:
-    """Binary region with its pixel count."""
-
-    bitmap: np.ndarray  # (H, W) bool
-    area: int
-
-    @classmethod
-    def from_bitmap(cls, bitmap: np.ndarray) -> "SemanticMask":
-        bitmap = np.asarray(bitmap, dtype=bool)
-        area = int(bitmap.sum())
-        if area == 0:
-            raise ValueError("mask bitmap is empty")
-        return cls(bitmap=bitmap, area=area)
 
 
 def luma(image: np.ndarray) -> np.ndarray:
@@ -182,64 +168,65 @@ def min_region_area(h: int, w: int) -> int:
     return max(1, int(np.ceil(MIN_REGION_FRAC * h * w)))
 
 
-def fallback_segment(image: np.ndarray, seed: int) -> list[SemanticMask]:
+def fallback_segment(image: np.ndarray, seed: int) -> np.ndarray:
     """Color-cluster segmentation used when no label map is supplied.
 
     k-means (KMEANS_CLUSTERS clusters) in RGB, split clusters into
     4-connected components, then merge components below MIN_REGION_FRAC
-    of the canvas into their largest neighbor.  One mask per surviving
-    component, in component-id order.
+    of the canvas into their largest neighbor.  Returns the label image of
+    the surviving components; the ids of absorbed ones are left unused.
     """
     h, w = image.shape[:2]
     labels = kmeans_labels(image.reshape(-1, 3), KMEANS_CLUSTERS, seed)
     comp = _connected_components(labels.reshape(h, w))
-    return masks_from_labels(_merge_small_components(comp, min_region_area(h, w)))
+    return _merge_small_components(comp, min_region_area(h, w))
 
 
-def masks_from_labels(label_map: np.ndarray) -> list[SemanticMask]:
-    """One mask per distinct label value, in ascending label order."""
-    masks = []
-    for value in np.unique(label_map):
-        masks.append(SemanticMask.from_bitmap(label_map == value))
-    if not masks:
+def regions_from_labels(label_map: np.ndarray) -> np.ndarray:
+    """Label image of a label map: its values become ids 1..K in ascending order."""
+    if label_map.size == 0:
         raise InitError("label map contains no labels")
-    return masks
+    return np.unique(label_map, return_inverse=True)[1].reshape(label_map.shape) + 1
+
+
+def _regions(labels: np.ndarray):
+    """Yield ``(id, box, bitmap)`` per region of a label image, in id order:
+    its bounding box as a pair of slices and its pixels inside the box."""
+    for rid, box in enumerate(ndimage.find_objects(labels), start=1):
+        if box is not None:
+            yield rid, box, labels[box] == rid
 
 
 # ---------------------------------------------------------------------------
 # region thresholding
 
 
-def region_binarize(image: np.ndarray, masks: list[SemanticMask]) -> list[SemanticMask]:
-    """Dark-side submasks of each region, thresholded at the region's mean luma.
+def region_binarize(image: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Dark part of each region, thresholded at the region's mean luma.
 
     A pixel belongs to a region's dark part when its luma is <= the mean
     luma of the region, so a perfectly uniform region yields itself.  The
     part is dropped when its largest 4-connected piece, the one
     ``trace_boundary`` would outline, is below ``min_region_area`` (the
     floor ``fallback_segment`` merges below): anti-aliasing dust gets no
-    path.  At most one part per region, in region order, each a nonempty
-    subset of its region: the darkest pixel's luma is the base, and the
-    threshold is never below it.
+    path.  Returns a label image in which each kept part carries its
+    region's id and 0 marks the rest.  A part is a nonempty subset of its
+    region: the darkest pixel's luma is the base, and the threshold is
+    never below it.
     """
     lum = luma(image)
     floor = min_region_area(*lum.shape)
-    out = []
-    for m in masks:
-        vals = lum[m.bitmap]
+    dark = np.zeros_like(labels)
+    for rid, box, region in _regions(labels):
+        vals = lum[box][region]
         # shift by the min before averaging so a constant region thresholds
         # at exactly its own value instead of one rounding step below it
         base = float(vals.min())
-        part = m.bitmap & (lum <= base + float((vals - base).mean()))
-        # label only the part's bounding box: labelling the whole canvas
-        # once per region made this loop 5x slower on 1024 regions at 256^2
-        rows = np.flatnonzero(part.any(axis=1))
-        cols = np.flatnonzero(part.any(axis=0))
-        pieces = ndimage.label(part[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1],
-                               structure=_CROSS)[0]
+        part = region & (lum[box] <= base + float((vals - base).mean()))
+        pieces = ndimage.label(part, structure=_CROSS)[0]
         if np.bincount(pieces.ravel())[1:].max() >= floor:
-            out.append(SemanticMask.from_bitmap(part))
-    return out
+            dark[box][part] = rid
+    return dark
 
 
 # ---------------------------------------------------------------------------
@@ -303,15 +290,6 @@ def trace_boundary(mask: np.ndarray) -> np.ndarray:
     return np.asarray(corners, dtype=np.float64)
 
 
-def trace_and_simplify(mask: np.ndarray, dp_epsilon: float) -> np.ndarray:
-    """Traced outer boundary simplified with closed-loop Douglas-Peucker.
-
-    The simplified loop stays within Hausdorff distance dp_epsilon of the
-    raw trace and keeps at least 3 vertices.
-    """
-    return simplify_closed(trace_boundary(mask), dp_epsilon)
-
-
 # ---------------------------------------------------------------------------
 # Bezier fitting
 
@@ -364,33 +342,38 @@ def attenuation_ratio(image: np.ndarray, albedo_map: np.ndarray) -> np.ndarray:
     return np.clip(image / denom, 0.0, 1.0)
 
 
-def paths_for_groups(mask_groups: list[list[SemanticMask]], color_image: np.ndarray,
+def paths_for_groups(groups: list[np.ndarray], color_image: np.ndarray,
                      layer_tag: str, dp_epsilon: float
                      ) -> tuple[list[list[VectorPath]], list[np.ndarray]]:
-    """Build one VectorPath per mask plus a flat-color reference render per group.
+    """Build one VectorPath per region plus a flat-color reference render per group.
 
-    Every mask gets a path, so callers pass none that adds nothing:
-    ``region_binarize`` drops dust, and albedo-only ``vectorize`` skips a
-    dark part equal to its region (full mode keeps it: it holds a shade).
-    The masks of a group must not overlap.  Its paths stack largest first,
-    ties in input order.  Each path traces its mask outline, simplified
-    within ``dp_epsilon`` and fitted with at most MAX_SEGMENTS cubics; its
-    fill is the mean of ``color_image`` under the mask.  The reference
-    render paints each group's masks onto white, on ``color_image``'s
-    canvas.
+    Each group is a label image on ``color_image``'s canvas, so its
+    regions never overlap.  Every region gets a path, so callers pass
+    none that adds nothing: ``region_binarize`` drops dust, and albedo-only
+    ``vectorize`` drops a dark part equal to its region (full mode keeps
+    it: it holds a shade).  Each region is thresholded, traced, averaged
+    and painted inside its bounding box.  Its path traces the outline of
+    its largest 4-connected piece, simplified within ``dp_epsilon`` and
+    fitted with at most MAX_SEGMENTS cubics; its fill is the mean of
+    ``color_image`` over the region.  A group's paths stack by the area
+    inside the traced outline, holes filled, largest first and ties in id
+    order, so a region stacks above a ring that encloses it.  The
+    reference render paints each group's regions onto white.
     """
-    groups: list[list[VectorPath]] = []
+    path_groups: list[list[VectorPath]] = []
     renders: list[np.ndarray] = []
-    for group in mask_groups:
-        paths = []
+    for labels in groups:
+        stack = []
         render = np.ones(color_image.shape)
-        for mask in sorted(group, key=lambda m: -m.area):
-            color = np.clip(color_image[mask.bitmap].mean(axis=0), 0.0, 1.0)
-            loop = trace_and_simplify(mask.bitmap, dp_epsilon)
-            ctrl = fit_bezier_contour(loop, MAX_SEGMENTS)
-            paths.append(VectorPath(control_points=ctrl, fill_color=color,
-                                    opacity=1.0, layer_tag=layer_tag))
-            render[mask.bitmap] = color
-        groups.append(paths)
+        for _rid, box, region in _regions(labels):
+            color = np.clip(color_image[box][region].mean(axis=0), 0.0, 1.0)
+            raw = trace_boundary(region) + (box[1].start, box[0].start)
+            ctrl = fit_bezier_contour(simplify_closed(raw, dp_epsilon), MAX_SEGMENTS)
+            stack.append((-int(np.count_nonzero(region)),
+                          VectorPath(control_points=ctrl, fill_color=color,
+                                     opacity=1.0, layer_tag=layer_tag)))
+            render[box][region] = color
+        stack.sort(key=lambda item: item[0])
+        path_groups.append([path for _area, path in stack])
         renders.append(render)
-    return groups, renders
+    return path_groups, renders

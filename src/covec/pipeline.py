@@ -5,7 +5,7 @@ mode reconstructs the image as albedo times shade plus light: it
 initializes both layers from a segmentation and an albedo estimate,
 refines the illumination layer over the frozen albedo render, then
 separates illumination into shade and light, coloring light from the same
-albedo render.  Albedo-only mode folds the region shadow masks into a
+albedo render.  Albedo-only mode folds the regions' dark parts into a
 single albedo layer, refines that layer over a white (identity) factor,
 and emits empty shade and light groups.  Structural warm-up and joint
 reconstruction are shared.
@@ -35,7 +35,7 @@ import numpy as np
 
 from .image_io import read_image, read_label_map
 from .init_layers import (attenuation_ratio, fallback_albedo, fallback_segment,
-                          masks_from_labels, paths_for_groups, region_binarize)
+                          paths_for_groups, region_binarize, regions_from_labels)
 from .model import WHITE, LayeredDocument, RasterizerConfig
 from .optimize import Schedule, StructLossConfig, TraceRow, mse, run_structural
 from .raster import layer_forward, render_composite
@@ -162,14 +162,14 @@ def _load_albedo(cfg: RunConfig, image: np.ndarray) -> np.ndarray:
     return albedo
 
 
-def _load_masks(cfg: RunConfig, image: np.ndarray):
+def _load_regions(cfg: RunConfig, image: np.ndarray) -> np.ndarray:
     if cfg.masks_path is None:
         return fallback_segment(image, cfg.seed)
     labels = read_label_map(cfg.masks_path)
     if labels.shape != image.shape[:2]:
         raise ValueError(f"label map shape {labels.shape} does not match "
                          f"input image {image.shape[:2]}")
-    return masks_from_labels(labels)
+    return regions_from_labels(labels)
 
 
 def vectorize(cfg: RunConfig) -> VectorizeResult:
@@ -180,19 +180,19 @@ def vectorize(cfg: RunConfig) -> VectorizeResult:
     full = cfg.mode == "full"
     eps = cfg.dp_epsilon
     albedo_map = _load_albedo(cfg, image) if full else None
-    masks = _load_masks(cfg, image)
-    dark = region_binarize(image, masks)
+    regions = _load_regions(cfg, image)
+    dark = region_binarize(image, regions)
     if full:
-        a_groups, a_renders = paths_for_groups([masks], albedo_map, "albedo", eps)
+        a_groups, a_renders = paths_for_groups([regions], albedo_map, "albedo", eps)
         i_groups, i_renders = paths_for_groups(
             [dark], attenuation_ratio(image, albedo_map), "illumination", eps)
     else:
-        # a dark part lies in one region of the partition, so it equals its
-        # region exactly when both have the same area and first pixel; the
-        # region's path already covers such a part
-        whole = {(m.area, int(np.argmax(m.bitmap))) for m in masks}
-        dark = [d for d in dark if (d.area, int(np.argmax(d.bitmap))) not in whole]
-        a_groups, a_renders = paths_for_groups([masks, dark], image, "albedo", eps)
+        # a dark part lies inside its region, so it equals the region exactly
+        # when both have the same area; the region's path already covers it
+        area = np.bincount(regions.ravel())
+        whole = np.bincount(dark.ravel(), minlength=area.size) == area
+        dark = np.where(whole[dark], 0, dark)
+        a_groups, a_renders = paths_for_groups([regions, dark], image, "albedo", eps)
         i_groups, i_renders = [], []
     trace = run_structural(a_groups, i_groups, image, a_renders, i_renders,
                            cfg.schedule, cfg.struct_config, rcfg)

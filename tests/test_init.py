@@ -10,23 +10,19 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 import covec.pipeline
-from covec.geometry import Polyline, batch_signed_distance, flatten_bezier
-from covec.init_layers import (KMEANS_CLUSTERS, MIN_REGION_FRAC, InitError, SemanticMask,
+from covec.geometry import (Polyline, batch_signed_distance, flatten_bezier, polygon_area,
+                            simplify_closed)
+from covec.init_layers import (KMEANS_CLUSTERS, MAX_SEGMENTS, MIN_REGION_FRAC, InitError,
                                _connected_components, _merge_small_components,
                                attenuation_ratio, fallback_albedo,
                                fallback_segment, fit_bezier_contour,
-                               kmeans_labels, luma, masks_from_labels,
-                               min_region_area, paths_for_groups, region_binarize,
-                               trace_and_simplify, trace_boundary)
+                               kmeans_labels, luma, min_region_area, paths_for_groups,
+                               region_binarize, regions_from_labels, trace_boundary)
 from covec.image_io import write_label_png, write_png
 from covec.model import RasterizerConfig, VectorPath
 from covec.pipeline import RunConfig, vectorize
 
 from conftest import dotted_halves
-
-
-def _mask(bitmap):
-    return SemanticMask.from_bitmap(bitmap)
 
 
 def test_luma_rec601_weights():
@@ -82,18 +78,19 @@ def test_fallback_segment_circle_on_field():
     ys, xs = np.mgrid[0:h, 0:w]
     inside = (xs - 24) ** 2 + (ys - 24) ** 2 <= 12 ** 2
     img = np.where(inside[:, :, None], [0.8, 0.1, 0.1], [0.1, 0.1, 0.8])
-    masks = fallback_segment(img, seed=0)
+    regions = fallback_segment(img, seed=0)
+    masks = [regions == i for i in np.unique(regions)]
     assert len(masks) == 2
-    best = max(masks, key=lambda m: np.sum(m.bitmap & inside))
-    agreement = np.sum(best.bitmap == inside) / inside.size
+    best = max(masks, key=lambda m: np.sum(m & inside))
+    agreement = np.sum(best == inside) / inside.size
     assert agreement >= 0.99
 
 
 def test_fallback_segment_uniform_single_mask():
     img = np.full((20, 20, 3), 0.4)
-    masks = fallback_segment(img, seed=0)
-    assert len(masks) == 1
-    assert masks[0].area == 400
+    regions = fallback_segment(img, seed=0)
+    assert np.unique(regions).size == 1
+    assert np.count_nonzero(regions) == 400
 
 
 def _merge_small_components_oracle(comp, min_area):
@@ -151,34 +148,34 @@ def test_merge_small_components_matches_oracle_on_icon_scenes(seed, monkeypatch)
     assert np.unique(comp).size > np.unique(merged).size
 
 
-def test_masks_from_labels_zero_is_a_region():
+def test_regions_from_labels_zero_is_a_region():
     labels = np.zeros((4, 8), dtype=int)
     labels[:, 4:] = 1
-    masks = masks_from_labels(labels)
-    assert len(masks) == 2
-    assert masks[0].area == masks[1].area == 16
+    assert np.array_equal(regions_from_labels(labels), labels + 1)
+    # ids follow the values' order, whatever their size
+    assert regions_from_labels(np.array([[700, 300], [65535, 300]])).tolist() == [[2, 1],
+                                                                                [3, 1]]
 
 
-def test_masks_from_labels_empty_errors():
+def test_regions_from_labels_empty_errors():
     with pytest.raises(InitError):
-        masks_from_labels(np.zeros((0, 0), dtype=int))
+        regions_from_labels(np.zeros((0, 0), dtype=int))
 
 
 def test_region_binarize_constant_region():
     img = np.full((6, 6, 3), 0.5)
-    out = region_binarize(img, [_mask(np.ones((6, 6), bool))])
-    assert len(out) == 1
-    assert np.array_equal(out[0].bitmap, np.ones((6, 6), bool))
+    regions = np.ones((6, 6), dtype=np.int64)
+    assert np.array_equal(region_binarize(img, regions), regions)
 
 
 def test_region_binarize_two_level_region():
     img = np.zeros((4, 8, 3))
     img[:, :4] = 0.2
     img[:, 4:] = 0.8
-    out = region_binarize(img, [_mask(np.ones((4, 8), bool))])
-    expect = np.zeros((4, 8), bool)
-    expect[:, :4] = True
-    assert np.array_equal(out[0].bitmap, expect)
+    out = region_binarize(img, np.ones((4, 8), dtype=np.int64))
+    expect = np.zeros((4, 8), dtype=np.int64)
+    expect[:, :4] = 1
+    assert np.array_equal(out, expect)
 
 
 def _binarize_oracle(image, masks):
@@ -187,10 +184,10 @@ def _binarize_oracle(image, masks):
     out = []
     for m in masks:
         total, count = 0.0, 0
-        h, w = m.bitmap.shape
+        h, w = m.shape
         for r in range(h):
             for c in range(w):
-                if m.bitmap[r, c]:
+                if m[r, c]:
                     total += y[r, c]
                     count += 1
         if count == 0:
@@ -199,7 +196,7 @@ def _binarize_oracle(image, masks):
         bm = np.zeros((h, w), bool)
         for r in range(h):
             for c in range(w):
-                if m.bitmap[r, c] and y[r, c] <= thresh:
+                if m[r, c] and y[r, c] <= thresh:
                     bm[r, c] = True
         if bm.any():
             out.append(bm)
@@ -210,35 +207,37 @@ def _binarize_oracle(image, masks):
 def test_region_binarize_matches_pixel_loop(seed):
     rng = np.random.default_rng(seed)
     img = rng.uniform(0, 1, (12, 10, 3))
-    masks = []
-    for _ in range(3):
-        bm = rng.uniform(0, 1, (12, 10)) < 0.4
-        if bm.any():
-            masks.append(_mask(bm))
-    got = region_binarize(img, masks)
+    masks = [bm for bm in rng.uniform(0, 1, (3, 12, 10)) < 0.4 if bm.any()]
+    # the masks overlap, so each is a label image of its own
+    got = [region_binarize(img, bm.astype(np.int64)) == 1 for bm in masks]
     want = _binarize_oracle(img, masks)
     assert len(got) == len(want)
     for g, w in zip(got, want):
-        assert np.array_equal(g.bitmap, w)
+        assert np.array_equal(g, w)
 
 
 def test_binarize_output_subset_of_input(rng):
     img = rng.uniform(0, 1, (10, 10, 3))
     bm = rng.uniform(0, 1, (10, 10)) < 0.5
-    out = region_binarize(img, [_mask(bm)])
-    for m in out:
-        assert not np.any(m.bitmap & ~bm)
+    out = region_binarize(img, bm.astype(np.int64))
+    assert not np.any((out > 0) & ~bm)
+
+
+def _stack_key(mask):
+    """Init's stacking key: pixel count, larger first."""
+    return -int(mask.sum())
 
 
 def _organize_oracle(masks):
-    """First-fit overlap packer: masks taken largest first (ties by input
-    order) each join the first group holding nothing they overlap, else
-    start a new group.  Returns groups of indices into ``masks``."""
-    order = sorted(range(len(masks)), key=lambda i: (-masks[i].area, i))
+    """First-fit overlap packer: masks taken in ``_stack_key`` order (ties
+    by input order) each join the first group holding nothing they
+    overlap, else start a new group.  Returns groups of indices into
+    ``masks``."""
+    order = sorted(range(len(masks)), key=lambda i: (_stack_key(masks[i]), i))
     groups = []
     for i in order:
         for group in groups:
-            if not any(np.any(masks[i].bitmap & masks[j].bitmap) for j in group):
+            if not any(np.any(masks[i] & masks[j]) for j in group):
                 group.append(i)
                 break
         else:
@@ -259,20 +258,96 @@ def test_paths_for_groups_stacks_like_the_overlap_packer(seed, h, w, n_levels, b
     levels = np.repeat(np.repeat(coarse, block, axis=0), block, axis=1)[:h, :w]
     img = rng.integers(0, 4, (n_levels, 3))[levels] / 3.0
     img = img + rng.integers(0, 2, (h, w, 1)) / 8.0  # dark parts split regions
-    masks = fallback_segment(img, seed % 7) if kmeans else masks_from_labels(levels)
-    dark = region_binarize(img, masks)
+    regions = fallback_segment(img, seed % 7) if kmeans else regions_from_labels(levels)
+    dark = region_binarize(img, regions)
+    ids = np.unique(regions)
+    masks = [regions == i for i in ids]
+    darks = [dark == i for i in ids if np.any(dark == i)]
     n = len(masks)
+    assert len(darks) == n  # the area floor is 1 px: every region has a part
     # each pixel's color names its region, so each fill names its mask
     code = np.zeros((h, w, 3))
     for i, m in enumerate(masks):
-        code[m.bitmap] = (i + 1) / 1024
-    for mask_groups, flat in (([masks], masks), ([dark], dark),
-                              ([masks, dark], masks + dark)):
-        groups, _ = paths_for_groups(mask_groups, code, "albedo", 1.0)
+        code[m] = (i + 1) / 1024
+    for label_groups, flat in (([regions], masks), ([dark], darks),
+                               ([regions, dark], masks + darks)):
+        groups, _ = paths_for_groups(label_groups, code, "albedo", 1.0)
         got = [[(g, round(p.fill_color[0] * 1024) - 1) for p in paths]
                for g, paths in enumerate(groups)]
         want = [[(i >= n, i % n) for i in group] for group in _organize_oracle(flat)]
         assert got == want
+
+
+def _region_binarize_oracle(image, masks):
+    """Per-mask, whole-canvas dark parts: the bitmaps of the kept parts, in
+    mask order."""
+    lum = luma(image)
+    floor = min_region_area(*lum.shape)
+    out = []
+    for m in masks:
+        vals = lum[m]
+        base = float(vals.min())
+        part = m & (lum <= base + float((vals - base).mean()))
+        pieces = ndimage.label(part, structure=ndimage.generate_binary_structure(2, 1))[0]
+        if np.bincount(pieces.ravel())[1:].max() >= floor:
+            out.append(part)
+    return out
+
+
+def _paths_for_groups_oracle(mask_groups, color_image, layer_tag, dp_epsilon):
+    """Per-mask, whole-canvas paths and renders of groups of disjoint
+    bitmaps, stacked in ``_stack_key`` order, ties in input order."""
+    groups, renders = [], []
+    for group in mask_groups:
+        paths = []
+        render = np.ones(color_image.shape)
+        for mask in sorted(group, key=_stack_key):
+            color = np.clip(color_image[mask].mean(axis=0), 0.0, 1.0)
+            loop = simplify_closed(trace_boundary(mask), dp_epsilon)
+            ctrl = fit_bezier_contour(loop, MAX_SEGMENTS)
+            paths.append(VectorPath(control_points=ctrl, fill_color=color,
+                                    opacity=1.0, layer_tag=layer_tag))
+            render[mask] = color
+        groups.append(paths)
+        renders.append(render)
+    return groups, renders
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 24), st.integers(1, 24),
+       st.integers(1, 6), st.integers(1, 4), st.booleans())
+def test_label_image_init_matches_per_mask_oracle(seed, h, w, n_levels, block, merged):
+    # a few levels on a coarse grid give labels split into several pieces
+    # and regions with holes; merging the small components of the levels
+    # leaves gaps in the ids
+    rng = np.random.default_rng(seed)
+    coarse = rng.integers(0, n_levels, (-(-h // block), -(-w // block)))
+    levels = np.repeat(np.repeat(coarse, block, axis=0), block, axis=1)[:h, :w]
+    if merged:
+        regions = _merge_small_components(_connected_components(levels),
+                                          int(rng.integers(1, 12)))
+    else:
+        regions = regions_from_labels(300 * levels)
+    img = rng.uniform(0.0, 1.0, (n_levels, 3))[levels] + rng.uniform(0.0, 0.3, (h, w, 1))
+    dark = region_binarize(img, regions)
+    ids = np.unique(regions)
+    masks = [regions == i for i in ids]
+    darks = [dark == i for i in ids if np.any(dark == i)]
+    assert set(np.unique(dark)) <= {0, *ids}
+    want_darks = _region_binarize_oracle(img, masks)
+    assert len(darks) == len(want_darks)
+    assert all(np.array_equal(d, want) for d, want in zip(darks, want_darks))
+    for label_groups, mask_groups in (([regions], [masks]), ([dark], [darks]),
+                                      ([regions, dark], [masks, darks])):
+        got, got_renders = paths_for_groups(label_groups, img, "albedo", 1.0)
+        want, want_renders = _paths_for_groups_oracle(mask_groups, img, "albedo", 1.0)
+        assert [len(g) for g in got] == [len(g) for g in want]
+        for g, wg in zip(got, want):
+            for p, q in zip(g, wg):
+                assert np.array_equal(p.control_points, q.control_points)
+                assert np.array_equal(p.fill_color, q.fill_color)
+        for r, q in zip(got_renders, want_renders):
+            assert np.array_equal(r, q)
 
 
 def test_trace_single_pixel_unit_square():
@@ -312,7 +387,7 @@ def test_trace_and_simplify_zero_epsilon_identity():
     bm = np.zeros((8, 8), bool)
     bm[2:6, 2:7] = True
     raw = trace_boundary(bm)
-    assert np.array_equal(trace_and_simplify(bm, 0.0), raw)
+    assert np.array_equal(simplify_closed(raw, 0.0), raw)
 
 
 def test_trace_and_simplify_disk_within_tolerance():
@@ -320,7 +395,7 @@ def test_trace_and_simplify_disk_within_tolerance():
     ys, xs = np.mgrid[0:h, 0:w]
     bm = (xs - 25) ** 2 + (ys - 25) ** 2 <= 20 ** 2
     raw = trace_boundary(bm)
-    simp = trace_and_simplify(bm, 2.0)
+    simp = simplify_closed(raw, 2.0)
     assert simp.shape[0] < raw.shape[0]
     poly = Polyline(vertices=simp)
     dist = np.abs(batch_signed_distance(poly, raw.astype(np.float64))[0])
@@ -330,7 +405,7 @@ def test_trace_and_simplify_disk_within_tolerance():
 def test_trace_single_pixel_survives_coarse_epsilon():
     bm = np.zeros((4, 4), bool)
     bm[1, 1] = True
-    loop = trace_and_simplify(bm, 2.0)
+    loop = simplify_closed(trace_boundary(bm), 2.0)
     assert loop.shape[0] >= 3
 
 
@@ -386,9 +461,9 @@ def test_attenuation_ratio_formula():
 
 def _init_paths(img, albedo, labels):
     """Full mode's init in vectorize: albedo and illumination path groups."""
-    masks = masks_from_labels(labels)
-    a_groups, _ = paths_for_groups([masks], albedo, "albedo", 2.0)
-    i_groups, _ = paths_for_groups([region_binarize(img, masks)],
+    regions = regions_from_labels(labels)
+    a_groups, _ = paths_for_groups([regions], albedo, "albedo", 2.0)
+    i_groups, _ = paths_for_groups([region_binarize(img, regions)],
                                    attenuation_ratio(img, albedo), "illumination", 2.0)
     return a_groups, i_groups
 
@@ -465,7 +540,8 @@ def test_albedo_only_init_gives_a_uniform_region_one_path(tmp_path, monkeypatch,
     # the digest's grid of 64 flat cells: each cell is its own dark part,
     # and the cell's path already covers it
     img, labels = digest_script.grid_scene()
-    assert len(region_binarize(img, masks_from_labels(labels))) == 64
+    regions = regions_from_labels(labels)
+    assert np.array_equal(region_binarize(img, regions), regions)
     assert _vectorize_init(tmp_path, monkeypatch, "albedo_only", img,
                            labels) == ([64, 0], [])
 
@@ -481,10 +557,11 @@ def test_full_init_gives_a_uniform_regions_dark_part_a_path(tmp_path, monkeypatc
 def test_region_binarize_drops_parts_whose_largest_piece_is_below_the_floor(piece, kept):
     assert min_region_area(40, 40) == 2
     img, labels = dotted_halves(piece)
-    masks = masks_from_labels(labels)
-    want = [m.bitmap & (luma(img) < 0.4) for m in masks]
-    got = region_binarize(img, masks)
-    assert [g.bitmap.tolist() for g in got] == [want[i].tolist() for i in kept]
+    regions = regions_from_labels(labels)
+    want = np.zeros_like(regions)
+    for i in kept:
+        want[(regions == i + 1) & (luma(img) < 0.4)] = i + 1
+    assert np.array_equal(region_binarize(img, regions), want)
 
 
 def test_dust_dark_parts_get_no_path_in_either_mode(tmp_path, monkeypatch):
@@ -517,7 +594,7 @@ def test_init_matches_checked_in_digest(digest_script, checked_in_digest, tmp_pa
     # the */init/* lines of scripts/output_digest.txt: the SVG and final
     # MSE of the initial paths, on the bench scenes and the 64-cell grid
     want = [line for line in checked_in_digest if "/init/" in line]
-    assert len(want) == 10
+    assert len(want) == 14
     got = [digest_script.digest(mode, "init", seed, tmp_path)
            for mode in ("full", "albedo_only") for seed in digest_script.run_seeds("init")]
     assert got == want
