@@ -369,7 +369,7 @@ def paths_for_groups(groups: list[np.ndarray], color_image: np.ndarray,
             color = np.clip(color_image[box][region].mean(axis=0), 0.0, 1.0)
             raw = trace_boundary(region) + (box[1].start, box[0].start)
             ctrl = fit_bezier_contour(simplify_closed(raw, dp_epsilon), MAX_SEGMENTS)
-            stack.append((-int(np.count_nonzero(region)),
+            stack.append((-abs(polygon_area(raw)),
                           VectorPath(control_points=ctrl, fill_color=color,
                                      opacity=1.0, layer_tag=layer_tag)))
             render[box][region] = color

@@ -224,8 +224,8 @@ def test_binarize_output_subset_of_input(rng):
 
 
 def _stack_key(mask):
-    """Init's stacking key: pixel count, larger first."""
-    return -int(mask.sum())
+    """Init's stacking key: the area inside the traced outline, larger first."""
+    return -abs(polygon_area(trace_boundary(mask)))
 
 
 def _organize_oracle(masks):
@@ -348,6 +348,24 @@ def test_label_image_init_matches_per_mask_oracle(seed, h, w, n_levels, block, m
                 assert np.array_equal(p.fill_color, q.fill_color)
         for r, q in zip(got_renders, want_renders):
             assert np.array_equal(r, q)
+
+
+def test_a_region_stacks_above_the_ring_around_it(tmp_path, monkeypatch, digest_script):
+    # the ring has fewer pixels than the disk inside it, but its outline
+    # holds the disk, so the disk's path must be drawn after the ring's
+    img, labels = digest_script.ring_icon()
+    regions = regions_from_labels(labels)  # field 1, ring 2, disk 3
+    assert np.count_nonzero(regions == 2) < np.count_nonzero(regions == 3)
+    code = regions[:, :, None] / 1024 * np.ones(3)
+    (groups,), _ = paths_for_groups([regions], code, "albedo", 1.0)
+    assert [round(p.fill_color[0] * 1024) for p in groups] == [1, 2, 3]
+    write_label_png(tmp_path / "labels.png", labels)
+    write_png(tmp_path / "in.png", img, bit_depth=16)
+    result = vectorize(RunConfig(input_path=str(tmp_path / "in.png"),
+                                 output_path=str(tmp_path / "out.svg"),
+                                 masks_path=str(tmp_path / "labels.png"),
+                                 warmup_epochs=0, joint_epochs=0, refine_rounds=0))
+    assert result.final_mse < 0.05  # 0.079 with the ring stacked on the disk
 
 
 def test_trace_single_pixel_unit_square():
