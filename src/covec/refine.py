@@ -72,30 +72,30 @@ def propose_paths(err: np.ndarray, n: int, target: np.ndarray,
     mask = err > threshold
     if not np.any(mask):
         return []
-    lab, count = ndimage.label(mask, structure=_CROSS)
+    lab = ndimage.label(mask, structure=_CROSS)[0]
+    # each blob is measured inside its bounding box, whose origin breaks ties
+    boxes = ndimage.find_objects(lab)
     candidates = []
-    for cid in range(1, count + 1):
-        sel = lab == cid
-        area = int(sel.sum())
-        if area < MIN_COMPONENT_PIXELS:
-            continue
-        ys, xs = np.nonzero(sel)
-        summed = float(err[sel].sum())
-        candidates.append((-summed, int(ys.min()), int(xs.min()), cid, area))
+    for cid, box in enumerate(boxes, start=1):
+        sel = lab[box] == cid
+        if np.count_nonzero(sel) >= MIN_COMPONENT_PIXELS:
+            candidates.append((-float(err[box][sel].sum()), box[0].start,
+                               box[1].start, cid))
     candidates.sort()
     # ratio may exceed 1 for highlights; only the layer's own range applies
     ratio = target / np.maximum(albedo_render, SHADE_FLOOR)
     r_max = min(width, height) / 4.0
     paths = []
-    for neg_sum, _y0, _x0, cid, area in candidates[:n]:
-        sel = lab == cid
+    for _neg_sum, y0, x0, cid in candidates[:n]:
+        box = boxes[cid - 1]
+        sel = lab[box] == cid
         ys, xs = np.nonzero(sel)
-        weights = err[sel]
+        weights = err[box][sel]
         wsum = float(weights.sum())
-        cx = float((xs + 0.5) @ weights / wsum)
-        cy = float((ys + 0.5) @ weights / wsum)
-        radius = float(np.clip(np.sqrt(area / np.pi), RADIUS_MIN, r_max))
-        color = project_color(ratio[sel].mean(axis=0), layer_tag)
+        cx = float((xs + x0 + 0.5) @ weights / wsum)
+        cy = float((ys + y0 + 0.5) @ weights / wsum)
+        radius = float(np.clip(np.sqrt(ys.size / np.pi), RADIUS_MIN, r_max))
+        color = project_color(ratio[box][sel].mean(axis=0), layer_tag)
         paths.append(VectorPath(control_points=circle_control_points((cx, cy), radius),
                                 fill_color=color, opacity=1.0, layer_tag=layer_tag))
     return paths

@@ -8,13 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covec.model import RasterizerConfig, VectorPath
+from scipy import ndimage
+
+from covec.model import SHADE_FLOOR, RasterizerConfig, VectorPath, project_color
 from covec.optimize import Schedule
 import covec.raster
 import covec.refine
 from covec.raster import (WHITE, layer_forward, path_coverage, render_composite,
                           source_over)
-from covec.refine import (CLEANUP_LOSS_EPS, KAPPA,
+from covec.refine import (CLEANUP_LOSS_EPS, ERROR_PERCENTILE, KAPPA,
+                          MIN_COMPONENT_PIXELS, RADIUS_MIN,
                           assign_light_colors, circle_control_points,
                           cleanup_layer, propose_paths, refine_layer,
                           separate_layers)
@@ -120,10 +123,80 @@ def test_propose_illumination_color_can_exceed_one():
     assert np.allclose(albedo_tagged[0].fill_color, 1.0)  # albedo range caps
 
 
+def test_propose_ties_go_to_the_bounding_box_origin():
+    # two 16 px blobs of equal summed error whose first pixels share row 0:
+    # the square's comes first in raster order, but the L reaches further
+    # left, so its box origin (0, 2) ranks before the square's (0, 5)
+    err = _blob_err(24, 24, 0, 5, 4)
+    err[0:6, 12] = 1.0
+    err[5, 2:12] = 1.0
+    target = np.full((24, 24, 3), 0.5)
+    paths = propose_paths(err, 1, target, target)
+    center = paths[0].control_points[::3].mean(axis=0)
+    assert np.allclose(center, [145 / 16, 73 / 16])
+
+
 def test_propose_requires_positive_n():
     with pytest.raises(ValueError):
         propose_paths(np.zeros((8, 8)), 0, np.zeros((8, 8, 3)),
                       np.zeros((8, 8, 3)))
+
+
+def _propose_paths_oracle(err, n, target, albedo_render, layer_tag="illumination"):
+    """Canvas-wide proposals: every blob is selected and measured over the
+    whole error map, twice."""
+    height, width = err.shape
+    mask = err > np.percentile(err, ERROR_PERCENTILE)
+    if not np.any(mask):
+        return []
+    lab, count = ndimage.label(mask, structure=ndimage.generate_binary_structure(2, 1))
+    candidates = []
+    for cid in range(1, count + 1):
+        sel = lab == cid
+        area = int(sel.sum())
+        if area < MIN_COMPONENT_PIXELS:
+            continue
+        ys, xs = np.nonzero(sel)
+        candidates.append((-float(err[sel].sum()), int(ys.min()), int(xs.min()), cid, area))
+    candidates.sort()
+    ratio = target / np.maximum(albedo_render, SHADE_FLOOR)
+    r_max = min(width, height) / 4.0
+    paths = []
+    for _neg_sum, _y0, _x0, cid, area in candidates[:n]:
+        sel = lab == cid
+        ys, xs = np.nonzero(sel)
+        weights = err[sel]
+        wsum = float(weights.sum())
+        cx = float((xs + 0.5) @ weights / wsum)
+        cy = float((ys + 0.5) @ weights / wsum)
+        radius = float(np.clip(np.sqrt(area / np.pi), RADIUS_MIN, r_max))
+        color = project_color(ratio[sel].mean(axis=0), layer_tag)
+        paths.append(VectorPath(control_points=circle_control_points((cx, cy), radius),
+                                fill_color=color, opacity=1.0, layer_tag=layer_tag))
+    return paths
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(8, 64), st.integers(8, 64),
+       st.integers(1, 3), st.integers(2, 6), st.integers(1, 12),
+       st.sampled_from(["illumination", "albedo"]))
+def test_propose_paths_matches_canvas_wide_oracle(seed, h, w, levels, block, n, tag):
+    # integer errors on about 8 % of the cells of a coarse grid: the
+    # percentile threshold is 0, the cells join into blobs of many sizes,
+    # and blobs of equal size and value tie on summed error, so the
+    # bounding-box origin decides their ranking
+    rng = np.random.default_rng(seed)
+    shape = (-(-h // block), -(-w // block))
+    coarse = np.where(rng.random(shape) < 0.08, rng.integers(1, levels + 1, shape), 0)
+    err = np.repeat(np.repeat(coarse, block, axis=0), block, axis=1)[:h, :w].astype(float)
+    target = rng.uniform(0.0, 1.0, (h, w, 3))
+    albedo = rng.uniform(0.0, 1.0, (h, w, 3))
+    got = propose_paths(err, n, target, albedo, layer_tag=tag)
+    want = _propose_paths_oracle(err, n, target, albedo, layer_tag=tag)
+    assert len(got) == len(want)
+    for p, q in zip(got, want):
+        assert np.array_equal(p.control_points, q.control_points)
+        assert np.array_equal(p.fill_color, q.fill_color)
 
 
 def _highlight_scene(rcfg):
