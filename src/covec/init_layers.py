@@ -12,8 +12,8 @@ members never overlap.  Every step handles a region inside its bounding
 box from ``ndimage.find_objects``, so init costs pixels rather than
 regions x canvas.  A group's paths stack by the area inside their
 outlines, largest first: a region enclosed by a ring stacks above the
-ring, even when the ring has more pixels.  A dark part whose largest
-piece is below the area floor gets no path.
+ring, even when it has more pixels than the ring.  A dark part whose
+largest piece is below the area floor gets no path.
 """
 
 from __future__ import annotations
@@ -351,8 +351,8 @@ def paths_for_groups(groups: list[np.ndarray], color_image: np.ndarray,
     regions never overlap.  Every region gets a path, so callers pass
     none that adds nothing: ``region_binarize`` drops dust, and albedo-only
     ``vectorize`` drops a dark part equal to its region (full mode keeps
-    it: it holds a shade).  Each region is thresholded, traced, averaged
-    and painted inside its bounding box.  Its path traces the outline of
+    it: it holds a shade).  Each region is traced, averaged and painted
+    inside its bounding box.  Its path traces the outline of
     its largest 4-connected piece, simplified within ``dp_epsilon`` and
     fitted with at most MAX_SEGMENTS cubics; its fill is the mean of
     ``color_image`` over the region.  A group's paths stack by the area

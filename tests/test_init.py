@@ -350,15 +350,15 @@ def test_label_image_init_matches_per_mask_oracle(seed, h, w, n_levels, block, m
             assert np.array_equal(r, q)
 
 
-def test_a_region_stacks_above_the_ring_around_it(tmp_path, monkeypatch, digest_script):
+def test_a_region_stacks_above_the_ring_around_it(tmp_path, digest_script):
     # the ring has fewer pixels than the disk inside it, but its outline
     # holds the disk, so the disk's path must be drawn after the ring's
     img, labels = digest_script.ring_icon()
     regions = regions_from_labels(labels)  # field 1, ring 2, disk 3
     assert np.count_nonzero(regions == 2) < np.count_nonzero(regions == 3)
     code = regions[:, :, None] / 1024 * np.ones(3)
-    (groups,), _ = paths_for_groups([regions], code, "albedo", 1.0)
-    assert [round(p.fill_color[0] * 1024) for p in groups] == [1, 2, 3]
+    (stack,), _ = paths_for_groups([regions], code, "albedo", 1.0)
+    assert [round(p.fill_color[0] * 1024) for p in stack] == [1, 2, 3]
     write_label_png(tmp_path / "labels.png", labels)
     write_png(tmp_path / "in.png", img, bit_depth=16)
     result = vectorize(RunConfig(input_path=str(tmp_path / "in.png"),
