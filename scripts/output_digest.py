@@ -13,8 +13,11 @@ equal area, whose ties fix the order init stacks paths in; on
 both modes segment with k-means and full mode estimates its albedo; and
 on ``rings``, a ring around a disk that has more pixels than the ring,
 plus a label split in two, a region with a hole and label values above
-255, written as a 16-bit label PNG.  On the
-``disk_grid_edit`` document of seeds 0-1 it then runs ``edit.run_edit``
+255, written as a 16-bit label PNG; and on ``noisy``, the ``kmeans``
+scene plus Gaussian noise of standard deviation 0.03, whose k-means
+labels fall into about a thousand components, most of them below the
+area floor under which init merges a component into a neighbour.  On
+the ``disk_grid_edit`` document of seeds 0-1 it then runs ``edit.run_edit``
 at K = 1, 4 and 16, printing
 ``edit/kK/seed sha256(svg+report json)``, and renders the K = 16 result
 with ``covec render --scale 2``, printing ``render/seed sha256(png)``,
@@ -92,7 +95,7 @@ def version_line() -> str:
 def run_seeds(schedule: str) -> list:
     """The scene seeds ``schedule`` runs on, in digest order."""
     return {"replay": [0],
-            "init": [0, 1, 2, 3, "grid", "kmeans", "rings"]}.get(schedule, [0, 1, 2, 3])
+            "init": [0, 1, 2, 3, "grid", "kmeans", "rings", "noisy"]}.get(schedule, [0, 1, 2, 3])
 
 
 def grid_scene() -> tuple[np.ndarray, np.ndarray]:
@@ -134,6 +137,14 @@ def rings_scene() -> tuple[np.ndarray, np.ndarray]:
     return img, labels
 
 
+def noisy_scene() -> np.ndarray:
+    """The lit scene of seed 0 plus Gaussian noise of standard deviation
+    0.03, clipped to [0, 1].  Its k-means labels fall into 1032
+    components, 848 of them below init's 5 px area floor."""
+    noise = np.random.default_rng(0).normal(0.0, 0.03, (64, 64, 3))
+    return np.clip(scenes.lit_scene(0)["target"] + noise, 0.0, 1.0)
+
+
 def digest(mode: str, schedule: str, seed, work: Path) -> str:
     files = {}
     if seed in ("grid", "rings"):  # labels given; full mode estimates its albedo
@@ -142,6 +153,8 @@ def digest(mode: str, schedule: str, seed, work: Path) -> str:
         image_io.write_label_png(files["masks_path"], labels)
     elif seed == "kmeans":  # no files: k-means regions, estimated albedo
         target = scenes.lit_scene(0)["target"]
+    elif seed == "noisy":  # as kmeans, with many components below the floor
+        target = noisy_scene()
     elif mode == "full":  # the lit scene with its albedo and label map as files
         s = scenes.lit_scene(seed)
         files = {"albedo_path": work / "albedo.png", "masks_path": work / "labels.png"}

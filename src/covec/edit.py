@@ -127,7 +127,7 @@ def candidate_paths(albedo_maps: list[PathCoverage], original: np.ndarray,
         support[pc.region] = in_window
         inter = int(np.count_nonzero(in_window & edit_mask[pc.region]))
         union = n_support + edit_area - inter
-        iou = inter / union if union else 0.0
+        iou = inter / union
         if iou <= cfg.gamma_iou:
             continue
         mu = original[support].mean(axis=0)

@@ -142,8 +142,7 @@ def flatten_bezier(path: VectorPath, config: RasterizerConfig) -> Polyline:
     verts = np.empty((t.size, 2))
     for i in range(n_seg):
         sel = seg_idx == i
-        if np.any(sel):
-            verts[sel] = bernstein3(t[sel]) @ quads[i]
+        verts[sel] = bernstein3(t[sel]) @ quads[i]
     return Polyline(vertices=verts, seg_index=seg_idx, t=t)
 
 

@@ -110,35 +110,28 @@ def _unfilter(raw: bytes, width: int, height: int, bpp: int) -> np.ndarray:
     if len(raw) != height * (stride + 1):
         raise ImageFormatError("decompressed PNG data has the wrong length")
     out = np.zeros((height, stride), dtype=np.uint8)
-    prev = np.zeros(stride, dtype=np.int64)
-    pos = 0
+    prev = np.zeros(stride, dtype=np.uint8)
     for row in range(height):
+        pos = row * (stride + 1)
         ftype = raw[pos]
-        line = np.frombuffer(raw, np.uint8, stride, pos + 1).astype(np.int64)
-        pos += stride + 1
+        line = np.frombuffer(raw, np.uint8, stride, pos + 1)
         if ftype == 0:
-            recon = line
+            out[row] = line
+        elif ftype == 1:  # Sub: a running sum along the row per byte of the pixel, mod 256
+            out[row] = np.cumsum(line.reshape(width, bpp), axis=0, dtype=np.uint8).ravel()
         elif ftype == 2:  # Up
-            recon = (line + prev) & 0xFF
-        elif ftype in (1, 3, 4):  # Sub / Average / Paeth need a left scan
-            recon = line.copy()
-            if ftype == 1:
-                for i in range(bpp, stride):
-                    recon[i] = (recon[i] + recon[i - bpp]) & 0xFF
-            elif ftype == 3:
-                for i in range(stride):
-                    left = recon[i - bpp] if i >= bpp else 0
-                    recon[i] = (recon[i] + (left + prev[i]) // 2) & 0xFF
-            else:
-                for i in range(stride):
-                    left = recon[i - bpp] if i >= bpp else 0
-                    upleft = prev[i - bpp] if i >= bpp else 0
-                    recon[i] = (recon[i] + _paeth(int(left), int(prev[i]),
-                                                  int(upleft))) & 0xFF
+            out[row] = line + prev
+        elif ftype in (3, 4):  # Average / Paeth: a left scan over Python ints
+            cur = [0] * bpp + line.tolist()
+            up = [0] * bpp + prev.tolist()
+            for i in range(bpp, bpp + stride):
+                left = cur[i - bpp]
+                pred = (left + up[i]) // 2 if ftype == 3 else _paeth(left, up[i], up[i - bpp])
+                cur[i] = (cur[i] + pred) & 0xFF
+            out[row] = cur[bpp:]
         else:
             raise ImageFormatError(f"unknown PNG filter type {ftype}")
-        out[row] = recon.astype(np.uint8)
-        prev = recon
+        prev = out[row]
     return out
 
 

@@ -3,17 +3,19 @@
 The pipeline seeds optimization from a segmentation held as a label
 image, in which each positive id names a region and 0 names none.  It
 comes from a label-map file when provided, otherwise from a seeded
-k-means segmentation.  Albedo paths trace region outlines and take the
-mean albedo color under the region; illumination paths trace the dark
-(sub-threshold) part of each region and take the mean image/albedo
-attenuation ratio.  The dark parts form a label image too, each part
-keeping its region's id.  A group of paths is one label image, so its
-members never overlap.  Every step handles a region inside its bounding
-box from ``ndimage.find_objects``, so init costs pixels rather than
-regions x canvas.  A group's paths stack by the area inside their
-outlines, largest first: a region enclosed by a ring stacks above the
-ring, even when it has more pixels than the ring.  A dark part whose
-largest piece is below the area floor gets no path.
+k-means segmentation whose small connected components are merged into
+their neighbors on the components' adjacency graph.  Albedo paths trace
+region outlines and take the mean albedo color under the region;
+illumination paths trace the dark (sub-threshold) part of each region
+and take the mean image/albedo attenuation ratio.  The dark parts form a
+label image too, each part keeping its region's id.  A group of paths is
+one label image, so its members never overlap.  Every step after
+segmentation handles a region inside its bounding box from
+``ndimage.find_objects``, so init costs pixels rather than regions x
+canvas.  A group's paths stack by the area inside their outlines,
+largest first: a region enclosed by a ring stacks above the ring, even
+when it has more pixels than the ring.  A dark part whose largest piece
+is below the area floor gets no path.
 """
 
 from __future__ import annotations
@@ -121,46 +123,43 @@ def _merge_small_components(comp: np.ndarray, min_area: int) -> np.ndarray:
 
     Component ids are positive.  Each sweep visits the components below
     ``min_area`` at its start, smallest first (ties to the lower id), and
-    relabels each one not yet absorbed to the neighbor with the largest
-    current area (ties to the lower id); sweeps repeat until none is small,
-    one component is left, or a sweep merges nothing.  A component is
-    handled inside its bounding box padded by 1 px, which holds its
-    4-neighbor ring, and a box grows over every component it absorbs.
+    merges each one not yet absorbed into the neighbor with the largest
+    current area (ties to the lower id); sweeps repeat until none is small
+    or one component is left (the grid is connected, so each sweep merges
+    one at least).  The merges run on the adjacency graph of the
+    horizontal and vertical label pairs, an absorbed component handing
+    its neighbors to its absorber; the label image is relabelled once.
     """
-    comp = comp.copy()
-    h, w = comp.shape
     areas = np.bincount(comp.ravel())
-    boxes = {}  # id -> (y0, y1, x0, x1)
-    for cid, found in enumerate(ndimage.find_objects(comp), start=1):
-        if found is not None:
-            ys, xs = found
-            boxes[cid] = (max(ys.start - 1, 0), min(ys.stop + 1, h),
-                          max(xs.start - 1, 0), min(xs.stop + 1, w))
+    n = areas.size
+    a = np.concatenate([comp[:, :-1].ravel(), comp[:-1].ravel()])
+    b = np.concatenate([comp[:, 1:].ravel(), comp[1:].ravel()])
+    a, b = a[a != b], b[a != b]
+    keys = np.unique(np.concatenate([a * n + b, b * n + a]))
+    nbrs = [set() for _ in range(n)]
+    for u, v in zip((keys // n).tolist(), (keys % n).tolist()):
+        nbrs[u].add(v)
+    into = np.arange(n)
     while True:
         ids = np.flatnonzero(areas)
         small = ids[areas[ids] < min_area]
         if small.size == 0 or ids.size == 1:
-            return comp
-        merged_any = False
-        for cid in small[np.argsort(areas[small], kind="stable")]:
-            if areas[cid] == 0:
-                continue  # already absorbed this sweep
-            y0, y1, x0, x1 = boxes[cid]
-            box = comp[y0:y1, x0:x1]
-            mask = box == cid
-            ring = ndimage.binary_dilation(mask, structure=_CROSS) & ~mask
-            neighbors = np.unique(box[ring])
-            if neighbors.size == 0:
-                continue
-            target = -max((areas[n], -n) for n in neighbors)[1]
-            box[mask] = target
+            break
+        for cid in small[np.argsort(areas[small], kind="stable")].tolist():
+            if areas[cid] == 0 or not nbrs[cid]:
+                continue  # absorbed this sweep, or the last one left
+            target = -max((areas[m], -m) for m in nbrs[cid])[1]
+            for m in nbrs[cid]:
+                nbrs[m].discard(cid)
+                nbrs[m].add(target)
+            nbrs[target] |= nbrs[cid]
+            nbrs[target].discard(target)
             areas[target] += areas[cid]
             areas[cid] = 0
-            t0, t1, s0, s1 = boxes[target]
-            boxes[target] = (min(t0, y0), max(t1, y1), min(s0, x0), max(s1, x1))
-            merged_any = True
-        if not merged_any:
-            return comp
+            into[cid] = target
+    while not np.array_equal(into[into], into):
+        into = into[into]
+    return into[comp]
 
 
 def min_region_area(h: int, w: int) -> int:
@@ -173,8 +172,9 @@ def fallback_segment(image: np.ndarray, seed: int) -> np.ndarray:
 
     k-means (KMEANS_CLUSTERS clusters) in RGB, split clusters into
     4-connected components, then merge components below MIN_REGION_FRAC
-    of the canvas into their largest neighbor.  Returns the label image of
-    the surviving components; the ids of absorbed ones are left unused.
+    of the canvas into their largest neighbor on the graph of which
+    components touch.  Returns the label image of the surviving
+    components; the ids of absorbed ones are left unused.
     """
     h, w = image.shape[:2]
     labels = kmeans_labels(image.reshape(-1, 3), KMEANS_CLUSTERS, seed)

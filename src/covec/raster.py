@@ -162,7 +162,7 @@ def coverage_backward(pc: PathCoverage, d_block: np.ndarray,
     """
     if pc.sigma is None:
         raise ValueError("path_coverage was run without with_grad")
-    d_ctrl = np.zeros((_control_count(pc), 2))
+    d_ctrl = np.zeros((int(pc.scatter_idx.max()) + 1, 2))
     s = config.supersample
     d_sample = np.repeat(np.repeat(d_block, s, axis=0), s, axis=1).ravel() / (s * s)
     d_sd = d_sample * (-pc.sigma * (1.0 - pc.sigma) / config.aa_sigma)
@@ -180,12 +180,6 @@ def coverage_backward(pc: PathCoverage, d_block: np.ndarray,
     np.add.at(d_ctrl, pc.scatter_idx.ravel(),
               contrib.reshape(-1, 2))
     return d_ctrl
-
-
-def _control_count(pc: PathCoverage) -> int:
-    if pc.scatter_idx is None or pc.scatter_idx.size == 0:
-        raise ValueError("coverage cache carries no control scatter map")
-    return int(pc.scatter_idx.max()) + 1
 
 
 @dataclass

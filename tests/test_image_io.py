@@ -1,5 +1,6 @@
 """PNG and PPM codecs: quantization bounds, filters, error handling."""
 
+import itertools
 import struct
 import tempfile
 import tracemalloc
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covec.image_io import (ImageFormatError, dequantize, quantize,
+from covec.image_io import (ImageFormatError, _read_png_planes, dequantize, quantize,
                             read_image, read_label_map, read_label_png,
                             read_png, read_ppm, write_image, write_label_png,
                             write_png, write_ppm)
@@ -108,22 +109,28 @@ def _apply_filter(ftype, row, prev, bpp):
     return bytes(out)
 
 
-@pytest.mark.parametrize("ftype", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("ftype", [0, 1, 2, 3, 4, "mixed"])
 def test_png_filters_decode(tmp_path, ftype, rng):
-    # encode each row with one filter type and expect exact recovery
+    # encode each row with one filter type (or rows of all five types, in
+    # an order that puts each after another) and expect exact recovery of
+    # the samples, at every byte width: gray, RGB and RGBA at 8 and 16 bits
     h, w = 5, 4
-    pixels = rng.integers(0, 256, (h, w, 3), dtype=np.uint8)
-    raw = bytearray()
-    prev = None
-    for y in range(h):
-        row = bytes(pixels[y].reshape(-1))
-        raw.append(ftype)
-        raw.extend(_apply_filter(ftype, row, prev, 3))
-        prev = row
-    p = tmp_path / f"f{ftype}.png"
-    p.write_bytes(_png_bytes(w, h, 8, 2, bytes(raw)))
-    back = read_png(p)
-    assert np.array_equal(quantize(back, 255), pixels)
+    rows = [ftype] * h if ftype != "mixed" else [2, 4, 1, 3, 0]
+    for depth, (ctype, channels) in itertools.product((8, 16), ((0, 1), (2, 3), (6, 4))):
+        samples = rng.integers(0, 1 << depth, (h, w, channels))
+        scan = samples.astype(">u2").view(np.uint8) if depth == 16 else samples.astype(np.uint8)
+        bpp = channels * depth // 8
+        raw = bytearray()
+        prev = None
+        for y, row_type in enumerate(rows):
+            row = scan[y].tobytes()
+            raw.append(row_type)
+            raw.extend(_apply_filter(row_type, row, prev, bpp))
+            prev = row
+        p = tmp_path / f"f{ftype}_{depth}_{ctype}.png"
+        p.write_bytes(_png_bytes(w, h, depth, ctype, bytes(raw)))
+        planes, _depth, _ctype = _read_png_planes(p)
+        assert np.array_equal(planes, samples), (depth, ctype)
 
 
 def test_png_grayscale_replicates_channels(tmp_path):

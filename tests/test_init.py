@@ -135,10 +135,13 @@ def test_merge_small_components_matches_whole_canvas_oracle(seed, h, w, n_labels
                           _merge_small_components_oracle(comp, min_area))
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_merge_small_components_matches_oracle_on_icon_scenes(seed, monkeypatch):
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, "noisy"])
+def test_merge_small_components_matches_oracle_on_icon_scenes(seed, monkeypatch,
+                                                              digest_script):
+    # icons 0-3 have 206 components each; the digest's noisy scene has 1032
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
-    img = importlib.import_module("scenes").icon_scene(seed)
+    img = (digest_script.noisy_scene() if seed == "noisy"
+           else importlib.import_module("scenes").icon_scene(seed))
     h, w = img.shape[:2]
     labels = kmeans_labels(img.reshape(-1, 3), KMEANS_CLUSTERS, 0).reshape(h, w)
     comp = _connected_components(labels)
@@ -612,7 +615,7 @@ def test_init_matches_checked_in_digest(digest_script, checked_in_digest, tmp_pa
     # the */init/* lines of scripts/output_digest.txt: the SVG and final
     # MSE of the initial paths, on the bench scenes and the 64-cell grid
     want = [line for line in checked_in_digest if "/init/" in line]
-    assert len(want) == 14
+    assert len(want) == 16
     got = [digest_script.digest(mode, "init", seed, tmp_path)
            for mode in ("full", "albedo_only") for seed in digest_script.run_seeds("init")]
     assert got == want
