@@ -16,7 +16,10 @@ plus a label split in two, a region with a hole and label values above
 255, written as a 16-bit label PNG; and on ``noisy``, the ``kmeans``
 scene plus Gaussian noise of standard deviation 0.03, whose k-means
 labels fall into about a thousand components, most of them below the
-area floor under which init merges a component into a neighbour.  On
+area floor under which init merges a component into a neighbour; and on
+``disks``, the ``disk_grid_edit`` document of seed 0 rendered to an
+image, with no label map or albedo, whose k-means segmentation yields
+more init paths than the path budget.  On
 the ``disk_grid_edit`` document of seeds 0-1 it then runs ``edit.run_edit``
 at K = 1, 4 and 16, printing
 ``edit/kK/seed sha256(svg+report json)``, and renders the K = 16 result
@@ -94,8 +97,8 @@ def version_line() -> str:
 
 def run_seeds(schedule: str) -> list:
     """The scene seeds ``schedule`` runs on, in digest order."""
-    return {"replay": [0],
-            "init": [0, 1, 2, 3, "grid", "kmeans", "rings", "noisy"]}.get(schedule, [0, 1, 2, 3])
+    init = [0, 1, 2, 3, "grid", "kmeans", "rings", "noisy", "disks"]
+    return {"replay": [0], "init": init}.get(schedule, [0, 1, 2, 3])
 
 
 def grid_scene() -> tuple[np.ndarray, np.ndarray]:
@@ -145,6 +148,14 @@ def noisy_scene() -> np.ndarray:
     return np.clip(scenes.lit_scene(0)["target"] + noise, 0.0, 1.0)
 
 
+def disks_scene() -> np.ndarray:
+    """The ``disk_grid_edit`` document of seed 0, read back from its SVG
+    as the edit lines read it, rendered at its own size and clipped to
+    [0, 1]: nine disks and a shade and a light path."""
+    doc = svg_io.parse_svg(svg_io.emit_svg(scenes.disk_grid_edit(0)["document"]))
+    return np.clip(render_composite(doc, "three_layer", RasterizerConfig()), 0.0, 1.0)
+
+
 def digest(mode: str, schedule: str, seed, work: Path) -> str:
     files = {}
     if seed in ("grid", "rings"):  # labels given; full mode estimates its albedo
@@ -155,6 +166,8 @@ def digest(mode: str, schedule: str, seed, work: Path) -> str:
         target = scenes.lit_scene(0)["target"]
     elif seed == "noisy":  # as kmeans, with many components below the floor
         target = noisy_scene()
+    elif seed == "disks":  # as kmeans, with more init paths than the budget
+        target = disks_scene()
     elif mode == "full":  # the lit scene with its albedo and label map as files
         s = scenes.lit_scene(seed)
         files = {"albedo_path": work / "albedo.png", "masks_path": work / "labels.png"}

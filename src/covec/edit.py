@@ -54,12 +54,14 @@ class EditConfig:
 
 @dataclass
 class EditCandidate:
-    """One albedo path that overlaps the edit region."""
+    """One albedo path that overlaps the edit region; its support, the
+    pixels its coverage puts above one half, lies inside its window."""
 
     path_index: int
     iou: float
-    support: int
-    mask: np.ndarray
+    support: int  # pixels in the support
+    region: tuple[slice, slice]  # the window's rows and columns
+    block: np.ndarray  # (h, w) support inside the window
     mean_original: np.ndarray
     mean_reference: np.ndarray
 
@@ -110,32 +112,32 @@ def candidate_paths(albedo_maps: list[PathCoverage], original: np.ndarray,
     """Albedo paths overlapping the edit mask, largest support first.
 
     ``albedo_maps`` holds the PathCoverage of each albedo path, in layer
-    order.  A path survives when its binary support (coverage above one
-    half) has IoU with the edit mask above gamma_iou AND its mean color
-    moved by at most delta_color between the two images.  The second
-    filter keeps small shifts by construction; scenes with drastic
-    recolors should raise delta_color accordingly.
+    order.  Everything is measured inside each path's window.  A path
+    survives when its binary support (coverage above one half) has IoU
+    with the edit mask above gamma_iou AND its mean color moved by at most
+    delta_color between the two images.  The second filter keeps small
+    shifts by construction; scenes with drastic recolors should raise
+    delta_color accordingly.
     """
     edit_area = int(edit_mask.sum())
     out: list[EditCandidate] = []
     for idx, pc in enumerate(albedo_maps):
-        in_window = pc.block > 0.5
-        n_support = int(np.count_nonzero(in_window))
+        support = pc.block > 0.5
+        n_support = int(np.count_nonzero(support))
         if n_support == 0:
             continue
-        support = np.zeros(edit_mask.shape, dtype=bool)
-        support[pc.region] = in_window
-        inter = int(np.count_nonzero(in_window & edit_mask[pc.region]))
+        r = pc.region
+        inter = int(np.count_nonzero(support & edit_mask[r]))
         union = n_support + edit_area - inter
         iou = inter / union
         if iou <= cfg.gamma_iou:
             continue
-        mu = original[support].mean(axis=0)
-        mu_ref = reference[support].mean(axis=0)
+        mu = original[r][support].mean(axis=0)
+        mu_ref = reference[r][support].mean(axis=0)
         if float(np.linalg.norm(mu - mu_ref)) > cfg.delta_color:
             continue
         out.append(EditCandidate(path_index=idx, iou=iou, support=n_support,
-                                 mask=support, mean_original=mu,
+                                 region=r, block=support, mean_original=mu,
                                  mean_reference=mu_ref))
     out.sort(key=lambda c: (-c.support, c.path_index))
     return out
@@ -159,9 +161,9 @@ def apply_color_edit(doc: LayeredDocument, candidates: list[EditCandidate],
     for cand in candidates[:cfg.top_k]:
         path = edited.albedo[cand.path_index]
         old_color = path.fill_color.copy()
-        c_ref = reference[cand.mask].mean(axis=0)
+        c_ref = reference[cand.region][cand.block].mean(axis=0)
         if doc.shade:
-            s_bar = shade_img[cand.mask].mean(axis=0)
+            s_bar = shade_img[cand.region][cand.block].mean(axis=0)
             new_color = np.clip(c_ref / (s_bar + EPSILON_SHADE), 0.0, 1.0)
         else:
             new_color = np.clip(c_ref, 0.0, 1.0)

@@ -20,8 +20,9 @@ class Polyline:
     """Closed polygonal loop; edge i joins vertex i to vertex (i+1) % n.
 
     ``seg_index`` and ``t`` record, per vertex, the Bezier segment and
-    parameter that generated it.  Traced mask contours carry no such
-    provenance and leave both fields None.
+    parameter that generated it.  Polygons built directly from vertices
+    (by tests, or by the lattice cases of ``scripts/output_digest.py``)
+    have no such provenance and leave both fields None.
     """
 
     vertices: np.ndarray

@@ -30,9 +30,11 @@ from .model import SHADE_FLOOR, VectorPath
 # The fallback albedo divides by luma blurred with sigma max(W, H) / this.
 ALBEDO_BLUR_DIVISOR = 16.0
 
-# The fallback segmentation clusters colors into KMEANS_CLUSTERS groups and
-# merges connected components below MIN_REGION_FRAC of the canvas.
+# The fallback segmentation clusters colors into KMEANS_CLUSTERS groups, in
+# at most KMEANS_ITERS Lloyd steps, and merges connected components below
+# MIN_REGION_FRAC of the canvas.
 KMEANS_CLUSTERS = 8
+KMEANS_ITERS = 50
 MIN_REGION_FRAC = 0.001
 
 # Most cubic segments a traced mask outline is fitted with.
@@ -67,13 +69,14 @@ def fallback_albedo(image: np.ndarray) -> np.ndarray:
 # segmentation fallback
 
 
-def kmeans_labels(data: np.ndarray, k: int, seed: int, iters: int = 50) -> np.ndarray:
+def kmeans_labels(data: np.ndarray, k: int, seed: int) -> np.ndarray:
     """Seeded k-means over row vectors; returns a label per row.
 
-    Plain Lloyd iterations with k-means++ seeding off a dedicated
-    Generator, argmin ties to the lowest cluster index, and empty
-    clusters keeping their previous centroid, so results are bit-stable
-    across runs for a given seed.
+    Up to KMEANS_ITERS plain Lloyd iterations with k-means++ seeding off a
+    dedicated Generator, argmin ties to the lowest cluster index, and
+    empty clusters keeping their previous centroid, so results are
+    bit-stable across runs for a given seed.  Each step fills an (n, k)
+    table of squared distances one cluster's column at a time.
     """
     data = np.asarray(data, dtype=np.float64)
     n = data.shape[0]
@@ -90,8 +93,10 @@ def kmeans_labels(data: np.ndarray, k: int, seed: int, iters: int = 50) -> np.nd
         else:
             centroids[j] = data[rng.choice(n, p=d2 / total)]
     labels = np.full(n, -1, dtype=np.int64)
-    for _step in range(iters):
-        dist = ((data[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    dist = np.empty((n, k))
+    for _step in range(KMEANS_ITERS):
+        for c in range(k):
+            dist[:, c] = ((data - centroids[c]) ** 2).sum(axis=1)
         new_labels = np.argmin(dist, axis=1)
         if np.array_equal(new_labels, labels):
             break

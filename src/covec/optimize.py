@@ -214,12 +214,9 @@ def loss_struct(groups: list[list[VectorPath]], mask_renders: list[np.ndarray],
         total += loss
         if cfg.lambda_overlap > 0.0 and group:
             alpha, prod = gray_alpha_field(render.coverages)
-            if cfg.penalty_sign == "overlap":
-                excess = alpha - cfg.delta_overlap
-                d_alpha = cfg.lambda_overlap * (excess > 0.0)
-            else:
-                excess = cfg.delta_overlap - alpha
-                d_alpha = -cfg.lambda_overlap * (excess > 0.0)
+            sign = 1.0 if cfg.penalty_sign == "overlap" else -1.0
+            excess = sign * (alpha - cfg.delta_overlap)
+            d_alpha = sign * cfg.lambda_overlap * (excess > 0.0)
             total += cfg.lambda_overlap * float(np.maximum(excess, 0.0).sum())
             for i, pc in enumerate(render.coverages):
                 r = pc.region

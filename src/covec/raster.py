@@ -25,10 +25,10 @@ covers only the window, as does everything the rasterizer keeps per
 sample (sigmoid values, nearest-edge foot points).  source_over writes
 each path into its window slice of the canvas, which is exact, since
 outside it zero coverage leaves the composite as it was, and training
-records and backpropagates over each window too.  A no-grad path_coverage
-computes only the signed distance, which becomes the sigmoid in place.
-Only float sums whose bits depend on the canvas's summation order place a
-window on a zero canvas (PathCoverage.placed).
+records and backpropagates over each window too, down to its sums.  A
+no-grad path_coverage computes only the signed distance, which becomes
+the sigmoid in place.  Only the read-only ``PathCoverage.coverage`` view,
+for readers outside the package, places a window on a zero canvas.
 """
 
 from __future__ import annotations
@@ -87,18 +87,11 @@ class PathCoverage:
         x0, y0, x1, y1 = self.window
         return slice(y0, y1), slice(x0, x1)
 
-    def placed(self, values: np.ndarray) -> np.ndarray:
-        """Window-shaped ``values`` on a zero canvas, for canvas sums that
-        feed an output: numpy sums a 2-D array pairwise, so a window-only
-        sum can differ from the whole canvas's in the last bit."""
-        canvas = np.zeros(self.canvas)
-        canvas[self.region] = values
-        return canvas
-
     @property
     def coverage(self) -> np.ndarray:
         """Read-only full-canvas map, for readers outside the package."""
-        canvas = self.placed(self.block)
+        canvas = np.zeros(self.canvas)
+        canvas[self.region] = self.block
         canvas.flags.writeable = False
         return canvas
 
@@ -279,8 +272,8 @@ def layer_backward(paths: list[VectorPath], render: LayerRender,
         d_coverage  = d_alpha * opacity_j
         d_opacity_j = sum_px d_alpha * coverage_j
 
-    alpha_j is zero outside the path's window, so all of it is computed
-    there; only the d_opacity sum runs on a zero canvas (placed).
+    alpha_j is zero outside the path's window, so all of it, the sums
+    included, is computed there.
     """
     if not paths:
         return []
@@ -294,7 +287,7 @@ def layer_backward(paths: list[VectorPath], render: LayerRender,
         d_color_eff = (d_window * (render.alphas[j] * t)[:, :, None]).sum(axis=(0, 1))
         diff = render.effective_colors[j] - render.unders[j]
         d_alpha = np.einsum("hwc,hwc->hw", d_window, diff) * t
-        d_opacity = float(np.sum(pc.placed(d_alpha * pc.block)))
+        d_opacity = float(np.sum(d_alpha * pc.block))
         d_ctrl = coverage_backward(pc, d_alpha * path.opacity, config)
         # The range clamp passes gradient only where it left the color alone.
         passthrough = render.effective_colors[j] == path.fill_color

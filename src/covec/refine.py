@@ -153,8 +153,8 @@ def cleanup_layer(paths: list[VectorPath], coverages: list[PathCoverage],
     are edited in place and in step, and merged colors are written into
     the surviving path.  Removal decisions re-evaluate the composite after
     each change, so each loss-rule removal perturbs the reconstruction loss
-    by less than CLEANUP_LOSS_EPS at the moment it is applied.  Soft areas
-    are sums over the whole canvas (PathCoverage.placed).  Returns
+    by less than CLEANUP_LOSS_EPS at the moment it is applied.  A path's
+    soft area is the sum of its coverage block.  Returns
     (paths, removed_count, merged_count).
     """
     height, width = target.shape[:2]
@@ -162,7 +162,7 @@ def cleanup_layer(paths: list[VectorPath], coverages: list[PathCoverage],
     merged = 0
 
     def area(pc: PathCoverage) -> float:
-        return float(pc.placed(pc.block).sum())
+        return float(pc.block.sum())
 
     def loss_of(stack: list[VectorPath], covs: list[PathCoverage]) -> float:
         image = source_over(stack, covs, background, width, height).image

@@ -12,8 +12,8 @@ from scipy import ndimage
 import covec.pipeline
 from covec.geometry import (Polyline, batch_signed_distance, flatten_bezier, polygon_area,
                             simplify_closed)
-from covec.init_layers import (KMEANS_CLUSTERS, MAX_SEGMENTS, MIN_REGION_FRAC, InitError,
-                               _connected_components, _merge_small_components,
+from covec.init_layers import (KMEANS_CLUSTERS, KMEANS_ITERS, MAX_SEGMENTS, MIN_REGION_FRAC,
+                               InitError, _connected_components, _merge_small_components,
                                attenuation_ratio, fallback_albedo,
                                fallback_segment, fit_bezier_contour,
                                kmeans_labels, luma, min_region_area, paths_for_groups,
@@ -54,6 +54,51 @@ def test_kmeans_uniform_data_single_cluster():
     data = np.full((64, 3), 0.25)
     labels = kmeans_labels(data, 8, seed=0)
     assert len(set(labels.tolist())) == 1
+
+
+def _kmeans_labels_oracle(data, k, seed):
+    """kmeans_labels with each Lloyd step's distances from (n, k, 3) arrays."""
+    data = np.asarray(data, dtype=np.float64)
+    n = data.shape[0]
+    rng = np.random.default_rng(seed)
+    centroids = np.empty((k, data.shape[1]))
+    centroids[0] = data[rng.integers(n)]
+    d2 = np.full(n, np.inf)
+    for j in range(1, k):
+        diff = data - centroids[j - 1]
+        d2 = np.minimum(d2, np.einsum("ij,ij->i", diff, diff))
+        total = d2.sum()
+        if total <= 0.0:
+            centroids[j] = data[rng.integers(n)]
+        else:
+            centroids[j] = data[rng.choice(n, p=d2 / total)]
+    labels = np.full(n, -1, dtype=np.int64)
+    for _step in range(KMEANS_ITERS):
+        dist = ((data[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        new_labels = np.argmin(dist, axis=1)
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        for c in range(k):
+            sel = labels == c
+            if np.any(sel):
+                centroids[c] = data[sel].mean(axis=0)
+    return labels
+
+
+@pytest.mark.parametrize("case", ["random", "ties", "constant", "noisy"])
+def test_kmeans_matches_full_table_oracle(case, digest_script):
+    # on quantized colours the first step's centroids (k-means++ picks
+    # data points) leave hundreds of points equally far from two of them,
+    # exact argmin ties; a constant image seeds by the total <= 0 branch
+    rng = np.random.default_rng(7)
+    data = {"random": lambda: rng.uniform(0.0, 1.0, (3000, 3)),
+            "ties": lambda: rng.integers(0, 4, (3000, 3)) / 4.0,
+            "constant": lambda: np.full((500, 3), 0.3),
+            "noisy": lambda: digest_script.noisy_scene().reshape(-1, 3)}[case]()
+    for k, seed in ((KMEANS_CLUSTERS, 0), (KMEANS_CLUSTERS, 1), (3, 2), (13, 3)):
+        want = _kmeans_labels_oracle(data, k, seed)
+        assert np.array_equal(kmeans_labels(data, k, seed), want)
 
 
 def test_fallback_albedo_uniform_gray():
@@ -615,7 +660,7 @@ def test_init_matches_checked_in_digest(digest_script, checked_in_digest, tmp_pa
     # the */init/* lines of scripts/output_digest.txt: the SVG and final
     # MSE of the initial paths, on the bench scenes and the 64-cell grid
     want = [line for line in checked_in_digest if "/init/" in line]
-    assert len(want) == 16
+    assert len(want) == 18
     got = [digest_script.digest(mode, "init", seed, tmp_path)
            for mode in ("full", "albedo_only") for seed in digest_script.run_seeds("init")]
     assert got == want
