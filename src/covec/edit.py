@@ -144,24 +144,24 @@ def candidate_paths(albedo_maps: list[PathCoverage], original: np.ndarray,
 
 
 def apply_color_edit(doc: LayeredDocument, candidates: list[EditCandidate],
-                     reference: np.ndarray, cfg: EditConfig,
-                     shade_img: np.ndarray) -> tuple[LayeredDocument, EditReport]:
+                     cfg: EditConfig, shade_img: np.ndarray
+                     ) -> tuple[LayeredDocument, EditReport]:
     """Recolor the top-K candidate paths toward the reference.
 
     Only fill colors change; geometry, opacity, and stacking order stay
-    put.  ``shade_img`` is the rendered shade layer.  With a nonempty
-    shade layer the target color divides out the mean rendered shade
-    under the path, so the multiply composite lands on the reference
-    color; without one the reference mean is used as is.  Asking for more
-    paths than exist edits them all and records the shortfall in the
-    report.
+    put.  ``shade_img`` is the rendered shade layer.  Each candidate's
+    reference color is its ``mean_reference``.  With a nonempty shade
+    layer the target color divides out the mean rendered shade under the
+    path, so the multiply composite lands on the reference color; without
+    one the reference mean is used as is.  Asking for more paths than
+    exist edits them all and records the shortfall in the report.
     """
     edited = doc.copy()
     report = EditReport(requested_k=cfg.top_k, n_candidates=len(candidates))
     for cand in candidates[:cfg.top_k]:
         path = edited.albedo[cand.path_index]
         old_color = path.fill_color.copy()
-        c_ref = reference[cand.region][cand.block].mean(axis=0)
+        c_ref = cand.mean_reference
         if doc.shade:
             s_bar = shade_img[cand.region][cand.block].mean(axis=0)
             new_color = np.clip(c_ref / (s_bar + EPSILON_SHADE), 0.0, 1.0)
@@ -199,8 +199,7 @@ def run_edit(doc: LayeredDocument, original: np.ndarray,
                for tag in COMPOSITE_MODES["three_layer"]}
     maps = {tag: r.coverages for tag, r in renders.items()}
     cands = candidate_paths(maps["albedo"], original, reference, edit_mask, cfg)
-    edited, report = apply_color_edit(doc, cands, reference, cfg,
-                                      renders["shade"].image)
+    edited, report = apply_color_edit(doc, cands, cfg, renders["shade"].image)
     before = render_composite(doc, "three_layer", rcfg, maps)
     after = render_composite(edited, "three_layer", rcfg, maps)
     report.mse_before = mse(np.clip(before, 0.0, 1.0), reference)

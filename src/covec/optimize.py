@@ -3,11 +3,12 @@
 Each layer owns an independent Adam optimizer over its paths' control
 points, fill colors, and opacities.  During warm-up every layer minimizes
 its own structure loss (per-group MSE against flat mask renders plus a
-soft overlap penalty); afterwards both layers step jointly on the
-reconstruction loss of the multiplied composite.  Opacities are optimized
-through a logistic reparameterization so they stay strictly inside
-[0, 1]; colors are projected to their layer's valid range after every
-step.
+soft overlap penalty on the group's gray alpha field, which
+raster.source_over composites like any layer); afterwards both layers
+step jointly on the reconstruction loss of the multiplied composite.
+Opacities are optimized through a logistic reparameterization so they
+stay strictly inside [0, 1]; colors are projected to their layer's valid
+range after every step.
 
 The package's one loss lives here: ``mse`` and ``layer_loss`` (image
 gradient 2 * diff / N), which refinement, gradcheck, pipeline and edit call.
@@ -16,14 +17,14 @@ gradient 2 * diff / N), which refinement, gradcheck, pipeline and edit call.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import expit, logit
 
-from .model import WHITE, GradientBuffer, VectorPath, project_color
-from .raster import (LayerRender, PathCoverage, RasterizerConfig, coverage_backward,
-                     layer_backward, layer_forward)
+from .model import BLACK, WHITE, GradientBuffer, VectorPath, project_color
+from .raster import (LayerRender, RasterizerConfig, coverage_backward, layer_backward,
+                     layer_forward, source_over)
 
 logger = logging.getLogger(__name__)
 
@@ -47,9 +48,10 @@ class StructLossConfig:
     """Structure-loss knobs, one per ``covec vectorize`` flag.
 
     ``penalty_sign`` picks the direction of the hinge on the gray alpha
-    field (every path at opacity GRAY_ALPHA): ``overlap`` penalizes alpha
-    above delta_overlap (alpha rises where paths stack, so this
-    discourages self-overlap); ``paper_literal`` penalizes alpha below it.
+    field (the group composited by source_over over white, every path
+    black at opacity GRAY_ALPHA): ``overlap`` penalizes alpha above
+    delta_overlap (alpha rises where paths stack, so this discourages
+    self-overlap); ``paper_literal`` penalizes alpha below it.
     """
 
     lambda_overlap: float = 1e-8
@@ -156,21 +158,6 @@ class LayerOptimizer:
             path.opacity = float(expit(new_logit))
 
 
-def gray_alpha_field(coverages: list[PathCoverage]) -> tuple[np.ndarray, np.ndarray]:
-    """Source-over alpha of every path re-filled at opacity GRAY_ALPHA.
-
-    alpha(p) = 1 - prod_i (1 - GRAY_ALPHA * coverage_i(p)); a singly
-    covered pixel sits at 0.5 and any overlap pushes it higher, which is
-    what the overlap penalty thresholds.
-    Returns (alpha, prod): the product is the transmittance the penalty's
-    gradient divides by each path's own factor.
-    """
-    prod = np.ones(coverages[0].canvas)
-    for pc in coverages:  # a factor of exactly 1 outside the window
-        prod[pc.region] *= 1.0 - GRAY_ALPHA * pc.block
-    return 1.0 - prod, prod
-
-
 def mse(a: np.ndarray, b: np.ndarray) -> float:
     """Mean squared difference over all pixels and channels."""
     a = np.asarray(a, dtype=np.float64)
@@ -200,9 +187,14 @@ def loss_struct(groups: list[list[VectorPath]], mask_renders: list[np.ndarray],
     """Per-group MSE to the mask renders plus the overlap hinge penalty.
 
     Every group renders over white and is compared to its flat mask
-    render through layer_loss.  The penalty term evaluates the gray alpha
-    field of the same geometry and adds
-    lambda_overlap * sum_p hinge(alpha(p)).  Gradients from both terms
+    render through layer_loss.  The penalty's field is the same group
+    composited by source_over over white from the same coverage maps,
+    every path re-filled black at opacity GRAY_ALPHA: channel 0 of that
+    image is the transmittance prod_i (1 - GRAY_ALPHA * coverage_i), so
+    alpha = 1 - prod sits at 0.5 where one path covers a pixel and rises
+    where paths stack.  The term adds lambda_overlap * sum_p hinge(alpha(p))
+    and differentiates alpha by hand: d alpha / d coverage_i is GRAY_ALPHA
+    times prod divided by path i's own factor.  Gradients from both terms
     accumulate into one buffer per path, ordered by group then path.
     """
     if len(groups) != len(mask_renders):
@@ -213,7 +205,10 @@ def loss_struct(groups: list[list[VectorPath]], mask_renders: list[np.ndarray],
         loss, grads, render = layer_loss(group, WHITE, WHITE, reference, rcfg)
         total += loss
         if cfg.lambda_overlap > 0.0 and group:
-            alpha, prod = gray_alpha_field(render.coverages)
+            height, width = reference.shape[:2]
+            gray = [replace(p, fill_color=BLACK, opacity=GRAY_ALPHA) for p in group]
+            prod = source_over(gray, render.coverages, WHITE, width, height).image[:, :, 0]
+            alpha = 1.0 - prod
             sign = 1.0 if cfg.penalty_sign == "overlap" else -1.0
             excess = sign * (alpha - cfg.delta_overlap)
             d_alpha = sign * cfg.lambda_overlap * (excess > 0.0)

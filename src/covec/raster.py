@@ -13,8 +13,9 @@ quantization.
 
 All source-over compositing runs through ``source_over``, which works on
 precomputed coverage maps: ``layer_forward`` rasterizes a layer and calls
-it, and callers that cache coverage maps (refinement, gradcheck) call it
-directly.  ``render_composite`` blends the layers a mode names in
+it, and callers that cache coverage maps (refinement, gradcheck, the
+structure loss's gray overlap field) call it directly.
+``render_composite`` blends the layers a mode names in
 ``COMPOSITE_MODES``, from coverage maps its caller holds (the pipeline's
 final composite, edit, gradcheck) or by rasterizing them.  Gradients flow
 per layer through ``layer_backward``; the reconstruction loss

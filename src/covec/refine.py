@@ -143,7 +143,7 @@ def _first_merge(paths: list[VectorPath], coverages: list[PathCoverage]
 def cleanup_layer(paths: list[VectorPath], coverages: list[PathCoverage],
                   background: np.ndarray, frozen_factor: np.ndarray,
                   target: np.ndarray) -> tuple[list[VectorPath], int, int]:
-    """Prune tiny/ineffective paths and merge near-duplicates, <= 3 passes.
+    """Prune tiny/ineffective paths, then merge near-duplicates.
 
     ``paths`` composite source-over onto ``background`` (the render of the
     frozen stack below them) from their cached ``coverages``; the result
@@ -151,10 +151,11 @@ def cleanup_layer(paths: list[VectorPath], coverages: list[PathCoverage],
     target.  Only ``paths`` can change and nothing is rasterized, so
     whatever ``background`` holds stays frozen by construction.  Both lists
     are edited in place and in step, and merged colors are written into
-    the surviving path.  Removal decisions re-evaluate the composite after
-    each change, so each loss-rule removal perturbs the reconstruction loss
-    by less than CLEANUP_LOSS_EPS at the moment it is applied.  A path's
-    soft area is the sum of its coverage block.  Returns
+    the surviving path.  One removal scan runs, then one merge scan.  The
+    removal scan re-evaluates the composite after each removal, so each
+    loss-rule removal perturbs the reconstruction loss by less than
+    CLEANUP_LOSS_EPS at the moment it is applied.  A path's soft area is
+    the sum of its coverage block.  Returns
     (paths, removed_count, merged_count).
     """
     height, width = target.shape[:2]
@@ -168,40 +169,31 @@ def cleanup_layer(paths: list[VectorPath], coverages: list[PathCoverage],
         image = source_over(stack, covs, background, width, height).image
         return mse(image * frozen_factor, target)
 
-    for _pass in range(3):
-        changed = False
+    # removal scan: a path goes when its soft area is tiny or removing it
+    # barely moves the loss; the loss without it becomes current
+    current = loss_of(paths, coverages)
+    i = 0
+    while i < len(paths):
+        without = loss_of(paths[:i] + paths[i + 1:], coverages[:i] + coverages[i + 1:])
+        if (area(coverages[i]) < CLEANUP_AREA_MIN
+                or abs(without - current) < CLEANUP_LOSS_EPS):
+            del paths[i], coverages[i]
+            current = without
+            removed += 1
+            continue
+        i += 1
 
-        # removal scan: a path goes when its soft area is tiny or removing
-        # it barely moves the loss; the loss without it becomes current
-        current = loss_of(paths, coverages)
-        i = 0
-        while i < len(paths):
-            without = loss_of(paths[:i] + paths[i + 1:],
-                              coverages[:i] + coverages[i + 1:])
-            if (area(coverages[i]) < CLEANUP_AREA_MIN
-                    or abs(without - current) < CLEANUP_LOSS_EPS):
-                del paths[i], coverages[i]
-                current = without
-                removed += 1
-                changed = True
-                continue
-            i += 1
-
-        # merge scan: near-identical color and strongly overlapping support
-        while (pair := _first_merge(paths, coverages)) is not None:
-            i, j = pair
-            area_i = area(coverages[i])
-            area_j = area(coverages[j])
-            keep, drop = (i, j) if area_i >= area_j else (j, i)
-            blended = (area_i * paths[i].fill_color
-                       + area_j * paths[j].fill_color) / (area_i + area_j)
-            paths[keep].fill_color = blended
-            del paths[drop], coverages[drop]
-            merged += 1
-            changed = True
-
-        if not changed:
-            break
+    # merge scan: near-identical color and strongly overlapping support
+    while (pair := _first_merge(paths, coverages)) is not None:
+        i, j = pair
+        area_i = area(coverages[i])
+        area_j = area(coverages[j])
+        keep, drop = (i, j) if area_i >= area_j else (j, i)
+        blended = (area_i * paths[i].fill_color
+                   + area_j * paths[j].fill_color) / (area_i + area_j)
+        paths[keep].fill_color = blended
+        del paths[drop], coverages[drop]
+        merged += 1
     return paths, removed, merged
 
 

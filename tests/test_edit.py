@@ -168,8 +168,7 @@ def test_apply_edit_arithmetic_with_uniform_shade(rcfg):
     mask = compute_edit_mask(original, reference, 0.05)
     cands = candidate_paths(_maps(doc, rcfg), original, reference, mask,
                             EditConfig(delta_color=1.0))
-    edited, report = apply_color_edit(doc, cands, reference,
-                                      EditConfig(delta_color=1.0),
+    edited, report = apply_color_edit(doc, cands, EditConfig(delta_color=1.0),
                                       _render_layer(shade, 16, 16, rcfg))
     got = edited.albedo[0].fill_color
     assert np.all(np.abs(got - 0.3 / 0.5001) < 1e-6)
@@ -190,8 +189,7 @@ def test_apply_edit_identity_shade_passes_reference_through(rcfg):
     mask = compute_edit_mask(original, reference, 0.05)
     cands = candidate_paths(_maps(doc, rcfg), original, reference, mask,
                             EditConfig(delta_color=1.0))
-    edited, _ = apply_color_edit(doc, cands, reference,
-                                 EditConfig(delta_color=1.0),
+    edited, _ = apply_color_edit(doc, cands, EditConfig(delta_color=1.0),
                                  _render_layer(shade, 16, 16, rcfg))
     assert np.all(np.abs(edited.albedo[0].fill_color - (0.2, 0.6, 0.4)) < 2e-3)
 
@@ -199,8 +197,7 @@ def test_apply_edit_identity_shade_passes_reference_through(rcfg):
 def test_apply_edit_no_candidates_noop(rcfg):
     paths = [square_path(1, 1, 8, 8, color=(0.4, 0.2, 0.6))]
     doc = _doc(12, 12, paths)
-    reference = _render_layer(paths, 12, 12, rcfg)
-    edited, report = apply_color_edit(doc, [], reference, EditConfig(),
+    edited, report = apply_color_edit(doc, [], EditConfig(),
                                       _render_layer([], 12, 12, rcfg))
     assert np.array_equal(edited.albedo[0].fill_color, paths[0].fill_color)
     assert report.selected == []
@@ -216,7 +213,7 @@ def test_edit_k_prefix_monotone(rcfg):
     selected_by_k = []
     for k in (1, 2, 4):
         cfg = EditConfig(delta_color=1.0, top_k=k)
-        _, report = apply_color_edit(doc, cands, reference, cfg,
+        _, report = apply_color_edit(doc, cands, cfg,
                                      _render_layer([], 20, 20, rcfg))
         selected_by_k.append({s["path_index"] for s in report.selected})
     assert selected_by_k[0] <= selected_by_k[1] <= selected_by_k[2]

@@ -7,16 +7,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from covec.geometry import Polyline
 from covec.model import RasterizerConfig, VectorPath
-from covec.optimize import (ADAM_EPS, AdamState, LayerOptimizer, Schedule,
-                            StructLossConfig, adam_step, gray_alpha_field,
-                            layer_loss, loss_recon, loss_struct, mse,
-                            run_structural)
-from covec.raster import WHITE, PathCoverage, layer_forward
+from covec.optimize import (ADAM_EPS, GRAY_ALPHA, AdamState, LayerOptimizer,
+                            Schedule, StructLossConfig, adam_step, layer_loss,
+                            loss_recon, loss_struct, mse, run_structural)
+from covec.raster import WHITE, coverage_backward, layer_forward
 
-from conftest import (disk_path, square_control_points, square_path,
-                      zero_gradient)
+from conftest import (disk_path, random_path, square_control_points,
+                      square_path, zero_gradient)
 
 
 def _render(paths, w, h, rcfg):
@@ -81,11 +79,73 @@ def test_struct_loss_coincident_paths_penalized():
     lam = 1e-3
     loss, _ = loss_struct([group], [reference], StructLossConfig(lambda_overlap=lam),
                           rcfg)
-    alpha, _ = gray_alpha_field(layer_forward(group, WHITE, 16, 16, rcfg).coverages)
+    coverages = layer_forward(group, WHITE, 16, 16, rcfg).coverages
+    alpha = 1.0 - np.prod([1.0 - 0.5 * pc.coverage for pc in coverages], axis=0)
     assert alpha.max() > 0.6
     expect = lam * float(np.maximum(alpha - 0.6, 0.0).sum())
     assert loss == pytest.approx(expect, rel=1e-12)
     assert expect > 0.0
+
+
+def _gray_alpha_field_oracle(coverages):
+    """The penalty's field written out as its own loop: alpha = 1 - prod
+    and prod = prod_i (1 - GRAY_ALPHA * coverage_i), each factor applied
+    over path i's window in layer order."""
+    prod = np.ones(coverages[0].canvas)
+    for pc in coverages:  # a factor of exactly 1 outside the window
+        prod[pc.region] *= 1.0 - GRAY_ALPHA * pc.block
+    return 1.0 - prod, prod
+
+
+def _loss_struct_oracle(groups, mask_renders, cfg, rcfg):
+    """loss_struct with its field from _gray_alpha_field_oracle."""
+    total = 0.0
+    all_grads = []
+    for group, reference in zip(groups, mask_renders):
+        loss, grads, render = layer_loss(group, WHITE, WHITE, reference, rcfg)
+        total += loss
+        if cfg.lambda_overlap > 0.0 and group:
+            alpha, prod = _gray_alpha_field_oracle(render.coverages)
+            sign = 1.0 if cfg.penalty_sign == "overlap" else -1.0
+            excess = sign * (alpha - cfg.delta_overlap)
+            d_alpha = sign * cfg.lambda_overlap * (excess > 0.0)
+            total += cfg.lambda_overlap * float(np.maximum(excess, 0.0).sum())
+            for i, pc in enumerate(render.coverages):
+                r = pc.region
+                d_cov = d_alpha[r] * GRAY_ALPHA * prod[r] / (1.0 - GRAY_ALPHA * pc.block)
+                grads[i].d_control_points += coverage_backward(pc, d_cov, rcfg)
+        all_grads.extend(grads)
+    return total, all_grads
+
+
+@pytest.mark.parametrize("lam", [1e-3, 0.5])
+@pytest.mark.parametrize("sign", ["overlap", "paper_literal"])
+def test_struct_loss_penalty_matches_field_oracle(sign, lam):
+    # seeded groups of 1-5 overlapping perturbed circles at random
+    # opacities, then one full-cover square and two coincident ones: their
+    # edges lie 40 sigma outside the canvas, so coverage is exactly 1 and
+    # the field exactly 0.5 and 0.75; loss and every gradient field equal
+    # the oracle's bit for bit
+    rcfg = RasterizerConfig()
+    rng = np.random.default_rng(7)
+    groups = [[random_path(rng, 24, 24) for _ in range(rng.integers(1, 6))]
+              for _ in range(6)]
+    groups += [[square_path(-40, -40, 64, 64, opacity=0.9)],
+               [square_path(-40, -40, 64, 64, opacity=0.3),
+                square_path(-40, -40, 64, 64, opacity=0.8)]]
+    refs = [rng.uniform(0, 1, (24, 24, 3)) for _ in groups]
+    for group, field in zip(groups[-2:], (0.5, 0.75)):
+        coverages = layer_forward(group, WHITE, 24, 24, rcfg).coverages
+        assert np.all(_gray_alpha_field_oracle(coverages)[0] == field)
+    cfg = StructLossConfig(lambda_overlap=lam, penalty_sign=sign)
+    loss, grads = loss_struct(groups, refs, cfg, rcfg)
+    want_loss, want_grads = _loss_struct_oracle(groups, refs, cfg, rcfg)
+    assert loss.hex() == want_loss.hex()
+    assert len(grads) == len(want_grads) == sum(len(g) for g in groups)
+    for got, want in zip(grads, want_grads):
+        assert got.d_control_points.tobytes() == want.d_control_points.tobytes()
+        assert got.d_fill_color.tobytes() == want.d_fill_color.tobytes()
+        assert np.float64(got.d_opacity).tobytes() == np.float64(want.d_opacity).tobytes()
 
 
 def test_struct_loss_penalty_direction_modes_differ():
@@ -348,15 +408,6 @@ def test_schedule_validation():
         StructLossConfig(penalty_sign="bogus")
     with pytest.raises(ValueError):
         StructLossConfig(delta_overlap=1.5)
-
-
-def test_gray_alpha_field_values():
-    triangle = Polyline(np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]]))
-    cov = [PathCoverage(block=np.full((2, 2), 1.0), window=(0, 0, 2, 2),
-                        canvas=(2, 2), polyline=triangle) for _ in range(2)]
-    alpha, prod = gray_alpha_field(cov)
-    assert np.allclose(alpha, 0.75) and np.allclose(prod, 0.25)
-    assert np.allclose(gray_alpha_field(cov[:1])[0], 0.5)
 
 
 # tracemalloc peak of one loss_recon on the 128 x 128 scene below, in MiB:

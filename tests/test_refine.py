@@ -589,3 +589,18 @@ def test_refine_budget_limits_additions():
     out, trace = refined.layer, refined.trace
     assert len(out) <= 1
     assert sum(r.paths_added for r in trace) <= 1
+
+
+def test_multi_round_refinement_matches_checked_in_digest(
+        digest_script, checked_in_digest, tmp_path):
+    # the seed-0 rounds and replay lines of scripts/output_digest.txt:
+    # several refinement rounds with cleanup, and later rounds that replay
+    # the one before, after a trained warm-up with the overlap penalty
+    names = [f"{mode}/{schedule}/0" for schedule in ("rounds", "replay")
+             for mode in ("full", "albedo_only")]
+    want = [line for name in names for line in checked_in_digest
+            if line.split()[0] == name]
+    assert len(want) == 4
+    got = [digest_script.digest(mode, schedule, 0, tmp_path)
+           for schedule in ("rounds", "replay") for mode in ("full", "albedo_only")]
+    assert got == want
