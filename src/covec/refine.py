@@ -102,99 +102,49 @@ def propose_paths(err: np.ndarray, n: int, target: np.ndarray,
 
 
 # Cleanup: paths whose soft area is below CLEANUP_AREA_MIN pixels, or whose
-# removal moves the loss by less than CLEANUP_LOSS_EPS, are dropped; two
-# paths whose colors differ by less than MERGE_COLOR_EPS per channel and
-# whose coverage > 0.5 supports overlap with IoU above MERGE_IOU_MIN merge.
+# removal moves the loss by less than CLEANUP_LOSS_EPS, are dropped.
 CLEANUP_AREA_MIN = 8.0
 CLEANUP_LOSS_EPS = 1e-5
-MERGE_COLOR_EPS = 0.02
-MERGE_IOU_MIN = 0.8
-
-
-def _support_overlap(a: PathCoverage, b: PathCoverage) -> int:
-    """Pixels where both coverages exceed 0.5, counted where the windows meet."""
-    ax0, ay0, ax1, ay1 = a.window
-    bx0, by0, bx1, by1 = b.window
-    x0, y0 = max(ax0, bx0), max(ay0, by0)
-    x1, y1 = min(ax1, bx1), min(ay1, by1)
-    if x0 >= x1 or y0 >= y1:
-        return 0
-    in_a = a.block[y0 - ay0:y1 - ay0, x0 - ax0:x1 - ax0] > 0.5
-    in_b = b.block[y0 - by0:y1 - by0, x0 - bx0:x1 - bx0] > 0.5
-    return int(np.count_nonzero(in_a & in_b))
-
-
-def _first_merge(paths: list[VectorPath], coverages: list[PathCoverage]
-                 ) -> tuple[int, int] | None:
-    """The first pair i < j, in lexicographic order, that cleanup merges."""
-    for i in range(len(paths)):
-        for j in range(i + 1, len(paths)):
-            gap = np.abs(paths[i].fill_color - paths[j].fill_color)
-            if np.max(gap) >= MERGE_COLOR_EPS:
-                continue
-            inter = _support_overlap(coverages[i], coverages[j])
-            union = (np.count_nonzero(coverages[i].block > 0.5)
-                     + np.count_nonzero(coverages[j].block > 0.5) - inter)
-            if union > 0 and inter / union > MERGE_IOU_MIN:
-                return i, j
-    return None
 
 
 def cleanup_layer(paths: list[VectorPath], coverages: list[PathCoverage],
                   background: np.ndarray, frozen_factor: np.ndarray,
                   target: np.ndarray) -> tuple[list[VectorPath], int, int]:
-    """Prune tiny/ineffective paths, then merge near-duplicates.
+    """Prune tiny or ineffective paths in one removal scan.
 
     ``paths`` composite source-over onto ``background`` (the render of the
     frozen stack below them) from their cached ``coverages``; the result
     times ``frozen_factor`` (WHITE when there is none) is compared with the
     target.  Only ``paths`` can change and nothing is rasterized, so
     whatever ``background`` holds stays frozen by construction.  Both lists
-    are edited in place and in step, and merged colors are written into
-    the surviving path.  One removal scan runs, then one merge scan.  The
-    removal scan re-evaluates the composite after each removal, so each
-    loss-rule removal perturbs the reconstruction loss by less than
-    CLEANUP_LOSS_EPS at the moment it is applied.  A path's soft area is
-    the sum of its coverage block.  Returns
-    (paths, removed_count, merged_count).
+    are edited in place and in step.  The scan re-evaluates the composite
+    after each removal, so each loss-rule removal perturbs the
+    reconstruction loss by less than CLEANUP_LOSS_EPS at the moment it is
+    applied.  A path's soft area is the sum of its coverage block.  Returns
+    (paths, removed_count, 0); nothing is merged, and the third value stays
+    only for callers that still unpack three.
     """
     height, width = target.shape[:2]
     removed = 0
-    merged = 0
-
-    def area(pc: PathCoverage) -> float:
-        return float(pc.block.sum())
 
     def loss_of(stack: list[VectorPath], covs: list[PathCoverage]) -> float:
         image = source_over(stack, covs, background, width, height).image
         return mse(image * frozen_factor, target)
 
-    # removal scan: a path goes when its soft area is tiny or removing it
-    # barely moves the loss; the loss without it becomes current
+    # a path goes when its soft area is tiny or removing it barely moves the
+    # loss; the loss without it becomes current
     current = loss_of(paths, coverages)
     i = 0
     while i < len(paths):
         without = loss_of(paths[:i] + paths[i + 1:], coverages[:i] + coverages[i + 1:])
-        if (area(coverages[i]) < CLEANUP_AREA_MIN
+        if (float(coverages[i].block.sum()) < CLEANUP_AREA_MIN
                 or abs(without - current) < CLEANUP_LOSS_EPS):
             del paths[i], coverages[i]
             current = without
             removed += 1
             continue
         i += 1
-
-    # merge scan: near-identical color and strongly overlapping support
-    while (pair := _first_merge(paths, coverages)) is not None:
-        i, j = pair
-        area_i = area(coverages[i])
-        area_j = area(coverages[j])
-        keep, drop = (i, j) if area_i >= area_j else (j, i)
-        blended = (area_i * paths[i].fill_color
-                   + area_j * paths[j].fill_color) / (area_i + area_j)
-        paths[keep].fill_color = blended
-        del paths[drop], coverages[drop]
-        merged += 1
-    return paths, removed, merged
+    return paths, removed, 0
 
 
 # Refinement stops once no pixel's mean squared error exceeds this.
@@ -257,8 +207,8 @@ def refine_layer(layer: list[VectorPath], frozen_factor: np.ndarray,
             opt.step(layer_loss(new_paths, base, frozen_factor, target, rcfg)[1])
         n_new = len(new_paths)  # cleanup trims new_paths in place
         maps = [path_coverage(p, width, height, rcfg) for p in new_paths]
-        kept, n_removed, n_merged = cleanup_layer(new_paths, maps, base,
-                                                  frozen_factor, target)
+        kept, n_removed, _ = cleanup_layer(new_paths, maps, base,
+                                           frozen_factor, target)
         budget_remaining -= len(kept)
         base = source_over(kept, maps, base, width, height).image
         layer += kept
@@ -266,7 +216,7 @@ def refine_layer(layer: list[VectorPath], frozen_factor: np.ndarray,
         trace.append(TraceRow(epoch=rnd, stage="refine",
                               loss=mse(base * frozen_factor, target),
                               paths_added=n_new,
-                              paths_removed=n_removed + n_merged))
+                              paths_removed=n_removed))
     return RefineResult(layer, trace, layer_maps)
 
 

@@ -86,6 +86,34 @@ def test_tracer_counts_nominal_point_edge_pairs(perfbench):
     assert tr.counts["raster.path_coverage.calls_nograd"] == 1
 
 
+def test_tracer_counts_cleanup_removals(perfbench):
+    # the counter unpacks cleanup_layer's three return values; the third
+    # is always 0, as cleanup only removes
+    tracer, _ = perfbench
+    import covec.refine as refine
+    from covec.model import RasterizerConfig
+    from covec.raster import WHITE, layer_forward, path_coverage
+
+    from conftest import disk_path
+
+    rcfg = RasterizerConfig()
+    solid = disk_path(10, 10, 5, color=(0.3, 0.3, 0.3), tag="illumination")
+    faint = disk_path(10, 10, 4, color=(0.9, 0.1, 0.1), opacity=1e-3,
+                      tag="illumination")
+    target = layer_forward([solid], WHITE, 20, 20, rcfg).image
+    paths = [solid, faint]
+    maps = [path_coverage(p, 20, 20, rcfg) for p in paths]
+    tr = tracer.Tracer()
+    tr.install()
+    try:
+        kept, _, _ = refine.cleanup_layer(paths, maps, WHITE, WHITE, target)
+    finally:
+        tr.uninstall()
+    assert len(kept) == 1 and kept[0] is solid
+    assert tr.counts["refine.cleanup_layer.removed"] == 1
+    assert tr.counts["refine.cleanup_layer.merged"] == 0
+
+
 def test_every_workload_sets_up_on_tiny_inputs(perfbench, tmp_path):
     # start() builds the workload's configs, and RunConfig checks its
     # paths when constructed; perfbench/selftest.py is the only other
