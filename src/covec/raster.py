@@ -23,17 +23,21 @@ differentiates the two-layer product itself.
 
 Each path's coverage lives in its support window: ``PathCoverage.block``
 covers only the window, as does everything the rasterizer keeps per
-sample (sigmoid values, nearest-edge foot points).  source_over writes
-each path into its window slice of the canvas, which is exact, since
-outside it zero coverage leaves the composite as it was, and training
-records and backpropagates over each window too, down to its sums.  A
-no-grad path_coverage computes only the signed distance, which becomes
-the sigmoid in place.  Only the read-only ``PathCoverage.coverage`` view,
-for readers outside the package, places a window on a zero canvas.
+sample: 21 bytes with grad (the sigmoid, the foot parameter, the nearest
+edge as int32 and an inside flag), which coverage_backward turns back
+into each sample's unit gradient, bit for bit.  source_over writes each
+path into its window slice of the canvas, which is exact, since outside
+it zero coverage leaves the composite as it was, and training records
+and backpropagates over each window too, down to its sums.  A no-grad
+path_coverage computes only the signed distance, which becomes the
+sigmoid in place.  Only the read-only ``PathCoverage.coverage`` and
+``PathCoverage.unit`` views, for readers outside the package, place a
+window on a zero canvas or stack a sample's two gradient axes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,10 +79,11 @@ class PathCoverage:
     window: tuple[int, int, int, int]  # x0, y0, x1, y1 pixel bounds
     canvas: tuple[int, int]  # height, width of the canvas
     polyline: Polyline
-    sigma: np.ndarray | None = None  # (m,) per supersample in the window
-    unit: np.ndarray | None = None  # (m, 2) d(sd)/d(sample point)
-    edge_index: np.ndarray | None = None  # (m,)
-    foot_s: np.ndarray | None = None  # (m,)
+    # per supersample of the window, row-major, with grad only: 21 bytes
+    sigma: np.ndarray | None = None  # (m,) float64 expit(-sd / aa_sigma)
+    foot_s: np.ndarray | None = None  # (m,) float64 foot parameter on the edge
+    edge_index: np.ndarray | None = None  # (m,) int32 nearest edge
+    inside: np.ndarray | None = None  # (m,) bool, sd < 0
     scatter_idx: np.ndarray | None = None  # (V, 4) control indices per vertex
     scatter_w: np.ndarray | None = None  # (V, 4) Bernstein weights
 
@@ -96,6 +101,24 @@ class PathCoverage:
         canvas.flags.writeable = False
         return canvas
 
+    @property
+    def unit(self) -> np.ndarray | None:
+        """Read-only (m, 2) d(sd)/d(sample point), for readers outside the
+        package: batch_signed_distance's ``unit``, bit for bit."""
+        if self.sigma is None:
+            return None
+        s = math.isqrt(self.sigma.size // self.block.size) if self.block.size else 1
+        unit = np.stack(_sample_unit(self, s), axis=1)
+        unit.flags.writeable = False
+        return unit
+
+
+def _grid_axes(window: tuple[int, int, int, int], s: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sample centres of a window's supersample grid along x and along y."""
+    x0, y0, x1, y1 = window
+    return (x0 + (np.arange((x1 - x0) * s) + 0.5) / s,
+            y0 + (np.arange((y1 - y0) * s) + 0.5) / s)
+
 
 def path_coverage(path: VectorPath, width: int, height: int,
                   config: RasterizerConfig, with_grad: bool = False) -> PathCoverage:
@@ -108,9 +131,10 @@ def path_coverage(path: VectorPath, width: int, height: int,
     flattened outline from batch_signed_distance, which culls edges per
     chunk of samples without changing a bit of the result, and the
     window's block is the pixel mean of expit(-sd / aa_sigma).  With
-    ``with_grad`` the per-sample sigmoid, nearest edge, foot parameter
-    and unit gradient are kept for coverage_backward; without it only the
-    signed distance is computed.
+    ``with_grad`` the per-sample sigmoid, foot parameter, nearest edge
+    (int32) and inside flag are kept for coverage_backward, which
+    rebuilds the unit gradient from them; batch_signed_distance's own
+    ``unit`` is dropped.  Without it only the signed distance is computed.
     """
     poly = flatten_bezier(path, config)
     pad = CUTOFF_SIGMAS * config.aa_sigma
@@ -120,15 +144,15 @@ def path_coverage(path: VectorPath, width: int, height: int,
     y0 = int(np.clip(np.floor(v[:, 1].min() - pad), 0, height))
     y1 = int(np.clip(np.ceil(v[:, 1].max() + pad), 0, height))
     s = config.supersample
-    xs = x0 + (np.arange((x1 - x0) * s) + 0.5) / s
-    ys = y0 + (np.arange((y1 - y0) * s) + 0.5) / s
+    xs, ys = _grid_axes((x0, y0, x1, y1), s)
     pts = np.empty((ys.size, xs.size, 2))  # row-major supersample grid
     pts[:, :, 0] = xs
     pts[:, :, 1] = ys[:, None]
 
     sd, edge_idx, foot_s, unit = batch_signed_distance(poly, pts.reshape(-1, 2),
                                                        with_grad)
-    del pts
+    del pts, unit
+    inside = sd < 0 if with_grad else None  # a wide sigmoid rounds the sign away
     sigma = np.negative(sd, out=sd)  # expit(-sd / aa_sigma), in place
     sigma /= config.aa_sigma
     expit(sigma, out=sigma)
@@ -137,11 +161,42 @@ def path_coverage(path: VectorPath, width: int, height: int,
                       polyline=poly)
     if with_grad:
         pc.sigma = sigma
-        pc.unit = unit
-        pc.edge_index = edge_idx
         pc.foot_s = foot_s
+        pc.edge_index = edge_idx.astype(np.int32)
+        pc.inside = inside
         pc.scatter_idx, pc.scatter_w = vertex_control_scatter(path, poly)
     return pc
+
+
+def _sample_unit(pc: PathCoverage, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each supersample's unit gradient d(sd)/d(point), one (m,) array per
+    axis, rebuilt from the cached foot parameter and nearest edge.
+
+    The supersample grid is rebuilt from the window, and the offset from
+    the foot is ``p - (s * ab + a)`` as geometry._foot computes it, so
+    the distance and both axes are bit for bit batch_signed_distance's
+    ``unit``: ``sign * offset / d`` where d > 1e-12, else 0.  Where d >
+    1e-12 the inside flag is the winding sign.
+    """
+    xs, ys = _grid_axes(pc.window, s)
+    v = pc.polyline.vertices
+    ab = np.roll(v, -1, axis=0) - v
+    e = pc.edge_index
+    units = []
+    for axis, grid in ((0, xs[None, :]), (1, ys[:, None])):
+        off = pc.foot_s * ab[e, axis]
+        off += v[e, axis]
+        plane = off.reshape(ys.size, xs.size)  # a view: off becomes p - foot
+        np.subtract(grid, plane, out=plane)
+        np.negative(off, out=off, where=pc.inside)
+        units.append(off)
+    ux, uy = units
+    d = np.sqrt(ux * ux + uy * uy)
+    far = d > 1e-12
+    for u in units:  # each offset becomes its unit gradient axis in place
+        np.divide(u, d, out=u, where=far)
+        np.copyto(u, 0.0, where=~far)
+    return ux, uy
 
 
 def coverage_backward(pc: PathCoverage, d_block: np.ndarray,
@@ -161,15 +216,15 @@ def coverage_backward(pc: PathCoverage, d_block: np.ndarray,
     d_sample = np.repeat(np.repeat(d_block, s, axis=0), s, axis=1).ravel() / (s * s)
     d_sd = d_sample * (-pc.sigma * (1.0 - pc.sigma) / config.aa_sigma)
     # d(sd)/d(vertex a) = -unit * (1 - s_foot); d/d(vertex b) = -unit * s_foot
-    ga = d_sd[:, None] * (-pc.unit) * (1.0 - pc.foot_s)[:, None]
-    gb = d_sd[:, None] * (-pc.unit) * pc.foot_s[:, None]
     n_vert = pc.polyline.n_vertices
     ia = pc.edge_index
     ib = (pc.edge_index + 1) % n_vert
+    rest = 1.0 - pc.foot_s
     vert_grad = np.zeros((n_vert, 2))
-    for axis in range(2):
-        vert_grad[:, axis] += np.bincount(ia, weights=ga[:, axis], minlength=n_vert)
-        vert_grad[:, axis] += np.bincount(ib, weights=gb[:, axis], minlength=n_vert)
+    for axis, unit in enumerate(_sample_unit(pc, s)):
+        g = d_sd * np.negative(unit, out=unit)
+        vert_grad[:, axis] += np.bincount(ia, weights=g * rest, minlength=n_vert)
+        vert_grad[:, axis] += np.bincount(ib, weights=g * pc.foot_s, minlength=n_vert)
     contrib = pc.scatter_w[:, :, None] * vert_grad[:, None, :]
     np.add.at(d_ctrl, pc.scatter_idx.ravel(),
               contrib.reshape(-1, 2))

@@ -10,6 +10,7 @@ import importlib
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import covec.cli  # noqa: F401  (imports every module the tracer patches)
@@ -112,6 +113,28 @@ def test_tracer_counts_cleanup_removals(perfbench):
     assert len(kept) == 1 and kept[0] is solid
     assert tr.counts["refine.cleanup_layer.removed"] == 1
     assert tr.counts["refine.cleanup_layer.merged"] == 0
+
+
+def test_tracer_reads_the_grad_caches_of_a_traced_render(perfbench):
+    # the layer_forward counter reads every PathCoverage cache the tracer
+    # knows (the unit view, edge_index, foot_s) through _render_nbytes
+    tracer, _ = perfbench
+    import covec.raster as raster
+    from covec.model import RasterizerConfig
+
+    from conftest import disk_path
+
+    rcfg = RasterizerConfig(aa_sigma=0.25)
+    paths = [disk_path(12, 10, 4), disk_path(18, 14, 5, opacity=0.7)]
+    tr = tracer.Tracer()
+    tr.install()
+    try:
+        render = raster.layer_forward(paths, raster.WHITE, 32, 24, rcfg, with_grad=True)
+        grads = raster.layer_backward(paths, render, np.ones((24, 32, 3)), rcfg)
+    finally:
+        tr.uninstall()
+    assert len(grads) == 2
+    assert tr.cache_peak > 0
 
 
 def test_every_workload_sets_up_on_tiny_inputs(perfbench, tmp_path):

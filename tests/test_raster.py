@@ -301,14 +301,130 @@ def test_off_canvas_path_has_empty_window_and_zero_gradients(center, rcfg):
     assert x0 == x1 or y0 == y1
     assert np.array_equal(pc.coverage, np.zeros((h, w)))
     assert pc.sigma.shape == pc.foot_s.shape == pc.edge_index.shape == (0,)
+    assert pc.inside.shape == (0,)
     assert pc.unit.shape == (0, 2)
-    assert pc.edge_index.dtype == np.int64
+    assert pc.edge_index.dtype == np.int32
     render = layer_forward([path], WHITE, w, h, rcfg, with_grad=True)
     assert np.array_equal(render.image, np.ones((h, w, 3)))
     g = layer_backward([path], render, np.ones((h, w, 3)), rcfg)[0]
     assert not np.any(g.d_control_points)
     assert g.d_control_points.shape == path.control_points.shape
     assert not np.any(g.d_fill_color) and g.d_opacity == 0.0
+
+
+def _lattice_path():
+    """Straight cubic segments between lattice corners, one of them
+    degenerate, so the outline repeats a vertex (a zero-length edge)."""
+    corners = [(3, 3), (11, 3), (11, 3), (11, 9), (7, 13), (3, 9)]
+    ctrl = []
+    for i, a in enumerate(corners):
+        a, b = np.array(a, float), np.array(corners[(i + 1) % len(corners)], float)
+        ctrl += [a, a + (b - a) / 3.0, a + 2.0 * (b - a) / 3.0]
+    return VectorPath(control_points=np.array(ctrl), fill_color=np.full(3, 0.5),
+                      opacity=0.8, layer_tag="albedo")
+
+
+# (path, canvas width and height, config) for the rebuilt unit gradient
+UNIT_CASES = {
+    "disk": (disk_path(9.3, 8.1, 4.6), 20, 18, RasterizerConfig(aa_sigma=0.25)),
+    "lattice": (_lattice_path(), 16, 16, RasterizerConfig()),
+    # corners on sample centres: samples on the outline have sd 0 (or -0)
+    "on-outline": (square_path(4.5, 4.5, 12.5, 10.5), 16, 14,
+                   RasterizerConfig(supersample=1)),
+    "empty": (disk_path(-40, 10, 4.0), 24, 20, RasterizerConfig()),
+    # the sigmoid is within 1e-5 of 0.5 everywhere ...
+    "wide-sigmoid": (disk_path(8.2, 7.7, 4.0), 16, 16, RasterizerConfig(aa_sigma=1e6)),
+    # ... or exactly 0.5, and cannot carry the sign
+    "flat-sigmoid": (disk_path(8.2, 7.7, 4.0), 16, 16, RasterizerConfig(aa_sigma=1e18)),
+}
+
+
+def _window_samples(pc, s):
+    """The row-major supersample grid path_coverage builds for the window."""
+    x0, y0, x1, y1 = pc.window
+    gx, gy = np.meshgrid(x0 + (np.arange((x1 - x0) * s) + 0.5) / s,
+                         y0 + (np.arange((y1 - y0) * s) + 0.5) / s)
+    return np.stack([gx.ravel(), gy.ravel()], axis=1)
+
+
+def _unit_oracle_backward(pc, d_block, config):
+    """coverage_backward as an (m, 2) formula on batch_signed_distance's
+    own nearest edge, foot parameter and unit, as the package computed it
+    when it cached the unit."""
+    _, edge, foot_s, unit = batch_signed_distance(
+        pc.polyline, _window_samples(pc, config.supersample))
+    d_ctrl = np.zeros((int(pc.scatter_idx.max()) + 1, 2))
+    s = config.supersample
+    d_sample = np.repeat(np.repeat(d_block, s, axis=0), s, axis=1).ravel() / (s * s)
+    d_sd = d_sample * (-pc.sigma * (1.0 - pc.sigma) / config.aa_sigma)
+    ga = d_sd[:, None] * (-unit) * (1.0 - foot_s)[:, None]
+    gb = d_sd[:, None] * (-unit) * foot_s[:, None]
+    n_vert = pc.polyline.n_vertices
+    vert_grad = np.zeros((n_vert, 2))
+    for axis in range(2):
+        vert_grad[:, axis] += np.bincount(edge, weights=ga[:, axis], minlength=n_vert)
+        vert_grad[:, axis] += np.bincount((edge + 1) % n_vert, weights=gb[:, axis],
+                                          minlength=n_vert)
+    contrib = pc.scatter_w[:, :, None] * vert_grad[:, None, :]
+    np.add.at(d_ctrl, pc.scatter_idx.ravel(), contrib.reshape(-1, 2))
+    return d_ctrl
+
+
+@pytest.mark.parametrize("case", list(UNIT_CASES))
+@pytest.mark.filterwarnings("error")
+def test_unit_view_is_batch_signed_distance_unit(case):
+    path, w, h, config = UNIT_CASES[case]
+    pc = path_coverage(path, w, h, config, with_grad=True)
+    sd, edge, foot_s, unit = batch_signed_distance(
+        pc.polyline, _window_samples(pc, config.supersample))
+    assert pc.unit.shape == unit.shape == (sd.size, 2)
+    assert pc.unit.tobytes() == unit.tobytes()
+    assert not pc.unit.flags.writeable
+    assert np.array_equal(pc.edge_index, edge) and pc.foot_s.tobytes() == foot_s.tobytes()
+    assert np.array_equal(pc.inside, sd < 0)
+    if case == "on-outline":
+        assert np.count_nonzero(sd == 0.0) > 0
+    if case == "lattice":
+        v = pc.polyline.vertices
+        assert np.any(np.all(v == np.roll(v, -1, axis=0), axis=1))
+    if case == "wide-sigmoid":
+        assert np.all(np.abs(pc.sigma - 0.5) < 1e-5) and pc.inside.any()
+    if case == "flat-sigmoid":
+        assert np.all(pc.sigma == 0.5) and pc.inside.any()
+    assert path_coverage(path, w, h, config).unit is None
+
+
+@pytest.mark.parametrize("case", list(UNIT_CASES))
+@pytest.mark.filterwarnings("error")
+def test_coverage_backward_matches_unit_oracle(case, rng):
+    path, w, h, config = UNIT_CASES[case]
+    pc = path_coverage(path, w, h, config, with_grad=True)
+    d_block = rng.normal(size=pc.block.shape)
+    got = raster.coverage_backward(pc, d_block, config)
+    assert got.tobytes() == _unit_oracle_backward(pc, d_block, config).tobytes()
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([0.25, 1.0]), st.sampled_from([1, 2, 3]))
+def test_coverage_backward_matches_unit_oracle_on_random_paths(seed, aa_sigma, s):
+    rng = np.random.default_rng(seed)
+    config = RasterizerConfig(aa_sigma=aa_sigma, supersample=s)
+    pc = path_coverage(random_path(rng, 20, 18), 20, 18, config, with_grad=True)
+    d_block = rng.normal(size=pc.block.shape)
+    got = raster.coverage_backward(pc, d_block, config)
+    assert got.tobytes() == _unit_oracle_backward(pc, d_block, config).tobytes()
+
+
+def test_grad_caches_hold_at_most_21_bytes_per_supersample():
+    pc = path_coverage(disk_path(20, 14, 5), 40, 32, RasterizerConfig(aa_sigma=0.25),
+                       with_grad=True)
+    m = pc.sigma.size
+    assert m == pc.block.size * 4
+    per_sample = {f.name: getattr(pc, f.name).nbytes for f in dataclasses.fields(pc)
+                  if isinstance(getattr(pc, f.name), np.ndarray)
+                  and getattr(pc, f.name).shape[0] == m}
+    assert set(per_sample) >= {"sigma", "foot_s", "edge_index"}
+    assert sum(per_sample.values()) <= 21 * m, per_sample
 
 
 def test_layer_forward_returns_coverages():

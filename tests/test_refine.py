@@ -16,7 +16,7 @@ import covec.raster
 import covec.refine
 from covec.raster import (WHITE, layer_forward, path_coverage, render_composite,
                           source_over)
-from covec.refine import (CLEANUP_LOSS_EPS, ERROR_PERCENTILE, KAPPA,
+from covec.refine import (CLEANUP_AREA_MIN, CLEANUP_LOSS_EPS, ERROR_PERCENTILE, KAPPA,
                           MIN_COMPONENT_PIXELS, RADIUS_MIN,
                           assign_light_colors, circle_control_points,
                           cleanup_layer, propose_paths, refine_layer,
@@ -443,6 +443,22 @@ def test_cleanup_removes_hidden_path():
                               target)
     assert all(p is not hidden for p in out)
     assert any(p is cover for p in out)
+
+
+def test_cleanup_removes_small_area_path_that_moves_the_loss():
+    # the area rule alone: an opaque dot under CLEANUP_AREA_MIN px of soft
+    # area whose removal moves the loss by far more than CLEANUP_LOSS_EPS
+    rcfg = RasterizerConfig()
+    dot = disk_path(5, 5, 0.4, color=(0.1, 0.1, 0.1), tag="illumination")
+    big = disk_path(14, 14, 4, color=(0.3, 0.3, 0.3), tag="illumination")
+    paths = [dot, big]
+    target = _render(paths, 20, 20, rcfg)
+    maps = _maps(paths, 20, 20, rcfg)
+    assert float(maps[0].block.sum()) < CLEANUP_AREA_MIN
+    moved = float(np.mean((_render([big], 20, 20, rcfg) - target) ** 2))
+    assert moved > 100 * CLEANUP_LOSS_EPS
+    out, removed, _ = cleanup_layer(paths, maps, WHITE, WHITE, target)
+    assert removed == 1 and out == [big] and len(maps) == 1
 
 
 def test_cleanup_loss_budget(rng):
