@@ -24,14 +24,15 @@ the ``disk_grid_edit`` document of seeds 0-1 it then runs ``edit.run_edit``
 at K = 1, 4 and 16, printing
 ``edit/kK/seed sha256(svg+report json)``, and renders the K = 16 result
 with ``covec render --scale 2``, printing ``render/seed sha256(png)``,
-and hashes the raw float64 bytes of ``svg_io.reference_composite`` of the
-same K = 16 document at the benchmark's scale 4, before any clipping or
-quantization, printing ``reference/s4/seed sha256``, and again at
-supersample 1 and 3, whose row bands end on other rows, printing
-``reference/ss1/seed`` and ``reference/ss3/seed``.  It also hashes the
-raw float64 bytes of ``raster.render_composite``, rasterizing without
-coverage maps, of the same K = 16 document: scaled 4x (control points and
-canvas), so that path windows end inside the canvas, printing
+and hashes the raw float64 bytes of ``oracle_composite``, the independent
+renderer in ``tests/oracle_render.py``, of the same K = 16 document at
+the benchmark's scale 4, before any clipping or quantization, printing
+``reference/s4/seed sha256``, and again at supersample 1 and 3, whose
+row bands end on other rows, printing ``reference/ss1/seed`` and
+``reference/ss3/seed``.  It also hashes the raw float64 bytes of
+``raster.render_composite``, rasterizing without coverage maps, of the
+same K = 16 document: scaled 4x (control points and canvas), so that
+path windows end inside the canvas, printing
 ``production/s4/seed sha256``; and at its own size in ``three_layer``
 form and, with its shade paths retagged as illumination, in
 ``two_layer`` form, printing ``composite/<mode>/seed sha256``.
@@ -53,8 +54,8 @@ results may change with them.
 ``scripts/output_digest.txt`` holds the lines of a checked-in commit.
 With ``--check`` the script compares its lines with that file instead of
 printing them, prints each line that differs, and exits 1 if any does.
-Usage, from any checkout (its own ``src/`` is imported, files go to a
-temporary directory)::
+Usage, from any checkout (its own ``src/`` and ``tests/`` are imported,
+files go to a temporary directory)::
 
     python3 scripts/output_digest.py > scripts/output_digest.txt
     python3 scripts/output_digest.py --check
@@ -73,9 +74,10 @@ import numpy as np
 import scipy
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
 
 import scenes  # noqa: E402
+from oracle_render import oracle_composite  # noqa: E402
 from covec import cli, edit, gradcheck, image_io, pipeline, svg_io  # noqa: E402
 from covec.geometry import Polyline, batch_signed_distance, flatten_bezier  # noqa: E402
 from covec.model import LayeredDocument, RasterizerConfig, VectorPath  # noqa: E402
@@ -215,10 +217,10 @@ def edit_digests(seed: int, work: Path) -> list[str]:
     with contextlib.redirect_stdout(io.StringIO()):  # its line names the temp dir
         rc = cli.main(["render", str(svg), "-o", str(png), "--scale", "2"])
     lines.append(f"render/{seed} rc={rc} {hashlib.sha256(png.read_bytes()).hexdigest()}")
-    ref = svg_io.reference_composite(edited, scale=4)
+    ref = oracle_composite(edited, scale=4)
     lines.append(f"reference/s4/{seed} {hashlib.sha256(ref.tobytes()).hexdigest()}")
     for ss in (1, 3):
-        ref = svg_io.reference_composite(edited, RasterizerConfig(supersample=ss), scale=4)
+        ref = oracle_composite(edited, RasterizerConfig(supersample=ss), scale=4)
         lines.append(f"reference/ss{ss}/{seed} {hashlib.sha256(ref.tobytes()).hexdigest()}")
     return lines + composite_digests(edited, seed)
 

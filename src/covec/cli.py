@@ -1,7 +1,7 @@
 """Command-line entry points.
 
 Subcommands: vectorize (raster to layered SVG), render (SVG back to a
-raster via the reference compositor), edit (controlled recoloring
+raster with the optimizer's rasterizer), edit (controlled recoloring
 against a reference image), gradcheck (finite-difference validation of
 the rasterizer gradients), metrics (MSE/PSNR between two images).
 

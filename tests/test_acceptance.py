@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from conftest import disk_path, random_path, square_path
+from oracle_render import oracle_composite
 
 from covec import pipeline
 from covec.cli import main as cli_main
@@ -28,7 +29,7 @@ from covec.model import BLACK, WHITE, LayeredDocument, RasterizerConfig
 from covec.optimize import Schedule
 from covec.raster import blend, layer_forward, path_coverage, render_composite
 from covec.refine import refine_layer, separate_layers
-from covec.svg_io import emit_svg, parse_svg, reference_composite
+from covec.svg_io import emit_svg, parse_svg
 from covec.synthetic import (make_acceptance_scene, make_disk_grid_document,
                              make_icon_scene, make_recolor_reference)
 
@@ -139,7 +140,7 @@ def test_03_dual_renderer_parity(tmp_path):
     for seed in range(20):
         doc = _random_three_layer_doc(300 + seed)
         production = render_composite(doc, "three_layer", rcfg)
-        reference = reference_composite(doc, rcfg)
+        reference = oracle_composite(doc, rcfg)
         worst_parity = max(worst_parity,
                            float(np.abs(production - reference).max()))
         out = tmp_path / f"doc_{seed}.svg"

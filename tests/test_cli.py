@@ -14,10 +14,12 @@ from covec.image_io import read_image, write_image, write_label_png
 from covec.init_layers import InitError
 from covec.model import LayeredDocument
 from covec.pipeline import RunConfig
-from covec.svg_io import emit_svg, parse_svg
-from covec.synthetic import make_disk_grid_document, make_icon_scene
+from covec.svg_io import emit_svg, parse_svg, reference_composite
+from covec.synthetic import (make_disk_grid_document, make_icon_scene,
+                             make_recolor_reference)
 
 from conftest import dotted_halves, square_path
+from oracle_render import oracle_composite
 
 DATA = Path(__file__).parent / "data"
 
@@ -191,6 +193,23 @@ def test_render_scale(tmp_path, capsys):
                        "--scale", "3"], capsys)
     assert code == 0
     assert read_image(out_png).shape == (12, 18, 3)
+
+
+def test_render_scale_4_matches_oracle(tmp_path, capsys):
+    # covec render draws with the production rasterizer; the independent
+    # oracle renders the same edited document to the same 8-bit PNG
+    doc = make_recolor_reference(make_disk_grid_document(), [2, 5])
+    svg = tmp_path / "doc.svg"
+    emit_svg(doc, svg)
+    out_png = tmp_path / "render.png"
+    code, _, _ = _run(["render", str(svg), "-o", str(out_png),
+                       "--scale", "4"], capsys)
+    assert code == 0
+    parsed = parse_svg(svg.read_bytes())
+    oracle = oracle_composite(parsed, scale=4)
+    assert np.max(np.abs(reference_composite(parsed, scale=4) - oracle)) <= 1e-6
+    write_image(tmp_path / "oracle.png", np.clip(oracle, 0.0, 1.0))
+    assert out_png.read_bytes() == (tmp_path / "oracle.png").read_bytes()
 
 
 def test_render_oversized_scale_exits_2(tmp_path, capsys):
@@ -502,7 +521,6 @@ def test_edit_noop_reemits_identical_svg(tmp_path, capsys):
                           illumination=[], shade=[], light=[])
     svg_in = tmp_path / "in.svg"
     emit_svg(doc, svg_in)
-    from covec.svg_io import reference_composite
     img = np.clip(reference_composite(doc), 0.0, 1.0)
     orig = tmp_path / "orig.png"
     write_image(orig, img)
@@ -543,7 +561,6 @@ def test_edit_custom_report_path(tmp_path, capsys):
                           illumination=[], shade=[], light=[])
     svg_in = tmp_path / "in.svg"
     emit_svg(doc, svg_in)
-    from covec.svg_io import reference_composite
     img = np.clip(reference_composite(doc), 0.0, 1.0)
     orig = tmp_path / "orig.png"
     ref = tmp_path / "ref.png"

@@ -1,4 +1,4 @@
-"""Canonical SVG serialization, strict parsing, and the reference renderer."""
+"""Canonical SVG serialization, strict parsing, and the oracle renderer."""
 
 from unittest import mock
 
@@ -7,14 +7,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from covec import svg_io
 from covec.geometry import flatten_bezier
 from covec.model import LayeredDocument, RasterizerConfig, VectorPath
 from covec.raster import render_composite
-from covec.svg_io import (SvgParseError, emit_svg, parse_svg,
-                          reference_composite)
+from covec.svg_io import SvgParseError, emit_svg, parse_svg
 
+import oracle_render
 from conftest import disk_path, random_path, square_path
+from oracle_render import oracle_composite
 
 EMPTY_3X2 = b"""<?xml version="1.0" encoding="UTF-8"?>
 <svg xmlns="http://www.w3.org/2000/svg" width="3" height="2" viewBox="0 0 3 2">
@@ -56,7 +56,7 @@ def test_empty_document_exact_bytes():
 
 
 def test_empty_document_reference_white():
-    ref = reference_composite(_doc(4, 4))
+    ref = oracle_composite(_doc(4, 4))
     assert np.array_equal(np.clip(ref, 0.0, 1.0), np.ones((4, 4, 3)))
 
 
@@ -123,15 +123,15 @@ def test_roundtrip_render_quantization_bound(seed):
 def test_reference_matches_production_renderer(seed):
     rcfg = RasterizerConfig()
     doc = _random_doc(seed)
-    ref = reference_composite(doc, rcfg)
+    ref = oracle_composite(doc, rcfg)
     prod = render_composite(doc, "three_layer", rcfg)
     assert np.max(np.abs(ref - prod)) <= 1e-6
 
 
 def test_reference_scale_doubles_canvas():
     doc = _doc(6, 5, albedo=[disk_path(3, 2.5, 2, color=(0.8, 0.2, 0.2))])
-    ref1 = reference_composite(doc)
-    ref2 = reference_composite(doc, scale=2)
+    ref1 = oracle_composite(doc)
+    ref2 = oracle_composite(doc, scale=2)
     assert ref1.shape == (5, 6, 3)
     assert ref2.shape == (10, 12, 3)
     # the scaled render resolves the same geometry at finer sampling
@@ -140,7 +140,7 @@ def test_reference_scale_doubles_canvas():
 
 
 def _full_canvas_coverage(path, width, height, config):
-    """``svg_io._ref_coverage`` written as plain full-canvas expressions.
+    """``oracle_render._ref_coverage`` written as plain full-canvas expressions.
 
     Every edge evaluates its distance and its crossing test over the
     whole supersample canvas.  The renderer works in bands of pixel rows,
@@ -172,7 +172,7 @@ def _full_canvas_coverage(path, width, height, config):
         winding -= ((by <= gy) & (ay > gy) & (cross < 0)).astype(np.int64)
     sd = np.sqrt(min_d2)
     sd[winding != 0] *= -1.0
-    sigma = svg_io._ref_sigmoid(-sd / config.aa_sigma)
+    sigma = oracle_render._ref_sigmoid(-sd / config.aa_sigma)
     return sigma.reshape(height, s, width, s).mean(axis=(1, 3))
 
 
@@ -226,13 +226,13 @@ def _coverage_cases(draw):
 @given(_coverage_cases())
 def test_reference_coverage_matches_full_canvas_oracle(case):
     path, w, h, cfg = case
-    assert np.array_equal(svg_io._ref_coverage(path, w, h, cfg),
+    assert np.array_equal(oracle_render._ref_coverage(path, w, h, cfg),
                           _full_canvas_coverage(path, w, h, cfg))
 
 
 def _bands_of(rows, cfg):
-    """Patch the reference renderer to bands of ``rows`` pixel rows."""
-    return mock.patch.object(svg_io, "_REF_BAND_ROWS", rows * cfg.supersample)
+    """Patch the oracle to bands of ``rows`` pixel rows."""
+    return mock.patch.object(oracle_render, "_REF_BAND_ROWS", rows * cfg.supersample)
 
 
 # Bands of 1-3 pixel rows put band seams inside these small canvases.
@@ -242,7 +242,7 @@ def _bands_of(rows, cfg):
 def test_reference_coverage_band_seams_match_full_canvas_oracle(rows, case):
     path, w, h, cfg = case
     with _bands_of(rows, cfg):
-        assert np.array_equal(svg_io._ref_coverage(path, w, h, cfg),
+        assert np.array_equal(oracle_render._ref_coverage(path, w, h, cfg),
                               _full_canvas_coverage(path, w, h, cfg))
 
 
@@ -262,7 +262,7 @@ ROW_CENTRE_LOOPS = [
 def test_reference_coverage_row_centre_vertices(s, pts):
     path = _polygon_path(pts)
     cfg = RasterizerConfig(supersample=s)
-    assert np.array_equal(svg_io._ref_coverage(path, 7, 5, cfg),
+    assert np.array_equal(oracle_render._ref_coverage(path, 7, 5, cfg),
                           _full_canvas_coverage(path, 7, 5, cfg))
 
 
@@ -272,13 +272,13 @@ def test_reference_coverage_row_centre_vertices_band_seams(s, pts, rows):
     path = _polygon_path(pts)
     cfg = RasterizerConfig(supersample=s)
     with _bands_of(rows, cfg):
-        assert np.array_equal(svg_io._ref_coverage(path, 7, 5, cfg),
+        assert np.array_equal(oracle_render._ref_coverage(path, 7, 5, cfg),
                               _full_canvas_coverage(path, 7, 5, cfg))
 
 
 def test_light_only_document_saturates_white():
     light = [disk_path(8, 8, 4, color=(0.4, 0.4, 0.4), tag="light")]
-    ref = reference_composite(_doc(16, 16, light=light))
+    ref = oracle_composite(_doc(16, 16, light=light))
     assert ref.min() >= 1.0
     assert np.array_equal(np.clip(ref, 0.0, 1.0), np.ones((16, 16, 3)))
 
