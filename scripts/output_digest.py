@@ -39,11 +39,12 @@ form and, with its shade paths retagged as illumination, in
 Then it runs ``gradcheck.run_gradcheck`` (100 probes, seed 0) and prints
 ``gradcheck/0 sha256`` over every (analytic, numeric) pair that
 ``gradcheck._agree`` compared.  Last it prints ``sd/<case> sha256`` over
-the four outputs of ``geometry.batch_signed_distance`` on fixed-seed
-inputs: random flattened Bezier loops against whole-canvas supersample
-grids at supersample 1-6, and integer-lattice polygons (some repeated
-vertices) against a permutation of their vertices, edge midpoints, a
-half-integer lattice, dense clusters and far points.  Two checkouts that
+the four outputs of ``geometry.batch_signed_distance`` (signed distance,
+nearest edge, foot parameter and inside flag) on fixed-seed inputs:
+random flattened Bezier loops against whole-canvas supersample grids at
+supersample 1-6, and integer-lattice polygons (some repeated vertices)
+against a permutation of their vertices, edge midpoints, a half-integer
+lattice, dense clusters and far points.  Two checkouts that
 print the same lines wrote byte-identical SVG, trace, report and PNG
 files, rendered the same reference floats, reached the same final MSE,
 checked the same gradients and computed the same signed distances, so a

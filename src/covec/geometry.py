@@ -182,21 +182,24 @@ _SD_CHUNK = 64
 _CULL_SLACK = 1e-9
 
 
-def _foot(px, py, ax, ay, abx, aby, ab_sq):
-    """Clamped foot parameter s of p on edge a + s * ab, and p minus the foot.
-
-    The operations are those of ``((p - a) . ab) / |ab|^2`` clipped to
-    [0, 1] and of ``p - (a + s * ab)``, in that order; most run in place,
-    so a call holds few temporaries.
-    """
+def _foot_param(px, py, ax, ay, abx, aby, ab_sq):
+    """Clamped foot parameter s of p on edge a + s * ab: the operations of
+    ``((p - a) . ab) / |ab|^2`` clipped to [0, 1], in that order, in place."""
     s = (px - ax) * abx
     s += (py - ay) * aby
     s /= ab_sq
-    np.clip(s, 0.0, 1.0, out=s)
+    return np.clip(s, 0.0, 1.0, out=s)
+
+
+def _offset(px, py, ax, ay, abx, aby, ab_sq):
+    """p minus its foot on edge a + s * ab, as ``p - (a + s * ab)``, one
+    array per axis; most operations run in place, so a call holds few
+    temporaries."""
+    s = _foot_param(px, py, ax, ay, abx, aby, ab_sq)
     dx, dy = s * abx, s * aby
     dx += ax
     dy += ay
-    return s, np.subtract(px, dx, out=dx), np.subtract(py, dy, out=dy)
+    return np.subtract(px, dx, out=dx), np.subtract(py, dy, out=dy)
 
 
 def batch_signed_distance(polyline: Polyline, points: np.ndarray, with_grad: bool = True
@@ -204,12 +207,15 @@ def batch_signed_distance(polyline: Polyline, points: np.ndarray, with_grad: boo
                                      np.ndarray | None]:
     """Vectorized signed distance for many query points.
 
-    Returns (sd, edge_index, foot_s, unit) where ``unit`` is the outward
-    derivative d(sd)/d(point), i.e. sign * (p - foot) / |p - foot|, or zero
-    when the query point sits exactly on the boundary.  The nearest edge
-    is the lowest-indexed edge at the minimum squared distance, and the
-    sign comes from the nonzero winding number, counted in one pass over
-    the edges as in scanline polygon fill.  The points must be finite.
+    Returns (sd, edge_index, foot_s, inside): the signed distance, the
+    nearest edge (int32), the clamped foot parameter on it and the
+    nonzero-winding mask, the record per point that the rasterizer's
+    backward pass keeps (raster._sample_unit turns it into the unit
+    gradient).  The nearest edge is the lowest-indexed edge at the
+    minimum squared distance, and the sign comes from the nonzero winding
+    number, counted in one pass over the edges as in scanline polygon
+    fill; ``inside`` differs from ``sd < 0`` only where sd is -0.0, on
+    the outline.  The points must be finite.
 
     The points are sorted by square cell of side SD_TILE and cut into
     chunks of _SD_CHUNK consecutive sorted points, the last padded with
@@ -225,11 +231,11 @@ def batch_signed_distance(polyline: Polyline, points: np.ndarray, with_grad: boo
     each kept edge, in ascending order, is tested against all its kept
     chunks as one dense block, and every point keeps a running minimum
     of the squared distance that only a strictly smaller value replaces,
-    so ties go to the lowest edge index.  Last, the foot parameter and
-    offset are computed once per point for its nearest edge.  Every
-    point meets every edge tied at its minimum, through the same foot
-    and distance arithmetic as a test against every edge, so all four
-    outputs are bit for bit those of the all-pairs computation.  Chunks
+    so ties go to the lowest edge index.  Last, the foot parameter is
+    computed once per point for its nearest edge.  Every point meets
+    every edge tied at its minimum, through the same foot and distance
+    arithmetic as a test against every edge, so all four outputs are bit
+    for bit those of the all-pairs computation.  Chunks
     are processed in groups (see SD_GROUP_POINTS), which bounds the
     temporaries.  Without ``with_grad`` only ``sd`` is computed, to the
     same bits, and the result is ``(sd, None, None, None)``.
@@ -249,13 +255,6 @@ def batch_signed_distance(polyline: Polyline, points: np.ndarray, with_grad: boo
 
     n_pts = pts.shape[0]
     sd = np.empty(n_pts)
-    edge_idx = foot_s = unit = None
-    if with_grad:
-        edge_idx = np.empty(n_pts, dtype=np.int64)
-        foot_s = np.empty(n_pts)
-        unit = np.zeros((n_pts, 2))
-    if n_pts == 0:
-        return sd, edge_idx, foot_s, unit
     x, y = pts[:, 0], pts[:, 1]
 
     # winding number, one pass over the edges: with the points sorted by y,
@@ -273,6 +272,13 @@ def batch_signed_distance(polyline: Polyline, points: np.ndarray, with_grad: boo
             wind[i] -= cross < 0
     inside = wind != 0
     del by_y, wind  # only the mask outlives the pass
+    if not with_grad:
+        result = sd, None, None, None
+    else:
+        edge_idx, foot_s = np.empty(n_pts, dtype=np.int32), np.empty(n_pts)
+        result = sd, edge_idx, foot_s, inside
+    if n_pts == 0:
+        return result
 
     # sort the points by cell and cut them into (chunk, _SD_CHUNK) blocks
     cx = np.floor((x - x.min()) / SD_TILE).astype(np.int64)
@@ -306,10 +312,10 @@ def batch_signed_distance(polyline: Polyline, points: np.ndarray, with_grad: boo
         # a running minimum that only a strictly smaller distance replaces
         px, py = xs[c0:c1], ys[c0:c1]
         best = np.full(px.shape, np.inf)
-        near = np.zeros(px.shape, dtype=np.int64)
+        near = np.zeros(px.shape, dtype=np.int32)
         for e in np.flatnonzero(keep.any(axis=1)):
             rows = np.flatnonzero(keep[e])
-            _, dx, dy = _foot(px[rows], py[rows], *edges[e])
+            dx, dy = _offset(px[rows], py[rows], *edges[e])
             dist_sq = dx * dx + dy * dy
             if not with_grad:
                 best[rows] = np.minimum(best[rows], dist_sq)
@@ -321,21 +327,14 @@ def batch_signed_distance(polyline: Polyline, points: np.ndarray, with_grad: boo
             best[rows], near[rows] = cur, cur_e
 
         out = order[c0 * _SD_CHUNK:c1 * _SD_CHUNK]  # the padding is dropped
-        d = np.sqrt(best.ravel()[:out.size])
-        sign = np.where(inside[out], -1.0, 1.0)
-        sd[out] = sign * d
+        sd[out] = np.where(inside[out], -1.0, 1.0) * np.sqrt(best.ravel()[:out.size])
         if not with_grad:
             continue
         e = near.ravel()[:out.size]
-        s, dx, dy = _foot(px.ravel()[:out.size], py.ravel()[:out.size],
-                          ax[e], ay[e], abx[e], aby[e], ab_sq_safe[e])
         edge_idx[out] = e
-        foot_s[out] = s
-        signed = sign[:, None] * np.stack([dx, dy], axis=1)
-        unit[out] = np.divide(signed, d[:, None], out=np.zeros_like(signed),
-                              where=d[:, None] > 1e-12)
-        del s, dx, dy, d, signed, sign  # freed before the next group's sweep
-    return sd, edge_idx, foot_s, unit
+        foot_s[out] = _foot_param(px.ravel()[:out.size], py.ravel()[:out.size],
+                                  ax[e], ay[e], abx[e], aby[e], ab_sq_safe[e])
+    return result
 
 
 def _perpendicular_distances(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -23,9 +23,10 @@ differentiates the two-layer product itself.
 
 Each path's coverage lives in its support window: ``PathCoverage.block``
 covers only the window, as does everything the rasterizer keeps per
-sample: 21 bytes with grad (the sigmoid, the foot parameter, the nearest
-edge as int32 and an inside flag), which coverage_backward turns back
-into each sample's unit gradient, bit for bit.  source_over writes each
+sample: 21 bytes with grad (the sigmoid, and the foot parameter, nearest
+edge as int32 and inside flag that the distance search returns), from
+which coverage_backward computes each sample's unit gradient, the
+package's one formula for it.  source_over writes each
 path into its window slice of the canvas, which is exact, since outside
 it zero coverage leaves the composite as it was, and training records
 and backpropagates over each window too, down to its sums.  A no-grad
@@ -83,7 +84,7 @@ class PathCoverage:
     sigma: np.ndarray | None = None  # (m,) float64 expit(-sd / aa_sigma)
     foot_s: np.ndarray | None = None  # (m,) float64 foot parameter on the edge
     edge_index: np.ndarray | None = None  # (m,) int32 nearest edge
-    inside: np.ndarray | None = None  # (m,) bool, sd < 0
+    inside: np.ndarray | None = None  # (m,) bool, nonzero winding
     scatter_idx: np.ndarray | None = None  # (V, 4) control indices per vertex
     scatter_w: np.ndarray | None = None  # (V, 4) Bernstein weights
 
@@ -104,7 +105,7 @@ class PathCoverage:
     @property
     def unit(self) -> np.ndarray | None:
         """Read-only (m, 2) d(sd)/d(sample point), for readers outside the
-        package: batch_signed_distance's ``unit``, bit for bit."""
+        package: the two axes of _sample_unit, stacked."""
         if self.sigma is None:
             return None
         s = math.isqrt(self.sigma.size // self.block.size) if self.block.size else 1
@@ -131,10 +132,10 @@ def path_coverage(path: VectorPath, width: int, height: int,
     flattened outline from batch_signed_distance, which culls edges per
     chunk of samples without changing a bit of the result, and the
     window's block is the pixel mean of expit(-sd / aa_sigma).  With
-    ``with_grad`` the per-sample sigmoid, foot parameter, nearest edge
-    (int32) and inside flag are kept for coverage_backward, which
-    rebuilds the unit gradient from them; batch_signed_distance's own
-    ``unit`` is dropped.  Without it only the signed distance is computed.
+    ``with_grad`` the per-sample sigmoid and the search's nearest edge
+    (int32), foot parameter and inside flag are kept, as returned, for
+    coverage_backward, which computes the unit gradient from them.
+    Without it only the signed distance is computed.
     """
     poly = flatten_bezier(path, config)
     pad = CUTOFF_SIGMAS * config.aa_sigma
@@ -149,10 +150,9 @@ def path_coverage(path: VectorPath, width: int, height: int,
     pts[:, :, 0] = xs
     pts[:, :, 1] = ys[:, None]
 
-    sd, edge_idx, foot_s, unit = batch_signed_distance(poly, pts.reshape(-1, 2),
-                                                       with_grad)
-    del pts, unit
-    inside = sd < 0 if with_grad else None  # a wide sigmoid rounds the sign away
+    sd, edge_idx, foot_s, inside = batch_signed_distance(poly, pts.reshape(-1, 2),
+                                                         with_grad)
+    del pts
     sigma = np.negative(sd, out=sd)  # expit(-sd / aa_sigma), in place
     sigma /= config.aa_sigma
     expit(sigma, out=sigma)
@@ -160,23 +160,19 @@ def path_coverage(path: VectorPath, width: int, height: int,
     pc = PathCoverage(block=block, window=(x0, y0, x1, y1), canvas=(height, width),
                       polyline=poly)
     if with_grad:
-        pc.sigma = sigma
-        pc.foot_s = foot_s
-        pc.edge_index = edge_idx.astype(np.int32)
-        pc.inside = inside
+        pc.sigma, pc.foot_s, pc.edge_index, pc.inside = sigma, foot_s, edge_idx, inside
         pc.scatter_idx, pc.scatter_w = vertex_control_scatter(path, poly)
     return pc
 
 
 def _sample_unit(pc: PathCoverage, s: int) -> tuple[np.ndarray, np.ndarray]:
     """Each supersample's unit gradient d(sd)/d(point), one (m,) array per
-    axis, rebuilt from the cached foot parameter and nearest edge.
+    axis, from the cached foot parameter, nearest edge and inside flag.
 
     The supersample grid is rebuilt from the window, and the offset from
-    the foot is ``p - (s * ab + a)`` as geometry._foot computes it, so
-    the distance and both axes are bit for bit batch_signed_distance's
-    ``unit``: ``sign * offset / d`` where d > 1e-12, else 0.  Where d >
-    1e-12 the inside flag is the winding sign.
+    the foot is ``p - (s * ab + a)``, the operations of geometry._offset,
+    so d is bit for bit the search's distance.  Each axis is ``sign *
+    offset / d`` where d > 1e-12, else 0, with sign -1 inside.
     """
     xs, ys = _grid_axes(pc.window, s)
     v = pc.polyline.vertices

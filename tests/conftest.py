@@ -23,17 +23,18 @@ def zero_gradient(path):
                           d_fill_color=np.zeros(3), d_opacity=0.0)
 
 
+def polygon_control_points(corners):
+    """Closed cubic loop of straight segments through the (n, 2) corners,
+    each with handles at a third and two thirds of its chord: adaptive
+    flattening turns it back into exactly these vertices."""
+    a = np.asarray(corners, dtype=np.float64)
+    b = np.roll(a, -1, axis=0)
+    return np.stack([a, a + (b - a) / 3.0, a + 2.0 * (b - a) / 3.0], axis=1).reshape(-1, 2)
+
+
 def square_control_points(x0, y0, x1, y1):
     """Closed 4-segment cubic tracing an axis-aligned rectangle."""
-    corners = np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]], dtype=np.float64)
-    pts = []
-    for i in range(4):
-        a = corners[i]
-        b = corners[(i + 1) % 4]
-        pts.append(a)
-        pts.append(a + (b - a) / 3.0)
-        pts.append(a + 2.0 * (b - a) / 3.0)
-    return np.asarray(pts)
+    return polygon_control_points([[x0, y0], [x1, y0], [x1, y1], [x0, y1]])
 
 
 def square_path(x0, y0, x1, y1, color=(0.5, 0.5, 0.5), opacity=1.0,
@@ -57,6 +58,14 @@ def random_path(rng, width, height, tag="albedo", color_hi=0.95):
     return VectorPath(control_points=ctrl,
                       fill_color=rng.uniform(0.05, color_hi, 3),
                       opacity=float(rng.uniform(0.2, 0.95)), layer_tag=tag)
+
+
+def window_samples(pc, s):
+    """The row-major supersample grid path_coverage builds for pc's window."""
+    x0, y0, x1, y1 = pc.window
+    gx, gy = np.meshgrid(x0 + (np.arange((x1 - x0) * s) + 0.5) / s,
+                         y0 + (np.arange((y1 - y0) * s) + 0.5) / s)
+    return np.stack([gx.ravel(), gy.ravel()], axis=1)
 
 
 def dotted_halves(piece=1):

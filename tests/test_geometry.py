@@ -1,7 +1,6 @@
 """Bezier flattening, signed distance and closed-curve simplification."""
 
 import tracemalloc
-from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
@@ -14,133 +13,12 @@ from covec.geometry import (_MAX_SPLIT_DEPTH, _SD_CHUNK, SD_GROUP_POINTS, Polyli
                             batch_signed_distance, bernstein3, flatten_bezier, polygon_area,
                             simplify_closed, vertex_control_scatter, _farthest_pair)
 from covec.model import RasterizerConfig, VectorPath
+from covec.raster import path_coverage
 
-from conftest import disk_path, eval_cubic, square_control_points, square_path
-
-
-# Scalar reference implementations that batch_signed_distance is checked
-# against, one query point and one edge at a time.
-
-
-def polyline_lengths(vertices: np.ndarray) -> np.ndarray:
-    """Edge lengths of a closed polyline, edge i = v[i] -> v[(i+1) % n]."""
-    diff = np.roll(vertices, -1, axis=0) - vertices
-    return np.hypot(diff[:, 0], diff[:, 1])
-
-
-def point_segment_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
-    """Distance from point p to segment ab and the foot parameter s in [0, 1]."""
-    ab = b - a
-    denom = float(ab @ ab)
-    if denom < 1e-24:
-        s = 0.0
-    else:
-        s = float(np.clip((p - a) @ ab / denom, 0.0, 1.0))
-    q = a + s * ab
-    return float(np.hypot(*(p - q))), s
-
-
-def winding_number(polyline: Polyline, point: np.ndarray) -> int:
-    """Crossing-count winding number of a closed polyline around a point."""
-    v = polyline.vertices
-    a = v
-    b = np.roll(v, -1, axis=0)
-    px, py = float(point[0]), float(point[1])
-    up = (a[:, 1] <= py) & (b[:, 1] > py)
-    down = (b[:, 1] <= py) & (a[:, 1] > py)
-    cross = (b[:, 0] - a[:, 0]) * (py - a[:, 1]) - (b[:, 1] - a[:, 1]) * (px - a[:, 0])
-    return int(np.sum(up & (cross > 0)) - np.sum(down & (cross < 0)))
-
-
-class NearestEdge(NamedTuple):
-    """Closest boundary edge to a query point."""
-
-    edge_index: int
-    foot: np.ndarray  # closest point on the edge
-    s: float  # foot parameter along the edge, 0 at its first vertex
-
-
-def signed_distance(polyline: Polyline, point: np.ndarray) -> tuple[float, NearestEdge]:
-    """Signed distance from a point to a closed polyline.
-
-    Negative inside (nonzero winding), positive outside.  The nearest
-    edge, its foot point, and the foot parameter come along; distance
-    ties resolve to the lowest edge index.
-    """
-    p = np.asarray(point, dtype=np.float64)
-    v = polyline.vertices
-    n = v.shape[0]
-    best_d = np.inf
-    best_edge = 0
-    best_s = 0.0
-    for e in range(n):
-        d, s = point_segment_distance(p, v[e], v[(e + 1) % n])
-        if d < best_d - 1e-15:
-            best_d, best_edge, best_s = d, e, s
-    sign = -1.0 if winding_number(polyline, p) != 0 else 1.0
-    a = v[best_edge]
-    b = v[(best_edge + 1) % n]
-    foot = a + best_s * (b - a)
-    return sign * best_d, NearestEdge(edge_index=best_edge, foot=foot, s=best_s)
-
-
-def _all_pairs_signed_distance(polyline: Polyline, points: np.ndarray,
-                               chunk: int = 8192
-                               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """batch_signed_distance by testing every point against every edge.
-
-    The edge-culled production version must return these four arrays bit
-    for bit.
-    """
-    pts = np.asarray(points, dtype=np.float64)
-    v = polyline.vertices
-    a = v
-    b = np.roll(v, -1, axis=0)
-    ab = b - a
-    ab_sq = np.einsum("ij,ij->i", ab, ab)
-    ab_sq_safe = np.where(ab_sq < 1e-24, 1.0, ab_sq)
-
-    n_pts = pts.shape[0]
-    sd = np.empty(n_pts)
-    edge_idx = np.empty(n_pts, dtype=np.int64)
-    foot_s = np.empty(n_pts)
-    unit = np.zeros((n_pts, 2))
-
-    for lo in range(0, n_pts, chunk):
-        hi = min(lo + chunk, n_pts)
-        p = pts[lo:hi]
-        # (m, e) foot parameters clamped to the segment
-        rel = p[:, None, :] - a[None, :, :]
-        # the plain dot product: einsum's zero accumulator would turn a
-        # -0.0 foot parameter into +0.0
-        s = (rel[..., 0] * ab[:, 0] + rel[..., 1] * ab[:, 1]) / ab_sq_safe
-        np.clip(s, 0.0, 1.0, out=s)
-        foot = a[None, :, :] + s[..., None] * ab[None, :, :]
-        diff = p[:, None, :] - foot
-        dist_sq = np.einsum("mej,mej->me", diff, diff)
-        e_best = np.argmin(dist_sq, axis=1)
-        m_idx = np.arange(hi - lo)
-        d_best = np.sqrt(dist_sq[m_idx, e_best])
-        s_best = s[m_idx, e_best]
-        diff_best = diff[m_idx, e_best]
-
-        # winding via crossing counts, vectorized over the chunk
-        py = p[:, 1][:, None]
-        px = p[:, 0][:, None]
-        up = (a[None, :, 1] <= py) & (b[None, :, 1] > py)
-        down = (b[None, :, 1] <= py) & (a[None, :, 1] > py)
-        cross = ((b[None, :, 0] - a[None, :, 0]) * (py - a[None, :, 1])
-                 - (b[None, :, 1] - a[None, :, 1]) * (px - a[None, :, 0]))
-        wind = np.sum(up & (cross > 0), axis=1) - np.sum(down & (cross < 0), axis=1)
-        sign = np.where(wind != 0, -1.0, 1.0)
-
-        sd[lo:hi] = sign * d_best
-        edge_idx[lo:hi] = e_best
-        foot_s[lo:hi] = s_best
-        nonzero = d_best > 1e-12
-        unit[lo:hi][nonzero] = (sign[nonzero, None] * diff_best[nonzero]
-                                / d_best[nonzero, None])
-    return sd, edge_idx, foot_s, unit
+from conftest import (disk_path, eval_cubic, polygon_control_points, square_control_points,
+                      square_path, window_samples)
+from oracle_geometry import (_all_pairs_signed_distance, point_segment_distance,
+                             polyline_lengths, signed_distance, winding_number)
 
 
 def _flatness_one(quad: np.ndarray) -> float:
@@ -286,19 +164,20 @@ def test_batch_signed_distance_matches_scalar(rng):
     verts = rng.uniform(0, 20, (9, 2))
     poly = Polyline(vertices=verts)
     pts = rng.uniform(-5, 25, (40, 2))
-    sd, edge, s, unit = batch_signed_distance(poly, pts)
+    sd, edge, _, inside = batch_signed_distance(poly, pts)
     for i, p in enumerate(pts):
         d_ref, near = signed_distance(poly, p)
         assert sd[i] == pytest.approx(d_ref, abs=1e-12)
         assert edge[i] == near.edge_index
+        assert inside[i] == (winding_number(poly, p) != 0)
 
 
 def _assert_matches_all_pairs(poly: Polyline, pts: np.ndarray, group: int = SD_GROUP_POINTS,
                               chunk: int = _SD_CHUNK):
     with mock.patch.multiple(geometry, SD_GROUP_POINTS=group, _SD_CHUNK=chunk):
         got = batch_signed_distance(poly, pts)
-    want = _all_pairs_signed_distance(poly, pts)
-    for name, g, w in zip(("sd", "edge_index", "foot_s", "unit"), got, want):
+    want = _all_pairs_signed_distance(poly, pts)[:4]  # all but the unit
+    for name, g, w in zip(("sd", "edge_index", "foot_s", "inside"), got, want):
         assert g.dtype == w.dtype and g.shape == w.shape, name
         assert g.tobytes() == w.tobytes(), name  # also tells -0.0 from 0.0
 
@@ -378,24 +257,37 @@ def test_batch_signed_distance_ties_and_empty():
                                          [4.0, 4.0], [0.0, 4.0]]))
     pts = np.array([[2.0, 2.0], [1.0, 1.0], [3.0, 3.0], [4.0, 0.0], [2.0, 0.0]])
     _assert_matches_all_pairs(square, pts)
-    sd, edge, s, unit = batch_signed_distance(square, pts)
+    sd, edge, s, inside = batch_signed_distance(square, pts)
     # edge 1 has zero length; the centre ties all four sides, (1, 1) the
     # bottom (0) and the left (4), (3, 3) the right (2) and the top (3):
     # the lowest edge index wins
     assert edge.tolist()[:3] == [0, 0, 2]
-    assert sd[0] == -2.0 and sd[3] == 0.0 and np.array_equal(unit[3], [0.0, 0.0])
+    assert edge.dtype == np.int32 and inside.dtype == bool
+    # (2, 0) lies on the bottom edge and its ray crosses the right one:
+    # winding 1, so -0.0, the one place where inside is not sd < 0
+    assert sd[0] == -2.0 and sd[3] == 0.0 and not inside[3]
+    assert sd[4] == 0.0 and np.signbit(sd[4]) and inside[4]
     out = batch_signed_distance(square, np.zeros((0, 2)))
-    assert [o.shape for o in out] == [(0,), (0,), (0,), (0, 2)]
+    assert [o.shape for o in out] == [(0,), (0,), (0,), (0,)]
     _assert_matches_all_pairs(square, np.zeros((0, 2)))
 
 
 def test_signed_distance_gradient_is_unit_vector(rng):
-    poly = Polyline(vertices=rng.uniform(0, 20, (7, 2)))
-    pts = rng.uniform(-2, 22, (25, 2))
-    sd, _, _, unit = batch_signed_distance(poly, pts)
+    # the package's unit gradient, PathCoverage.unit, at 25 of the window's
+    # supersamples of a random (often self-intersecting) 7-gon, against
+    # central differences of the scalar signed distance
+    path = VectorPath(control_points=polygon_control_points(rng.uniform(0, 20, (7, 2))),
+                      fill_color=np.zeros(3), opacity=1.0, layer_tag="albedo")
+    config = RasterizerConfig()
+    pc = path_coverage(path, 20, 20, config, with_grad=True)
+    poly = pc.polyline
+    assert poly.n_vertices == 7
+    pts = window_samples(pc, config.supersample)
+    unit = pc.unit
     eps = 1e-6
-    for i, p in enumerate(pts):
-        if abs(sd[i]) < 1e-3:
+    for i in rng.choice(len(pts), 25, replace=False):
+        p = pts[i]
+        if abs(signed_distance(poly, p)[0]) < 1e-3:
             continue
         gx = (signed_distance(poly, p + [eps, 0])[0]
               - signed_distance(poly, p - [eps, 0])[0]) / (2 * eps)
@@ -524,8 +416,10 @@ def test_signed_distance_matches_checked_in_digest(digest_script, checked_in_dig
 
 def test_signed_distance_memory_on_a_128_canvas():
     # one with-grad call over the supersample-2 grid of a 128 x 128 canvas
-    # (65 536 points) and a 64-edge circle: the outputs alone are 2.5 MiB;
-    # 7.86 MiB is the peak of the pair-by-pair search this one replaced
+    # (65 536 points) and a 64-edge circle: the outputs alone are 1.3 MiB
+    # (21 bytes a point) and the call peaks at 4.85 MiB; the search that
+    # also built an (m, 2) unit gradient and int64 edge indices peaked at
+    # 6.39 MiB, which the 5 MiB bound rejects
     poly = flatten_bezier(disk_path(64, 64, 40), RasterizerConfig())
     assert poly.n_vertices == 64
     coords = (np.arange(256) + 0.5) / 2
@@ -537,7 +431,7 @@ def test_signed_distance_memory_on_a_128_canvas():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 7.86 * 2**20, peak / 2**20
+    assert peak < 5.0 * 2**20, peak / 2**20
 
 
 def test_signed_distance_without_grad_is_the_same_sd(digest_sd_cases):

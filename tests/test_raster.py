@@ -22,7 +22,8 @@ from covec.raster import (blend, layer_backward, layer_forward, path_coverage,
 
 from covec.svg_io import emit_svg
 
-from conftest import disk_path, random_path, square_path
+from conftest import disk_path, polygon_control_points, random_path, square_path, window_samples
+from oracle_geometry import _all_pairs_signed_distance
 
 
 def _oracle_coverage(path, width, height, config):
@@ -316,15 +317,11 @@ def _lattice_path():
     """Straight cubic segments between lattice corners, one of them
     degenerate, so the outline repeats a vertex (a zero-length edge)."""
     corners = [(3, 3), (11, 3), (11, 3), (11, 9), (7, 13), (3, 9)]
-    ctrl = []
-    for i, a in enumerate(corners):
-        a, b = np.array(a, float), np.array(corners[(i + 1) % len(corners)], float)
-        ctrl += [a, a + (b - a) / 3.0, a + 2.0 * (b - a) / 3.0]
-    return VectorPath(control_points=np.array(ctrl), fill_color=np.full(3, 0.5),
+    return VectorPath(control_points=polygon_control_points(corners), fill_color=np.full(3, 0.5),
                       opacity=0.8, layer_tag="albedo")
 
 
-# (path, canvas width and height, config) for the rebuilt unit gradient
+# (path, canvas width and height, config) for the unit gradient computed from the caches
 UNIT_CASES = {
     "disk": (disk_path(9.3, 8.1, 4.6), 20, 18, RasterizerConfig(aa_sigma=0.25)),
     "lattice": (_lattice_path(), 16, 16, RasterizerConfig()),
@@ -339,20 +336,11 @@ UNIT_CASES = {
 }
 
 
-def _window_samples(pc, s):
-    """The row-major supersample grid path_coverage builds for the window."""
-    x0, y0, x1, y1 = pc.window
-    gx, gy = np.meshgrid(x0 + (np.arange((x1 - x0) * s) + 0.5) / s,
-                         y0 + (np.arange((y1 - y0) * s) + 0.5) / s)
-    return np.stack([gx.ravel(), gy.ravel()], axis=1)
-
-
 def _unit_oracle_backward(pc, d_block, config):
-    """coverage_backward as an (m, 2) formula on batch_signed_distance's
-    own nearest edge, foot parameter and unit, as the package computed it
-    when it cached the unit."""
-    _, edge, foot_s, unit = batch_signed_distance(
-        pc.polyline, _window_samples(pc, config.supersample))
+    """coverage_backward as an (m, 2) formula on the all-pairs oracle's
+    nearest edge, foot parameter and unit gradient."""
+    _, edge, foot_s, _, unit = _all_pairs_signed_distance(
+        pc.polyline, window_samples(pc, config.supersample))
     d_ctrl = np.zeros((int(pc.scatter_idx.max()) + 1, 2))
     s = config.supersample
     d_sample = np.repeat(np.repeat(d_block, s, axis=0), s, axis=1).ravel() / (s * s)
@@ -373,15 +361,18 @@ def _unit_oracle_backward(pc, d_block, config):
 @pytest.mark.parametrize("case", list(UNIT_CASES))
 @pytest.mark.filterwarnings("error")
 def test_unit_view_is_batch_signed_distance_unit(case):
+    # the view against the unit gradient of the all-pairs signed distance,
+    # and the caches it is computed from against that search's outputs
     path, w, h, config = UNIT_CASES[case]
     pc = path_coverage(path, w, h, config, with_grad=True)
-    sd, edge, foot_s, unit = batch_signed_distance(
-        pc.polyline, _window_samples(pc, config.supersample))
+    sd, edge, foot_s, inside, unit = _all_pairs_signed_distance(
+        pc.polyline, window_samples(pc, config.supersample))
     assert pc.unit.shape == unit.shape == (sd.size, 2)
     assert pc.unit.tobytes() == unit.tobytes()
     assert not pc.unit.flags.writeable
-    assert np.array_equal(pc.edge_index, edge) and pc.foot_s.tobytes() == foot_s.tobytes()
-    assert np.array_equal(pc.inside, sd < 0)
+    assert pc.edge_index.dtype == np.int32 and pc.edge_index.tobytes() == edge.tobytes()
+    assert pc.foot_s.tobytes() == foot_s.tobytes()
+    assert np.array_equal(pc.inside, inside)
     if case == "on-outline":
         assert np.count_nonzero(sd == 0.0) > 0
     if case == "lattice":
