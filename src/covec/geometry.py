@@ -4,6 +4,12 @@ The rasterizer never evaluates curve-point distance directly: every closed
 Bezier loop is first flattened to a polyline whose vertices remember which
 segment and parameter value produced them, so gradients can flow back from
 polyline vertices to control points through fixed Bernstein weights.
+
+``batch_signed_distance`` takes the query points as the row-major grid
+the rasterizer samples a window on.  It needs no sort and no gather: the
+winding number comes from a per-row scanline count, the edge culling
+from tile bounds that separate into a row and a column term, and the
+distance from each kept edge sweeping the rectangle of its kept tiles.
 """
 
 from __future__ import annotations
@@ -162,19 +168,10 @@ def vertex_control_scatter(path: VectorPath, polyline: Polyline) -> tuple[np.nda
     return idx, w
 
 
-# Side of the square cells that batch_signed_distance sorts the query
-# points by, in the points' units (pixels for the rasterizer's
-# supersamples): at supersample 2 a full cell holds one chunk of points.
+# Side, in the points' units (pixels for the rasterizer's supersamples),
+# of the square tiles batch_signed_distance culls edges by: 4 * s samples
+# at supersample s.
 SD_TILE = 4.0
-
-# Points per group of chunks in batch_signed_distance; the group's
-# running minimum, its winner pass and its (edge, chunk) cull tables
-# scale with it.
-SD_GROUP_POINTS = 12288
-
-# Consecutive cell-sorted points per chunk in batch_signed_distance, the
-# unit a kept edge is tested on: one full cell at supersample 2.
-_SD_CHUNK = 64
 
 # Slack on the edge-culling test, relative to the bound plus the squared
 # coordinate scale: rounding moves a computed squared distance by about
@@ -184,63 +181,125 @@ _CULL_SLACK = 1e-9
 
 def _foot_param(px, py, ax, ay, abx, aby, ab_sq):
     """Clamped foot parameter s of p on edge a + s * ab: the operations of
-    ``((p - a) . ab) / |ab|^2`` clipped to [0, 1], in that order, in place."""
+    ``((p - a) . ab) / |ab|^2`` clipped to [0, 1], in that order.  A row
+    of px and a column of py give the parameters of their grid."""
     s = (px - ax) * abx
-    s += (py - ay) * aby
+    s = s + (py - ay) * aby
     s /= ab_sq
     return np.clip(s, 0.0, 1.0, out=s)
 
 
-def _offset(px, py, ax, ay, abx, aby, ab_sq):
-    """p minus its foot on edge a + s * ab, as ``p - (a + s * ab)``, one
-    array per axis; most operations run in place, so a call holds few
-    temporaries."""
-    s = _foot_param(px, py, ax, ay, abx, aby, ab_sq)
-    dx, dy = s * abx, s * aby
-    dx += ax
-    dy += ay
-    return np.subtract(px, dx, out=dx), np.subtract(py, dy, out=dy)
+def _axes_of_grid(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The x and y axes of a row-major grid of points, or ValueError."""
+    n = pts.shape[0]
+    new_row = np.flatnonzero(pts[:, 1] != pts[0, 1])
+    nx = int(new_row[0]) if new_row.size else n
+    xs, ys = pts[:nx, 0], pts[::nx, 1]
+    if (n % nx or np.any(xs[1:] <= xs[:-1]) or np.any(ys[1:] <= ys[:-1])
+            or not (pts[:, 0].reshape(-1, nx) == xs).all()
+            or not (pts[:, 1].reshape(-1, nx) == ys[:, None]).all()):
+        raise ValueError("points must be a row-major grid: the product of "
+                         "increasing x and y axes, x varying fastest")
+    return xs, ys
+
+
+def _tiles(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end indices of the runs of an increasing axis that fall
+    in one SD_TILE cell, counted from its first value."""
+    cell = np.floor((axis - axis[0]) / SD_TILE)
+    starts = np.r_[0, np.flatnonzero(cell[1:] != cell[:-1]) + 1]
+    return starts, np.r_[starts[1:], axis.size]
+
+
+def _scanline_inside(xs, ys, ax, ay, abx, aby, y_lo, y_hi) -> np.ndarray:
+    """Nonzero-winding mask of the grid xs x ys, shape (ny, nx).
+
+    Edge e crosses the rays of the rows with y in [y_lo[e], y_hi[e]); an
+    up edge counts the samples of such a row where the cross product
+    ``abx * (y - ay) - aby * (x - ax)`` is positive, a down edge those
+    where it is negative.  That expression is monotone in x even as
+    rounded, so the counted samples are a prefix of the row, whose length
+    a bisection over all (edge, row) pairs finds; a difference array
+    summed along the rows turns the prefixes into winding numbers.  The
+    edges go in blocks of about as many pairs as the grid has samples.
+    """
+    ny, nx = ys.size, xs.size
+    r_lo, r_hi = np.searchsorted(ys, y_lo), np.searchsorted(ys, y_hi)
+    ends = np.cumsum(r_hi - r_lo)
+    wind = np.zeros((ny, nx + 1), dtype=np.int32)
+    cuts = np.searchsorted(ends, np.arange(ny * nx, ends[-1], ny * nx), side="right")
+    for block in np.split(np.arange(ends.size), cuts):
+        count = r_hi[block] - r_lo[block]
+        e = np.repeat(block, count)
+        r = np.arange(e.size) - np.repeat(np.cumsum(count) - count - r_lo[block], count)
+        cy = abx[e] * (ys[r] - ay[e])
+        flip = np.where(aby[e] > 0, 1.0, -1.0)  # down edges count cross < 0
+        k = np.zeros(e.size, dtype=np.intp)  # the prefix length
+        step = 1 << (nx.bit_length() - 1)
+        while step:
+            c = np.minimum(k + step, nx)
+            cross = cy - aby[e] * (xs[c - 1] - ax[e])
+            k += step * ((k + step <= nx) & (flip * cross > 0))
+            step >>= 1
+        sign = flip.astype(np.int32)
+        np.add.at(wind, (r, 0), sign)
+        np.add.at(wind, (r, k), -sign)
+    np.cumsum(wind, axis=1, out=wind)
+    return wind[:, :nx] != 0
 
 
 def batch_signed_distance(polyline: Polyline, points: np.ndarray, with_grad: bool = True
                           ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None,
                                      np.ndarray | None]:
-    """Vectorized signed distance for many query points.
+    """Signed distance of every point of a row-major grid to a polyline.
 
-    Returns (sd, edge_index, foot_s, inside): the signed distance, the
-    nearest edge (int32), the clamped foot parameter on it and the
-    nonzero-winding mask, the record per point that the rasterizer's
-    backward pass keeps (raster._sample_unit turns it into the unit
-    gradient).  The nearest edge is the lowest-indexed edge at the
-    minimum squared distance, and the sign comes from the nonzero winding
-    number, counted in one pass over the edges as in scanline polygon
-    fill; ``inside`` differs from ``sd < 0`` only where sd is -0.0, on
-    the outline.  The points must be finite.
+    ``points`` is an (n, 2) grid, x varying fastest: the product of a
+    strictly increasing x axis (its first row) and y axis (its first
+    column), as raster.path_coverage builds over a window's supersamples.
+    Any other point set raises ValueError.  Returns (sd, edge_index,
+    foot_s, inside), each of shape (n,): the signed distance, the nearest
+    edge (int32), the clamped foot parameter on it and the nonzero-winding
+    mask, the record per point that the rasterizer's backward pass keeps
+    (raster._sample_unit turns it into the unit gradient).  The nearest
+    edge is the lowest-indexed edge at the minimum squared distance, and
+    the sign comes from the nonzero winding number, counted per row as
+    in scanline polygon fill (see _scanline_inside); ``inside`` differs
+    from ``sd < 0`` only where sd is -0.0, on the outline.  The points
+    must be finite.
 
-    The points are sorted by square cell of side SD_TILE and cut into
-    chunks of _SD_CHUNK consecutive sorted points, the last padded with
-    copies of its last point, and each chunk is tested only against the
-    edges that can be nearest to one of its points.  With B the bounding
-    box of the chunk, edge e's lower bound is the squared gap between B
-    and e's bounding box; the chunk's upper bound is the minimum over
-    edges of the squared distance from B's farthest corner to the edge's
-    first vertex.  Every point of B is within the upper bound of some
-    edge, so an edge whose lower bound exceeds it (by more than
-    _CULL_SLACK, which absorbs rounding) is never nearest nor tied for
-    nearest; the edge that sets the upper bound is always kept.  Then
-    each kept edge, in ascending order, is tested against all its kept
-    chunks as one dense block, and every point keeps a running minimum
-    of the squared distance that only a strictly smaller value replaces,
-    so ties go to the lowest edge index.  Last, the foot parameter is
-    computed once per point for its nearest edge.  Every point meets
-    every edge tied at its minimum, through the same foot and distance
-    arithmetic as a test against every edge, so all four outputs are bit
-    for bit those of the all-pairs computation.  Chunks
-    are processed in groups (see SD_GROUP_POINTS), which bounds the
-    temporaries.  Without ``with_grad`` only ``sd`` is computed, to the
-    same bits, and the result is ``(sd, None, None, None)``.
+    The grid is cut into square tiles of side SD_TILE, and each edge is
+    tested only where it can be nearest.  With B a tile's box, edge e's
+    lower bound is the squared gap between B and e's bounding box; the
+    tile's upper bound is the minimum over edges of the squared distance
+    from B's farthest corner to the edge's first vertex.  Every point of
+    B is within the upper bound of some edge, so an edge whose lower
+    bound exceeds it (by more than _CULL_SLACK, which absorbs rounding)
+    is never nearest nor tied for nearest there; the edge that sets the
+    upper bound is always kept.  Both bounds separate into a term per
+    tile column and one per tile row; the (edge, tile) tables are built
+    in bands of tile rows, each holding at most about as many entries as
+    the grid has points.  Then each kept edge, in ascending order, sweeps
+    the rectangle spanning its kept tiles, and every point keeps a
+    running minimum of the squared distance that only a strictly smaller
+    value replaces, so ties go to the lowest edge index; the rectangle's
+    other tiles change nothing, since there the edge is never nearest
+    nor tied.  Last, the foot parameter is computed once per point for
+    its nearest edge.  Every point meets every edge tied at its minimum,
+    through the same foot and distance arithmetic as a test against
+    every edge, so all four outputs are bit for bit those of the
+    all-pairs computation.  Without ``with_grad`` only ``sd`` is
+    computed, to the same bits, and the result is ``(sd, None, None,
+    None)``.
     """
     pts = np.asarray(points, dtype=np.float64)
+    n_pts = pts.shape[0]
+    if n_pts == 0:
+        empty = np.empty(0)
+        if not with_grad:
+            return empty, None, None, None
+        return empty, np.empty(0, dtype=np.int32), np.empty(0), np.empty(0, dtype=bool)
+    xs, ys = _axes_of_grid(pts)
+    ny, nx = ys.size, xs.size
     v = polyline.vertices
     b = np.roll(v, -1, axis=0)
     ab = b - v
@@ -248,93 +307,86 @@ def batch_signed_distance(polyline: Polyline, points: np.ndarray, with_grad: boo
     ab_sq_safe = np.where(ab_sq < 1e-24, 1.0, ab_sq)
     ax, ay = np.ascontiguousarray(v.T)
     abx, aby = np.ascontiguousarray(ab.T)
-    x_lo = np.minimum(ax, b[:, 0])[:, None]
-    x_hi = np.maximum(ax, b[:, 0])[:, None]
-    y_lo = np.minimum(ay, b[:, 1])[:, None]
-    y_hi = np.maximum(ay, b[:, 1])[:, None]
+    x_lo, x_hi = np.minimum(ax, b[:, 0]), np.maximum(ax, b[:, 0])
+    y_lo, y_hi = np.minimum(ay, b[:, 1]), np.maximum(ay, b[:, 1])
+    inside = _scanline_inside(xs, ys, ax, ay, abx, aby, y_lo, y_hi)
 
-    n_pts = pts.shape[0]
-    sd = np.empty(n_pts)
-    x, y = pts[:, 0], pts[:, 1]
+    # (edge, tile column) and (edge, tile row) terms of both bounds
+    col0, col1 = _tiles(xs)
+    row0, row1 = _tiles(ys)
+    x0, x1, y0, y1 = xs[col0], xs[col1 - 1], ys[row0], ys[row1 - 1]
+    gx = np.square(np.maximum(np.maximum(x_lo[:, None] - x1, x0 - x_hi[:, None]), 0.0))
+    gy = np.square(np.maximum(np.maximum(y_lo[:, None] - y1, y0 - y_hi[:, None]), 0.0))
+    fx = np.square(np.maximum(np.abs(ax[:, None] - x0), np.abs(ax[:, None] - x1)))
+    fy = np.square(np.maximum(np.abs(ay[:, None] - y0), np.abs(ay[:, None] - y1)))
+    scale_sq = max(np.abs(xs).max(), np.abs(ys).max(), np.abs(v).max()) ** 2
+    n_edges, n_cols, n_rows = v.shape[0], col0.size, row0.size
+    band = max(1, n_pts // (n_edges * n_cols))  # tile rows per band
+    kept_rows = np.empty((n_edges, n_rows), dtype=bool)
+    kept_cols = np.zeros((n_edges, n_cols), dtype=bool)
+    for t0 in range(0, n_rows, band):
+        t = slice(t0, t0 + band)
+        upper = (fx[:, None, :] + fy[:, t, None]).min(axis=0)
+        keep = gx[:, None, :] + gy[:, t, None] <= upper + _CULL_SLACK * (upper + scale_sq)
+        kept_rows[:, t] = keep.any(axis=2)
+        kept_cols |= keep.any(axis=1)
+    del keep
 
-    # winding number, one pass over the edges: with the points sorted by y,
-    # edge e crosses the rays of the run with y in [y_lo[e], y_hi[e]); an up
-    # edge adds where the cross product is positive, a down edge subtracts
-    by_y = np.argsort(y, kind="stable")
-    first, last = np.searchsorted(y[by_y], (y_lo.ravel(), y_hi.ravel()))
-    wind = np.zeros(n_pts, dtype=np.int64)
-    for e in np.flatnonzero(first < last):
-        i = by_y[first[e]:last[e]]
-        cross = abx[e] * (y[i] - ay[e]) - aby[e] * (x[i] - ax[e])
-        if aby[e] > 0:
-            wind[i] += cross > 0
-        else:
-            wind[i] -= cross < 0
-    inside = wind != 0
-    del by_y, wind  # only the mask outlives the pass
-    if not with_grad:
-        result = sd, None, None, None
-    else:
-        edge_idx, foot_s = np.empty(n_pts, dtype=np.int32), np.empty(n_pts)
-        result = sd, edge_idx, foot_s, inside
-    if n_pts == 0:
-        return result
-
-    # sort the points by cell and cut them into (chunk, _SD_CHUNK) blocks
-    cx = np.floor((x - x.min()) / SD_TILE).astype(np.int64)
-    cy = np.floor((y - y.min()) / SD_TILE).astype(np.int64)
-    order = np.argsort(cy * (cx.max() + 1) + cx, kind="stable")
-    del cx, cy
-    n_chunks = -(-n_pts // _SD_CHUNK)
-    padded = np.r_[order, np.full(n_chunks * _SD_CHUNK - n_pts, order[-1])]
-    xs = x[padded].reshape(n_chunks, _SD_CHUNK)
-    ys = y[padded].reshape(n_chunks, _SD_CHUNK)
-    del padded
-    box_x0, box_x1 = xs.min(axis=1), xs.max(axis=1)
-    box_y0, box_y1 = ys.min(axis=1), ys.max(axis=1)
-    scale_sq = max(np.abs(pts).max(), np.abs(v).max()) ** 2
-    edges = np.stack([ax, ay, abx, aby, ab_sq_safe], axis=1).tolist()  # cheaper than np.float64
-
-    step = max(1, SD_GROUP_POINTS // _SD_CHUNK)  # chunks per group
-    for c0 in range(0, n_chunks, step):
-        c1 = min(c0 + step, n_chunks)
-        x0, x1, y0, y1 = box_x0[c0:c1], box_x1[c0:c1], box_y0[c0:c1], box_y1[c0:c1]
-
-        # (edge, chunk) bounds on the squared point-edge distance
-        gx = np.maximum(np.maximum(x_lo - x1, x0 - x_hi), 0.0)
-        gy = np.maximum(np.maximum(y_lo - y1, y0 - y_hi), 0.0)
-        fx = np.maximum(np.abs(ax[:, None] - x0), np.abs(ax[:, None] - x1))
-        fy = np.maximum(np.abs(ay[:, None] - y0), np.abs(ay[:, None] - y1))
-        upper = (fx * fx + fy * fy).min(axis=0)
-        keep = gx * gx + gy * gy <= upper + _CULL_SLACK * (upper + scale_sq)
-
-        # each kept edge, ascending, against its kept chunks as one block;
-        # a running minimum that only a strictly smaller distance replaces
-        px, py = xs[c0:c1], ys[c0:c1]
-        best = np.full(px.shape, np.inf)
-        near = np.zeros(px.shape, dtype=np.int32)
-        for e in np.flatnonzero(keep.any(axis=1)):
-            rows = np.flatnonzero(keep[e])
-            dx, dy = _offset(px[rows], py[rows], *edges[e])
-            dist_sq = dx * dx + dy * dy
-            if not with_grad:
-                best[rows] = np.minimum(best[rows], dist_sq)
-                continue
-            cur, cur_e = best[rows], near[rows]
-            closer = dist_sq < cur
-            np.copyto(cur, dist_sq, where=closer)
-            cur_e[closer] = e
-            best[rows], near[rows] = cur, cur_e
-
-        out = order[c0 * _SD_CHUNK:c1 * _SD_CHUNK]  # the padding is dropped
-        sd[out] = np.where(inside[out], -1.0, 1.0) * np.sqrt(best.ravel()[:out.size])
+    # each kept edge, ascending, sweeps the rectangle of its kept tiles;
+    # a running minimum that only a strictly smaller distance replaces
+    sd = np.full(n_pts, np.inf)
+    best = sd.reshape(ny, nx)
+    if with_grad:
+        edge_idx = np.zeros(n_pts, dtype=np.int32)
+        near = edge_idx.reshape(ny, nx)
+    swept = np.flatnonzero(kept_rows.any(axis=1))
+    r0 = row0[kept_rows[swept].argmax(axis=1)]
+    r1 = row1[n_rows - 1 - kept_rows[swept, ::-1].argmax(axis=1)]
+    c0 = col0[kept_cols[swept].argmax(axis=1)]
+    c1 = col1[n_cols - 1 - kept_cols[swept, ::-1].argmax(axis=1)]
+    edges = np.stack([ax, ay, abx, aby, ab_sq_safe], axis=1)[swept].tolist()  # Python floats
+    ys_col = ys[:, None]
+    for e, r0e, r1e, c0e, c1e, (axe, aye, abxe, abye, sqe) in zip(
+            swept.tolist(), r0.tolist(), r1.tolist(), c0.tolist(), c1.tolist(), edges):
+        px, py = xs[c0e:c1e], ys_col[r0e:r1e]
+        s = _foot_param(px, py, axe, aye, abxe, abye, sqe)
+        dx = s * abxe  # p - (a + s * ab), squared, per axis
+        dx += axe
+        np.subtract(px, dx, out=dx)
+        dx *= dx
+        s *= abye
+        s += aye
+        np.subtract(py, s, out=s)
+        s *= s
+        dx += s
+        cur = best[r0e:r1e, c0e:c1e]
         if not with_grad:
+            np.minimum(cur, dx, out=cur)
             continue
-        e = near.ravel()[:out.size]
-        edge_idx[out] = e
-        foot_s[out] = _foot_param(px.ravel()[:out.size], py.ravel()[:out.size],
-                                  ax[e], ay[e], abx[e], aby[e], ab_sq_safe[e])
-    return result
+        closer = dx < cur
+        np.copyto(cur, dx, where=closer)
+        np.copyto(near[r0e:r1e, c0e:c1e], e, where=closer)
+    np.sqrt(sd, out=sd)
+    np.negative(sd, out=sd, where=inside.ravel())
+    if not with_grad:
+        return sd, None, None, None
+
+    # the winner pass, in the bands of the culling: _foot_param's
+    # operations on each point's nearest edge, mostly in place
+    foot_s = np.empty(n_pts)
+    foot = foot_s.reshape(ny, nx)
+    for t0 in range(0, n_rows, band):
+        rows = slice(row0[t0], row1[min(t0 + band, n_rows) - 1])
+        e, s = near[rows], foot[rows]
+        np.subtract(xs, ax[e], out=s)
+        s *= abx[e]
+        t = ay[e]
+        np.subtract(ys_col[rows], t, out=t)
+        t *= aby[e]
+        s += t
+        s /= ab_sq_safe[e]
+        np.clip(s, 0.0, 1.0, out=s)
+    return sd, edge_idx, foot_s, inside.ravel()
 
 
 def _perpendicular_distances(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -3,9 +3,11 @@
 Coverage of a path at a pixel is the mean, over a supersample grid, of a
 logistic smoothstep applied to the signed distance from each sample to the
 flattened outline.  The distance search (geometry.batch_signed_distance)
-tests each chunk of samples only against the outline edges that can be
-nearest to it, sweeping edge by edge over dense blocks of kept chunks,
-and returns bit for bit what testing every edge would.
+takes the window's supersamples as the row-major grid they are: it
+counts the winding number row by row as in scanline polygon fill, culls
+edges per 4 px tile with bounds that separate into row and column terms,
+and sweeps each kept edge over the rectangle of its kept tiles,
+returning bit for bit what testing every edge would.
 Paths within a layer composite source-over onto the layer background;
 layers combine with multiply (shade) and plus-lighter (light).  Nothing is
 clamped between operations, so composites can carry values above 1 until
@@ -128,10 +130,11 @@ def path_coverage(path: VectorPath, width: int, height: int,
     Work is restricted to the path's bounding box padded by
     CUTOFF_SIGMAS * aa_sigma, clipped to the canvas; outside that window
     the logistic tail is below ~1e-13 and coverage is exactly zero.
-    Inside it, every supersample gets its signed distance to the
-    flattened outline from batch_signed_distance, which culls edges per
-    chunk of samples without changing a bit of the result, and the
-    window's block is the pixel mean of expit(-sd / aa_sigma).  With
+    Inside it, the window's row-major supersample grid goes to
+    batch_signed_distance, which gives every sample its signed distance
+    to the flattened outline, culling edges per tile of the grid without
+    changing a bit of the result, and the window's block is the pixel
+    mean of expit(-sd / aa_sigma).  With
     ``with_grad`` the per-sample sigmoid and the search's nearest edge
     (int32), foot parameter and inside flag are kept, as returned, for
     coverage_backward, which computes the unit gradient from them.
@@ -170,8 +173,8 @@ def _sample_unit(pc: PathCoverage, s: int) -> tuple[np.ndarray, np.ndarray]:
     axis, from the cached foot parameter, nearest edge and inside flag.
 
     The supersample grid is rebuilt from the window, and the offset from
-    the foot is ``p - (s * ab + a)``, the operations of geometry._offset,
-    so d is bit for bit the search's distance.  Each axis is ``sign *
+    the foot is ``p - (s * ab + a)``, the operations of the search's
+    sweep, so d is bit for bit the search's distance.  Each axis is ``sign *
     offset / d`` where d > 1e-12, else 0, with sign -1 inside.
     """
     xs, ys = _grid_axes(pc.window, s)

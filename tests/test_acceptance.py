@@ -16,12 +16,13 @@ import numpy as np
 import pytest
 
 from conftest import disk_path, random_path, square_path
+from oracle_geometry import _all_pairs_signed_distance
 from oracle_render import oracle_composite
 
 from covec import pipeline
 from covec.cli import main as cli_main
 from covec.edit import EditConfig, run_edit
-from covec.geometry import Polyline, batch_signed_distance, simplify_closed
+from covec.geometry import Polyline, simplify_closed
 from covec.gradcheck import GradCheckConfig, run_gradcheck
 from covec.image_io import read_image, write_png, write_label_png
 from covec.init_layers import region_binarize, trace_boundary
@@ -245,7 +246,7 @@ def test_05_simplification_bound():
         nxt = np.roll(raw, -1, axis=0)
         dense = np.concatenate([raw * (1.0 - t) + nxt * t
                                 for t in (0.0, 0.25, 0.5, 0.75)])
-        sd, _, _, _ = batch_signed_distance(Polyline(simp), dense)
+        sd = _all_pairs_signed_distance(Polyline(simp), dense)[0]
         worst = max(worst, float(np.abs(sd).max()))
     ok = worst <= epsilon + 1e-9
     record(5, ok,

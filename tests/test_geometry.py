@@ -1,17 +1,15 @@
 """Bezier flattening, signed distance and closed-curve simplification."""
 
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covec import geometry
-from covec.geometry import (_MAX_SPLIT_DEPTH, _SD_CHUNK, SD_GROUP_POINTS, Polyline,
-                            batch_signed_distance, bernstein3, flatten_bezier, polygon_area,
-                            simplify_closed, vertex_control_scatter, _farthest_pair)
+from covec.geometry import (_MAX_SPLIT_DEPTH, Polyline, batch_signed_distance, bernstein3,
+                            flatten_bezier, polygon_area, simplify_closed, vertex_control_scatter,
+                            _farthest_pair)
 from covec.model import RasterizerConfig, VectorPath
 from covec.raster import path_coverage
 
@@ -78,7 +76,7 @@ def test_adaptive_flatten_stays_near_curve():
         for seg in range(path.n_segments):
             quad = path.segment(seg)
             pts = eval_cubic(quad, np.linspace(0, 1, 50))
-            sd = np.abs(batch_signed_distance(poly, pts)[0])
+            sd = np.abs(_all_pairs_signed_distance(poly, pts)[0])
             assert sd.max() <= config.flatten_tolerance + 1e-6
 
 
@@ -160,10 +158,23 @@ def test_signed_distance_square_oracle():
     assert d == pytest.approx(np.sqrt(2.0))
 
 
+def _grid(xs, ys) -> np.ndarray:
+    """The (n, 2) row-major grid of the x and y axes, x varying fastest."""
+    gx, gy = np.meshgrid(xs, ys)
+    return np.stack([gx.ravel(), gy.ravel()], axis=1)
+
+
+def _window(x0, y0, width, height, ss) -> np.ndarray:
+    """The supersample grid of a window, as raster.path_coverage builds it."""
+    return _grid(x0 + (np.arange(width * ss) + 0.5) / ss,
+                 y0 + (np.arange(height * ss) + 0.5) / ss)
+
+
 def test_batch_signed_distance_matches_scalar(rng):
+    # a 9-gon against a grid of unevenly spaced axes around it
     verts = rng.uniform(0, 20, (9, 2))
     poly = Polyline(vertices=verts)
-    pts = rng.uniform(-5, 25, (40, 2))
+    pts = _grid(np.sort(rng.uniform(-5, 25, 8)), np.sort(rng.uniform(-5, 25, 5)))
     sd, edge, _, inside = batch_signed_distance(poly, pts)
     for i, p in enumerate(pts):
         d_ref, near = signed_distance(poly, p)
@@ -172,31 +183,25 @@ def test_batch_signed_distance_matches_scalar(rng):
         assert inside[i] == (winding_number(poly, p) != 0)
 
 
-def _assert_matches_all_pairs(poly: Polyline, pts: np.ndarray, group: int = SD_GROUP_POINTS,
-                              chunk: int = _SD_CHUNK):
-    with mock.patch.multiple(geometry, SD_GROUP_POINTS=group, _SD_CHUNK=chunk):
-        got = batch_signed_distance(poly, pts)
-    want = _all_pairs_signed_distance(poly, pts)[:4]  # all but the unit
-    for name, g, w in zip(("sd", "edge_index", "foot_s", "inside"), got, want):
-        assert g.dtype == w.dtype and g.shape == w.shape, name
-        assert g.tobytes() == w.tobytes(), name  # also tells -0.0 from 0.0
-
-
-# Chunk sizes for the all-pairs tests: one point, the default, and more
-# points than any tile holds (at supersample 6 a 4 px tile holds 576).
-# Group sizes (in points) include one chunk per group and groups that
-# split an edge's kept chunks.
-SD_CHUNKS = [1, 64, 1024]
+def _assert_matches_all_pairs(poly: Polyline, pts: np.ndarray, chunk: int = 8192):
+    want = _all_pairs_signed_distance(poly, pts, chunk)[:4]  # all but the unit
+    for with_grad in (True, False):
+        got = batch_signed_distance(poly, pts, with_grad)
+        for name, g, w in zip(("sd", "edge_index", "foot_s", "inside"), got, want):
+            if not with_grad and name != "sd":
+                assert g is None, name
+                continue
+            assert g.dtype == w.dtype and g.shape == w.shape, name
+            assert g.tobytes() == w.tobytes(), name  # also tells -0.0 from 0.0
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.sampled_from([1, 300, SD_GROUP_POINTS]),
-       st.sampled_from(SD_CHUNKS))
-def test_batch_signed_distance_matches_all_pairs_on_bezier_loops(seed, ss, group, chunk):
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6))
+def test_batch_signed_distance_matches_all_pairs_on_bezier_loops(seed, ss):
     # random (often self-intersecting) closed Bezier loops, flattened as the
-    # rasterizer does, against a supersample grid spanning the whole canvas;
-    # canvas sizes 4-39 px are mostly not a multiple of the tile, and at
-    # supersample 3 and above a tile holds more points than a 64-point chunk
+    # rasterizer does, against the supersample grid of a window of 1-39 px
+    # a side, mostly not a multiple of the tile, whose origin lies up to 12
+    # px away from the canvas origin, on either side
     rng = np.random.default_rng(seed)
     size = int(rng.integers(4, 40))
     n_seg = int(rng.integers(2, 7))
@@ -204,20 +209,20 @@ def test_batch_signed_distance_matches_all_pairs_on_bezier_loops(seed, ss, group
     path = VectorPath(control_points=ctrl, fill_color=np.zeros(3), opacity=1.0,
                       layer_tag="albedo")
     poly = flatten_bezier(path, RasterizerConfig(flatten_tolerance=float(rng.choice([0.02, 0.1, 1.0]))))
-    coords = (np.arange(size * ss) + 0.5) / ss
-    gy, gx = np.meshgrid(coords, coords, indexing="ij")
-    _assert_matches_all_pairs(poly, np.stack([gx.ravel(), gy.ravel()], axis=1), group, chunk)
+    x0, y0 = rng.integers(-12, 13, 2)
+    width, height = rng.integers(1, 40, 2)
+    _assert_matches_all_pairs(poly, _window(x0, y0, width, height, ss))
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 64, SD_GROUP_POINTS]),
-       st.sampled_from(SD_CHUNKS))
-def test_batch_signed_distance_matches_all_pairs_on_lattice_polygons(seed, group, chunk):
-    # integer vertices, some repeated (zero-length edges); queries on the
-    # vertices, on edge midpoints, on a half-integer lattice (many points
-    # equidistant from two or more edges, so argmin ties), in dense clusters
-    # (up to 200 points in half a pixel, more than a 64-point chunk) and
-    # scattered far away
+@given(st.integers(0, 2**32 - 1))
+def test_batch_signed_distance_matches_all_pairs_on_lattice_polygons(seed):
+    # integer vertices, some repeated (zero-length edges), against a
+    # half-integer lattice over a random part of the plane, extended to
+    # hold every vertex and edge midpoint: many samples are equidistant
+    # from two or more edges (argmin ties); the axes may also take up to
+    # 30 values within half a pixel (a tile then holds more samples than
+    # at supersample 6) and a few far away
     rng = np.random.default_rng(seed)
     n = int(rng.integers(3, 16))
     verts = rng.integers(0, 12, (n, 2)).astype(np.float64)
@@ -226,50 +231,75 @@ def test_batch_signed_distance_matches_all_pairs_on_lattice_polygons(seed, group
     if np.ptp(verts, axis=0).max() == 0.0:
         verts[0] += 1.0
     poly = Polyline(vertices=verts)
-    mids = 0.5 * (verts + np.roll(verts, -1, axis=0))
-    half = np.arange(-2.0, 14.5, 0.5)
-    gy, gx = np.meshgrid(half, half, indexing="ij")
-    cluster = rng.uniform(0, 12, 2) + rng.uniform(0, 0.5, (int(rng.integers(0, 200)), 2))
-    far = rng.uniform(-200, 200, (int(rng.integers(0, 20)), 2))
-    pts = np.concatenate([verts, mids, np.stack([gx.ravel(), gy.ravel()], axis=1),
-                          cluster, far])
-    _assert_matches_all_pairs(poly, rng.permutation(pts), group, chunk)
+    ends = np.concatenate([verts, 0.5 * (verts + np.roll(verts, -1, axis=0))])
+    axes = []
+    for k in range(2):
+        lo, hi = rng.integers(-4, 6), rng.integers(0, 18)
+        cluster = rng.uniform(0, 12) + rng.uniform(0, 0.5, int(rng.integers(0, 30)))
+        far = rng.uniform(-200, 200, int(rng.integers(0, 4)))
+        axes.append(np.unique(np.concatenate([np.arange(lo, hi, 0.5), ends[:, k],
+                                              cluster, far])))
+    _assert_matches_all_pairs(poly, _grid(*axes))
 
 
-@pytest.mark.parametrize("group", [16, 2048])
-def test_batch_signed_distance_matches_all_pairs_on_centred_circle(group):
-    # the rasterizer's supersample-2 grid on a 64 x 64 canvas (16 tiles a
-    # side) and on a 62.5 px one (not a multiple of the 4 px tile), and a
-    # circle of 32 edges: the chunk around its centre keeps all 32 edges,
-    # chunks near the outline only a few
-    poly = flatten_bezier(disk_path(31, 31, 6), RasterizerConfig())
-    assert poly.n_vertices == 32
+@pytest.mark.parametrize("n_edges", [16, 2048])
+def test_batch_signed_distance_matches_all_pairs_on_centred_circle(n_edges):
+    # a regular polygon centred on the rasterizer's supersample-2 grid of a
+    # 64 x 64 canvas (16 tiles a side) and of a 62.5 px one (not a multiple
+    # of the 4 px tile): the tiles around the centre keep every edge, those
+    # on the outline only a few; with 2048 edges the (edge, tile) tables of
+    # one row of tiles outnumber the samples, so each band is one tile row
+    angle = 2.0 * np.pi * np.arange(n_edges) / n_edges
+    poly = Polyline(vertices=31.0 + 24.0 * np.stack([np.cos(angle), np.sin(angle)], axis=1))
     for n in (128, 125):
-        coords = (np.arange(n) + 0.5) / 2
-        gy, gx = np.meshgrid(coords, coords, indexing="ij")
-        for chunk in SD_CHUNKS:
-            _assert_matches_all_pairs(poly, np.stack([gx.ravel(), gy.ravel()], axis=1),
-                                      group, chunk)
+        _assert_matches_all_pairs(poly, _window(0, 0, n / 2, n / 2, 2), chunk=256)
+
+
+def test_batch_signed_distance_matches_all_pairs_on_zigzag():
+    # 401 edges that almost all span every row of a 40 px supersample-2
+    # window: 32 000 (edge, row) pairs against 6 400 samples, so the
+    # winding count goes through several blocks of edges
+    x = np.linspace(0.0, 40.0, 400)
+    zigzag = np.stack([x, np.where(np.arange(400) % 2, 39.7, 0.3)], axis=1)
+    poly = Polyline(vertices=np.concatenate([zigzag, [[40.0, 45.0], [0.0, 45.0]]]))
+    _assert_matches_all_pairs(poly, _window(0, 0, 40, 40, 2), chunk=256)
 
 
 def test_batch_signed_distance_ties_and_empty():
     square = Polyline(vertices=np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 0.0],
                                          [4.0, 4.0], [0.0, 4.0]]))
-    pts = np.array([[2.0, 2.0], [1.0, 1.0], [3.0, 3.0], [4.0, 0.0], [2.0, 0.0]])
+    pts = _grid([1.0, 2.0, 3.0, 4.0], [0.0, 1.0, 2.0, 3.0])
     _assert_matches_all_pairs(square, pts)
     sd, edge, s, inside = batch_signed_distance(square, pts)
+    at = {(x, y): i for i, (x, y) in enumerate(pts.tolist())}
     # edge 1 has zero length; the centre ties all four sides, (1, 1) the
     # bottom (0) and the left (4), (3, 3) the right (2) and the top (3):
     # the lowest edge index wins
-    assert edge.tolist()[:3] == [0, 0, 2]
+    assert [edge[at[p]] for p in ((2, 2), (1, 1), (3, 3))] == [0, 0, 2]
     assert edge.dtype == np.int32 and inside.dtype == bool
     # (2, 0) lies on the bottom edge and its ray crosses the right one:
     # winding 1, so -0.0, the one place where inside is not sd < 0
-    assert sd[0] == -2.0 and sd[3] == 0.0 and not inside[3]
-    assert sd[4] == 0.0 and np.signbit(sd[4]) and inside[4]
-    out = batch_signed_distance(square, np.zeros((0, 2)))
-    assert [o.shape for o in out] == [(0,), (0,), (0,), (0,)]
-    _assert_matches_all_pairs(square, np.zeros((0, 2)))
+    assert sd[at[2, 2]] == -2.0 and sd[at[4, 0]] == 0.0 and not inside[at[4, 0]]
+    assert sd[at[2, 0]] == 0.0 and np.signbit(sd[at[2, 0]]) and inside[at[2, 0]]
+    # an empty window, with no rows or no columns
+    for empty in (_window(3, 5, 0, 4, 2), _window(3, 5, 4, 0, 2)):
+        out = batch_signed_distance(square, empty)
+        assert [o.shape for o in out] == [(0,), (0,), (0,), (0,)]
+        assert [o.dtype for o in out] == [np.float64, np.int32, np.float64, bool]
+        _assert_matches_all_pairs(square, empty)
+
+
+def test_batch_signed_distance_rejects_points_off_a_grid(rng):
+    square = Polyline(vertices=np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 4.0], [0.0, 4.0]]))
+    grid = _window(-1, 2, 5, 3, 2)
+    moved = grid.copy()
+    moved[7, 0] += 0.25
+    for pts in (rng.permutation(grid), grid[::-1], moved, grid[:-1],
+                _grid([0.5, 1.5], [1.0, 1.0]), _grid([1.5, 0.5], [1.0, 2.0]),
+                rng.uniform(0, 4, (9, 2))):
+        for with_grad in (True, False):
+            with pytest.raises(ValueError, match="row-major grid"):
+                batch_signed_distance(square, pts, with_grad)
 
 
 def test_signed_distance_gradient_is_unit_vector(rng):
@@ -366,7 +396,7 @@ def test_simplify_hausdorff_bound(rng):
         simp = simplify_closed(pts, eps)
         poly = Polyline(vertices=simp)
         dense = _dense_loop_points(pts)
-        dists = np.abs(batch_signed_distance(poly, dense)[0])
+        dists = np.abs(_all_pairs_signed_distance(poly, dense)[0])
         assert dists.max() <= eps + 1e-9
 
 
@@ -394,7 +424,7 @@ def test_simplify_always_valid_polygon(seed):
 def test_square_helper_flattens_to_square():
     path = square_path(2, 2, 10, 10)
     poly = flatten_bezier(path, RasterizerConfig())
-    sd = np.abs(batch_signed_distance(
+    sd = np.abs(_all_pairs_signed_distance(
         poly, np.array([[2.0, 2.0], [10.0, 10.0], [6.0, 2.0]]))[0])
     assert sd.max() < RasterizerConfig().flatten_tolerance + 1e-6
 
@@ -417,9 +447,9 @@ def test_signed_distance_matches_checked_in_digest(digest_script, checked_in_dig
 def test_signed_distance_memory_on_a_128_canvas():
     # one with-grad call over the supersample-2 grid of a 128 x 128 canvas
     # (65 536 points) and a 64-edge circle: the outputs alone are 1.3 MiB
-    # (21 bytes a point) and the call peaks at 4.85 MiB; the search that
-    # also built an (m, 2) unit gradient and int64 edge indices peaked at
-    # 6.39 MiB, which the 5 MiB bound rejects
+    # (21 bytes a point) and the grid search peaks at 2.59 MiB; a search
+    # that also built an (m, 2) unit gradient and int64 edge indices peaked
+    # at 6.39 MiB, which the 5 MiB bound rejects
     poly = flatten_bezier(disk_path(64, 64, 40), RasterizerConfig())
     assert poly.n_vertices == 64
     coords = (np.arange(256) + 0.5) / 2

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 import covec.pipeline
-from covec.geometry import (Polyline, batch_signed_distance, flatten_bezier, polygon_area,
-                            simplify_closed)
+from covec.geometry import Polyline, flatten_bezier, polygon_area, simplify_closed
 from covec.init_layers import (KMEANS_CLUSTERS, KMEANS_ITERS, MAX_SEGMENTS, MIN_REGION_FRAC,
                                InitError, _connected_components, _merge_small_components,
                                attenuation_ratio, fallback_albedo,
@@ -23,6 +22,7 @@ from covec.model import RasterizerConfig, VectorPath
 from covec.pipeline import RunConfig, vectorize
 
 from conftest import dotted_halves
+from oracle_geometry import _all_pairs_signed_distance
 
 
 def test_luma_rec601_weights():
@@ -464,7 +464,7 @@ def test_trace_and_simplify_disk_within_tolerance():
     simp = simplify_closed(raw, 2.0)
     assert simp.shape[0] < raw.shape[0]
     poly = Polyline(vertices=simp)
-    dist = np.abs(batch_signed_distance(poly, raw.astype(np.float64))[0])
+    dist = np.abs(_all_pairs_signed_distance(poly, raw.astype(np.float64))[0])
     assert dist.max() <= 2.0 + 1e-9
 
 
@@ -484,7 +484,7 @@ def test_fit_bezier_square_reproduces_square():
     config = RasterizerConfig()
     poly = flatten_bezier(path, config)
     ref = Polyline(vertices=square)
-    dist = np.abs(batch_signed_distance(ref, poly.vertices)[0])
+    dist = np.abs(_all_pairs_signed_distance(ref, poly.vertices)[0])
     assert dist.max() <= config.flatten_tolerance + 1e-9
 
 
@@ -507,7 +507,7 @@ def test_fit_bezier_circle_sagitta_bound():
                       opacity=1.0, layer_tag="albedo")
     poly = flatten_bezier(path, RasterizerConfig())
     ref = Polyline(vertices=pts)
-    dist = np.abs(batch_signed_distance(ref, poly.vertices)[0])
+    dist = np.abs(_all_pairs_signed_distance(ref, poly.vertices)[0])
     sagitta = r * (1.0 - np.cos(np.pi / 8))
     assert dist.max() <= sagitta + 0.5
 

@@ -360,7 +360,7 @@ def _unit_oracle_backward(pc, d_block, config):
 
 @pytest.mark.parametrize("case", list(UNIT_CASES))
 @pytest.mark.filterwarnings("error")
-def test_unit_view_is_batch_signed_distance_unit(case):
+def test_unit_view_matches_all_pairs_oracle(case):
     # the view against the unit gradient of the all-pairs signed distance,
     # and the caches it is computed from against that search's outputs
     path, w, h, config = UNIT_CASES[case]
