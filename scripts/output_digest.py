@@ -80,7 +80,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
 
 import scenes  # noqa: E402
 from oracle_render import oracle_composite  # noqa: E402
-from covec import cli, edit, gradcheck, image_io, pipeline, svg_io  # noqa: E402
+from covec import cli, edit, geometry, gradcheck, image_io, pipeline, svg_io  # noqa: E402
 from covec.geometry import Polyline, batch_signed_distance, flatten_bezier  # noqa: E402
 from covec.model import LayeredDocument, RasterizerConfig, VectorPath  # noqa: E402
 from covec.raster import render_composite  # noqa: E402
@@ -268,8 +268,12 @@ def _bezier_case(seed: int, ss: int) -> tuple[Polyline, np.ndarray]:
     ctrl = rng.uniform(-0.2 * size, 1.2 * size, (3 * n_seg, 2))
     path = VectorPath(control_points=ctrl, fill_color=np.zeros(3), opacity=1.0,
                       layer_tag="albedo")
-    tol = float(rng.choice([0.02, 0.1, 1.0]))
-    poly = flatten_bezier(path, RasterizerConfig(flatten_tolerance=tol))
+    tolerance = geometry.FLATTEN_TOLERANCE
+    geometry.FLATTEN_TOLERANCE = float(rng.choice([0.02, 0.1, 1.0]))
+    try:
+        poly = flatten_bezier(path, RasterizerConfig())
+    finally:
+        geometry.FLATTEN_TOLERANCE = tolerance
     coords = (np.arange(size * ss) + 0.5) / ss
     gy, gx = np.meshgrid(coords, coords, indexing="ij")
     return poly, np.stack([gx.ravel(), gy.ravel()], axis=1)

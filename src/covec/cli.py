@@ -3,7 +3,8 @@
 Subcommands: vectorize (raster to layered SVG), render (SVG back to a
 raster with the optimizer's rasterizer), edit (controlled recoloring
 against a reference image), gradcheck (finite-difference validation of
-the rasterizer gradients), metrics (MSE/PSNR between two images).
+the rasterizer gradients), metrics (MSE/PSNR between two images).  Each
+flag's default is the default of the config field it sets.
 
 Exit codes: 0 success, 1 gradcheck failure, 2 usage or unreadable/invalid
 input, 3 initialization failure, 4 SVG parse failure.  Every command that
@@ -20,11 +21,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .edit import EditConfig, mse, run_edit
+from .edit import EditConfig, run_edit
+from .gradcheck import GradCheckConfig, run_gradcheck
 from .image_io import image_format, read_image, write_image
 from .init_layers import InitError
 from .model import RasterizerConfig
-from .pipeline import RunConfig, check_outputs, run
+from .optimize import PENALTY_MODES, mse
+from .pipeline import DEFAULT_BUDGET, MODES, RunConfig, check_outputs, run
 from .svg_io import SvgParseError, emit_svg, parse_svg, reference_composite
 
 logger = logging.getLogger(__name__)
@@ -98,8 +101,6 @@ def cmd_edit(args: argparse.Namespace) -> int:
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
-    from .gradcheck import GradCheckConfig, run_gradcheck
-
     report = run_gradcheck(GradCheckConfig(n_probes=args.probes,
                                            seed=args.seed))
     print(report.summary())
@@ -118,6 +119,10 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
+def _flag(name: str) -> str:
+    return name.replace("_", "-")  # a mode or penalty name as a flag value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="covec",
@@ -125,44 +130,46 @@ def build_parser() -> argparse.ArgumentParser:
                     "and light vector layers from a raster image.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    budgets = ", ".join(f"{n} {_flag(mode)}" for mode, n in DEFAULT_BUDGET.items())
     v = sub.add_parser("vectorize",
                        help="decompose a raster image into a layered SVG")
     v.add_argument("input", help="input raster image (.png/.ppm)")
     v.add_argument("-o", "--output", required=True, help="output SVG path")
-    v.add_argument("--paths", type=int, default=None,
-                   help="total path budget (default: 64 full, 16 albedo-only)")
-    v.add_argument("--mode", choices=["full", "albedo-only"], default="full",
+    v.add_argument("--paths", type=int, default=RunConfig.path_budget,
+                   help=f"total path budget (default: {budgets})")
+    v.add_argument("--mode", choices=[_flag(m) for m in MODES],
+                   default=_flag(RunConfig.mode),
                    help="full three-layer decomposition or single albedo "
-                        "layer (default: full)")
-    v.add_argument("--seed", type=int, default=0,
-                   help="seed for the fallback segmentation (default: 0)")
-    v.add_argument("--albedo", metavar="FILE", default=None,
+                        "layer (default: %(default)s)")
+    v.add_argument("--seed", type=int, default=RunConfig.seed,
+                   help="seed for the fallback segmentation (default: %(default)s)")
+    v.add_argument("--albedo", metavar="FILE", default=RunConfig.albedo_path,
                    help="albedo estimate image; replaces the built-in fallback")
-    v.add_argument("--masks", metavar="FILE", default=None,
+    v.add_argument("--masks", metavar="FILE", default=RunConfig.masks_path,
                    help="integer label-map image; replaces k-means "
                         "segmentation")
-    v.add_argument("--dp-eps", type=float, default=2.0,
-                   help="contour simplification tolerance in px (default: 2.0)")
-    v.add_argument("--aa-sigma", type=float, default=1.0,
-                   help="rasterizer smoothing width in px (default: 1.0)")
-    v.add_argument("--warmup", type=int, default=50,
-                   help="structural warm-up epochs (default: 50)")
-    v.add_argument("--joint", type=int, default=50,
-                   help="joint reconstruction epochs (default: 50)")
-    v.add_argument("--rounds", type=int, default=5,
-                   help="refinement rounds (default: 5)")
-    v.add_argument("--iters", type=int, default=100,
+    v.add_argument("--dp-eps", type=float, default=RunConfig.dp_epsilon,
+                   help="contour simplification tolerance in px (default: %(default)s)")
+    v.add_argument("--aa-sigma", type=float, default=RunConfig.aa_sigma,
+                   help="rasterizer smoothing width in px (default: %(default)s)")
+    v.add_argument("--warmup", type=int, default=RunConfig.warmup_epochs,
+                   help="structural warm-up epochs (default: %(default)s)")
+    v.add_argument("--joint", type=int, default=RunConfig.joint_epochs,
+                   help="joint reconstruction epochs (default: %(default)s)")
+    v.add_argument("--rounds", type=int, default=RunConfig.refine_rounds,
+                   help="refinement rounds (default: %(default)s)")
+    v.add_argument("--iters", type=int, default=RunConfig.refine_iters,
                    help="optimizer iterations per refinement round "
-                        "(default: 100)")
+                        "(default: %(default)s)")
     v.add_argument("--lambda", dest="lambda_overlap", type=float,
-                   default=1e-8, metavar="WEIGHT",
-                   help="overlap penalty weight (default: 1e-8)")
-    v.add_argument("--delta-overlap", type=float, default=0.6,
-                   help="overlap penalty threshold (default: 0.6)")
-    v.add_argument("--penalty", choices=["paper-literal", "overlap"],
-                   default="overlap",
-                   help="overlap penalty direction (default: overlap)")
-    v.add_argument("--trace", metavar="FILE", default=None,
+                   default=RunConfig.lambda_overlap, metavar="WEIGHT",
+                   help="overlap penalty weight (default: %(default)s)")
+    v.add_argument("--delta-overlap", type=float, default=RunConfig.delta_overlap,
+                   help="overlap penalty threshold (default: %(default)s)")
+    v.add_argument("--penalty", choices=[_flag(m) for m in PENALTY_MODES],
+                   default=_flag(RunConfig.penalty_sign),
+                   help="overlap penalty direction (default: %(default)s)")
+    v.add_argument("--trace", metavar="FILE", default=RunConfig.trace_path,
                    help="trace CSV path (default: output with .csv suffix)")
     v.set_defaults(func=cmd_vectorize)
 
@@ -171,9 +178,9 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("-o", "--output", required=True,
                    help="output raster (.png/.ppm)")
     r.add_argument("--scale", type=int, default=1,
-                   help="integer output scale factor (default: 1)")
-    r.add_argument("--aa-sigma", type=float, default=1.0,
-                   help="rasterizer smoothing width in px (default: 1.0)")
+                   help="integer output scale factor (default: %(default)s)")
+    r.add_argument("--aa-sigma", type=float, default=RasterizerConfig.aa_sigma,
+                   help="rasterizer smoothing width in px (default: %(default)s)")
     r.set_defaults(func=cmd_render)
 
     e = sub.add_parser("edit",
@@ -184,22 +191,22 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("-o", "--output", required=True, help="edited SVG path")
     e.add_argument("--report", metavar="FILE", default=None,
                    help="JSON report path (default: output with .json suffix)")
-    e.add_argument("--k", type=int, default=1,
-                   help="number of paths to recolor (default: 1)")
-    e.add_argument("--tau", type=float, default=0.1,
-                   help="edit-mask difference threshold (default: 0.1)")
-    e.add_argument("--gamma", type=float, default=0.02,
-                   help="candidate IoU floor (default: 0.02)")
-    e.add_argument("--delta-color", type=float, default=0.25,
-                   help="candidate mean-color shift bound (default: 0.25)")
+    e.add_argument("--k", type=int, default=EditConfig.top_k,
+                   help="number of paths to recolor (default: %(default)s)")
+    e.add_argument("--tau", type=float, default=EditConfig.tau_diff,
+                   help="edit-mask difference threshold (default: %(default)s)")
+    e.add_argument("--gamma", type=float, default=EditConfig.gamma_iou,
+                   help="candidate IoU floor (default: %(default)s)")
+    e.add_argument("--delta-color", type=float, default=EditConfig.delta_color,
+                   help="candidate mean-color shift bound (default: %(default)s)")
     e.set_defaults(func=cmd_edit)
 
     g = sub.add_parser("gradcheck",
                        help="compare analytic gradients to finite differences")
-    g.add_argument("--probes", type=int, default=100,
-                   help="number of random scenes (default: 100)")
-    g.add_argument("--seed", type=int, default=0,
-                   help="probe generator seed (default: 0)")
+    g.add_argument("--probes", type=int, default=GradCheckConfig.n_probes,
+                   help="number of random scenes (default: %(default)s)")
+    g.add_argument("--seed", type=int, default=GradCheckConfig.seed,
+                   help="probe generator seed (default: %(default)s)")
     g.set_defaults(func=cmd_gradcheck)
 
     m = sub.add_parser("metrics", help="print MSE and PSNR between two images")
@@ -217,15 +224,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SvgParseError as exc:
+    except (ValueError, OSError) as exc:  # SvgParseError, InitError included
         print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except InitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        if isinstance(exc, SvgParseError):
+            return 4
+        return 3 if isinstance(exc, InitError) else 2
 
 
 if __name__ == "__main__":

@@ -85,6 +85,8 @@ def _split_cubic(quads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 _MAX_SPLIT_DEPTH = 24
 
+# Largest chord-to-curve deviation, in px, of the "adaptive" flatten mode.
+FLATTEN_TOLERANCE = 0.1
 # Uniform parameter values per segment in the "fixed" flatten mode.
 FLATTEN_FIXED_COUNT = 16
 
@@ -127,7 +129,7 @@ def flatten_bezier(path: VectorPath, config: RasterizerConfig) -> Polyline:
 
     Every emitted vertex lies exactly on the curve.  In adaptive mode each
     segment is subdivided until the convex-hull flatness test passes, so
-    chords deviate from the true curve by at most ``flatten_tolerance``.
+    chords deviate from the true curve by at most ``FLATTEN_TOLERANCE``.
     Fixed mode emits ``FLATTEN_FIXED_COUNT`` uniformly spaced parameters
     per segment regardless of shape.  Loops that would flatten to fewer
     than 3 vertices are resampled at 3 per segment; a path whose control
@@ -142,7 +144,7 @@ def flatten_bezier(path: VectorPath, config: RasterizerConfig) -> Polyline:
         seg_idx = np.repeat(np.arange(n_seg), FLATTEN_FIXED_COUNT)
         t = np.tile(np.arange(FLATTEN_FIXED_COUNT) / FLATTEN_FIXED_COUNT, n_seg)
     else:
-        seg_idx, t = _adaptive_params(quads, config.flatten_tolerance)
+        seg_idx, t = _adaptive_params(quads, FLATTEN_TOLERANCE)
     if t.size < 3:
         seg_idx = np.repeat(np.arange(n_seg), 3)
         t = np.tile(np.arange(3) / 3.0, n_seg)

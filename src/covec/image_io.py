@@ -57,6 +57,12 @@ def _png_bytes(scan: np.ndarray, w: int, h: int, bit_depth: int,
             + _chunk(b"IEND", b""))
 
 
+def _sample_bytes(values: np.ndarray, wide: bool) -> np.ndarray:
+    """Unsigned integer samples as bytes: one each, or two big-endian each
+    when ``wide``; the last axis grows by the sample size."""
+    return values.astype(">u2" if wide else np.uint8).view(np.uint8)
+
+
 def write_png(path, img: np.ndarray, bit_depth: int = 8) -> None:
     """Write an (H, W, 3) float image as truecolor PNG at 8 or 16 bits."""
     if bit_depth not in (8, 16):
@@ -65,14 +71,8 @@ def write_png(path, img: np.ndarray, bit_depth: int = 8) -> None:
     if img.ndim != 3 or img.shape[2] != 3:
         raise ValueError("image must have shape (H, W, 3)")
     h, w = img.shape[:2]
-    maxval = (1 << bit_depth) - 1
-    q = quantize(img, maxval)
-    if bit_depth == 8:
-        raw = q.astype(np.uint8)
-        scan = raw.reshape(h, w * 3)
-    else:
-        raw = q.astype(">u2")
-        scan = raw.view(np.uint8).reshape(h, w * 6)
+    q = quantize(img, (1 << bit_depth) - 1)
+    scan = _sample_bytes(q, bit_depth == 16).reshape(h, w * 3 * bit_depth // 8)
     Path(path).write_bytes(_png_bytes(scan, w, h, bit_depth, 2))
 
 
@@ -83,14 +83,11 @@ def write_label_png(path, labels: np.ndarray) -> None:
         raise ValueError("label map must be 2-D")
     if labels.min() < 0:
         raise ValueError("labels must be nonnegative")
+    if labels.max() > 65535:
+        raise ValueError("labels above 65535 are unsupported")
     bit_depth = 8 if labels.max() <= 255 else 16
     h, w = labels.shape
-    if bit_depth == 8:
-        scan = labels.astype(np.uint8).reshape(h, w)
-    else:
-        if labels.max() > 65535:
-            raise ValueError("labels above 65535 are unsupported")
-        scan = labels.astype(">u2").view(np.uint8).reshape(h, w * 2)
+    scan = _sample_bytes(labels, bit_depth == 16).reshape(h, w * bit_depth // 8)
     Path(path).write_bytes(_png_bytes(scan, w, h, bit_depth, 0))
 
 
@@ -231,11 +228,7 @@ def write_ppm(path, img: np.ndarray, maxval: int = 255) -> None:
     h, w = img.shape[:2]
     q = quantize(img, maxval)
     header = f"P6\n{w} {h}\n{maxval}\n".encode("ascii")
-    if maxval < 256:
-        body = q.astype(np.uint8).tobytes()
-    else:
-        body = q.astype(">u2").tobytes()
-    Path(path).write_bytes(header + body)
+    Path(path).write_bytes(header + _sample_bytes(q, maxval > 255).tobytes())
 
 
 def _ppm_token(data: bytes, pos: int) -> tuple[bytes, int]:

@@ -130,20 +130,18 @@ class RasterizerConfig:
     """Knobs for the differentiable soft rasterizer.
 
     flatten_mode "adaptive" subdivides curves until flat within
-    ``flatten_tolerance``; "fixed" samples ``geometry.FLATTEN_FIXED_COUNT``
-    uniform parameter values per segment, which keeps the vertex schedule
-    independent of the control points (useful for finite-difference
-    checks, where adaptive splits would introduce tiny discontinuities).
+    ``geometry.FLATTEN_TOLERANCE``; "fixed" samples
+    ``geometry.FLATTEN_FIXED_COUNT`` uniform parameter values per segment,
+    which keeps the vertex schedule independent of the control points
+    (useful for finite-difference checks, where adaptive splits would
+    introduce tiny discontinuities).
     """
 
-    flatten_tolerance: float = 0.1
     aa_sigma: float = 1.0
     supersample: int = 2
     flatten_mode: str = "adaptive"
 
     def __post_init__(self):
-        if not 0 < self.flatten_tolerance < np.inf:
-            raise ValueError("flatten_tolerance must be positive and finite")
         if not 0 < self.aa_sigma < np.inf:
             raise ValueError("aa_sigma must be positive and finite")
         if self.supersample < 1:

@@ -83,9 +83,10 @@ class RunConfig:
     """Everything one vectorization run needs, mirroring the CLI flags.
 
     The per-stage configs (``raster_config``, ``schedule`` and
-    ``struct_config``) are built once at construction, and the SVG and
-    trace paths pass ``check_outputs`` against the input files, so an
-    invalid value raises ValueError before any work.
+    ``struct_config``), whose defaults the matching fields take, are
+    built at construction, and the SVG and trace paths pass
+    ``check_outputs`` against the input files, so an invalid value
+    raises ValueError before any work.
     """
 
     input_path: str
@@ -97,14 +98,14 @@ class RunConfig:
     masks_path: str | None = None
     trace_path: str | None = None
     dp_epsilon: float = 2.0
-    aa_sigma: float = 1.0
-    warmup_epochs: int = 50
-    joint_epochs: int = 50
-    refine_rounds: int = 5
-    refine_iters: int = 100
-    lambda_overlap: float = 1e-8
-    delta_overlap: float = 0.6
-    penalty_sign: str = "overlap"
+    aa_sigma: float = RasterizerConfig.aa_sigma
+    warmup_epochs: int = Schedule.warmup_epochs
+    joint_epochs: int = Schedule.joint_epochs
+    refine_rounds: int = Schedule.refine_rounds
+    refine_iters: int = Schedule.refine_iters
+    lambda_overlap: float = StructLossConfig.lambda_overlap
+    delta_overlap: float = StructLossConfig.delta_overlap
+    penalty_sign: str = StructLossConfig.penalty_sign
 
     def __post_init__(self):
         if self.mode not in MODES:

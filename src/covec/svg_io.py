@@ -28,11 +28,10 @@ import numpy as np
 from .geometry import flatten_bezier  # noqa: F401
 from .image_io import quantize
 from .model import FILL_RULE, LayeredDocument, RasterizerConfig, VectorPath
-from .raster import render_composite
+from .raster import COMPOSITE_MODES, render_composite
 
 SVG_NS = "http://www.w3.org/2000/svg"
 
-_LAYER_ORDER = ("albedo", "shade", "light")
 _GROUP_STYLE = {
     "albedo": None,
     "shade": "mix-blend-mode:multiply",
@@ -89,7 +88,7 @@ def emit_svg(doc: LayeredDocument, out=None) -> bytes:
         f'<svg xmlns="{SVG_NS}" width="{w}" height="{h}" viewBox="0 0 {w} {h}">',
         '  <g style="isolation:isolate">',
     ]
-    for tag in _LAYER_ORDER:
+    for tag in COMPOSITE_MODES["three_layer"]:
         style = _GROUP_STYLE[tag]
         attrs = f'id="{tag}"' + (f' style="{style}"' if style else "")
         lines.append(f"    <g {attrs}>")
@@ -244,7 +243,7 @@ def parse_svg(data: bytes) -> LayeredDocument:
         raise SvgParseError("wrapper must contain exactly three layer groups")
     layers: dict[str, list[VectorPath]] = {}
     path_index = 0
-    for expected, elem in zip(_LAYER_ORDER, groups):
+    for expected, elem in zip(COMPOSITE_MODES["three_layer"], groups):
         if _strip_ns(elem.tag) != "g":
             raise SvgParseError(f"unsupported element {_strip_ns(elem.tag)!r} "
                                 "in wrapper group")

@@ -1,8 +1,10 @@
 """Command-line surface: help text, defaults, exit codes, file outputs."""
 
 import csv
+import dataclasses
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -10,10 +12,12 @@ import pytest
 
 import covec.pipeline
 from covec.cli import build_parser, main
+from covec.edit import EditConfig
+from covec.gradcheck import GradCheckConfig
 from covec.image_io import read_image, write_image, write_label_png
 from covec.init_layers import InitError
-from covec.model import LayeredDocument
-from covec.pipeline import RunConfig
+from covec.model import LayeredDocument, RasterizerConfig
+from covec.pipeline import DEFAULT_BUDGET, RunConfig
 from covec.svg_io import emit_svg, parse_svg, reference_composite
 from covec.synthetic import (make_disk_grid_document, make_icon_scene,
                              make_recolor_reference)
@@ -73,6 +77,63 @@ def test_other_flag_defaults():
     assert e.report is None
     g = p.parse_args(["gradcheck"])
     assert g.probes == 100 and g.seed == 0
+
+
+# (flag, parsed dest, config field it sets), per command and config
+_FLAG_FIELDS = [
+    (["vectorize", "in.png", "-o", "out.svg"], RunConfig, [
+        ("--paths", "paths", "path_budget"), ("--mode", "mode", "mode"),
+        ("--seed", "seed", "seed"), ("--albedo", "albedo", "albedo_path"),
+        ("--masks", "masks", "masks_path"), ("--trace", "trace", "trace_path"),
+        ("--dp-eps", "dp_eps", "dp_epsilon"), ("--aa-sigma", "aa_sigma", "aa_sigma"),
+        ("--warmup", "warmup", "warmup_epochs"), ("--joint", "joint", "joint_epochs"),
+        ("--rounds", "rounds", "refine_rounds"), ("--iters", "iters", "refine_iters"),
+        ("--lambda", "lambda_overlap", "lambda_overlap"),
+        ("--delta-overlap", "delta_overlap", "delta_overlap"),
+        ("--penalty", "penalty", "penalty_sign")]),
+    (["edit", "a.svg", "o.png", "r.png", "-o", "b.svg"], EditConfig, [
+        ("--k", "k", "top_k"), ("--tau", "tau", "tau_diff"),
+        ("--gamma", "gamma", "gamma_iou"), ("--delta-color", "delta_color", "delta_color")]),
+    (["gradcheck"], GradCheckConfig, [
+        ("--probes", "probes", "n_probes"), ("--seed", "seed", "seed")]),
+    (["render", "a.svg", "-o", "b.png"], RasterizerConfig, [
+        ("--aa-sigma", "aa_sigma", "aa_sigma")]),
+]
+
+
+def _help_entry(text: str, flag: str) -> str:
+    """The whitespace-joined ``--help`` entry of ``flag``: the flag, its
+    metavar or choices, and its help string."""
+    options = " ".join(text.split()).split(" options: ", 1)[1]
+    entries = re.split(r" (?=--?[a-z])", options)
+    return next(e for e in entries if e.split()[0] == flag)
+
+
+@pytest.mark.parametrize("argv, config, flags", _FLAG_FIELDS,
+                         ids=[argv[0] for argv, _, _ in _FLAG_FIELDS])
+def test_flag_defaults_are_config_defaults(argv, config, flags, capsys,
+                                           monkeypatch):
+    # a default changed on only one side, the config or the CLI, fails here
+    if config is not RasterizerConfig:  # these configs are exactly the flags
+        names = {f.name for f in dataclasses.fields(config)}
+        assert names - {"input_path", "output_path"} == {f for _, _, f in flags}
+    ns = build_parser().parse_args(argv)
+    monkeypatch.setenv("COLUMNS", "80")
+    code, text, _ = _run([argv[0], "--help"], capsys)
+    assert code == 0
+    for flag, dest, name in flags:
+        parsed = getattr(ns, dest)
+        want = getattr(config, name)
+        if isinstance(parsed, str):  # mode and penalty names use "-" on the CLI
+            assert parsed.replace("-", "_") == want, flag
+        else:
+            assert parsed == want and type(parsed) is type(want), flag
+        entry = _help_entry(text, flag)
+        if flag == "--paths":
+            budgets = [f"{n} {m.replace('_', '-')}" for m, n in DEFAULT_BUDGET.items()]
+            assert entry.endswith(f"(default: {', '.join(budgets)})"), entry
+        elif parsed is not None:
+            assert entry.endswith(f"(default: {parsed})"), entry
 
 
 def test_missing_input_exits_2(tmp_path, capsys):

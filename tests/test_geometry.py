@@ -1,13 +1,15 @@
 """Bezier flattening, signed distance and closed-curve simplification."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covec.geometry import (_MAX_SPLIT_DEPTH, Polyline, batch_signed_distance, bernstein3,
+from covec import geometry
+from covec.geometry import (_MAX_SPLIT_DEPTH, FLATTEN_TOLERANCE, Polyline, batch_signed_distance, bernstein3,
                             flatten_bezier, polygon_area, simplify_closed, vertex_control_scatter,
                             _farthest_pair)
 from covec.model import RasterizerConfig, VectorPath
@@ -70,14 +72,13 @@ def test_adaptive_flatten_stays_near_curve():
     for _ in range(10):
         path = disk_path(16, 16, 9)
         path.control_points = path.control_points + rng.normal(0, 1.5, (12, 2))
-        config = RasterizerConfig(flatten_tolerance=0.1)
-        poly = flatten_bezier(path, config)
+        poly = flatten_bezier(path, RasterizerConfig())
         # every densely sampled curve point must sit near the polyline
         for seg in range(path.n_segments):
             quad = path.segment(seg)
             pts = eval_cubic(quad, np.linspace(0, 1, 50))
             sd = np.abs(_all_pairs_signed_distance(poly, pts)[0])
-            assert sd.max() <= config.flatten_tolerance + 1e-6
+            assert sd.max() <= FLATTEN_TOLERANCE + 1e-6
 
 
 @settings(max_examples=60, deadline=None)
@@ -93,7 +94,8 @@ def test_adaptive_flatten_matches_recursive_subdivision(seed, tolerance):
             ctrl[-1] += 1.0
     path = VectorPath(control_points=ctrl, fill_color=np.zeros(3), opacity=1.0,
                       layer_tag="albedo")
-    poly = flatten_bezier(path, RasterizerConfig(flatten_tolerance=tolerance))
+    with mock.patch.object(geometry, "FLATTEN_TOLERANCE", tolerance):
+        poly = flatten_bezier(path, RasterizerConfig())
     seg_idx, ts = [], []
     for i in range(n_seg):
         local = []
@@ -123,9 +125,10 @@ def test_flatten_degenerate_path_errors():
         flatten_bezier(path, RasterizerConfig())
 
 
-def test_flatten_small_path_keeps_three_vertices():
+def test_flatten_small_path_keeps_three_vertices(monkeypatch):
     path = disk_path(5, 5, 0.01)
-    poly = flatten_bezier(path, RasterizerConfig(flatten_tolerance=10.0))
+    monkeypatch.setattr(geometry, "FLATTEN_TOLERANCE", 10.0)
+    poly = flatten_bezier(path, RasterizerConfig())
     assert poly.vertices.shape[0] >= 3
 
 
@@ -208,7 +211,9 @@ def test_batch_signed_distance_matches_all_pairs_on_bezier_loops(seed, ss):
     ctrl = rng.uniform(-0.2 * size, 1.2 * size, (3 * n_seg, 2))
     path = VectorPath(control_points=ctrl, fill_color=np.zeros(3), opacity=1.0,
                       layer_tag="albedo")
-    poly = flatten_bezier(path, RasterizerConfig(flatten_tolerance=float(rng.choice([0.02, 0.1, 1.0]))))
+    tolerance = float(rng.choice([0.02, 0.1, 1.0]))
+    with mock.patch.object(geometry, "FLATTEN_TOLERANCE", tolerance):
+        poly = flatten_bezier(path, RasterizerConfig())
     x0, y0 = rng.integers(-12, 13, 2)
     width, height = rng.integers(1, 40, 2)
     _assert_matches_all_pairs(poly, _window(x0, y0, width, height, ss))
@@ -426,7 +431,7 @@ def test_square_helper_flattens_to_square():
     poly = flatten_bezier(path, RasterizerConfig())
     sd = np.abs(_all_pairs_signed_distance(
         poly, np.array([[2.0, 2.0], [10.0, 10.0], [6.0, 2.0]]))[0])
-    assert sd.max() < RasterizerConfig().flatten_tolerance + 1e-6
+    assert sd.max() < FLATTEN_TOLERANCE + 1e-6
 
 
 @pytest.fixture(scope="module")

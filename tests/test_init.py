@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 import covec.pipeline
-from covec.geometry import Polyline, flatten_bezier, polygon_area, simplify_closed
+from covec.geometry import (FLATTEN_TOLERANCE, Polyline, flatten_bezier, polygon_area,
+                            simplify_closed)
 from covec.init_layers import (KMEANS_CLUSTERS, KMEANS_ITERS, MAX_SEGMENTS, MIN_REGION_FRAC,
                                InitError, _connected_components, _merge_small_components,
                                attenuation_ratio, fallback_albedo,
@@ -481,11 +482,10 @@ def test_fit_bezier_square_reproduces_square():
     assert ctrl.shape == (12, 2)
     path = VectorPath(control_points=ctrl, fill_color=np.zeros(3),
                       opacity=1.0, layer_tag="albedo")
-    config = RasterizerConfig()
-    poly = flatten_bezier(path, config)
+    poly = flatten_bezier(path, RasterizerConfig())
     ref = Polyline(vertices=square)
     dist = np.abs(_all_pairs_signed_distance(ref, poly.vertices)[0])
-    assert dist.max() <= config.flatten_tolerance + 1e-9
+    assert dist.max() <= FLATTEN_TOLERANCE + 1e-9
 
 
 def test_fit_bezier_closure():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 from covec import raster
-from covec.geometry import batch_signed_distance, flatten_bezier
+from covec.geometry import flatten_bezier
 from covec.edit import EditConfig, run_edit
 from covec.model import (LAYER_TAGS, GradientBuffer, LayeredDocument, RasterizerConfig,
                          VectorPath, WHITE, project_color)
@@ -27,14 +27,15 @@ from oracle_geometry import _all_pairs_signed_distance
 
 
 def _oracle_coverage(path, width, height, config):
-    """Per-sample sigmoid of signed distance, averaged over the grid."""
+    """Per-sample sigmoid of the all-pairs signed distance, averaged over
+    the grid: independent of the production search."""
     poly = flatten_bezier(path, config)
     s = config.supersample
     xs = (np.arange(width * s) + 0.5) / s
     ys = (np.arange(height * s) + 0.5) / s
     gx, gy = np.meshgrid(xs, ys)
     pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
-    sd = batch_signed_distance(poly, pts)[0].reshape(height * s, width * s)
+    sd = _all_pairs_signed_distance(poly, pts)[0].reshape(height * s, width * s)
     sig = expit(-sd / config.aa_sigma)
     return sig.reshape(height, s, width, s).mean(axis=(1, 3))
 
