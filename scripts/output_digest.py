@@ -55,7 +55,9 @@ results may change with them.
 
 ``scripts/output_digest.txt`` holds the lines of a checked-in commit.
 With ``--check`` the script compares its lines with that file instead of
-printing them, prints each line that differs, and exits 1 if any does.
+printing them, prints each line that differs, and exits 1 if any does;
+for each differing run line it also prints the relative change of the
+final MSE, and last the largest such change.
 Usage, from any checkout (its own ``src/`` and ``tests/`` are imported,
 files go to a temporary directory)::
 
@@ -315,6 +317,16 @@ def all_lines():
     yield from sd_digests()
 
 
+def mse_change(want: str, got: str) -> float | None:
+    """Relative change of the final MSE between two lines of one
+    ``mode/schedule/seed`` run, or None for any other pair of lines."""
+    w, g = want.split(), got.split()
+    if (len(w) != 3 or len(g) != 3 or w[0] != g[0]
+            or not w[0].startswith(("full/", "albedo_only/"))):
+        return None
+    return float(g[2]) / float(w[2]) - 1.0
+
+
 def main(argv: list[str]) -> int:
     if argv not in ([], ["--check"]):
         print("usage: output_digest.py [--check]", file=sys.stderr)
@@ -326,11 +338,19 @@ def main(argv: list[str]) -> int:
     want = DIGEST_FILE.read_text().splitlines()
     got = list(all_lines())
     differing = 0
+    largest = None
     for i, (w, g) in enumerate(itertools.zip_longest(want, got, fillvalue="(none)"), 1):
         if w != g:
             differing += 1
             print(f"line {i} differs\n  checked in: {w}\n  now:        {g}")
+            change = mse_change(w, g)
+            if change is not None:
+                print(f"  final MSE:  {change:+.2e} relative")
+                if largest is None or abs(change) > abs(largest[0]):
+                    largest = (change, w.split()[0])
     print(f"{differing} of {len(want)} lines differ from {DIGEST_FILE.name}")
+    if largest is not None:
+        print(f"largest relative final-MSE change: {largest[0]:+.2e} ({largest[1]})")
     return 1 if differing else 0
 
 

@@ -23,17 +23,19 @@ final composite, edit, gradcheck) or by rasterizing them.  Gradients flow
 per layer through ``layer_backward``; the reconstruction loss
 differentiates the two-layer product itself.
 
-Each path's coverage lives in its support window: ``PathCoverage.block``
-covers only the window, as does everything the rasterizer keeps per
-sample: 21 bytes with grad (the sigmoid, and the foot parameter, nearest
-edge as int32 and inside flag that the distance search returns), from
-which coverage_backward computes each sample's unit gradient, the
-package's one formula for it.  source_over writes each
-path into its window slice of the canvas, which is exact, since outside
-it zero coverage leaves the composite as it was, and training records
-and backpropagates over each window too, down to its sums.  A no-grad
-path_coverage computes only the signed distance, which becomes the
-sigmoid in place.  Only the read-only ``PathCoverage.coverage`` and
+Each path's coverage lives in its support window, its bounding box padded
+by CUTOFF_SIGMAS * aa_sigma: outside it the logistic tail is below
+expit(-CUTOFF_SIGMAS), 8.3e-7, and coverage is exactly zero.
+``PathCoverage.block`` covers only the window, as does everything the
+rasterizer keeps per sample: 21 bytes with grad (the sigmoid, and the
+foot parameter, nearest edge as int32 and inside flag that the distance
+search returns), from which coverage_backward computes each sample's
+unit gradient, the package's one formula for it.  source_over writes
+each path into its window slice of the canvas, which is exact, since
+outside it zero coverage leaves the composite as it was, and training
+records and backpropagates over each window too, down to its sums.  A
+no-grad path_coverage computes only the signed distance, which becomes
+the sigmoid in place.  Only the read-only ``PathCoverage.coverage`` and
 ``PathCoverage.unit`` views, for readers outside the package, place a
 window on a zero canvas or stack a sample's two gradient axes.
 """
@@ -70,7 +72,9 @@ def layer_background(tag: str) -> np.ndarray:
 
 
 # Pad of a path's support window beyond its outline, in units of aa_sigma.
-CUTOFF_SIGMAS = 30.0
+# Coverage outside the window would be below expit(-14), 8.3e-7, under the
+# 1e-6 by which composites must match the windowless oracle renderer.
+CUTOFF_SIGMAS = 14.0
 
 
 @dataclass
@@ -129,7 +133,8 @@ def path_coverage(path: VectorPath, width: int, height: int,
 
     Work is restricted to the path's bounding box padded by
     CUTOFF_SIGMAS * aa_sigma, clipped to the canvas; outside that window
-    the logistic tail is below ~1e-13 and coverage is exactly zero.
+    every sample is more than the pad from the outline, so the logistic
+    tail is below expit(-CUTOFF_SIGMAS), and coverage is exactly zero.
     Inside it, the window's row-major supersample grid goes to
     batch_signed_distance, which gives every sample its signed distance
     to the flattened outline, culling edges per tile of the grid without

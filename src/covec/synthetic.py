@@ -31,13 +31,20 @@ def _downsample(img: np.ndarray, ss: int) -> np.ndarray:
 
 @dataclass
 class SyntheticScene:
-    """A target image with its exact decomposition and region masks."""
+    """A target image with its exact decomposition and region masks.
+
+    ``albedo``, ``shade`` and ``light`` are (H, W, 3) layer images, each
+    box filtered like ``target``, which ``albedo * shade + light``
+    reproduces to rounding.
+    """
 
     target: np.ndarray
     albedo: np.ndarray
     labels: np.ndarray
     shadow_mask: np.ndarray
     highlight_mask: np.ndarray
+    shade: np.ndarray
+    light: np.ndarray
 
 
 def make_acceptance_scene(width: int = 64, height: int = 64,
@@ -56,9 +63,9 @@ def make_acceptance_scene(width: int = 64, height: int = 64,
                          np.array([0.8, 0.3, 0.3]),
                          np.array([0.2, 0.5, 0.8]))
     shadow = gy >= 40.0
-    shade_hi = np.where(shadow[:, :, None], 0.5, 1.0)
+    shade_hi = np.where(shadow[:, :, None], 0.5, np.ones(3))
     highlight = (gx - 44.0) ** 2 + (gy - 52.0) ** 2 <= 6.0 ** 2
-    light_hi = np.where(highlight[:, :, None], 0.3, 0.0)
+    light_hi = np.where(highlight[:, :, None], 0.3, np.zeros(3))
     target = _downsample(albedo_hi * shade_hi + light_hi, ss)
     albedo = _downsample(albedo_hi, ss)
     labels = np.where(_downsample(disk.astype(np.float64), ss) > 0.5, 2, 1)
@@ -66,7 +73,9 @@ def make_acceptance_scene(width: int = 64, height: int = 64,
     highlight_mask = _downsample(highlight.astype(np.float64), ss) > 0.5
     return SyntheticScene(target=target, albedo=albedo,
                           labels=labels.astype(np.int64),
-                          shadow_mask=shadow_mask, highlight_mask=highlight_mask)
+                          shadow_mask=shadow_mask, highlight_mask=highlight_mask,
+                          shade=_downsample(shade_hi, ss),
+                          light=_downsample(light_hi, ss))
 
 
 def make_icon_scene(size: int = 32, ss: int = 4) -> np.ndarray:

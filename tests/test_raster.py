@@ -54,12 +54,40 @@ def test_coverage_interior_near_one(rcfg):
     assert np.all(pc.coverage >= 0) and np.all(pc.coverage <= 1)
 
 
+def _windowed_and_wide(path, width, height, config, pad=1e6):
+    """Coverage under the production pad and with the window padded by
+    ``pad`` sigmas; inside the first window their samples are the same."""
+    tight = path_coverage(path, width, height, config)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(raster, "CUTOFF_SIGMAS", pad)
+        wide = path_coverage(path, width, height, config)
+    assert np.array_equal(tight.block, wide.coverage[tight.region])
+    return tight, wide.coverage
+
+
 def test_coverage_window_truncation_negligible(monkeypatch):
+    # outside its window every sample is more than the pad from the
+    # outline, so the error is below the logistic tail the pad admits
     path = disk_path(10, 10, 4)
-    tight = path_coverage(path, 48, 48, RasterizerConfig())
-    monkeypatch.setattr(raster, "CUTOFF_SIGMAS", 1e6)
-    wide = path_coverage(path, 48, 48, RasterizerConfig())
-    assert np.allclose(tight.coverage, wide.coverage, atol=1e-12)
+    tight, wide = _windowed_and_wide(path, 48, 48, RasterizerConfig())
+    assert tight.window != (0, 0, 48, 48)
+    assert np.abs(tight.coverage - wide).max() <= expit(-raster.CUTOFF_SIGMAS)
+    monkeypatch.setattr(raster, "CUTOFF_SIGMAS", 30.0)
+    tight, wide = _windowed_and_wide(path, 48, 48, RasterizerConfig())
+    assert np.allclose(tight.coverage, wide, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 4]), st.sampled_from([0.5, 1.0]))
+def test_window_truncation_is_within_the_pad_tail(seed, s, aa_sigma):
+    # disks anywhere, partly or wholly off the canvas
+    rng = np.random.default_rng(seed)
+    w, h = int(rng.integers(8, 48)), int(rng.integers(8, 48))
+    cx, cy = rng.uniform(-12.0, w + 12.0), rng.uniform(-12.0, h + 12.0)
+    path = disk_path(cx, cy, rng.uniform(0.5, 12.0))
+    config = RasterizerConfig(aa_sigma=aa_sigma, supersample=s)
+    tight, wide = _windowed_and_wide(path, w, h, config)
+    assert np.abs(tight.coverage - wide).max() <= expit(-raster.CUTOFF_SIGMAS)
 
 
 def test_translation_equivariance(rcfg):
