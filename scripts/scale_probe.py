@@ -9,7 +9,10 @@ renders them with one with-grad ``layer_forward`` and pulls the MSE
 image gradient back through one ``layer_backward``.  It prints the time
 of each step, the process's peak resident set size (``ru_maxrss``) and
 the sha256 of every path's gradients, so two trees can be compared on
-memory, time and bits.  Run it as ``PYTHONPATH=src python
+memory, time and bits.  Last it times one more with-grad
+``layer_forward`` plus ``layer_backward`` at ``descent_config``, the
+one-sample config every optimiser step renders at, and prints its
+supersample count.  Run it as ``PYTHONPATH=src python
 scripts/scale_probe.py``; it takes no options.
 """
 
@@ -21,6 +24,7 @@ import numpy as np
 
 from covec.init_layers import paths_for_groups
 from covec.model import WHITE, RasterizerConfig
+from covec.optimize import descent_config
 from covec.raster import layer_backward, layer_forward
 
 SIZE, CELL = 256, 8
@@ -68,6 +72,16 @@ def main() -> int:
         digest.update(np.float64(g.d_opacity).tobytes())
     print(f"peak ru_maxrss {peak_mb():.1f} MB")
     print(f"gradient sha256 {digest.hexdigest()}")
+
+    del render, grads
+    descent = descent_config(rcfg)
+    t4 = time.perf_counter()
+    render = layer_forward(paths, WHITE, SIZE, SIZE, descent, with_grad=True)
+    layer_backward(paths, render, 2.0 * (render.image - image) / image.size, descent)
+    t5 = time.perf_counter()
+    samples = sum(pc.sigma.size for pc in render.coverages)
+    print(f"descent step     {t5 - t4:.3f} s, {samples} supersamples cached "
+          f"(supersample {descent.supersample}, aa_sigma {descent.aa_sigma:.4f})")
     return 0
 
 

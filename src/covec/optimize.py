@@ -158,6 +158,23 @@ class LayerOptimizer:
             path.opacity = float(expit(new_logit))
 
 
+def descent_config(rcfg: RasterizerConfig) -> RasterizerConfig:
+    """The config the optimiser differentiates: one sample per pixel.
+
+    An Adam step needs only a direction, and with ``aa_sigma`` near a
+    pixel the logistic already filters the edge, so the s x s grid of
+    ``rcfg.supersample`` = s is folded into the logistic instead: its
+    per-axis variance (s^2 - 1) / (12 s^2) is added to the logistic's
+    pi^2 sigma^2 / 3, giving sigma'^2 = sigma^2 + (s^2 - 1) / (4 pi^2 s^2).
+    At s = 1 ``rcfg`` itself comes back.  Everything a run decides on or
+    outputs renders at ``rcfg``."""
+    s = rcfg.supersample
+    if s == 1:
+        return rcfg
+    sigma = np.sqrt(rcfg.aa_sigma ** 2 + (s * s - 1) / (4.0 * np.pi ** 2 * s * s))
+    return replace(rcfg, supersample=1, aa_sigma=float(sigma))
+
+
 def mse(a: np.ndarray, b: np.ndarray) -> float:
     """Mean squared difference over all pixels and channels."""
     a = np.asarray(a, dtype=np.float64)
@@ -268,23 +285,26 @@ def run_structural(albedo_groups: list[list[VectorPath]],
     Paths are updated in place.  Each layer keeps its own optimizer from
     start to finish; warm-up steps them on their own structure losses
     (the trace row holds the summed loss), joint epochs step both on the
-    shared reconstruction loss.  With no illumination groups (albedo-only
-    mode) that layer adds 0.0 to every warm-up loss and takes no steps,
-    and reconstruction compares the albedo render directly.
+    shared reconstruction loss.  Every step renders at
+    ``descent_config(rcfg)``, so the trace rows hold the losses of those
+    one-sample renders.  With no illumination groups (albedo-only mode)
+    that layer adds 0.0 to every warm-up loss and takes no steps, and
+    reconstruction compares the albedo render directly.
     """
     albedo_flat = [p for g in albedo_groups for p in g]
     illum_flat = [p for g in illum_groups for p in g]
     opt_a = LayerOptimizer(albedo_flat)
     opt_i = LayerOptimizer(illum_flat)
+    descent = descent_config(rcfg)
     trace: list[TraceRow] = []
     for epoch in range(1, schedule.warmup_epochs + 1):
-        loss_a, grads_a = loss_struct(albedo_groups, mask_renders_a, struct_cfg, rcfg)
+        loss_a, grads_a = loss_struct(albedo_groups, mask_renders_a, struct_cfg, descent)
         opt_a.step(grads_a)
-        loss_i, grads_i = loss_struct(illum_groups, mask_renders_i, struct_cfg, rcfg)
+        loss_i, grads_i = loss_struct(illum_groups, mask_renders_i, struct_cfg, descent)
         opt_i.step(grads_i)
         trace.append(TraceRow(epoch=epoch, stage="warmup", loss=loss_a + loss_i))
     for epoch in range(1, schedule.joint_epochs + 1):
-        loss, grads_a, grads_i = loss_recon(albedo_flat, illum_flat, target, rcfg)
+        loss, grads_a, grads_i = loss_recon(albedo_flat, illum_flat, target, descent)
         opt_a.step(grads_a)
         opt_i.step(grads_i)
         trace.append(TraceRow(epoch=schedule.warmup_epochs + epoch,

@@ -139,7 +139,9 @@ def path_coverage(path: VectorPath, width: int, height: int,
     batch_signed_distance, which gives every sample its signed distance
     to the flattened outline, culling edges per tile of the grid without
     changing a bit of the result, and the window's block is the pixel
-    mean of expit(-sd / aa_sigma).  With
+    mean of expit(-sd / aa_sigma), summed in an order that does not
+    depend on the window, so a pixel gets the same bits from any window
+    that holds it.  With
     ``with_grad`` the per-sample sigmoid and the search's nearest edge
     (int32), foot parameter and inside flag are kept, as returned, for
     coverage_backward, which computes the unit gradient from them.
@@ -164,7 +166,13 @@ def path_coverage(path: VectorPath, width: int, height: int,
     sigma = np.negative(sd, out=sd)  # expit(-sd / aa_sigma), in place
     sigma /= config.aa_sigma
     expit(sigma, out=sigma)
-    block = sigma.reshape(y1 - y0, s, x1 - x0, s).mean(axis=(1, 3))
+    # the pixel mean in one fixed order: numpy's two-axis mean reorders its
+    # sum when the window is one pixel wide, which moved the last bit
+    rows = sigma.reshape(y1 - y0, s, x1 - x0, s).sum(axis=3)
+    block = rows[:, 0].copy()
+    for i in range(1, s):
+        block += rows[:, i]
+    block /= s * s
     pc = PathCoverage(block=block, window=(x0, y0, x1, y1), canvas=(height, width),
                       polyline=poly)
     if with_grad:

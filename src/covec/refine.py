@@ -22,7 +22,7 @@ import numpy as np
 from scipy import ndimage
 
 from .model import SHADE_FLOOR, WHITE, VectorPath, project_color
-from .optimize import LayerOptimizer, Schedule, TraceRow, layer_loss, mse
+from .optimize import LayerOptimizer, Schedule, TraceRow, descent_config, layer_loss, mse
 from .raster import (PathCoverage, RasterizerConfig, layer_forward, path_coverage,
                      source_over)
 
@@ -170,8 +170,10 @@ def refine_layer(layer: list[VectorPath], frozen_factor: np.ndarray,
     base image and never touched again.  Each of ``schedule.refine_rounds``
     rounds proposes the remaining budget spread evenly over the remaining
     rounds, steps those paths alone on optimize.layer_loss (loss_recon
-    restricted to them) for ``schedule.refine_iters`` iterations,
-    rasterizes them once and hands only them to cleanup_layer; the cleaned
+    restricted to them) for ``schedule.refine_iters`` iterations, each
+    rendered at ``optimize.descent_config(rcfg)``, then rasterizes them
+    once at ``rcfg`` and hands only them to cleanup_layer; the base, the
+    error map, cleanup and the returned maps all use ``rcfg``.  The cleaned
     composite over the base becomes the next round's base and the round's
     trace loss, and its paths join the frozen stack.  After a round that
     kept no path the base and budget are unchanged, so a proposal of as
@@ -187,6 +189,7 @@ def refine_layer(layer: list[VectorPath], frozen_factor: np.ndarray,
     layer = list(layer)
     render = layer_forward(layer, WHITE, width, height, rcfg)
     base, layer_maps = render.image, render.coverages
+    descent = descent_config(rcfg)
     trace: list[TraceRow] = []
     for rnd in range(1, schedule.refine_rounds + 1):
         diff = target - base * frozen_factor
@@ -204,7 +207,7 @@ def refine_layer(layer: list[VectorPath], frozen_factor: np.ndarray,
             continue
         opt = LayerOptimizer(new_paths)
         for _it in range(schedule.refine_iters):
-            opt.step(layer_loss(new_paths, base, frozen_factor, target, rcfg)[1])
+            opt.step(layer_loss(new_paths, base, frozen_factor, target, descent)[1])
         n_new = len(new_paths)  # cleanup trims new_paths in place
         maps = [path_coverage(p, width, height, rcfg) for p in new_paths]
         kept, n_removed, _ = cleanup_layer(new_paths, maps, base,

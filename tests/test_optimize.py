@@ -9,8 +9,8 @@ import pytest
 
 from covec.model import RasterizerConfig, VectorPath
 from covec.optimize import (ADAM_EPS, GRAY_ALPHA, AdamState, LayerOptimizer,
-                            Schedule, StructLossConfig, adam_step, layer_loss,
-                            loss_recon, loss_struct, mse, run_structural)
+                            Schedule, StructLossConfig, adam_step, descent_config,
+                            layer_loss, loss_recon, loss_struct, mse, run_structural)
 from covec.raster import WHITE, coverage_backward, layer_forward
 
 from conftest import (disk_path, random_path, square_control_points,
@@ -310,6 +310,28 @@ def _small_scene():
     mask_a = [_render(g, w, h, rcfg) for g in albedo_groups]
     mask_i = [_render(g, w, h, rcfg) for g in illum_groups]
     return albedo_groups, illum_groups, target, mask_a, mask_i, rcfg
+
+
+@pytest.mark.parametrize("aa_sigma", [1.0, 0.4])
+@pytest.mark.parametrize("s", [2, 3])
+def test_descent_config_folds_the_grid_variance_into_the_logistic(s, aa_sigma):
+    rcfg = RasterizerConfig(aa_sigma=aa_sigma, supersample=s, flatten_mode="fixed")
+    got = descent_config(rcfg)
+    assert got.supersample == 1
+    assert got.flatten_mode == "fixed"
+    assert got.aa_sigma ** 2 == pytest.approx(
+        aa_sigma ** 2 + (s * s - 1) / (4 * np.pi ** 2 * s * s), rel=1e-12)
+    # the logistic's variance pi^2 sigma^2 / 3 grows by the per-axis
+    # variance of the s x s grid's sample offsets inside a pixel
+    offsets = (np.arange(s) + 0.5) / s
+    assert np.pi ** 2 * got.aa_sigma ** 2 / 3 == pytest.approx(
+        np.pi ** 2 * aa_sigma ** 2 / 3 + np.var(offsets), rel=1e-12)
+
+
+@pytest.mark.parametrize("aa_sigma", [1.0, 0.4])
+def test_descent_config_at_one_sample_is_the_config_itself(aa_sigma):
+    rcfg = RasterizerConfig(aa_sigma=aa_sigma, supersample=1)
+    assert descent_config(rcfg) is rcfg
 
 
 def test_run_structural_zero_schedule_noop():

@@ -1,5 +1,7 @@
 """pipeline.vectorize end to end on small scenes."""
 
+import dataclasses
+import inspect
 import os
 import subprocess
 import sys
@@ -17,6 +19,7 @@ import covec.raster
 import covec.refine
 from covec.image_io import read_image, write_label_png, write_png
 from covec.model import RasterizerConfig
+from covec.optimize import descent_config
 from covec.pipeline import RunConfig, run, vectorize
 from covec.raster import render_composite
 from covec.svg_io import emit_svg, parse_svg
@@ -85,6 +88,47 @@ def test_nothing_rasterized_after_refinement(mode, tmp_path, monkeypatch):
     if mode == "full":
         assert doc.shade or doc.light
     assert late == []
+
+
+@pytest.mark.parametrize("mode", ["full", "albedo_only"])
+def test_only_the_optimiser_renders_at_the_descent_config(mode, tmp_path, monkeypatch):
+    # every render an Adam step differentiates (warm-up, joint, refinement)
+    # uses descent_config(rcfg); every render a decision or an output reads
+    # (refinement's base and cleanup maps, the albedo render, the composite)
+    # uses rcfg itself.  Both modes run on the lit scene, whose albedo-only
+    # init stays under budget, so refinement steps in both
+    cfg = _small_run("full", tmp_path)
+    if mode == "albedo_only":
+        cfg = dataclasses.replace(cfg, mode=mode, albedo_path=None)
+    rcfg = cfg.raster_config
+    calls = []  # (stage, with_grad, config)
+    stage = ["structural"]
+    real_coverage = covec.raster.path_coverage
+    real_structural = covec.pipeline.run_structural
+    signature = inspect.signature(real_coverage)
+
+    def recording(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.append((stage[0], bound.arguments["with_grad"], bound.arguments["config"]))
+        return real_coverage(*args, **kwargs)
+
+    def structural(*args, **kwargs):
+        trace = real_structural(*args, **kwargs)
+        stage[0] = "after"
+        return trace
+
+    monkeypatch.setattr(covec.pipeline, "run_structural", structural)
+    monkeypatch.setattr(covec.raster, "path_coverage", recording)
+    monkeypatch.setattr(covec.refine, "path_coverage", recording)
+    vectorize(cfg)
+    descent = descent_config(rcfg)
+    assert descent.supersample == 1 < rcfg.supersample
+    for with_grad in (True, False):
+        assert {c for _, g, c in calls if g == with_grad} == {
+            descent if with_grad else rcfg}
+    # both call sites differentiate: the structural stage and refinement
+    assert {s for s, g, _ in calls if g} == {"structural", "after"}
 
 
 def test_import_sets_no_thread_variables():

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
@@ -79,6 +79,7 @@ def test_coverage_window_truncation_negligible(monkeypatch):
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 4]), st.sampled_from([0.5, 1.0]))
+@example(seed=16826, s=2, aa_sigma=0.5)  # a one-pixel-wide window at the canvas edge
 def test_window_truncation_is_within_the_pad_tail(seed, s, aa_sigma):
     # disks anywhere, partly or wholly off the canvas
     rng = np.random.default_rng(seed)
