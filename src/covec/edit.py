@@ -6,13 +6,20 @@ changed pixels, picks the top K by support area, and rewrites only their
 fill colors so the shaded composite matches the reference.  Dividing the
 reference color by the mean shade under each path compensates for the
 multiply blend, so a path that renders dark under shadow still receives
-the intended surface color.  Recoloring never moves geometry, so one edit
-rasterizes each path once and every later step reuses those coverage maps.
+the intended surface color.
+
+Recoloring never moves geometry, so a K sweep on one document object
+rasterizes it once: run_edit keeps the coverage maps of the document it
+last rasterized as module state, one entry, and reuses them while the
+same object comes back with the same canvas, RasterizerConfig and
+control points.  covec is single-threaded; concurrent run_edit calls
+would race on that entry.
 """
 
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +27,7 @@ import numpy as np
 from .model import LayeredDocument, RasterizerConfig
 from .optimize import mse
 from .raster import (COMPOSITE_MODES, PathCoverage, layer_background, layer_forward,
-                     render_composite)
+                     render_composite, source_over)
 
 # Stabilizer added to the mean shade before dividing it out of a color.
 EPSILON_SHADE = 1e-4
@@ -180,26 +187,73 @@ def apply_color_edit(doc: LayeredDocument, candidates: list[EditCandidate],
     return edited, report
 
 
+@dataclass
+class _Rasterized:
+    """The coverage maps of one document and what they depend on."""
+
+    doc: weakref.ref
+    key: tuple  # canvas, rasterizer config and path count of each layer
+    points: list[np.ndarray]  # control points of every path, copied
+    maps: dict[str, list[PathCoverage]]
+
+
+# run_edit's one entry, or none; _drop_maps empties it when its document dies.
+_last: list[_Rasterized] = []
+
+
+def _drop_maps(ref: weakref.ref) -> None:
+    if _last and _last[0].doc is ref:
+        _last.clear()
+
+
+def _coverage_maps(doc: LayeredDocument, rcfg: RasterizerConfig
+                   ) -> dict[str, list[PathCoverage]]:
+    """Each three_layer tag's no-grad PathCoverage, one per path in layer
+    order: the last call's maps when ``doc`` is the same object, with the
+    same canvas, config and control points (compared by value), or else
+    rasterized now.  Fill and opacity stay out of the key, since the maps
+    hold neither."""
+    tags = COMPOSITE_MODES["three_layer"]
+    key = (doc.width, doc.height, rcfg, tuple(len(doc.layer(tag)) for tag in tags))
+    points = [p.control_points for tag in tags for p in doc.layer(tag)]
+    if _last:
+        last = _last[0]
+        if (last.doc() is doc and last.key == key
+                and all(map(np.array_equal, last.points, points))):
+            return last.maps
+    maps = {tag: layer_forward(doc.layer(tag), layer_background(tag),
+                               doc.width, doc.height, rcfg).coverages
+            for tag in tags}
+    _last[:] = [_Rasterized(weakref.ref(doc, _drop_maps), key,
+                            [p.copy() for p in points], maps)]
+    return maps
+
+
 def run_edit(doc: LayeredDocument, original: np.ndarray,
              reference: np.ndarray, cfg: EditConfig,
              rcfg: RasterizerConfig = RasterizerConfig()
              ) -> tuple[LayeredDocument, EditReport]:
     """Full edit pass: mask, candidates, recolor, before/after MSE.
 
-    Each path is rasterized once.  The albedo coverage maps give the
-    candidates their supports, the shade render gives the recolor its
-    shade, and the before and after composites, which differ only in
-    albedo fills, both blend from the same maps.
+    Each path is rasterized once per document object: a sweep over K on
+    one document reuses the maps of its first call (see _coverage_maps),
+    and a path moved in place, another canvas or another
+    RasterizerConfig rasterizes it again.  The maps are module state, one
+    entry held only while its document lives, so run_edit is not safe to
+    call from several threads at once; covec is single-threaded.  The
+    albedo maps give the candidates their supports, the shade maps
+    composite the shade the recolor divides out, and the before and after
+    composites, which differ only in albedo fills, both blend from the
+    same maps.
     """
     if (original.shape[0] != doc.height or original.shape[1] != doc.width):
         raise ValueError("original image does not match document dimensions")
     edit_mask = compute_edit_mask(original, reference, cfg.tau_diff)
-    renders = {tag: layer_forward(doc.layer(tag), layer_background(tag),
-                                  doc.width, doc.height, rcfg)
-               for tag in COMPOSITE_MODES["three_layer"]}
-    maps = {tag: r.coverages for tag, r in renders.items()}
+    maps = _coverage_maps(doc, rcfg)
+    shade = source_over(doc.shade, maps["shade"], layer_background("shade"),
+                        doc.width, doc.height).image
     cands = candidate_paths(maps["albedo"], original, reference, edit_mask, cfg)
-    edited, report = apply_color_edit(doc, cands, cfg, renders["shade"].image)
+    edited, report = apply_color_edit(doc, cands, cfg, shade)
     before = render_composite(doc, "three_layer", rcfg, maps)
     after = render_composite(edited, "three_layer", rcfg, maps)
     report.mse_before = mse(np.clip(before, 0.0, 1.0), reference)

@@ -98,18 +98,24 @@ def fixed_rcfg():
     return RasterizerConfig(flatten_mode="fixed")
 
 
-@pytest.fixture(scope="session")
-def digest_script():
-    """scripts/output_digest.py, loaded as a module."""
-    script = Path(__file__).resolve().parents[1] / "scripts" / "output_digest.py"
-    spec = importlib.util.spec_from_file_location("output_digest", script)
+def load_script(name):
+    """scripts/<name>.py, loaded as a module.  A script may put src/ and
+    perfbench/ on sys.path; the path is restored after loading."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, script)
     module = importlib.util.module_from_spec(spec)
-    saved = list(sys.path)  # the script puts src/ and perfbench/ on sys.path
+    saved = list(sys.path)
     try:
         spec.loader.exec_module(module)
     finally:
         sys.path[:] = saved
     return module
+
+
+@pytest.fixture(scope="session")
+def digest_script():
+    """scripts/output_digest.py, loaded as a module."""
+    return load_script("output_digest")
 
 
 @pytest.fixture(scope="session")

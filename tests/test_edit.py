@@ -1,5 +1,6 @@
 """Edit-mask extraction, candidate ranking, and shade-aware recoloring."""
 
+import gc
 import importlib
 import json
 from pathlib import Path
@@ -15,8 +16,9 @@ from covec.edit import (EditConfig, apply_color_edit, candidate_paths,
                         compute_edit_mask, mse, run_edit)
 from covec.model import LayeredDocument, RasterizerConfig
 from covec.raster import WHITE, layer_forward, render_composite
+from covec.svg_io import emit_svg, parse_svg
 
-from conftest import disk_path, square_path
+from conftest import disk_path, load_script, square_path
 
 
 def _doc(w, h, albedo, shade=()):
@@ -255,14 +257,22 @@ def test_run_edit_improves_mse(rcfg):
     assert report.shortfall == 0
 
 
-def test_run_edit_rasterizes_each_path_once(monkeypatch):
-    """One edit of the benchmark's disk-grid document (nine albedo disks,
-    a shade and a light path) rasterizes each of its 11 paths once."""
+SWEEP = (1, 2, 4, 8, 16)
+
+
+def _disk_grid_edit(monkeypatch):
+    """The benchmark's disk-grid document (nine albedo disks, a shade and a
+    light path), and the original and reference images of its edit."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     grid = importlib.import_module("scenes").disk_grid_edit(0)
-    doc, rcfg = grid["document"], RasterizerConfig()
+    rcfg = RasterizerConfig()
     original, reference = (np.clip(render_composite(d, "three_layer", rcfg), 0.0, 1.0)
-                           for d in (doc, grid["reference"]))
+                           for d in (grid["document"], grid["reference"]))
+    return grid["document"], original, reference
+
+
+def _count_coverage(monkeypatch):
+    """The paths path_coverage is called on from now on, in call order."""
     calls = []
     real_coverage = covec.raster.path_coverage
 
@@ -272,11 +282,81 @@ def test_run_edit_rasterizes_each_path_once(monkeypatch):
 
     monkeypatch.setattr(covec.raster, "path_coverage", counting)
     monkeypatch.setattr(covec.edit, "path_coverage", counting, raising=False)
-    _, report = run_edit(doc, original, reference, EditConfig(top_k=16), rcfg)
-    assert report.n_candidates == 2
+    return calls
+
+
+def test_run_edit_rasterizes_each_path_once(monkeypatch):
+    """A sweep over K on one document object rasterizes each of its 11
+    paths once, on the first call."""
+    doc, original, reference = _disk_grid_edit(monkeypatch)
+    calls = _count_coverage(monkeypatch)
+    for k in SWEEP:
+        _, report = run_edit(doc, original, reference, EditConfig(top_k=k))
+        assert report.n_candidates == 2
     paths = doc.albedo + doc.shade + doc.light
     assert len(paths) == 11
     assert [id(p) for p in calls] == [id(p) for p in paths]
+
+
+def _edit_bytes(doc, original, reference, k, rcfg):
+    edited, report = run_edit(doc, original, reference, EditConfig(top_k=k), rcfg)
+    return emit_svg(edited), report.to_json()
+
+
+def test_reused_maps_never_change_a_result(monkeypatch):
+    """Each sweep gives, for every K, the SVG and report of an edit of a
+    fresh copy of its document.  Moving a path in place, another
+    RasterizerConfig or an equal-content copy rasterizes all 11 paths
+    again, on the sweep's first call only."""
+    doc, original, reference = _disk_grid_edit(monkeypatch)
+    rcfg, wide = RasterizerConfig(), RasterizerConfig(aa_sigma=0.8)
+    moved = doc.copy()
+    moved.albedo[2].control_points += 0.75  # disk 2 is a candidate
+
+    def fresh(d, config):
+        return [_edit_bytes(d.copy(), original, reference, k, config) for k in SWEEP]
+
+    want = {"doc": fresh(doc, rcfg), "wide": fresh(doc, wide),
+            "moved": fresh(moved, rcfg)}
+    assert want["moved"][0][1] != want["doc"][0][1]
+    calls = _count_coverage(monkeypatch)
+
+    def sweep(d, config, name):
+        calls.clear()
+        assert [_edit_bytes(d, original, reference, k, config)
+                for k in SWEEP] == want[name]
+        assert len(calls) == 11
+
+    sweep(doc, rcfg, "doc")
+    sweep(doc, wide, "wide")
+    sweep(doc, rcfg, "doc")
+    doc.albedo[2].control_points += 0.75
+    sweep(doc, rcfg, "moved")
+    sweep(doc.copy(), rcfg, "moved")
+
+
+def test_edit_holds_no_maps_of_a_collected_document(rcfg):
+    doc, original, reference = _recolor_scene(rcfg)
+    run_edit(doc, original, reference, EditConfig(delta_color=1.0), rcfg)
+    assert covec.edit._last
+    del doc
+    gc.collect()
+    assert not covec.edit._last
+
+
+def test_edit_sweep_script(tmp_path):
+    """scripts/edit_sweep.py writes a parseable SVG per K, and its MSE to
+    the reference does not rise with K."""
+    ks = (1, 2, 16)
+    argv = ["--outdir", str(tmp_path), "--ks", *map(str, ks)]
+    assert load_script("edit_sweep").main(argv) == 0
+    svgs = sorted(tmp_path.glob("edited_k*.svg"))
+    assert [p.name for p in svgs] == sorted(f"edited_k{k}.svg" for k in ks)
+    for svg in svgs:
+        parse_svg(svg.read_bytes())
+    after = [json.loads((tmp_path / f"report_k{k}.json").read_text())["mse_after"]
+             for k in ks]
+    assert after == sorted(after, reverse=True)
 
 
 def test_run_edit_dim_mismatch(rcfg):

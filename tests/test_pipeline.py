@@ -27,7 +27,8 @@ from covec.synthetic import make_acceptance_scene, make_icon_scene
 
 
 def _small_run(mode, tmp_path):
-    """A short run of ``mode`` on a small scene."""
+    """A short run of ``mode`` on a small scene whose init stays under the
+    budget, so its one refinement round adds paths."""
     target = tmp_path / "target.png"
     files = {}
     if mode == "full":
@@ -38,11 +39,15 @@ def _small_run(mode, tmp_path):
         write_png(files["albedo_path"], scene.albedo, bit_depth=16)
         write_label_png(files["masks_path"], scene.labels)
     else:
-        write_png(target, make_icon_scene(24), bit_depth=16)
+        write_png(target, make_icon_scene(32), bit_depth=16)
     return RunConfig(input_path=str(target), output_path=str(tmp_path / "out.svg"),
-                     mode=mode, path_budget=24 if mode == "full" else 8,
+                     mode=mode, path_budget=24 if mode == "full" else 12,
                      warmup_epochs=2, joint_epochs=2, refine_rounds=1,
                      refine_iters=5, **files)
+
+
+def _refinement_added_paths(trace):
+    return any(row.stage == "refine" and row.paths_added for row in trace)
 
 
 @pytest.mark.parametrize("mode", ["full", "albedo_only"])
@@ -53,6 +58,7 @@ def test_final_mse_is_that_of_a_fresh_three_layer_render(mode, tmp_path):
     target = cfg.input_path
     result = vectorize(cfg)
     doc = result.document
+    assert _refinement_added_paths(result.trace)
     if mode == "full":
         assert doc.shade and doc.light
     rendered = np.clip(render_composite(doc, "three_layer", RasterizerConfig()),
@@ -83,8 +89,10 @@ def test_nothing_rasterized_after_refinement(mode, tmp_path, monkeypatch):
     monkeypatch.setattr(covec.pipeline, "refine_layer", refining)
     monkeypatch.setattr(covec.raster, "path_coverage", counting)
     monkeypatch.setattr(covec.refine, "path_coverage", counting)
-    doc = vectorize(cfg).document
+    result = vectorize(cfg)
+    doc = result.document
     assert len(refined) == 1
+    assert _refinement_added_paths(result.trace)
     if mode == "full":
         assert doc.shade or doc.light
     assert late == []
