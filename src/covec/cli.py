@@ -26,7 +26,7 @@ from .gradcheck import GradCheckConfig, run_gradcheck
 from .image_io import image_format, read_image, write_image
 from .init_layers import InitError
 from .model import RasterizerConfig
-from .optimize import PENALTY_MODES, mse
+from .optimize import mse
 from .pipeline import DEFAULT_BUDGET, MODES, RunConfig, check_outputs, run
 from .svg_io import SvgParseError, emit_svg, parse_svg, reference_composite
 
@@ -54,9 +54,6 @@ def cmd_vectorize(args: argparse.Namespace) -> int:
         joint_epochs=args.joint,
         refine_rounds=args.rounds,
         refine_iters=args.iters,
-        lambda_overlap=args.lambda_overlap,
-        delta_overlap=args.delta_overlap,
-        penalty_sign=args.penalty.replace("-", "_"),
     )
     result = run(cfg)
     doc = result.document
@@ -120,7 +117,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _flag(name: str) -> str:
-    return name.replace("_", "-")  # a mode or penalty name as a flag value
+    return name.replace("_", "-")  # a mode name as a flag value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -161,14 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--iters", type=int, default=RunConfig.refine_iters,
                    help="optimizer iterations per refinement round "
                         "(default: %(default)s)")
-    v.add_argument("--lambda", dest="lambda_overlap", type=float,
-                   default=RunConfig.lambda_overlap, metavar="WEIGHT",
-                   help="overlap penalty weight (default: %(default)s)")
-    v.add_argument("--delta-overlap", type=float, default=RunConfig.delta_overlap,
-                   help="overlap penalty threshold (default: %(default)s)")
-    v.add_argument("--penalty", choices=[_flag(m) for m in PENALTY_MODES],
-                   default=_flag(RunConfig.penalty_sign),
-                   help="overlap penalty direction (default: %(default)s)")
     v.add_argument("--trace", metavar="FILE", default=RunConfig.trace_path,
                    help="trace CSV path (default: output with .csv suffix)")
     v.set_defaults(func=cmd_vectorize)

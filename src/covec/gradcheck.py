@@ -12,7 +12,10 @@ rel < REL_TOL or abs < ABS_TOL.
 Flattening runs in the fixed-count mode here: the adaptive subdivision
 depth can flip under a half-epsilon perturbation, which puts a genuine
 step into the finite-difference stencil that says nothing about the
-gradient code.
+gradient code.  Apart from that the check runs at the default
+RasterizerConfig (2 x 2 samples per pixel); the one-sample
+``optimize.descent_config`` that every Adam step differentiates is
+checked by the finite-difference tests of the loss and raster modules.
 """
 
 from __future__ import annotations

@@ -4,7 +4,8 @@ Each layer owns an independent Adam optimizer over its paths' control
 points, fill colors, and opacities.  During warm-up every layer minimizes
 its own structure loss (per-group MSE against flat mask renders plus a
 soft overlap penalty on the group's gray alpha field, which
-raster.source_over composites like any layer); afterwards both layers
+raster.source_over composites like any layer; its weight and threshold
+are the constants LAMBDA_OVERLAP and DELTA_OVERLAP); afterwards both layers
 step jointly on the reconstruction loss of the multiplied composite.
 Opacities are optimized through a logistic reparameterization so they
 stay strictly inside [0, 1]; colors are projected to their layer's valid
@@ -28,10 +29,12 @@ from .raster import (LayerRender, RasterizerConfig, coverage_backward, layer_bac
 
 logger = logging.getLogger(__name__)
 
-PENALTY_MODES = ("paper_literal", "overlap")
-
 # Opacity every path is re-filled at in the overlap penalty's alpha field.
 GRAY_ALPHA = 0.5
+
+# Weight of the overlap penalty, and the alpha above which it starts.
+LAMBDA_OVERLAP = 1e-8
+DELTA_OVERLAP = 0.6
 
 # Learning rates of control points, and of fill colors and opacity logits.
 LR_POINTS = 1.0
@@ -41,30 +44,6 @@ LR_COLORS = 0.01
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-
-
-@dataclass(frozen=True)
-class StructLossConfig:
-    """Structure-loss knobs, one per ``covec vectorize`` flag.
-
-    ``penalty_sign`` picks the direction of the hinge on the gray alpha
-    field (the group composited by source_over over white, every path
-    black at opacity GRAY_ALPHA): ``overlap`` penalizes alpha above
-    delta_overlap (alpha rises where paths stack, so this discourages
-    self-overlap); ``paper_literal`` penalizes alpha below it.
-    """
-
-    lambda_overlap: float = 1e-8
-    delta_overlap: float = 0.6
-    penalty_sign: str = "overlap"
-
-    def __post_init__(self):
-        if not 0 <= self.lambda_overlap < np.inf:
-            raise ValueError("lambda_overlap must be nonnegative and finite")
-        if not 0.0 < self.delta_overlap < 1.0:
-            raise ValueError("delta_overlap must lie in (0, 1)")
-        if self.penalty_sign not in PENALTY_MODES:
-            raise ValueError(f"penalty_sign must be one of {PENALTY_MODES}")
 
 
 @dataclass(frozen=True)
@@ -199,8 +178,7 @@ def layer_loss(paths: list[VectorPath], background, factor, target: np.ndarray,
 
 
 def loss_struct(groups: list[list[VectorPath]], mask_renders: list[np.ndarray],
-                cfg: StructLossConfig, rcfg: RasterizerConfig
-                ) -> tuple[float, list[GradientBuffer]]:
+                rcfg: RasterizerConfig) -> tuple[float, list[GradientBuffer]]:
     """Per-group MSE to the mask renders plus the overlap hinge penalty.
 
     Every group renders over white and is compared to its flat mask
@@ -209,10 +187,13 @@ def loss_struct(groups: list[list[VectorPath]], mask_renders: list[np.ndarray],
     every path re-filled black at opacity GRAY_ALPHA: channel 0 of that
     image is the transmittance prod_i (1 - GRAY_ALPHA * coverage_i), so
     alpha = 1 - prod sits at 0.5 where one path covers a pixel and rises
-    where paths stack.  The term adds lambda_overlap * sum_p hinge(alpha(p))
-    and differentiates alpha by hand: d alpha / d coverage_i is GRAY_ALPHA
-    times prod divided by path i's own factor.  Gradients from both terms
-    accumulate into one buffer per path, ordered by group then path.
+    where paths stack.  The term adds LAMBDA_OVERLAP * sum_p
+    max(alpha(p) - DELTA_OVERLAP, 0), so only stacked paths pay; a literal
+    reading of the paper's hinge penalised alpha below the threshold
+    instead, charging every uncovered pixel.  Alpha is differentiated by
+    hand: d alpha / d coverage_i is GRAY_ALPHA times prod divided by path
+    i's own factor.  Gradients from both terms accumulate into one buffer
+    per path, ordered by group then path.
     """
     if len(groups) != len(mask_renders):
         raise ValueError("group count does not match mask render count")
@@ -221,15 +202,13 @@ def loss_struct(groups: list[list[VectorPath]], mask_renders: list[np.ndarray],
     for group, reference in zip(groups, mask_renders):
         loss, grads, render = layer_loss(group, WHITE, WHITE, reference, rcfg)
         total += loss
-        if cfg.lambda_overlap > 0.0 and group:
+        if group:
             height, width = reference.shape[:2]
             gray = [replace(p, fill_color=BLACK, opacity=GRAY_ALPHA) for p in group]
             prod = source_over(gray, render.coverages, WHITE, width, height).image[:, :, 0]
-            alpha = 1.0 - prod
-            sign = 1.0 if cfg.penalty_sign == "overlap" else -1.0
-            excess = sign * (alpha - cfg.delta_overlap)
-            d_alpha = sign * cfg.lambda_overlap * (excess > 0.0)
-            total += cfg.lambda_overlap * float(np.maximum(excess, 0.0).sum())
+            excess = (1.0 - prod) - DELTA_OVERLAP
+            d_alpha = LAMBDA_OVERLAP * (excess > 0.0)
+            total += LAMBDA_OVERLAP * float(np.maximum(excess, 0.0).sum())
             for i, pc in enumerate(render.coverages):
                 r = pc.region
                 d_cov = d_alpha[r] * GRAY_ALPHA * prod[r] / (1.0 - GRAY_ALPHA * pc.block)
@@ -278,7 +257,6 @@ def run_structural(albedo_groups: list[list[VectorPath]],
                    mask_renders_a: list[np.ndarray],
                    mask_renders_i: list[np.ndarray],
                    schedule: Schedule,
-                   struct_cfg: StructLossConfig,
                    rcfg: RasterizerConfig) -> list[TraceRow]:
     """Warm-up on per-layer structure losses, then joint reconstruction.
 
@@ -298,9 +276,9 @@ def run_structural(albedo_groups: list[list[VectorPath]],
     descent = descent_config(rcfg)
     trace: list[TraceRow] = []
     for epoch in range(1, schedule.warmup_epochs + 1):
-        loss_a, grads_a = loss_struct(albedo_groups, mask_renders_a, struct_cfg, descent)
+        loss_a, grads_a = loss_struct(albedo_groups, mask_renders_a, descent)
         opt_a.step(grads_a)
-        loss_i, grads_i = loss_struct(illum_groups, mask_renders_i, struct_cfg, descent)
+        loss_i, grads_i = loss_struct(illum_groups, mask_renders_i, descent)
         opt_i.step(grads_i)
         trace.append(TraceRow(epoch=epoch, stage="warmup", loss=loss_a + loss_i))
     for epoch in range(1, schedule.joint_epochs + 1):

@@ -37,7 +37,7 @@ from .image_io import read_image, read_label_map
 from .init_layers import (attenuation_ratio, fallback_albedo, fallback_segment,
                           paths_for_groups, region_binarize, regions_from_labels)
 from .model import WHITE, LayeredDocument, RasterizerConfig
-from .optimize import Schedule, StructLossConfig, TraceRow, mse, run_structural
+from .optimize import Schedule, TraceRow, mse, run_structural
 from .raster import layer_forward, render_composite
 from .refine import assign_light_colors, refine_layer, separate_layers
 from .svg_io import emit_svg
@@ -82,11 +82,10 @@ def check_outputs(outputs: tuple[str, ...],
 class RunConfig:
     """Everything one vectorization run needs, mirroring the CLI flags.
 
-    The per-stage configs (``raster_config``, ``schedule`` and
-    ``struct_config``), whose defaults the matching fields take, are
-    built at construction, and the SVG and trace paths pass
-    ``check_outputs`` against the input files, so an invalid value
-    raises ValueError before any work.
+    The two stage configs (``raster_config`` and ``schedule``), whose
+    defaults the matching fields take, are built at construction, and
+    the SVG and trace paths pass ``check_outputs`` against the input
+    files, so an invalid value raises ValueError before any work.
     """
 
     input_path: str
@@ -103,9 +102,6 @@ class RunConfig:
     joint_epochs: int = Schedule.joint_epochs
     refine_rounds: int = Schedule.refine_rounds
     refine_iters: int = Schedule.refine_iters
-    lambda_overlap: float = StructLossConfig.lambda_overlap
-    delta_overlap: float = StructLossConfig.delta_overlap
-    penalty_sign: str = StructLossConfig.penalty_sign
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -126,9 +122,6 @@ class RunConfig:
                                  joint_epochs=self.joint_epochs,
                                  refine_rounds=self.refine_rounds,
                                  refine_iters=self.refine_iters),
-            "struct_config": StructLossConfig(lambda_overlap=self.lambda_overlap,
-                                              delta_overlap=self.delta_overlap,
-                                              penalty_sign=self.penalty_sign),
         }
         for name, value in stages.items():
             object.__setattr__(self, name, value)  # frozen: derived, not fields
@@ -196,7 +189,7 @@ def vectorize(cfg: RunConfig) -> VectorizeResult:
         a_groups, a_renders = paths_for_groups([regions, dark], image, "albedo", eps)
         i_groups, i_renders = [], []
     trace = run_structural(a_groups, i_groups, image, a_renders, i_renders,
-                           cfg.schedule, cfg.struct_config, rcfg)
+                           cfg.schedule, rcfg)
     albedo = [p for g in a_groups for p in g]
     illum = [p for g in i_groups for p in g]
     budget_left = max(0, cfg.effective_budget - len(albedo) - len(illum))

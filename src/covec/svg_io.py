@@ -109,8 +109,11 @@ def emit_svg(doc: LayeredDocument, out=None) -> bytes:
     return data
 
 
-_NUM_RE = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
-_RGB_RE = re.compile(r"^rgb\((\d{1,3}),(\d{1,3}),(\d{1,3})\)$")
+# ASCII-only grammars: int() and float() also take "1_0", surrounding
+# whitespace and non-ASCII digits, which SVG does not allow.
+_NUM_RE = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?", re.ASCII)
+_INT_RE = re.compile(r"\d+", re.ASCII)
+_RGB_RE = re.compile(r"rgb\((\d{1,3}),(\d{1,3}),(\d{1,3})\)", re.ASCII)
 _CLOSURE_TOL = 2e-3
 
 
@@ -119,7 +122,7 @@ def _parse_d(d: str, index: int) -> np.ndarray:
     tokens = d.replace(",", " ").split()
     pos = 0
 
-    def take_cmd(expected: str) -> str:
+    def take_cmd(*expected: str) -> str:
         nonlocal pos
         if pos >= len(tokens):
             raise SvgParseError(f"path {index}: truncated d attribute")
@@ -147,7 +150,7 @@ def _parse_d(d: str, index: int) -> np.ndarray:
     coords: list[list[float]] = [start]
     saw_curve = False
     while True:
-        cmd = take_cmd("CZ")
+        cmd = take_cmd("C", "Z")
         if cmd == "Z":
             break
         saw_curve = True
@@ -198,10 +201,9 @@ def _parse_path_elem(elem, index: int, layer_tag: str) -> VectorPath:
     if ctrl.shape[0] % 3 != 0:
         raise SvgParseError(f"path {index}: control point count not a multiple of 3")
     color = _parse_color(elem.attrib["fill"], index)
-    try:
-        opacity = float(elem.attrib["fill-opacity"])
-    except ValueError as exc:
-        raise SvgParseError(f"path {index}: malformed fill-opacity") from exc
+    if not _NUM_RE.fullmatch(elem.attrib["fill-opacity"]):
+        raise SvgParseError(f"path {index}: malformed fill-opacity")
+    opacity = float(elem.attrib["fill-opacity"])
     if not 0.0 <= opacity <= 1.0:
         raise SvgParseError(f"path {index}: fill-opacity outside [0, 1]")
     return VectorPath(control_points=ctrl, fill_color=color,
@@ -222,11 +224,10 @@ def parse_svg(data: bytes) -> LayeredDocument:
     if _strip_ns(root.tag) != "svg" or not root.tag.startswith("{" + SVG_NS):
         raise SvgParseError("root element is not an svg in the SVG namespace")
     _check_attrs(root, {"width", "height", "viewBox"}, "svg root")
-    try:
-        width = int(root.attrib["width"])
-        height = int(root.attrib["height"])
-    except (KeyError, ValueError) as exc:
-        raise SvgParseError("svg root needs integer width and height") from exc
+    size = [root.attrib.get(name, "") for name in ("width", "height")]
+    if not all(_INT_RE.fullmatch(v) for v in size):
+        raise SvgParseError("svg root needs integer width and height")
+    width, height = map(int, size)
     if width <= 0 or height <= 0:
         raise SvgParseError("svg dimensions must be positive")
     if root.attrib.get("viewBox") != f"0 0 {width} {height}":

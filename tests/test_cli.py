@@ -63,9 +63,6 @@ def test_vectorize_flag_defaults():
     assert ns.aa_sigma == 1.0
     assert ns.warmup == 50 and ns.joint == 50
     assert ns.rounds == 5 and ns.iters == 100
-    assert ns.lambda_overlap == 1e-8
-    assert ns.delta_overlap == 0.6
-    assert ns.penalty == "overlap"
 
 
 def test_other_flag_defaults():
@@ -87,10 +84,7 @@ _FLAG_FIELDS = [
         ("--masks", "masks", "masks_path"), ("--trace", "trace", "trace_path"),
         ("--dp-eps", "dp_eps", "dp_epsilon"), ("--aa-sigma", "aa_sigma", "aa_sigma"),
         ("--warmup", "warmup", "warmup_epochs"), ("--joint", "joint", "joint_epochs"),
-        ("--rounds", "rounds", "refine_rounds"), ("--iters", "iters", "refine_iters"),
-        ("--lambda", "lambda_overlap", "lambda_overlap"),
-        ("--delta-overlap", "delta_overlap", "delta_overlap"),
-        ("--penalty", "penalty", "penalty_sign")]),
+        ("--rounds", "rounds", "refine_rounds"), ("--iters", "iters", "refine_iters")]),
     (["edit", "a.svg", "o.png", "r.png", "-o", "b.svg"], EditConfig, [
         ("--k", "k", "top_k"), ("--tau", "tau", "tau_diff"),
         ("--gamma", "gamma", "gamma_iou"), ("--delta-color", "delta_color", "delta_color")]),
@@ -124,7 +118,7 @@ def test_flag_defaults_are_config_defaults(argv, config, flags, capsys,
     for flag, dest, name in flags:
         parsed = getattr(ns, dest)
         want = getattr(config, name)
-        if isinstance(parsed, str):  # mode and penalty names use "-" on the CLI
+        if isinstance(parsed, str):  # mode names use "-" on the CLI
             assert parsed.replace("-", "_") == want, flag
         else:
             assert parsed == want and type(parsed) is type(want), flag
@@ -382,11 +376,9 @@ def test_vectorize_albedo_only_rejects_albedo_file(tmp_path, capsys):
 
 @pytest.mark.parametrize("field,value", [
     ("refine_rounds", -1), ("refine_iters", 0), ("warmup_epochs", -1),
-    ("joint_epochs", -1), ("lambda_overlap", -1.0), ("delta_overlap", 1.5),
-    ("penalty_sign", "bogus"), ("dp_epsilon", -1.0), ("aa_sigma", 0.0),
+    ("joint_epochs", -1), ("dp_epsilon", -1.0), ("aa_sigma", 0.0),
     ("seed", -1), ("dp_epsilon", float("nan")), ("dp_epsilon", float("inf")),
-    ("lambda_overlap", float("nan")), ("aa_sigma", float("nan")),
-    ("aa_sigma", float("inf")), ("output_path", "out.csv"),
+    ("aa_sigma", float("nan")), ("aa_sigma", float("inf")), ("output_path", "out.csv"),
     ("trace_path", "out.svg"),
 ])
 def test_run_config_rejects_invalid_values(field, value):
@@ -406,8 +398,8 @@ def test_run_config_rejects_hard_linked_trace(tmp_path):
 
 @pytest.mark.parametrize("flag", [
     ["--rounds", "-1"], ["--iters", "0"], ["--warmup", "-1"],
-    ["--lambda", "-1"], ["--dp-eps", "-1"], ["--aa-sigma", "0"],
-    ["--seed", "-1"], ["--dp-eps", "nan"], ["--lambda", "nan"],
+    ["--joint", "-1"], ["--dp-eps", "-1"], ["--aa-sigma", "0"],
+    ["--seed", "-1"], ["--dp-eps", "nan"], ["--paths", "0"],
     ["--aa-sigma", "inf"],
 ])
 def test_vectorize_invalid_value_exits_2_before_any_work(flag, tmp_path, capsys,
@@ -424,6 +416,10 @@ def test_vectorize_invalid_value_exits_2_before_any_work(flag, tmp_path, capsys,
     code, _, err = _run(["vectorize", str(img_path), "-o", str(svg), *flag], capsys)
     assert code == 2
     assert "error:" in err
+    # the value is refused, not the flag or its type: argparse's own
+    # errors also exit 2 with "error:"
+    assert "unrecognized arguments" not in err
+    assert not re.search(r"invalid \w+ value", err), err
     assert not svg.exists()
 
 

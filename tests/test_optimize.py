@@ -3,13 +3,15 @@
 import copy
 import logging
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from covec import optimize
 from covec.model import RasterizerConfig, VectorPath
-from covec.optimize import (ADAM_EPS, GRAY_ALPHA, AdamState, LayerOptimizer,
-                            Schedule, StructLossConfig, adam_step, descent_config,
+from covec.optimize import (ADAM_EPS, DELTA_OVERLAP, GRAY_ALPHA, AdamState,
+                            LayerOptimizer, Schedule, adam_step, descent_config,
                             layer_loss, loss_recon, loss_struct, mse, run_structural)
 from covec.raster import WHITE, coverage_backward, layer_forward
 
@@ -19,6 +21,12 @@ from conftest import (disk_path, random_path, square_control_points,
 
 def _render(paths, w, h, rcfg):
     return layer_forward(paths, WHITE, w, h, rcfg, with_grad=False).image
+
+
+def _overlap_weight(lam):
+    """Run the overlap penalty at weight ``lam`` inside the with-block; at
+    the default LAMBDA_OVERLAP it is too small to see."""
+    return mock.patch.object(optimize, "LAMBDA_OVERLAP", lam)
 
 
 def test_adam_first_step_closed_form():
@@ -64,8 +72,7 @@ def test_struct_loss_perfect_single_path_zero():
     rcfg = RasterizerConfig()
     group = [square_path(3, 3, 13, 13, color=(0.2, 0.6, 0.4))]
     reference = _render(group, 16, 16, rcfg)
-    cfg = StructLossConfig()
-    loss, grads = loss_struct([group], [reference], cfg, rcfg)
+    loss, grads = loss_struct([group], [reference], rcfg)
     assert loss == 0.0
     assert len(grads) == 1
     assert np.allclose(grads[0].d_control_points, 0.0)
@@ -77,12 +84,12 @@ def test_struct_loss_coincident_paths_penalized():
              square_path(2, 2, 14, 14, color=(0.3, 0.3, 0.3))]
     reference = _render(group, 16, 16, rcfg)
     lam = 1e-3
-    loss, _ = loss_struct([group], [reference], StructLossConfig(lambda_overlap=lam),
-                          rcfg)
+    with _overlap_weight(lam):
+        loss, _ = loss_struct([group], [reference], rcfg)
     coverages = layer_forward(group, WHITE, 16, 16, rcfg).coverages
     alpha = 1.0 - np.prod([1.0 - 0.5 * pc.coverage for pc in coverages], axis=0)
     assert alpha.max() > 0.6
-    expect = lam * float(np.maximum(alpha - 0.6, 0.0).sum())
+    expect = lam * float(np.maximum(alpha - DELTA_OVERLAP, 0.0).sum())
     assert loss == pytest.approx(expect, rel=1e-12)
     assert expect > 0.0
 
@@ -97,19 +104,19 @@ def _gray_alpha_field_oracle(coverages):
     return 1.0 - prod, prod
 
 
-def _loss_struct_oracle(groups, mask_renders, cfg, rcfg):
-    """loss_struct with its field from _gray_alpha_field_oracle."""
+def _loss_struct_oracle(groups, mask_renders, lam, rcfg):
+    """loss_struct at overlap weight ``lam``, with its field from
+    _gray_alpha_field_oracle."""
     total = 0.0
     all_grads = []
     for group, reference in zip(groups, mask_renders):
         loss, grads, render = layer_loss(group, WHITE, WHITE, reference, rcfg)
         total += loss
-        if cfg.lambda_overlap > 0.0 and group:
+        if group:
             alpha, prod = _gray_alpha_field_oracle(render.coverages)
-            sign = 1.0 if cfg.penalty_sign == "overlap" else -1.0
-            excess = sign * (alpha - cfg.delta_overlap)
-            d_alpha = sign * cfg.lambda_overlap * (excess > 0.0)
-            total += cfg.lambda_overlap * float(np.maximum(excess, 0.0).sum())
+            excess = alpha - DELTA_OVERLAP
+            d_alpha = lam * (excess > 0.0)
+            total += lam * float(np.maximum(excess, 0.0).sum())
             for i, pc in enumerate(render.coverages):
                 r = pc.region
                 d_cov = d_alpha[r] * GRAY_ALPHA * prod[r] / (1.0 - GRAY_ALPHA * pc.block)
@@ -118,9 +125,8 @@ def _loss_struct_oracle(groups, mask_renders, cfg, rcfg):
     return total, all_grads
 
 
-@pytest.mark.parametrize("lam", [1e-3, 0.5])
-@pytest.mark.parametrize("sign", ["overlap", "paper_literal"])
-def test_struct_loss_penalty_matches_field_oracle(sign, lam):
+@pytest.mark.parametrize("lam", [1e-3, 0.5], ids=["overlap-0.001", "overlap-0.5"])
+def test_struct_loss_penalty_matches_field_oracle(lam):
     # seeded groups of 1-5 overlapping perturbed circles at random
     # opacities, then one full-cover square and two coincident ones: their
     # edges lie 40 sigma outside the canvas, so coverage is exactly 1 and
@@ -137,9 +143,9 @@ def test_struct_loss_penalty_matches_field_oracle(sign, lam):
     for group, field in zip(groups[-2:], (0.5, 0.75)):
         coverages = layer_forward(group, WHITE, 24, 24, rcfg).coverages
         assert np.all(_gray_alpha_field_oracle(coverages)[0] == field)
-    cfg = StructLossConfig(lambda_overlap=lam, penalty_sign=sign)
-    loss, grads = loss_struct(groups, refs, cfg, rcfg)
-    want_loss, want_grads = _loss_struct_oracle(groups, refs, cfg, rcfg)
+    with _overlap_weight(lam):
+        loss, grads = loss_struct(groups, refs, rcfg)
+    want_loss, want_grads = _loss_struct_oracle(groups, refs, lam, rcfg)
     assert loss.hex() == want_loss.hex()
     assert len(grads) == len(want_grads) == sum(len(g) for g in groups)
     for got, want in zip(grads, want_grads):
@@ -148,31 +154,14 @@ def test_struct_loss_penalty_matches_field_oracle(sign, lam):
         assert np.float64(got.d_opacity).tobytes() == np.float64(want.d_opacity).tobytes()
 
 
-def test_struct_loss_penalty_direction_modes_differ():
-    rcfg = RasterizerConfig()
-    group = [square_path(2, 2, 14, 14), square_path(2, 2, 14, 14)]
-    reference = _render(group, 16, 16, rcfg)
-    lam = 1e-3
-    loss_over, _ = loss_struct([group], [reference],
-                               StructLossConfig(lambda_overlap=lam,
-                                                penalty_sign="overlap"),
-                               rcfg)
-    loss_lit, _ = loss_struct([group], [reference],
-                              StructLossConfig(lambda_overlap=lam,
-                                               penalty_sign="paper_literal"),
-                              rcfg)
-    # literal mode charges every uncovered pixel the full margin
-    assert loss_lit > loss_over > 0.0
-
-
 def test_struct_loss_zero_lambda_is_pure_mse(rng):
     rcfg = RasterizerConfig()
     groups = [[disk_path(8, 8, 5, color=(0.7, 0.2, 0.2))],
               [square_path(1, 1, 6, 6, color=(0.1, 0.8, 0.3)),
                square_path(9, 9, 15, 15, color=(0.9, 0.9, 0.1))]]
     refs = [rng.uniform(0, 1, (16, 16, 3)) for _ in groups]
-    loss, _ = loss_struct(groups, refs, StructLossConfig(lambda_overlap=0.0),
-                          rcfg)
+    with _overlap_weight(0.0):
+        loss, _ = loss_struct(groups, refs, rcfg)
     expect = sum(float(np.mean((_render(g, 16, 16, rcfg) - r) ** 2))
                  for g, r in zip(groups, refs))
     assert loss == expect
@@ -180,7 +169,7 @@ def test_struct_loss_zero_lambda_is_pure_mse(rng):
 
 def test_struct_loss_count_mismatch():
     with pytest.raises(ValueError, match="mask render count"):
-        loss_struct([[]], [], StructLossConfig(), RasterizerConfig())
+        loss_struct([[]], [], RasterizerConfig())
 
 
 def test_recon_loss_exact_fit_zero():
@@ -265,15 +254,13 @@ def _fd_check(loss_fn, paths, eps_pts=1e-3, eps_col=1e-4):
 
 
 def test_struct_loss_gradient_matches_fd(rng, fixed_rcfg):
+    # at the 2 x 2 grid, and at the one-sample config every Adam step uses
     group = [disk_path(9, 8, 4.5, color=(0.7, 0.3, 0.2), opacity=0.8)]
     group[0].control_points += rng.normal(0, 0.3, group[0].control_points.shape)
     ref = rng.uniform(0, 1, (18, 18, 3))
-    cfg = StructLossConfig(lambda_overlap=1e-4)
-
-    def loss_fn():
-        return loss_struct([group], [ref], cfg, fixed_rcfg)
-
-    _fd_check(loss_fn, group)
+    for rcfg in (fixed_rcfg, descent_config(fixed_rcfg)):
+        with _overlap_weight(1e-4):
+            _fd_check(lambda: loss_struct([group], [ref], rcfg), group)
 
 
 def test_recon_loss_gradient_matches_fd(rng, fixed_rcfg):
@@ -281,12 +268,13 @@ def test_recon_loss_gradient_matches_fd(rng, fixed_rcfg):
     illum = [disk_path(10, 8, 6, color=(0.7, 0.7, 0.7), opacity=0.7,
                        tag="illumination")]
     target = rng.uniform(0, 1, (18, 18, 3))
+    for rcfg in (fixed_rcfg, descent_config(fixed_rcfg)):
 
-    def loss_fn():
-        loss, ga, gi = loss_recon(albedo, illum, target, fixed_rcfg)
-        return loss, ga + gi
+        def loss_fn():
+            loss, ga, gi = loss_recon(albedo, illum, target, rcfg)
+            return loss, ga + gi
 
-    _fd_check(loss_fn, albedo + illum)
+        _fd_check(loss_fn, albedo + illum)
 
 
 def _small_scene():
@@ -338,8 +326,7 @@ def test_run_structural_zero_schedule_noop():
     a_groups, i_groups, target, mask_a, mask_i, rcfg = _small_scene()
     before = copy.deepcopy(a_groups)
     trace = run_structural(a_groups, i_groups, target, mask_a, mask_i,
-                           Schedule(warmup_epochs=0, joint_epochs=0),
-                           StructLossConfig(), rcfg)
+                           Schedule(warmup_epochs=0, joint_epochs=0), rcfg)
     assert trace == []
     for g_new, g_old in zip(a_groups, before):
         for p_new, p_old in zip(g_new, g_old):
@@ -350,8 +337,7 @@ def test_run_structural_zero_schedule_noop():
 def test_run_structural_trace_shape():
     a_groups, i_groups, target, mask_a, mask_i, rcfg = _small_scene()
     trace = run_structural(a_groups, i_groups, target, mask_a, mask_i,
-                           Schedule(warmup_epochs=4, joint_epochs=3),
-                           StructLossConfig(), rcfg)
+                           Schedule(warmup_epochs=4, joint_epochs=3), rcfg)
     assert len(trace) == 7
     assert [r.stage for r in trace] == ["warmup"] * 4 + ["joint"] * 3
     assert [r.epoch for r in trace] == [1, 2, 3, 4, 5, 6, 7]
@@ -361,7 +347,7 @@ def test_run_structural_trace_shape():
 def test_run_structural_reduces_recon_loss():
     a_groups, i_groups, target, mask_a, mask_i, rcfg = _small_scene()
     trace = run_structural(a_groups, i_groups, target, mask_a, mask_i,
-                           Schedule(), StructLossConfig(), rcfg)
+                           Schedule(), rcfg)
     joint = [r.loss for r in trace if r.stage == "joint"]
     assert len(joint) == 50
     assert joint[-1] < 0.1 * joint[0]
@@ -372,8 +358,7 @@ def test_run_structural_deterministic():
     for _ in range(2):
         a_groups, i_groups, target, mask_a, mask_i, rcfg = _small_scene()
         run_structural(a_groups, i_groups, target, mask_a, mask_i,
-                       Schedule(warmup_epochs=5, joint_epochs=5),
-                       StructLossConfig(), rcfg)
+                       Schedule(warmup_epochs=5, joint_epochs=5), rcfg)
         results.append(copy.deepcopy(a_groups + i_groups))
     for g1, g2 in zip(results[0], results[1]):
         for p1, p2 in zip(g1, g2):
@@ -387,8 +372,7 @@ def test_run_structural_preserves_invariants():
     # colors start at a box corner so projection must engage
     a_groups[0][0].fill_color = np.array([0.0, 1.0, 0.5])
     run_structural(a_groups, i_groups, target, mask_a, mask_i,
-                   Schedule(warmup_epochs=10, joint_epochs=10),
-                   StructLossConfig(), rcfg)
+                   Schedule(warmup_epochs=10, joint_epochs=10), rcfg)
     for g in a_groups:
         for p in g:
             assert p.control_points.shape[0] % 3 == 0
@@ -426,10 +410,6 @@ def test_schedule_validation():
     for bad in ({"warmup_epochs": -1}, {"joint_epochs": -1}):
         with pytest.raises(ValueError):
             Schedule(**bad)
-    with pytest.raises(ValueError):
-        StructLossConfig(penalty_sign="bogus")
-    with pytest.raises(ValueError):
-        StructLossConfig(delta_overlap=1.5)
 
 
 # tracemalloc peak of one loss_recon on the 128 x 128 scene below, in MiB:

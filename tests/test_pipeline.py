@@ -25,6 +25,8 @@ from covec.raster import render_composite
 from covec.svg_io import emit_svg, parse_svg
 from covec.synthetic import make_acceptance_scene, make_icon_scene
 
+from conftest import load_script
+
 
 def _small_run(mode, tmp_path):
     """A short run of ``mode`` on a small scene whose init stays under the
@@ -196,3 +198,13 @@ def test_tiny_images_vectorize_in_both_modes(image):
             assert emit_svg(doc) == svg
             assert len(doc.all_paths()) == len(result.document.all_paths())
             assert np.isfinite(result.final_mse)
+
+
+def test_demo_synthetic_script(tmp_path):
+    """scripts/demo_synthetic.py --quick runs the pipeline end to end and
+    writes a canonical SVG, its trace and the reconstruction."""
+    assert load_script("demo_synthetic").main(["--quick", "--outdir", str(tmp_path)]) == 0
+    for name in ("scene.svg", "scene.csv", "reconstruction.png"):
+        assert (tmp_path / name).is_file(), name
+    svg = (tmp_path / "scene.svg").read_bytes()
+    assert emit_svg(parse_svg(svg)) == svg

@@ -16,7 +16,7 @@ from covec.geometry import flatten_bezier
 from covec.edit import EditConfig, run_edit
 from covec.model import (LAYER_TAGS, GradientBuffer, LayeredDocument, RasterizerConfig,
                          VectorPath, WHITE, project_color)
-from covec.optimize import loss_recon
+from covec.optimize import descent_config, loss_recon
 from covec.raster import (blend, layer_backward, layer_forward, path_coverage,
                           render_composite, source_over)
 
@@ -277,37 +277,39 @@ def _fd_loss(doc, target, config):
 
 
 def test_two_layer_gradients_vs_finite_difference(fixed_rcfg, rng):
+    # at the 2 x 2 grid, and at the one-sample config every Adam step uses
     doc = LayeredDocument(
         width=18, height=18,
         albedo=[random_path(rng, 18, 18)],
         illumination=[random_path(rng, 18, 18, tag="illumination",
                                   color_hi=1.3)])
     target = rng.uniform(0, 1, (18, 18, 3))
-    _, grads_a, grads_i = loss_recon(doc.albedo, doc.illumination, target, fixed_rcfg)
-    grads = {"albedo": grads_a, "illumination": grads_i}
-    for tag in ("albedo", "illumination"):
-        path = doc.layer(tag)[0]
-        g = grads[tag][0]
-        for r, c in [(0, 0), (5, 1), (9, 0)]:
-            eps = 1e-3
-            base = path.control_points[r, c]
-            path.control_points[r, c] = base + eps
-            up_l = _fd_loss(doc, target, fixed_rcfg)
-            path.control_points[r, c] = base - eps
-            dn_l = _fd_loss(doc, target, fixed_rcfg)
-            path.control_points[r, c] = base
+    for config in (fixed_rcfg, descent_config(fixed_rcfg)):
+        _, grads_a, grads_i = loss_recon(doc.albedo, doc.illumination, target, config)
+        grads = {"albedo": grads_a, "illumination": grads_i}
+        for tag in ("albedo", "illumination"):
+            path = doc.layer(tag)[0]
+            g = grads[tag][0]
+            for r, c in [(0, 0), (5, 1), (9, 0)]:
+                eps = 1e-3
+                base = path.control_points[r, c]
+                path.control_points[r, c] = base + eps
+                up_l = _fd_loss(doc, target, config)
+                path.control_points[r, c] = base - eps
+                dn_l = _fd_loss(doc, target, config)
+                path.control_points[r, c] = base
+                fd = (up_l - dn_l) / (2 * eps)
+                an = float(g.d_control_points[r, c])
+                assert abs(fd - an) < max(1e-4, 1e-2 * abs(fd))
+            eps = 1e-4
+            base = path.opacity
+            path.opacity = base + eps
+            up_l = _fd_loss(doc, target, config)
+            path.opacity = base - eps
+            dn_l = _fd_loss(doc, target, config)
+            path.opacity = base
             fd = (up_l - dn_l) / (2 * eps)
-            an = float(g.d_control_points[r, c])
-            assert abs(fd - an) < max(1e-4, 1e-2 * abs(fd))
-        eps = 1e-4
-        base = path.opacity
-        path.opacity = base + eps
-        up_l = _fd_loss(doc, target, fixed_rcfg)
-        path.opacity = base - eps
-        dn_l = _fd_loss(doc, target, fixed_rcfg)
-        path.opacity = base
-        fd = (up_l - dn_l) / (2 * eps)
-        assert abs(fd - g.d_opacity) < max(1e-6, 1e-2 * abs(fd))
+            assert abs(fd - g.d_opacity) < max(1e-6, 1e-2 * abs(fd))
 
 
 @settings(max_examples=20, deadline=None)

@@ -357,6 +357,25 @@ def test_parse_closure_tolerance_accepted():
     assert parsed.albedo[0].control_points.shape == (12, 2)
 
 
+_ROOT_SIZE = b'width="8" height="8" viewBox="0 0 8 8"'
+
+
+@pytest.mark.parametrize("pattern, replacement, match", [
+    # one token is one command: "CZ" is neither "C" nor "Z"
+    (b"C", b"CZ", "unsupported d command"),
+    # int() takes a digit separator and non-ASCII digits; SVG takes neither
+    (_ROOT_SIZE, _ROOT_SIZE.replace(b'"8" h', b'"0_8" h'), "integer width"),
+    (_ROOT_SIZE, _ROOT_SIZE.replace(b'"8" h', '"\u0668" h'.encode()), "integer width"),
+    (b'fill-opacity="1.0000"', b'fill-opacity="1.000_0"', "fill-opacity"),
+    (b"C 2.667 1.000", "C \u0662.667 1.000".encode(), "malformed coordinate"),
+    (b"rgb(128,", "rgb(\u0661\u0662\u0668,".encode(), "fill"),
+], ids=["substring-command", "width-separator", "width-arabic-indic",
+        "opacity-separator", "coordinate-arabic-indic", "rgb-arabic-indic"])
+def test_parse_rejects_what_python_numbers_allow(pattern, replacement, match):
+    with pytest.raises(SvgParseError, match=match):
+        parse_svg(_mutate(pattern, replacement))
+
+
 def test_parse_rejects_hex_fill():
     bad = _mutate(b'fill="rgb(128,128,128)"', b'fill="#808080"')
     with pytest.raises(SvgParseError, match="fill"):
